@@ -62,10 +62,6 @@ def constant_area_height(spec: UcpSpec, V0: float) -> float:
     return spec.L * V0 / (2.0**spec.G * segment_length(spec, spec.G))
 
 
-def _with_height(spec: UcpSpec, V: float) -> UcpSpec:
-    return dataclasses.replace(spec, V=V)
-
-
 def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
     """First-order large-k approximation of the reflection coefficient.
 
@@ -78,9 +74,8 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
         raise ValueError(
             f"asymptote guard violated: V_G/k^2 = {v_g / (k * k):.3g} >= {_ASYMPTOTE_GUARD}"
         )
-    scaled = _with_height(spec, v_g)
     l_g = segment_length(spec, spec.G)
-    seq = bloch_sequence(scaled, k)
+    seq = bloch_sequence(dataclasses.replace(spec, V=v_g), k)
     prod = 1.0
     for w in seq.omegas:
         prod *= w * w
@@ -114,7 +109,7 @@ def fit_scaling(
         raise ValueError(f"bad k window {k_window}")
     if n_points < 50:
         raise ValueError(f"n_points must be >= 50, got {n_points}")
-    scaled = _with_height(spec, constant_area_height(spec, V0))
+    scaled = dataclasses.replace(spec, V=constant_area_height(spec, V0))
     ks = np.logspace(math.log10(k_min), math.log10(k_max), n_points)
     refl = np.array([transmission_ucp(scaled, k).reflection for k in ks])
 

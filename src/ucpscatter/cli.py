@@ -1,17 +1,17 @@
 """Command-line front end: transmission sweeps, parameter grids, geometry
 dumps, and analysis reports as CSV/JSON for external plotting.
 
-Exit codes: 0 success, 2 invalid potential spec, 3 oracle infeasible.
+Exit codes: 0 success, 2 invalid input (spec, options or config), 3 stage
+above the cap for enumerating every barrier (oracle or geometry).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .analysis import fit_scaling, saturation_scan
 from .geometry import InvalidSpecError, UcpSpec, build_segments
-from .oracle import OracleInfeasibleError, transmission_oracle
+from .oracle import DEFAULT_STAGE_CAP, OracleInfeasibleError, transmission_oracle
 from .scattering import transmission_ucp
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, help="worker processes (default: all cores)")
+    parser.add_argument("--workers", type=int, help="ignored: every command runs in one process")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--config", help="config file (JSON or key=value lines)")
 
@@ -75,7 +75,7 @@ def _load_config(path: str) -> dict:
     return data
 
 
-_INT_KEYS = {"G", "nk", "nk_points", "workers", "gmin", "gmax", "n_points"}
+_INT_KEYS = {"G", "nk", "workers", "gmin", "gmax"}
 _STR_KEYS = {"scale", "engine", "out", "k", "alpha_range", "beta_range", "rho_range"}
 
 
@@ -84,7 +84,7 @@ def _apply_config(args: argparse.Namespace, config: dict) -> None:
     for key, value in config.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
-            raise SystemExit(f"unknown config key: {key}")
+            raise ValueError(f"unknown config key: {key}")
         if getattr(args, attr) is None:
             if attr in _INT_KEYS:
                 value = int(value)
@@ -96,7 +96,7 @@ def _apply_config(args: argparse.Namespace, config: dict) -> None:
 def _require(args: argparse.Namespace, names: Iterable[str]) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
-        raise SystemExit(f"missing required options: {', '.join('--' + m for m in missing)}")
+        raise ValueError(f"missing required options: {', '.join('--' + m for m in missing)}")
 
 
 def _build_spec(args: argparse.Namespace) -> UcpSpec:
@@ -107,7 +107,7 @@ def _build_spec(args: argparse.Namespace) -> UcpSpec:
 def _k_grid(args: argparse.Namespace) -> np.ndarray:
     _require(args, ["kmin", "kmax", "nk"])
     if not (args.kmin > 0 and args.kmax > args.kmin and args.nk >= 2):
-        raise SystemExit("need 0 < kmin < kmax and nk >= 2")
+        raise ValueError("need 0 < kmin < kmax and nk >= 2")
     if (args.scale or "linear") == "log":
         return np.logspace(math.log10(args.kmin), math.log10(args.kmax), args.nk)
     return np.linspace(args.kmin, args.kmax, args.nk)
@@ -133,28 +133,10 @@ def _emit(lines: Sequence[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _eval_point(task: tuple) -> tuple:
-    spec, k, engine = task
-    closed = transmission_ucp(spec, k) if engine in ("closed_form", "both") else None
-    orac = transmission_oracle(spec, k) if engine in ("oracle", "both") else None
-    return closed, orac
-
-
-def _map_ordered(func, tasks: list, workers: int):
-    if workers <= 1 or len(tasks) < 4:
-        return [func(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, tasks, chunksize=chunk))
-
-
 def cmd_transmission(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     ks = _k_grid(args)
     engine = args.engine or "closed_form"
-    workers = args.workers if args.workers is not None else os.cpu_count() or 1
-    tasks = [(spec, float(k), engine) for k in ks]
-    results = _map_ordered(_eval_point, tasks, workers)
 
     lines = _spec_header(spec)
     lines.append(f"# engine={engine}")
@@ -163,7 +145,9 @@ def cmd_transmission(args: argparse.Namespace) -> int:
     else:
         lines.append("k,T,R,log10_T")
     max_diff = 0.0
-    for (_, k, _), (closed, orac) in zip(tasks, results):
+    for k in map(float, ks):
+        closed = transmission_ucp(spec, k) if engine in ("closed_form", "both") else None
+        orac = transmission_oracle(spec, k) if engine in ("oracle", "both") else None
         primary = closed if closed is not None else orac
         row = [
             _fmt(k),
@@ -185,10 +169,10 @@ def cmd_transmission(args: argparse.Namespace) -> int:
 def _parse_range(text: str, name: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise SystemExit(f"--{name}-range must be MIN:MAX:COUNT, got {text!r}")
+        raise ValueError(f"--{name}-range must be MIN:MAX:COUNT, got {text!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
-        raise SystemExit(f"--{name}-range count must be >= 1")
+        raise ValueError(f"--{name}-range count must be >= 1")
     return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
 
 
@@ -199,16 +183,7 @@ def _grid_axis(args: argparse.Namespace, name: str) -> np.ndarray:
         return _parse_range(rng, name)
     if fixed is not None:
         return np.array([fixed])
-    raise SystemExit(f"provide --{name} or --{name}-range")
-
-
-def _eval_grid_point(task: tuple) -> tuple:
-    L, V, G, alpha, beta, rho, k = task
-    try:
-        spec = UcpSpec(L=L, V=V, rho=rho, alpha=alpha, beta=beta, G=G)
-    except InvalidSpecError:
-        return (False, None)
-    return (True, transmission_ucp(spec, k).transmission)
+    raise ValueError(f"provide --{name} or --{name}-range")
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -217,16 +192,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
     betas = _grid_axis(args, "beta")
     rhos = _grid_axis(args, "rho")
     ks = [float(t) for t in str(args.k).split(",")]
-    workers = args.workers if args.workers is not None else os.cpu_count() or 1
-
-    tasks = [
-        (args.L, args.V, args.G, float(a), float(b), float(r), k)
-        for a in alphas
-        for b in betas
-        for r in rhos
-        for k in ks
-    ]
-    results = _map_ordered(_eval_grid_point, tasks, workers)
 
     lines = [
         f"# L={_fmt(args.L)}",
@@ -234,18 +199,25 @@ def cmd_grid(args: argparse.Namespace) -> int:
         f"# G={args.G}",
         "alpha,beta,rho,k,valid,T",
     ]
-    for (_, _, _, a, b, r, k), (valid, t) in zip(tasks, results):
-        lines.append(
-            ",".join(
-                [_fmt(a), _fmt(b), _fmt(r), _fmt(k), "1" if valid else "0", _fmt(t) if valid else ""]
-            )
-        )
+    for a, b, r in itertools.product(map(float, alphas), map(float, betas), map(float, rhos)):
+        try:
+            spec = UcpSpec(L=args.L, V=args.V, rho=r, alpha=a, beta=b, G=args.G)
+        except InvalidSpecError:
+            spec = None
+        for k in ks:
+            if spec is None:
+                valid, t = "0", ""
+            else:
+                valid, t = "1", _fmt(transmission_ucp(spec, k).transmission)
+            lines.append(",".join([_fmt(a), _fmt(b), _fmt(r), _fmt(k), valid, t]))
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def cmd_geometry(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
+    if spec.G > DEFAULT_STAGE_CAP:  # checked before 2**G intervals are allocated
+        raise OracleInfeasibleError(f"geometry infeasible: G={spec.G} > cap {DEFAULT_STAGE_CAP}")
     geometry = build_segments(spec)
     lines = _spec_header(spec)
     lines.append("index,offset,width")
@@ -275,7 +247,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 def cmd_saturation(args: argparse.Namespace) -> int:
     _require(args, ["L", "V", "rho", "alpha", "beta", "gmin", "gmax", "kmin", "kmax", "nk"])
     if args.gmax <= args.gmin:
-        raise SystemExit("need gmax > gmin")
+        raise ValueError("need gmax > gmin")
     specs = [
         UcpSpec(L=args.L, V=args.V, rho=args.rho, alpha=args.alpha, beta=args.beta, G=g)
         for g in range(args.gmin, args.gmax + 1)
@@ -354,12 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        _apply_config(args, _load_config(args.config))
     try:
+        if getattr(args, "config", None):
+            _apply_config(args, _load_config(args.config))
         return args.func(args)
-    except InvalidSpecError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
+    except ValueError as exc:  # an invalid spec, or an argument out of the library's range
+        kind = "spec" if isinstance(exc, InvalidSpecError) else "input"
+        print(f"invalid {kind}: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC
     except OracleInfeasibleError as exc:
         print(str(exc), file=sys.stderr)

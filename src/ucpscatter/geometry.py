@@ -12,8 +12,11 @@ used by the brute-force oracle.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .special import q_pochhammer
 
@@ -61,9 +64,11 @@ class UcpSpec:
             raise InvalidSpecError(f"V must be finite, got {self.V}")
         if not (self.rho > 1.0 and math.isfinite(self.rho)):
             raise InvalidSpecError(f"rho must be > 1, got {self.rho}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise InvalidSpecError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise InvalidSpecError("alpha and beta cannot both be zero")
-        if self.G < 0 or int(self.G) != self.G:
+        if not isinstance(self.G, numbers.Integral) or self.G < 0:
             raise InvalidSpecError(f"G must be a non-negative integer, got {self.G}")
         for g in range(1, self.G + 1):
             if self.alpha + self.beta * g <= 0.0:
@@ -88,9 +93,6 @@ class SegmentGeometry:
 
     span: float
     barriers: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-
-    def total_width(self) -> float:
-        return math.fsum(w for _, w in self.barriers)
 
 
 def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> None:
@@ -131,17 +133,35 @@ def super_period(spec: UcpSpec, f: int) -> float:
     return spec.L / 2.0**m * (1.0 + spec.removal_fraction(m)) * prod
 
 
+class _StageTable(NamedTuple):
+    cell_width: float  # l_G
+    gamma1: tuple[float, ...]  # gamma1[q-1] = gamma_1(q), q = 1..G
+    gamma2: tuple[tuple[float, ...], ...]  # gamma2[q-1][r-1] = gamma_2(q, r), r < q
+
+
+@functools.lru_cache(maxsize=64)
+def _stage_table(spec: UcpSpec) -> _StageTable:
+    """The lengths of the Bloch recursion, from l_G and the gaps d_g in O(G^2)."""
+    G, l_G = spec.G, segment_length(spec, spec.G)
+    d = [0.0, *(gap_length(spec, g) for g in range(1, G + 1))]  # d[g] = d_g
+    return _StageTable(
+        l_G,
+        tuple(-(l_G + d[G - q + 1]) for q in range(1, G + 1)),
+        tuple(tuple(d[G - r + 1] - d[G - q + 1] for r in range(1, q)) for q in range(1, G + 1)),
+    )
+
+
 def gamma1(spec: UcpSpec, q: int) -> float:
     """Phase distance gamma_1(q) = -(l_G + d_{G-q+1}); always negative."""
     _check_stage(spec, q, lowest=1)
-    return -(segment_length(spec, spec.G) + gap_length(spec, spec.G - q + 1))
+    return _stage_table(spec).gamma1[q - 1]
 
 
 def gamma2(spec: UcpSpec, q: int, r: int) -> float:
     """Phase distance gamma_2(q, r) = d_{G-r+1} - d_{G-q+1} for 1 <= r < q <= G."""
     if not 1 <= r < q <= spec.G:
         raise InvalidSpecError(f"gamma2 requires 1 <= r < q <= G, got q={q}, r={r}")
-    return gap_length(spec, spec.G - r + 1) - gap_length(spec, spec.G - q + 1)
+    return _stage_table(spec).gamma2[q - 1][r - 1]
 
 
 def build_segments(spec: UcpSpec) -> SegmentGeometry:

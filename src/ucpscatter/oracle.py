@@ -10,6 +10,7 @@ is accumulated in spatial order and T = 1/|m22|^2.
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -31,12 +32,11 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_STAGE_CAP = 16
 _DET_DRIFT_TOL = 1e-9
-_WIDTH_EPS = 0.0  # zero-width regions are elided exactly
 _TAIL_EPS = 1e-9  # relative: the final barrier ends at span up to roundoff
 
 
 class OracleInfeasibleError(RuntimeError):
-    """Raised when the requested stage needs too many matrix products."""
+    """Raised when the requested stage has too many barriers to enumerate."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class Region:
 class RegionSequence:
     regions: tuple[Region, ...]
 
-    def total_width(self) -> float:
-        return math.fsum(r.width for r in self.regions)
-
 
 def region_sequence(geometry: SegmentGeometry) -> RegionSequence:
     """Alternating barrier/gap list spanning [0, span]; zero widths elided."""
@@ -59,9 +56,9 @@ def region_sequence(geometry: SegmentGeometry) -> RegionSequence:
     pos = 0.0
     for off, w in geometry.barriers:
         gap = off - pos
-        if gap > _WIDTH_EPS:
+        if gap > 0.0:
             regions.append(Region("gap", gap))
-        if w > _WIDTH_EPS:
+        if w > 0.0:
             regions.append(Region("barrier", w))
         pos = off + w
     # the construction places the last barrier flush against the right edge,
@@ -80,6 +77,13 @@ def propagation_matrix(k: float, d: float) -> TransferMatrix:
     return TransferMatrix(phase, 0.0, 0.0, 1.0 / phase)
 
 
+@functools.lru_cache(maxsize=4)
+def _regions(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
+    """(width, is_barrier) of every region of the stage-G system, in order."""
+    regions = region_sequence(build_segments(spec)).regions
+    return tuple((r.width, r.kind == "barrier") for r in regions)
+
+
 def transmission_oracle(
     spec: UcpSpec, k: float, stage_cap: int = DEFAULT_STAGE_CAP
 ) -> ScatterResult:
@@ -94,24 +98,34 @@ def transmission_oracle(
             f"oracle infeasible: stage G={spec.G} exceeds cap {stage_cap} "
             f"({2 ** spec.G} barriers)"
         )
-    regions = region_sequence(build_segments(spec))
-    total = TransferMatrix(1.0, 0.0, 0.0, 1.0)
-    for region in regions.regions:
-        if region.kind == "barrier":
-            # local-boundary convention: strip the global phase of the width
-            total = total @ barrier_matrix(k, spec.V, region.width)
-            total = total @ propagation_matrix(k, -region.width)
-        else:
-            total = total @ propagation_matrix(k, -region.width)
+    # t = [[t11, t12], [t21, t22]] multiplies as TransferMatrix.__matmul__ does, less the
+    # zero off-diagonal terms of the diagonal propagation_matrix(k, -width)
+    t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
+    factors = {}  # the regions repeat a few widths, so each factor is built once
+    for region in _regions(spec):
+        factor = factors.get(region)
+        if factor is None:
+            width, is_barrier = region
+            b = barrier_matrix(k, spec.V, width) if is_barrier else None
+            phase = cmath.exp(1j * k * -width)  # local-boundary convention: strip the global phase
+            factor = factors[region] = (b, phase, 1.0 / phase)
+        b, phase, inverse = factor
+        if b is not None:
+            t11, t12, t21, t22 = (
+                t11 * b.m11 + t12 * b.m21,
+                t11 * b.m12 + t12 * b.m22,
+                t21 * b.m11 + t22 * b.m21,
+                t21 * b.m12 + t22 * b.m22,
+            )
+        t11, t12, t21, t22 = t11 * phase, t12 * inverse, t21 * phase, t22 * inverse
     # det - 1 cancels catastrophically when entries are ~cosh(|kappa| w) large,
     # so the drift is judged relative to the matrix scale
-    scale = max(1.0, abs(total.m22) ** 2)
-    drift = abs(total.det() - 1.0) / scale
+    m22_sq = abs(t22) ** 2
+    drift = abs(t11 * t22 - t12 * t21 - 1.0) / max(1.0, m22_sq)
     if drift > _DET_DRIFT_TOL:
         logger.warning(
             "oracle determinant drift %.3e at G=%d, k=%g", drift, spec.G, k
         )
-    m22_sq = abs(total.m22) ** 2
     transmission = 1.0 / m22_sq
     return ScatterResult(
         transmission=transmission,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import UcpSpec, gamma1, gamma2, segment_length, super_period
+from .geometry import UcpSpec, _stage_table, _StageTable, super_period
 from .special import chebyshev_u
 
 __all__ = [
@@ -61,13 +61,9 @@ class TransferMatrix:
 
 @dataclass(frozen=True)
 class BlochSequence:
-    """Ordered Bloch phases Omega_1..Omega_G with cached prefix products."""
+    """Ordered Bloch phases Omega_1..Omega_G."""
 
     omegas: tuple[float, ...]
-    prefix_products: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.omegas)
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,26 @@ def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
     return TransferMatrix(m11, m12, -m12, (cos_z + 1j * ep_sin) / phase)
 
 
+def _omegas(table: _StageTable, cell: TransferMatrix, k: float) -> list[float]:
+    """The Bloch recursion of bloch_sequence, given the unit-cell matrix."""
+    amp = abs(cell.m22)
+    theta = math.atan2(cell.m22.imag, cell.m22.real) if amp > 0.0 else 0.0
+    omegas: list[float] = []
+    prefix = 1.0
+    for q, (g1, g2) in enumerate(zip(table.gamma1, table.gamma2), start=1):
+        lead = 2.0 ** (q - 1) * amp * math.cos(theta - k * g1) * prefix
+        tail = 1.0  # prod_{p=r+1}^{q-1} Omega_p, extended as r steps down
+        acc = 0.0
+        for r in range(q - 1, 0, -1):
+            if r != q - 1:
+                tail *= omegas[r]  # Omega_{r+1}
+            acc += 2.0 ** (q - r - 1) * math.cos(k * g2[r - 1]) * tail
+        omega = lead - acc
+        omegas.append(omega)
+        prefix *= omega
+    return omegas
+
+
 def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
     """Bloch phases Omega_1..Omega_G of the stage-G system at wavenumber k.
 
@@ -129,31 +145,9 @@ def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
     with theta = arg(m22) of the unit-cell barrier of width l_G.  Total cost
     is O(G^2); exact zeros (transmission resonances) propagate unclamped.
     """
-    _require_positive_k(k)
-    G = spec.G
-    if G == 0:
-        return BlochSequence(omegas=(), prefix_products=())
-    cell = barrier_matrix(k, spec.V, segment_length(spec, G))
-    amp = abs(cell.m22)
-    theta = math.atan2(cell.m22.imag, cell.m22.real) if amp > 0.0 else 0.0
-    g1 = [gamma1(spec, q) for q in range(1, G + 1)]
-
-    omegas: list[float] = []
-    prefixes: list[float] = []
-    prefix = 1.0
-    for q in range(1, G + 1):
-        lead = 2.0 ** (q - 1) * amp * math.cos(theta - k * g1[q - 1]) * prefix
-        tail = 1.0  # prod_{p=r+1}^{q-1} Omega_p, extended as r steps down
-        acc = 0.0
-        for r in range(q - 1, 0, -1):
-            if r != q - 1:
-                tail *= omegas[r]  # Omega_{r+1}
-            acc += 2.0 ** (q - r - 1) * math.cos(k * gamma2(spec, q, r)) * tail
-        omega = lead - acc
-        omegas.append(omega)
-        prefix *= omega
-        prefixes.append(prefix)
-    return BlochSequence(omegas=tuple(omegas), prefix_products=tuple(prefixes))
+    table = _stage_table(spec)
+    cell = barrier_matrix(k, spec.V, table.cell_width)  # checks k
+    return BlochSequence(omegas=tuple(_omegas(table, cell, k)))
 
 
 def _assemble(log_x: float | None) -> ScatterResult:
@@ -179,16 +173,16 @@ def _assemble(log_x: float | None) -> ScatterResult:
 
 def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
     """Closed-form transmission through the stage-G system at wavenumber k."""
-    _require_positive_k(k)
-    cell = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
+    table = _stage_table(spec)
+    cell = barrier_matrix(k, spec.V, table.cell_width)  # checks k
     m12_abs = abs(cell.m12)
     if m12_abs == 0.0:
         return _assemble(None)
-    seq = bloch_sequence(spec, k)
-    if any(w == 0.0 for w in seq.omegas):
+    omegas = _omegas(table, cell, k)
+    if any(w == 0.0 for w in omegas):
         return _assemble(None)
     log_x = spec.G * _LN4 + 2.0 * math.log(m12_abs)
-    log_x += 2.0 * math.fsum(math.log(abs(w)) for w in seq.omegas)
+    log_x += 2.0 * math.fsum(math.log(abs(w)) for w in omegas)
     return _assemble(log_x)
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ucpscatter import transmission_ucp, UcpSpec
+from ucpscatter import cli, transmission_ucp, UcpSpec
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
 
 
@@ -170,6 +170,16 @@ class TestGrid:
         assert flags == ["0", "1", "1"]
         assert rows[0][5] == ""
 
+    def test_nan_exponent_flagged_not_fatal(self, tmp_path):
+        code, text = run(
+            ["grid", "--L", "1", "--V", "5", "--G", "2", "--alpha-range", "0.5:1:2",
+             "--beta", "nan", "--rho", "3", "--k", "1.5"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        _, _, rows = parse_csv(text)
+        assert [(r[4], r[5]) for r in rows] == [("0", ""), ("0", "")]
+
     def test_full_cartesian_size(self, tmp_path):
         _, text = run(
             ["grid", "--L", "1", "--V", "5", "--G", "1", "--alpha-range", "0.5:1:2",
@@ -194,6 +204,19 @@ class TestGeometry:
         assert float(rows[0][1]) == pytest.approx(0.0)
         assert float(rows[0][2]) == pytest.approx(1 / 3)
         assert float(rows[1][1]) == pytest.approx(2 / 3)
+
+
+    def test_stage_above_cap_refused_before_building(self, monkeypatch, capsys):
+        # 2**40 intervals must never be allocated: fail loudly if the build starts
+        def unreachable(spec):
+            raise AssertionError("build_segments called")
+
+        monkeypatch.setattr(cli, "build_segments", unreachable)
+        code = main(["geometry", "--L", "1", "--V", "5", "--rho", "3", "--alpha", "1",
+                     "--beta", "0", "--G", "40"])
+        assert code == EXIT_ORACLE_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "G=40" in err
 
 
 class TestScaling:
@@ -240,3 +263,51 @@ class TestValidate:
         assert code == EXIT_INVALID_SPEC
         err = capsys.readouterr().err
         assert "alpha + beta*G" in err
+
+
+class TestBadInput:
+    """Bad input exits 2 with a one-line diagnostic, never a traceback."""
+
+    @staticmethod
+    def assert_one_line_exit_2(argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID_SPEC
+        assert err.count("\n") == 1 and err.startswith("invalid input: ")
+        assert "Traceback" not in err
+
+    def test_grid_nonpositive_k(self, capsys):
+        self.assert_one_line_exit_2(
+            ["grid", "--L", "5", "--V", "25", "--G", "3", "--alpha", "0.5", "--beta", "1",
+             "--rho", "2.5", "--k", "0,1"],
+            capsys,
+        )
+
+    def test_saturation_zero_kmin(self, capsys):
+        self.assert_one_line_exit_2(
+            ["saturation", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
+             "--beta", "1", "--gmin", "3", "--gmax", "4", "--kmin", "0", "--kmax", "10",
+             "--nk", "5"],
+            capsys,
+        )
+
+    def test_scaling_too_few_points(self, capsys):
+        self.assert_one_line_exit_2(
+            ["scaling", "--L", "1", "--rho", "1.75", "--alpha", "0.5", "--beta", "0.25",
+             "--G", "5", "--V0", "25", "--kmin", "50", "--kmax", "500", "--nk", "20"],
+            capsys,
+        )
+
+    def test_config_non_integer_stage(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "L = 5\nV = 25\nrho = 2.5\nalpha = 0.5\nbeta = 1\nG = 2.5\n"
+            "kmin = 1\nkmax = 4\nnk = 4\n"
+        )
+        self.assert_one_line_exit_2(["transmission", "--config", str(cfg)], capsys)
+
+    def test_nan_exponent_is_an_invalid_spec(self, capsys):
+        code = main(["transmission", "--L", "5", "--V", "25", "--rho", "3", "--alpha", "nan",
+                     "--beta", "0", "--G", "2", "--kmin", "1", "--kmax", "2", "--nk", "2"])
+        assert code == EXIT_INVALID_SPEC
+        assert capsys.readouterr().err.startswith("invalid spec: ")

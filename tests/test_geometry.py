@@ -56,6 +56,19 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match="alpha \\+ beta\\*G"):
             UcpSpec(L=5, V=25, rho=math.e, alpha=2, beta=-0.1, G=20)
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.inf, -math.inf),
+    ])
+    def test_rejects_non_finite_exponents(self, alpha, beta):
+        # every comparison with NaN is false, so the stage bound alone lets NaN through
+        with pytest.raises(InvalidSpecError, match="finite"):
+            UcpSpec(L=1, V=1, rho=3, alpha=alpha, beta=beta, G=2)
+
+    @pytest.mark.parametrize("G", [3.0, 2.5, "3"])
+    def test_rejects_non_integer_stage(self, G):
+        with pytest.raises(InvalidSpecError, match="integer"):
+            UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=G)
+
 
 class TestSegmentLength:
     def test_stage_zero_is_span(self):
@@ -185,6 +198,17 @@ class TestGammas:
                 diff = gamma1(spec, q) - gamma1(spec, r)
                 assert gamma2(spec, q, r) == pytest.approx(diff, rel=1e-12, abs=1e-15)
 
+    @given(valid_specs)
+    @settings(max_examples=60)
+    def test_equal_to_the_length_formulas_bit_for_bit(self, spec):
+        G = spec.G
+        for q in range(1, G + 1):
+            assert gamma1(spec, q) == -(segment_length(spec, G) + gap_length(spec, G - q + 1))
+            for r in range(1, q):
+                assert gamma2(spec, q, r) == gap_length(spec, G - r + 1) - gap_length(
+                    spec, G - q + 1
+                )
+
     def test_gamma2_negative_for_r_below_q(self):
         spec = UcpSpec(L=1, V=1, rho=2.5, alpha=0.5, beta=1, G=6)
         for q in range(2, 7):
@@ -229,7 +253,8 @@ class TestBuildSegments:
         for (off, w), (off2, w2) in zip(geo.barriers, reversed(geo.barriers)):
             assert off == pytest.approx(spec.L - off2 - w2, abs=tol)
         # widths sum to 2^G * l_G
-        assert geo.total_width() == pytest.approx(n * l_g, abs=1e-10 * spec.L)
+        width = math.fsum(w for _, w in geo.barriers)
+        assert width == pytest.approx(n * l_g, abs=1e-10 * spec.L)
 
     @given(valid_specs)
     @settings(max_examples=60)
@@ -241,7 +266,7 @@ class TestBuildSegments:
             gaps.append(off - pos)
             pos = off + w
         gaps.append(spec.L - pos)
-        total = geo.total_width() + math.fsum(gaps)
+        total = math.fsum(w for _, w in geo.barriers) + math.fsum(gaps)
         assert total == pytest.approx(spec.L, abs=1e-10 * spec.L)
 
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from ucpscatter import (
     OracleInfeasibleError,
     Region,
+    TransferMatrix,
     UcpSpec,
+    barrier_matrix,
     build_segments,
     propagation_matrix,
     region_sequence,
@@ -25,6 +27,16 @@ small_specs = st.builds(
     beta=st.floats(0.0, 2),
     G=st.integers(0, 6),
 )
+
+
+def matrix_product_oracle(spec, k):
+    """The oracle written as a plain TransferMatrix product, region by region."""
+    total = TransferMatrix(1.0, 0.0, 0.0, 1.0)
+    for region in region_sequence(build_segments(spec)).regions:
+        if region.kind == "barrier":
+            total = total @ barrier_matrix(k, spec.V, region.width)
+        total = total @ propagation_matrix(k, -region.width)
+    return abs(total.m22) ** 2
 
 
 class TestPropagationMatrix:
@@ -74,7 +86,7 @@ class TestRegionSequence:
         assert kinds[0] == "barrier" and kinds[-1] == "barrier"
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
         assert sum(1 for kind in kinds if kind == "barrier") == 2**spec.G
-        assert seq.total_width() == pytest.approx(spec.L, rel=1e-12)
+        assert math.fsum(r.width for r in seq.regions) == pytest.approx(spec.L, rel=1e-12)
         assert all(r.width > 0 for r in seq.regions)
 
 
@@ -124,3 +136,43 @@ class TestTransmissionOracle:
         with pytest.raises(OracleInfeasibleError):
             transmission_oracle(spec, 1.0, stage_cap=4)
         transmission_oracle(spec, 1.0, stage_cap=5)  # exactly at the cap is fine
+
+
+class TestOracleProduct:
+    """transmission_oracle equals the plain matrix product bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(spec, k):
+        m22_sq = matrix_product_oracle(spec, k)
+        res = transmission_oracle(spec, k)
+        assert res.transmission == 1.0 / m22_sq
+        assert res.reflection == 1.0 - 1.0 / m22_sq
+        assert res.log10_transmission == -math.log10(m22_sq)
+
+    @pytest.mark.parametrize("spec, k", [
+        # tunnelling (k^2 < V) and above the barrier, every stage up to 6
+        *[(UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=G), k)
+          for G in range(7) for k in (0.3, 2.0, 4.9, 5.2, 11.0)],
+        (UcpSpec(L=5, V=25, rho=2.5, alpha=0.5, beta=1, G=6), 1.7),
+        (UcpSpec(L=10, V=100, rho=3, alpha=1, beta=0, G=4), 0.5),
+        # T = 1 to within rounding, on both sides of 1
+        (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 13.047376229371563),
+        (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 38.22687781296883),
+        (UcpSpec(L=5, V=25, rho=4, alpha=0.5, beta=0.5, G=6), 39.90667777962994),
+        (UcpSpec(L=4, V=0, rho=2.5, alpha=0.5, beta=1, G=3), 1.1),
+    ])
+    def test_matches_plain_product(self, spec, k):
+        self.assert_bitwise(spec, k)
+
+    def test_near_one_points_are_near_one(self):
+        # guards the T ~ 1 cases above against drifting away from T = 1
+        for spec, k in [
+            (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 38.22687781296883),
+            (UcpSpec(L=5, V=25, rho=4, alpha=0.5, beta=0.5, G=6), 39.90667777962994),
+        ]:
+            assert abs(transmission_oracle(spec, k).transmission - 1.0) < 1e-13
+
+    @given(small_specs, st.floats(0.05, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_product_property(self, spec, k):
+        self.assert_bitwise(spec, k)
