@@ -42,10 +42,14 @@ def _spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--G", type=int, help="stage (recursion depth)")
 
 
-def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
+def _k_range_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kmin", type=float, help="lowest wavenumber")
     parser.add_argument("--kmax", type=float, help="highest wavenumber")
     parser.add_argument("--nk", type=int, help="number of k points (>= 2)")
+
+
+def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    _k_range_arguments(parser)
     parser.add_argument("--scale", choices=["linear", "log"], help="k spacing")
 
 
@@ -53,6 +57,7 @@ def _common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, help="ignored: every command runs in one process")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--config", help="config file (JSON or key=value lines)")
+    parser.set_defaults(parser=parser)  # config values are checked against these flags
 
 
 def _load_config(path: str) -> dict:
@@ -75,22 +80,21 @@ def _load_config(path: str) -> dict:
     return data
 
 
-_INT_KEYS = {"G", "nk", "workers", "gmin", "gmax"}
-_STR_KEYS = {"scale", "engine", "out", "k", "alpha_range", "beta_range", "rho_range"}
-
-
 def _apply_config(args: argparse.Namespace, config: dict) -> None:
-    """Fill in options the command line left unset."""
+    """Fill in options the command line left unset, each typed and checked by its flag."""
+    flags = {a.dest: a for a in args.parser._actions if hasattr(args, a.dest)}
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
             raise ValueError(f"unknown config key: {key}")
-        if getattr(args, attr) is None:
-            if attr in _INT_KEYS:
-                value = int(value)
-            elif attr not in _STR_KEYS:
-                value = float(value)
-            setattr(args, attr, value)
+        if getattr(args, flag.dest) is None:
+            try:  # the conversion the same text gets on the command line
+                value = flag.type(str(value)) if flag.type else str(value)
+                if flag.choices is not None and value not in flag.choices:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"config {key}: invalid value {value!r}") from None
+            setattr(args, flag.dest, value)
 
 
 def _require(args: argparse.Namespace, names: Iterable[str]) -> None:
@@ -252,7 +256,7 @@ def cmd_saturation(args: argparse.Namespace) -> int:
         UcpSpec(L=args.L, V=args.V, rho=args.rho, alpha=args.alpha, beta=args.beta, G=g)
         for g in range(args.gmin, args.gmax + 1)
     ]
-    ks = np.linspace(args.kmin, args.kmax, args.nk)
+    ks = _k_grid(args)
     report = saturation_scan(specs, [float(k) for k in ks])
     payload = {
         "spec": {"L": args.L, "V": args.V, "rho": args.rho, "alpha": args.alpha,
@@ -303,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", help="log-log reflection scaling fit as JSON")
     _spec_arguments(p)
     p.add_argument("--V0", type=float, help="stage-0 height for constant-area scaling")
-    _sweep_arguments(p)
+    _k_range_arguments(p)  # fit_scaling always spaces k logarithmically
     _common_arguments(p)
     p.set_defaults(func=cmd_scaling)
 
@@ -330,7 +334,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "config", None):
             _apply_config(args, _load_config(args.config))
         return args.func(args)
-    except ValueError as exc:  # an invalid spec, or an argument out of the library's range
+    except (ValueError, OSError) as exc:  # bad spec, option value, config, or file path
         kind = "spec" if isinstance(exc, InvalidSpecError) else "input"
         print(f"invalid {kind}: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC

@@ -4,7 +4,8 @@ explicit barrier/gap sequence, with no super-periodicity mathematics.
 Amplitudes are referenced locally at each region boundary, so a barrier of
 width w contributes barrier_matrix(k, V, w) composed with diag(e^{-ikw},
 e^{ikw}) and a gap of width d contributes diag(e^{-ikd}, e^{ikd}); the total
-is accumulated in spatial order and T = 1/|m22|^2.
+is accumulated in spatial order.  Being unimodular, it gives T = 1/(1 + |m12|^2),
+assembled in the log domain as the closed form's is.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .geometry import SegmentGeometry, UcpSpec, build_segments
-from .scattering import ScatterResult, TransferMatrix, barrier_matrix
+from .scattering import (ScatterResult, TransferMatrix, _assemble, _require_positive_k,
+                         barrier_matrix)
 
 __all__ = [
     "OracleInfeasibleError",
@@ -71,8 +73,7 @@ def region_sequence(geometry: SegmentGeometry) -> RegionSequence:
 
 def propagation_matrix(k: float, d: float) -> TransferMatrix:
     """Free-space transfer matrix diag(e^{ikd}, e^{-ikd}); identity at d = 0."""
-    if not k > 0.0:
-        raise ValueError(f"wavenumber k must be positive, got {k}")
+    _require_positive_k(k)
     phase = cmath.exp(1j * k * d)
     return TransferMatrix(phase, 0.0, 0.0, 1.0 / phase)
 
@@ -107,8 +108,8 @@ def transmission_oracle(
         if factor is None:
             width, is_barrier = region
             b = barrier_matrix(k, spec.V, width) if is_barrier else None
-            phase = cmath.exp(1j * k * -width)  # local-boundary convention: strip the global phase
-            factor = factors[region] = (b, phase, 1.0 / phase)
+            p = propagation_matrix(k, -width)  # local-boundary convention: strip the global phase
+            factor = factors[region] = (b, p.m11, p.m22)
         b, phase, inverse = factor
         if b is not None:
             t11, t12, t21, t22 = (
@@ -119,16 +120,11 @@ def transmission_oracle(
             )
         t11, t12, t21, t22 = t11 * phase, t12 * inverse, t21 * phase, t22 * inverse
     # det - 1 cancels catastrophically when entries are ~cosh(|kappa| w) large,
-    # so the drift is judged relative to the matrix scale
-    m22_sq = abs(t22) ** 2
-    drift = abs(t11 * t22 - t12 * t21 - 1.0) / max(1.0, m22_sq)
+    # so the drift is judged relative to |m22|^2, on entries scaled first to stay finite
+    inv = 1.0 / max(1.0, abs(t22))
+    drift = abs(t11 * inv * (t22 * inv) - t12 * inv * (t21 * inv) - inv * inv)
     if drift > _DET_DRIFT_TOL:
         logger.warning(
             "oracle determinant drift %.3e at G=%d, k=%g", drift, spec.G, k
         )
-    transmission = 1.0 / m22_sq
-    return ScatterResult(
-        transmission=transmission,
-        reflection=1.0 - transmission,
-        log10_transmission=-math.log10(m22_sq),
-    )
+    return _assemble(None if t12 == 0 else 2.0 * math.log(abs(t12)))

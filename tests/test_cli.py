@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from ucpscatter import cli, transmission_ucp, UcpSpec
+from ucpscatter import cli, saturation_scan, transmission_ucp, UcpSpec
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
 
 
@@ -232,6 +233,14 @@ class TestScaling:
         assert report["slope"] == pytest.approx(-2.0, abs=0.15)
         assert report["n_used"] > 100
 
+    def test_no_scale_flag(self):
+        # fit_scaling always spaces k logarithmically, so the flag is not offered
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--L", "1", "--rho", "1.75", "--alpha", "0.5", "--beta", "0.25",
+                  "--G", "5", "--V0", "25", "--kmin", "50", "--kmax", "500", "--nk", "300",
+                  "--scale", "log"])
+        assert exc.value.code == 2
+
 
 class TestSaturation:
     def test_json_report(self, tmp_path):
@@ -248,6 +257,19 @@ class TestSaturation:
         assert len(metrics) == 3
         assert all(m > 0 for m in metrics)
         assert metrics[0] > metrics[-1]
+
+    def test_log_scale_grid(self, tmp_path):
+        code, text = run(
+            ["saturation", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
+             "--beta", "1", "--gmin", "3", "--gmax", "5", "--kmin", "0.5",
+             "--kmax", "10", "--nk", "40", "--scale", "log"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        specs = [UcpSpec(L=5, V=25, rho=2.5, alpha=0.5, beta=1, G=g) for g in (3, 4, 5)]
+        ks = np.logspace(math.log10(0.5), math.log10(10), 40)
+        expected = saturation_scan(specs, [float(k) for k in ks])
+        assert json.loads(text)["metrics"] == list(expected.metrics)
 
 
 class TestValidate:
@@ -311,3 +333,39 @@ class TestBadInput:
                      "--beta", "0", "--G", "2", "--kmin", "1", "--kmax", "2", "--nk", "2"])
         assert code == EXIT_INVALID_SPEC
         assert capsys.readouterr().err.startswith("invalid spec: ")
+
+    @pytest.mark.parametrize("config", [
+        '{"G": 2.5}',   # JSON values are converted as the flag converts text
+        "G = 2\nengine = bogus\n",
+        "G = 2\nscale = bogus\n",
+    ], ids=["json-fractional-G", "bogus-engine", "bogus-scale"])
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        self.assert_one_line_exit_2(
+            ["transmission", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
+             "--beta", "1", "--kmin", "1", "--kmax", "4", "--nk", "4", "--config", str(cfg)],
+            capsys,
+        )
+
+    def test_config_key_without_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scale = log\n")  # scaling has no --scale
+        self.assert_one_line_exit_2(
+            ["scaling", "--L", "1", "--rho", "1.75", "--alpha", "0.5", "--beta", "0.25",
+             "--G", "5", "--V0", "25", "--kmin", "50", "--kmax", "500", "--nk", "300",
+             "--config", str(cfg)],
+            capsys,
+        )
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        self.assert_one_line_exit_2(
+            ["validate", *SPEC_ARGS, "--config", str(tmp_path / "absent.cfg")], capsys
+        )
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        self.assert_one_line_exit_2(
+            ["transmission", *SPEC_ARGS, "--kmin", "1", "--kmax", "4", "--nk", "4",
+             "--out", str(tmp_path / "absent" / "out.csv")],
+            capsys,
+        )

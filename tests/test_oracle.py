@@ -16,6 +16,7 @@ from ucpscatter import (
     transmission_oracle,
     transmission_ucp,
 )
+from ucpscatter.scattering import _assemble
 
 
 small_specs = st.builds(
@@ -30,13 +31,15 @@ small_specs = st.builds(
 
 
 def matrix_product_oracle(spec, k):
-    """The oracle written as a plain TransferMatrix product, region by region."""
+    """The oracle written as a plain TransferMatrix product, region by region,
+    with T = 1/(1 + |m12|^2) of the product."""
     total = TransferMatrix(1.0, 0.0, 0.0, 1.0)
     for region in region_sequence(build_segments(spec)).regions:
         if region.kind == "barrier":
             total = total @ barrier_matrix(k, spec.V, region.width)
         total = total @ propagation_matrix(k, -region.width)
-    return abs(total.m22) ** 2
+    m12_abs = abs(total.m12)
+    return _assemble(None if m12_abs == 0.0 else 2.0 * math.log(m12_abs))
 
 
 class TestPropagationMatrix:
@@ -143,11 +146,7 @@ class TestOracleProduct:
 
     @staticmethod
     def assert_bitwise(spec, k):
-        m22_sq = matrix_product_oracle(spec, k)
-        res = transmission_oracle(spec, k)
-        assert res.transmission == 1.0 / m22_sq
-        assert res.reflection == 1.0 - 1.0 / m22_sq
-        assert res.log10_transmission == -math.log10(m22_sq)
+        assert transmission_oracle(spec, k) == matrix_product_oracle(spec, k)
 
     @pytest.mark.parametrize("spec, k", [
         # tunnelling (k^2 < V) and above the barrier, every stage up to 6
@@ -160,17 +159,31 @@ class TestOracleProduct:
         (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 38.22687781296883),
         (UcpSpec(L=5, V=25, rho=4, alpha=0.5, beta=0.5, G=6), 39.90667777962994),
         (UcpSpec(L=4, V=0, rho=2.5, alpha=0.5, beta=1, G=3), 1.1),
+        # |m22|^2 overflows a double
+        (UcpSpec(L=10, V=40000, rho=3, alpha=1, beta=0, G=4), 0.5),
     ])
     def test_matches_plain_product(self, spec, k):
         self.assert_bitwise(spec, k)
 
     def test_near_one_points_are_near_one(self):
-        # guards the T ~ 1 cases above against drifting away from T = 1
+        # guards the T ~ 1 cases above against drifting away from T = 1; where
+        # 1/|m22|^2 rounded above 1, T from |m12| keeps T <= 1 and R >= 0
         for spec, k in [
             (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 38.22687781296883),
             (UcpSpec(L=5, V=25, rho=4, alpha=0.5, beta=0.5, G=6), 39.90667777962994),
         ]:
-            assert abs(transmission_oracle(spec, k).transmission - 1.0) < 1e-13
+            res = transmission_oracle(spec, k)
+            assert abs(res.transmission - 1.0) < 1e-13
+            assert res.transmission <= 1.0 and res.reflection >= 0.0
+
+    def test_deep_tunnelling_below_underflow(self):
+        # |m22|^2 ~ 1e390 overflows a double; the entries themselves do not
+        spec = UcpSpec(L=10, V=40000, rho=3, alpha=1, beta=0, G=4)
+        res = transmission_oracle(spec, 0.5)
+        assert res.log10_transmission == pytest.approx(-390.470484796716, abs=1e-9)
+        assert res.log10_transmission == pytest.approx(
+            transmission_ucp(spec, 0.5).log10_transmission, abs=1e-9
+        )
 
     @given(small_specs, st.floats(0.05, 30))
     @settings(max_examples=60, deadline=None)
