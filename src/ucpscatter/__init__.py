@@ -45,7 +45,6 @@ from .scattering import (
     bloch_sequence,
     transmission_spp,
     transmission_ucp,
-    ucp_super_periods,
 )
 from .special import chebyshev_u, q_pochhammer
 
@@ -75,7 +74,6 @@ __all__ = [
     "bloch_sequence",
     "transmission_ucp",
     "transmission_spp",
-    "ucp_super_periods",
     "propagation_matrix",
     "region_sequence",
     "transmission_oracle",

@@ -271,8 +271,8 @@ def cmd_saturation(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    print(f"valid: L={spec.L} V={spec.V} rho={spec.rho} alpha={spec.alpha} "
-          f"beta={spec.beta} G={spec.G}")
+    _emit([f"valid: L={spec.L} V={spec.V} rho={spec.rho} alpha={spec.alpha} "
+           f"beta={spec.beta} G={spec.G}"], args.out)
     return EXIT_OK
 
 

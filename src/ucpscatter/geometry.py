@@ -134,34 +134,31 @@ def super_period(spec: UcpSpec, f: int) -> float:
 
 
 class _StageTable(NamedTuple):
-    cell_width: float  # l_G
-    gamma1: tuple[float, ...]  # gamma1[q-1] = gamma_1(q), q = 1..G
-    gamma2: tuple[tuple[float, ...], ...]  # gamma2[q-1][r-1] = gamma_2(q, r), r < q
+    l_G: float  # width of each of the 2**G barriers
+    gaps: tuple[float, ...]  # gaps[g-1] = d_g, g = 1..G
 
 
 @functools.lru_cache(maxsize=64)
 def _stage_table(spec: UcpSpec) -> _StageTable:
-    """The lengths of the Bloch recursion, from l_G and the gaps d_g in O(G^2)."""
-    G, l_G = spec.G, segment_length(spec, spec.G)
-    d = [0.0, *(gap_length(spec, g) for g in range(1, G + 1))]  # d[g] = d_g
+    """l_G and the gaps d_1..d_G: every length the closed form and the Bloch recursion use."""
     return _StageTable(
-        l_G,
-        tuple(-(l_G + d[G - q + 1]) for q in range(1, G + 1)),
-        tuple(tuple(d[G - r + 1] - d[G - q + 1] for r in range(1, q)) for q in range(1, G + 1)),
+        segment_length(spec, spec.G), tuple(gap_length(spec, g) for g in range(1, spec.G + 1))
     )
 
 
 def gamma1(spec: UcpSpec, q: int) -> float:
     """Phase distance gamma_1(q) = -(l_G + d_{G-q+1}); always negative."""
     _check_stage(spec, q, lowest=1)
-    return _stage_table(spec).gamma1[q - 1]
+    l_G, gaps = _stage_table(spec)
+    return -(l_G + gaps[spec.G - q])
 
 
 def gamma2(spec: UcpSpec, q: int, r: int) -> float:
     """Phase distance gamma_2(q, r) = d_{G-r+1} - d_{G-q+1} for 1 <= r < q <= G."""
     if not 1 <= r < q <= spec.G:
         raise InvalidSpecError(f"gamma2 requires 1 <= r < q <= G, got q={q}, r={r}")
-    return _stage_table(spec).gamma2[q - 1][r - 1]
+    gaps = _stage_table(spec).gaps
+    return gaps[spec.G - r] - gaps[spec.G - q]
 
 
 def build_segments(spec: UcpSpec) -> SegmentGeometry:

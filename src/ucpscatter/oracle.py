@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .geometry import SegmentGeometry, UcpSpec, build_segments
-from .scattering import (ScatterResult, TransferMatrix, _assemble, _require_positive_k,
-                         barrier_matrix)
+from .scattering import (_LN2, ScatterResult, TransferMatrix, _assemble,
+                         _require_positive_k, barrier_matrix)
 
 __all__ = [
     "OracleInfeasibleError",
@@ -35,6 +35,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_STAGE_CAP = 16
 _DET_DRIFT_TOL = 1e-9
 _TAIL_EPS = 1e-9  # relative: the final barrier ends at span up to roundoff
+# the running product is kept below _PRODUCT_MAX / |factor| so that the next
+# product by the factor stays below 2**1021
+_PRODUCT_MAX = 2.0**1020
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -102,15 +105,17 @@ def transmission_oracle(
     # t = [[t11, t12], [t21, t22]] multiplies as TransferMatrix.__matmul__ does, less the
     # zero off-diagonal terms of the diagonal propagation_matrix(k, -width)
     t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
+    exp2 = 0  # the product is 2**exp2 * t
     factors = {}  # the regions repeat a few widths, so each factor is built once
     for region in _regions(spec):
         factor = factors.get(region)
         if factor is None:
             width, is_barrier = region
             b = barrier_matrix(k, spec.V, width) if is_barrier else None
+            limit = _PRODUCT_MAX / abs(b.m22) if is_barrier else None
             p = propagation_matrix(k, -width)  # local-boundary convention: strip the global phase
-            factor = factors[region] = (b, p.m11, p.m22)
-        b, phase, inverse = factor
+            factor = factors[region] = (b, limit, p.m11, p.m22)
+        b, limit, phase, inverse = factor
         if b is not None:
             t11, t12, t21, t22 = (
                 t11 * b.m11 + t12 * b.m21,
@@ -118,13 +123,20 @@ def transmission_oracle(
                 t21 * b.m11 + t22 * b.m21,
                 t21 * b.m12 + t22 * b.m22,
             )
+            if abs(t22) > limit:  # the next product by b could overflow: rescale exactly
+                e = math.frexp(abs(t22))[1] + 1
+                f = 2.0**-e
+                t11, t12, t21, t22 = t11 * f, t12 * f, t21 * f, t22 * f
+                exp2 += e
         t11, t12, t21, t22 = t11 * phase, t12 * inverse, t21 * phase, t22 * inverse
     # det - 1 cancels catastrophically when entries are ~cosh(|kappa| w) large,
-    # so the drift is judged relative to |m22|^2, on entries scaled first to stay finite
-    inv = 1.0 / max(1.0, abs(t22))
-    drift = abs(t11 * inv * (t22 * inv) - t12 * inv * (t21 * inv) - inv * inv)
+    # so the drift is judged relative to |m22|^2, on entries scaled first to stay
+    # finite; unit is the identity at the product's scale
+    unit = 2.0**-exp2
+    inv = 1.0 / max(unit, abs(t22))
+    drift = abs(t11 * inv * (t22 * inv) - t12 * inv * (t21 * inv) - unit * inv * (unit * inv))
     if drift > _DET_DRIFT_TOL:
         logger.warning(
             "oracle determinant drift %.3e at G=%d, k=%g", drift, spec.G, k
         )
-    return _assemble(None if t12 == 0 else 2.0 * math.log(abs(t12)))
+    return _assemble(None if t12 == 0 else 2.0 * (math.log(abs(t12)) + exp2 * _LN2))

@@ -1,14 +1,20 @@
 """Closed-form transmission machinery.
 
 The stage-G system is a super-periodic arrangement (doubling at every order)
-of a single rectangular barrier of width l_G.  Transmission follows from the
-unit-cell transfer matrix together with the Bloch-phase recursion Omega_q;
-the final probability is
+of a single rectangular barrier of width l_G.  transmission_ucp builds its
+transfer matrix by self-similar doubling, block_{g-1} = block_g . gap(d_g) .
+block_g, in O(G) 2x2 products that lose no digits at any stage, and takes
+T = 1/(1 + |m12|**2) in the log domain, so that transmissions far below
+double-precision underflow remain representable through log10(T).
 
-    T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2),
+bloch_sequence and transmission_spp keep the paper's recursions: the Bloch
+phases Omega_q of
 
-accumulated in the log domain so that transmissions far below double-precision
-underflow remain representable through log10(T).
+    T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2)
+
+and their generic Chebyshev form.  In double precision they lose about q bits
+at stage q, so the Omega_q, and reflection_asymptote, which uses them, hold
+to about G = 16.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import UcpSpec, _stage_table, _StageTable, super_period
+from .geometry import UcpSpec, _stage_table
 from .special import chebyshev_u
 
 __all__ = [
@@ -31,11 +37,13 @@ __all__ = [
     "transmission_spp",
 ]
 
-_LN4 = math.log(4.0)
+_LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
 # below this |kappa * width| the sin(kappa w)/kappa factor switches to its
 # Taylor series; the 1/kappa pole of eps_minus cancels analytically
 _SERIES_CUTOFF = 1e-8
+# a doubling block larger than this is rescaled before it is squared
+_RESCALE_AT = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -84,53 +92,55 @@ def _require_positive_k(k: float) -> None:
         raise ValueError(f"wavenumber k must be positive and finite, got {k}")
 
 
-def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
-    """Transfer matrix of a rectangular barrier of the given height and width.
+def _barrier_terms(k: float, V: float, width: float) -> tuple[complex, ...]:
+    """Terms of a rectangular barrier: (cos(kappa w) - 1, k sin(kappa w)/kappa,
+    eps_- sin(kappa w), eps_+ sin(kappa w)).
 
     Natural units: k = sqrt(E), kappa = sqrt(E - V) continued into the complex
-    plane for E < V (cos/sin become cosh/sinh analytically).  A single complex
-    code path is used for all energy regimes; the E = V point is covered by a
-    series expansion of sin(kappa w)/kappa.
+    plane for E < V (cos/sin become cosh/sinh analytically).  cos(kappa w) - 1
+    is -2 sin(kappa w / 2)**2, so a barrier much thinner than a wavelength keeps
+    its digits; the E = V point is covered by a series expansion of
+    sin(kappa w)/kappa.  Raises ValueError when the barrier is too opaque for
+    its terms to fit in a double.
     """
     _require_positive_k(k)
     if not width > 0.0:
         raise ValueError(f"barrier width must be positive, got {width}")
     kappa = cmath.sqrt(complex(k * k - V, 0.0))
     z = kappa * width
-    if abs(z) < _SERIES_CUTOFF:
-        z2 = z * z
-        sin_over_kappa = width * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
-    else:
-        sin_over_kappa = cmath.sin(z) / kappa
-    cos_z = cmath.cos(z)
+    try:
+        half = cmath.sin(z / 2.0)
+        if abs(z) < _SERIES_CUTOFF:
+            z2 = z * z
+            sin_over_kappa = width * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
+        else:
+            sin_over_kappa = cmath.sin(z) / kappa
+    except OverflowError:  # |Im z| above ~710: sinh exceeds a double
+        half = sin_over_kappa = math.inf
     # eps_{+-} = (k/kappa -+ kappa/k) / 2 folded into pole-free combinations:
     # eps_- sin(z) = V/(2k) * sin(z)/kappa, eps_+ sin(z) = (2k^2-V)/(2k) * sin(z)/kappa
-    em_sin = V / (2.0 * k) * sin_over_kappa
-    ep_sin = (2.0 * k * k - V) / (2.0 * k) * sin_over_kappa
+    terms = (
+        -2.0 * half * half,
+        k * sin_over_kappa,
+        V / (2.0 * k) * sin_over_kappa,
+        (2.0 * k * k - V) / (2.0 * k) * sin_over_kappa,
+    )
+    if not all(map(cmath.isfinite, terms)):
+        raise ValueError(f"barrier too opaque: kappa*w = {z:.6g} overflows a double")
+    return terms
+
+
+def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
+    """Transfer matrix of a rectangular barrier of the given height and width.
+
+    One complex code path serves every energy regime (see _barrier_terms).
+    """
+    cos_m1, _, em_sin, ep_sin = _barrier_terms(k, V, width)
+    cos_z = 1.0 + cos_m1
     phase = cmath.exp(1j * k * width)
     m11 = (cos_z - 1j * ep_sin) * phase
     m12 = 1j * em_sin
     return TransferMatrix(m11, m12, -m12, (cos_z + 1j * ep_sin) / phase)
-
-
-def _omegas(table: _StageTable, cell: TransferMatrix, k: float) -> list[float]:
-    """The Bloch recursion of bloch_sequence, given the unit-cell matrix."""
-    amp = abs(cell.m22)
-    theta = math.atan2(cell.m22.imag, cell.m22.real) if amp > 0.0 else 0.0
-    omegas: list[float] = []
-    prefix = 1.0
-    for q, (g1, g2) in enumerate(zip(table.gamma1, table.gamma2), start=1):
-        lead = 2.0 ** (q - 1) * amp * math.cos(theta - k * g1) * prefix
-        tail = 1.0  # prod_{p=r+1}^{q-1} Omega_p, extended as r steps down
-        acc = 0.0
-        for r in range(q - 1, 0, -1):
-            if r != q - 1:
-                tail *= omegas[r]  # Omega_{r+1}
-            acc += 2.0 ** (q - r - 1) * math.cos(k * g2[r - 1]) * tail
-        omega = lead - acc
-        omegas.append(omega)
-        prefix *= omega
-    return omegas
 
 
 def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
@@ -144,10 +154,30 @@ def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
 
     with theta = arg(m22) of the unit-cell barrier of width l_G.  Total cost
     is O(G^2); exact zeros (transmission resonances) propagate unclamped.
+    The subtraction cancels about q bits at stage q, so in double precision
+    the phases hold to about G = 16.
     """
-    table = _stage_table(spec)
-    cell = barrier_matrix(k, spec.V, table.cell_width)  # checks k
-    return BlochSequence(omegas=tuple(_omegas(table, cell, k)))
+    l_G, gaps = _stage_table(spec)
+    cell = barrier_matrix(k, spec.V, l_G)  # checks k
+    amp = abs(cell.m22)
+    theta = math.atan2(cell.m22.imag, cell.m22.real) if amp > 0.0 else 0.0
+    omegas: list[float] = []
+    prefix = 1.0
+    for q in range(1, spec.G + 1):
+        d_q = gaps[spec.G - q]  # d_{G-q+1}
+        gamma_1 = -(l_G + d_q)
+        lead = 2.0 ** (q - 1) * amp * math.cos(theta - k * gamma_1) * prefix
+        tail = 1.0  # prod_{p=r+1}^{q-1} Omega_p, extended as r steps down
+        acc = 0.0
+        for r in range(q - 1, 0, -1):
+            if r != q - 1:
+                tail *= omegas[r]  # Omega_{r+1}
+            gamma_2 = gaps[spec.G - r] - d_q
+            acc += 2.0 ** (q - r - 1) * math.cos(k * gamma_2) * tail
+        omega = lead - acc
+        omegas.append(omega)
+        prefix *= omega
+    return BlochSequence(omegas=tuple(omegas))
 
 
 def _assemble(log_x: float | None) -> ScatterResult:
@@ -171,19 +201,52 @@ def _assemble(log_x: float | None) -> ScatterResult:
     return ScatterResult(transmission, reflection, log10_t)
 
 
+def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
+    """Product x . y of two doubling blocks held as in transmission_ucp."""
+    o1, p1, q1, r1, b1 = x
+    o2, p2, q2, r2, b2 = y
+    w1, w2 = o1 + p1, o2 + p2
+    return (
+        o1 * o2,
+        o1 * p2 + p1 * o2 + (p1 * p2 + q1 * q2 + r1 * b2 + b1 * r2 - b1 * b2),
+        w1 * q2 + q1 * w2 - r1 * b2 + b1 * r2,
+        (w1 - q1) * r2 + r1 * (w2 + q2) + q1 * b2 - b1 * q2,
+        (w1 + q1) * b2 + b1 * (w2 - q2),
+    )
+
+
 def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
-    """Closed-form transmission through the stage-G system at wavenumber k."""
-    table = _stage_table(spec)
-    cell = barrier_matrix(k, spec.V, table.cell_width)  # checks k
-    m12_abs = abs(cell.m12)
+    """Closed-form transmission through the stage-G system at wavenumber k.
+
+    Self-similar doubling (Jaggard & Sun, Opt. Lett. 1990): block_G is one
+    barrier of width l_G and block_{g-1} = block_g . gap(d_g) . block_g, so
+    the stage-G product takes O(G) 2x2 products and loses no digits to
+    cancellation.  A block is the real transfer matrix [[A, kB], [C/k, D]]
+    of (psi, psi'/k), held as (o, p, q, r, b) with A = o + p + q,
+    D = o + p - q, kB = b and C/k = 2r - b.  The identity part o is kept
+    apart, so a block much thinner than a wavelength keeps its deviation
+    from I; kB is kept itself, so it keeps its digits where C/k is far larger
+    (k**2 << V); and m12 = q - i r in the plane-wave basis, so R keeps its
+    digits at T ~ 1.  Blocks are rescaled by powers of two as they grow.
+    """
+    l_G, gaps = _stage_table(spec)
+    cos_m1, k_sin, em_sin, _ = _barrier_terms(k, spec.V, l_G)  # checks k
+    block = (1.0, cos_m1.real, 0.0, em_sin.real, k_sin.real)
+    exp2 = 0  # the true block is 2**exp2 * block
+    for d in reversed(gaps):  # d_G first
+        o, p, q, r, b = block
+        if abs(o + p) + abs(q) + abs(r) + abs(b) > _RESCALE_AT:
+            e = math.frexp(max(abs(o + p), abs(q), abs(r), abs(b)))[1]
+            block = tuple(x * 2.0**-e for x in block)
+            exp2 += e
+        half = math.sin(k * d / 2.0)  # the gap is a rotation by kd
+        gap = (1.0, -2.0 * half * half, 0.0, 0.0, math.sin(k * d))
+        block = _block_product(_block_product(block, gap), block)
+        exp2 *= 2
+    m12_abs = math.hypot(block[2], block[3])
     if m12_abs == 0.0:
         return _assemble(None)
-    omegas = _omegas(table, cell, k)
-    if any(w == 0.0 for w in omegas):
-        return _assemble(None)
-    log_x = spec.G * _LN4 + 2.0 * math.log(m12_abs)
-    log_x += 2.0 * math.fsum(math.log(abs(w)) for w in omegas)
-    return _assemble(log_x)
+    return _assemble(2.0 * (math.log(m12_abs) + exp2 * _LN2))
 
 
 def transmission_spp(
@@ -241,7 +304,3 @@ def transmission_spp(
     )
     return _assemble(log_x)
 
-
-def ucp_super_periods(spec: UcpSpec) -> list[float]:
-    """Spacings s_1..s_G driving transmission_spp for the doubling system."""
-    return [super_period(spec, f) for f in range(1, spec.G + 1)]

@@ -21,10 +21,10 @@ from ucpscatter import (
     region_sequence,
     saturation_scan,
     segment_length,
+    super_period,
     transmission_oracle,
     transmission_spp,
     transmission_ucp,
-    ucp_super_periods,
 )
 
 FAMILIES = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.5, 1.0), (0.5, 2.0)]
@@ -179,7 +179,7 @@ def test_criterion_7_spp_engine_consistency():
     worst = 0.0
     for spec in _grid_specs(6):
         unit = None
-        ss = ucp_super_periods(spec)
+        ss = [super_period(spec, f) for f in range(1, spec.G + 1)]
         for k in K_GRID[::10]:
             k = float(k)
             unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
@@ -243,4 +243,90 @@ def test_criterion_9_log_domain_correctness():
         ok,
         f"boundary |d log10 T| = {boundary_err:.3e}, all finite to G=15: {finite}",
     )
+    assert ok
+
+
+def _paper_recursion_log10_t(mpmath, spec, k, dps=80):
+    """log10 T from the paper's Bloch recursion, evaluated with dps digits.
+
+    The recursion cancels about q bits at stage q, which 80 digits absorb up
+    to G=64.  The geometry comes from the removal rule, also at dps digits.
+    """
+    with mpmath.workdps(dps):
+        L, V, rho, alpha, beta, k = map(mpmath.mpf, (spec.L, spec.V, spec.rho, spec.alpha,
+                                                     spec.beta, k))
+        G, seg, gaps = spec.G, L, []  # gaps[g-1] = d_g, seg ends as l_G
+        for g in range(1, G + 1):
+            frac = rho ** -(alpha + beta * g)
+            gaps.append(seg * frac)
+            seg = seg * (1 - frac) / 2
+        kappa = mpmath.sqrt(mpmath.mpc(k * k - V))
+        sin_over_kappa = mpmath.sin(kappa * seg) / kappa
+        m22 = (mpmath.cos(kappa * seg) + 1j * (2 * k * k - V) / (2 * k) * sin_over_kappa) \
+            * mpmath.exp(-1j * k * seg)
+        m12 = V / (2 * k) * sin_over_kappa
+        amp, theta = abs(m22), mpmath.arg(m22)
+        trig = [(mpmath.cos(k * d), mpmath.sin(k * d)) for d in gaps]
+        omegas, prefix = [], mpmath.mpf(1)
+        for q in range(1, G + 1):
+            gamma_1 = -(seg + gaps[G - q])
+            lead = 2 ** (q - 1) * amp * mpmath.cos(theta - k * gamma_1) * prefix
+            acc, tail = 0, mpmath.mpf(1)  # tail = prod_{r<p<q} Omega_p
+            for r in range(q - 1, 0, -1):
+                if r != q - 1:
+                    tail *= omegas[r]
+                # cos(k gamma_2(q, r)) = cos(k d_{G-r+1} - k d_{G-q+1})
+                (cr, sr), (cq, sq) = trig[G - r], trig[G - q]
+                acc += 2 ** (q - r - 1) * (cr * cq + sr * sq) * tail
+            omegas.append(lead - acc)
+            prefix *= omegas[-1]
+        x = 4**G * abs(m12) ** 2 * prefix**2
+        return float(-mpmath.log10(1 + x))
+
+
+def test_criterion_10_deep_stages():
+    parts = {}
+    # (b) the oracle, region by region, at the deepest stages it runs in seconds
+    diffs = []
+    for G in (12, 14):
+        for alpha, beta in FAMILIES:
+            spec = UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=G)
+            for k in (0.5, 2.0, 4.0):
+                diffs.append(abs(transmission_ucp(spec, k).log10_transmission
+                                 - transmission_oracle(spec, k).log10_transmission))
+    parts["b"] = (all(d <= 1e-9 for d in diffs), f"oracle G=12,14: {max(diffs):.2e}")
+    # (c) finite at the deepest stage and the highest k
+    finite = True
+    for alpha, beta in FAMILIES:
+        res = transmission_ucp(UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=64), 1e5)
+        finite &= all(map(math.isfinite, dataclasses.astuple(res)))
+    parts["c"] = (finite, f"finite at G=64, k=1e5: {finite}")
+    # (d) a thick stack, far below underflow
+    thick = transmission_ucp(UcpSpec(L=400.0, V=400.0, rho=3.0, alpha=3.0, beta=0.0, G=6), 1.0)
+    err_d = abs(thick.log10_transmission - -5632.363816614939)
+    parts["d"] = (err_d <= 1e-9, f"thick stack log10 T = {thick.log10_transmission!r}")
+    # (e) saturation keeps going at deep stages until it reaches rounding
+    ks = [float(k) for k in np.linspace(0.5, 10.0, 150)]
+    metrics = saturation_scan(
+        [UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=1.0, G=g) for g in range(16, 33)], ks
+    ).metrics
+    decreasing = all(b < a for a, b in zip(metrics, metrics[1:]) if not a <= 1e-10)
+    parts["e"] = (decreasing and metrics[-1] <= 1e-10,
+                  f"saturation G=16..32: {metrics[0]:.2e} -> {metrics[-1]:.2e}")
+    for part in "bcde":
+        _report(10, f"deep stages ({part})", *parts[part])
+    assert all(ok for ok, _ in parts.values()), parts
+
+    # (a) the paper's recursion evaluated with 80 digits; last, so that without
+    # mpmath parts (b)-(e) are still checked before the test is skipped
+    mpmath = pytest.importorskip("mpmath")
+    diffs = []
+    for G in (20, 32, 48, 64):
+        for alpha, beta in FAMILIES:
+            spec = UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=G)
+            for k in (0.1, 2.0, 8.22, 1e5):
+                diffs.append(abs(transmission_ucp(spec, k).log10_transmission
+                                 - _paper_recursion_log10_t(mpmath, spec, k)))
+    ok = all(d <= 1e-9 for d in diffs)
+    _report(10, "deep stages (a)", ok, f"80-digit recursion, G=20..64: {max(diffs):.2e}")
     assert ok

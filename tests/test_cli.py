@@ -81,6 +81,21 @@ class TestTransmission:
         for row in rows:
             assert abs(float(row[1]) - float(row[4])) == float(row[5])
 
+    def test_both_engines_below_double_range(self, tmp_path, capsys):
+        # the oracle's product overflows a double unless it is carried rescaled
+        code, text = run(
+            ["transmission", "--engine", "both", "--L", "10", "--V", "200000", "--rho", "3",
+             "--alpha", "1", "--beta", "0", "--G", "4", "--kmin", "0.5", "--kmax", "1",
+             "--nk", "2"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        _, _, rows = parse_csv(text)
+        for row in rows:
+            assert all(math.isfinite(float(x)) for x in row)
+        assert text.splitlines()[-1] == "# max_abs_diff=0"
+
     def test_zero_height_transmits_everywhere(self, tmp_path):
         _, text = run(
             ["transmission", "--L", "5", "--V", "0", "--rho", "2.5", "--alpha", "0.5",
@@ -286,6 +301,12 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "alpha + beta*G" in err
 
+    def test_out_writes_file_not_stdout(self, tmp_path, capsys):
+        out = tmp_path / "v.txt"
+        assert main(["validate", *SPEC_ARGS, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith("valid: L=5.0 V=25.0")
+
 
 class TestBadInput:
     """Bad input exits 2 with a one-line diagnostic, never a traceback."""
@@ -355,6 +376,16 @@ class TestBadInput:
             ["scaling", "--L", "1", "--rho", "1.75", "--alpha", "0.5", "--beta", "0.25",
              "--G", "5", "--V0", "25", "--kmin", "50", "--kmax", "500", "--nk", "300",
              "--config", str(cfg)],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("engine", ["closed_form", "oracle", "both"])
+    def test_opaque_single_barrier(self, capsys, engine):
+        # kappa*w = 8000i: sin(kappa*w) does not fit in a double
+        self.assert_one_line_exit_2(
+            ["transmission", "--L", "400", "--V", "400", "--rho", "3", "--alpha", "3",
+             "--beta", "0", "--G", "0", "--kmin", "0.5", "--kmax", "1", "--nk", "2",
+             "--engine", engine],
             capsys,
         )
 

@@ -185,6 +185,19 @@ class TestOracleProduct:
             transmission_ucp(spec, 0.5).log10_transmission, abs=1e-9
         )
 
+    def test_entries_beyond_a_double(self, caplog):
+        # the product's entries reach ~1e412: it is carried rescaled, and the
+        # determinant-drift check still holds on the rescaled entries
+        spec = UcpSpec(L=10, V=200000, rho=3, alpha=1, beta=0, G=4)
+        with caplog.at_level("WARNING", logger="ucpscatter.oracle"):
+            res = transmission_oracle(spec, 0.5)
+        assert res.log10_transmission == pytest.approx(-825.4554404276181, abs=1e-9)
+        assert res.log10_transmission == pytest.approx(
+            transmission_ucp(spec, 0.5).log10_transmission, abs=1e-9
+        )
+        assert res.transmission == 0.0 and res.reflection == 1.0
+        assert caplog.records == []
+
     @given(small_specs, st.floats(0.05, 30))
     @settings(max_examples=60, deadline=None)
     def test_matches_plain_product_property(self, spec, k):

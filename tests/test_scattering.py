@@ -11,9 +11,9 @@ from ucpscatter import (
     gamma1,
     gamma2,
     segment_length,
+    super_period,
     transmission_spp,
     transmission_ucp,
-    ucp_super_periods,
 )
 
 
@@ -203,7 +203,8 @@ class TestTransmissionSpp:
         spec = UcpSpec(L=10, V=25, rho=3, alpha=1, beta=0, G=4)
         for k in (0.7, 2.1, 4.4, 9.0):
             unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
-            spp = transmission_spp(unit, [2] * spec.G, ucp_super_periods(spec), k)
+            ss = [super_period(spec, f) for f in range(1, spec.G + 1)]
+            spp = transmission_spp(unit, [2] * spec.G, ss, k)
             ucp = transmission_ucp(spec, k)
             assert spp.log10_transmission == pytest.approx(
                 ucp.log10_transmission, rel=1e-10, abs=1e-12
@@ -211,7 +212,7 @@ class TestTransmissionSpp:
 
     def test_cantor_super_period_closed_form_drives_same_result(self):
         # standard-Cantor super-periods in closed form (s_f = 2L/3^{G+1-f}),
-        # fed through the generic engine instead of ucp_super_periods
+        # fed through the generic engine instead of super_period
         spec = UcpSpec(L=1, V=25, rho=3, alpha=1, beta=0, G=3)
         k = 3.7
         unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
@@ -261,5 +262,6 @@ class TestPerSpecTable:
         for spec, res in ((a, first), (b, other)):
             # the generic engine takes its spacings from super_period, not the table
             unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
-            spp = transmission_spp(unit, [2] * spec.G, ucp_super_periods(spec), k)
+            ss = [super_period(spec, f) for f in range(1, spec.G + 1)]
+            spp = transmission_spp(unit, [2] * spec.G, ss, k)
             assert res.log10_transmission == pytest.approx(spp.log10_transmission, rel=1e-10)
