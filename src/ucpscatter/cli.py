@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .analysis import fit_scaling, saturation_scan
 from .geometry import InvalidSpecError, UcpSpec, build_segments
-from .oracle import DEFAULT_STAGE_CAP, OracleInfeasibleError, transmission_oracle
+from .oracle import OracleInfeasibleError, transmission_oracle
 from .scattering import transmission_ucp
 
 EXIT_OK = 0
@@ -220,8 +220,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 def cmd_geometry(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    if spec.G > DEFAULT_STAGE_CAP:  # checked before 2**G intervals are allocated
-        raise OracleInfeasibleError(f"geometry infeasible: G={spec.G} > cap {DEFAULT_STAGE_CAP}")
     geometry = build_segments(spec)
     lines = _spec_header(spec)
     lines.append("index,offset,width")

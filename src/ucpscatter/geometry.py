@@ -22,6 +22,8 @@ from .special import q_pochhammer
 
 __all__ = [
     "InvalidSpecError",
+    "OracleInfeasibleError",
+    "DEFAULT_STAGE_CAP",
     "UcpSpec",
     "SegmentGeometry",
     "segment_length",
@@ -34,8 +36,15 @@ __all__ = [
 ]
 
 
+DEFAULT_STAGE_CAP = 16  # the largest stage whose 2**G barriers build_segments lists
+
+
 class InvalidSpecError(ValueError):
     """Raised when a potential specification violates a well-formedness rule."""
+
+
+class OracleInfeasibleError(RuntimeError):
+    """Raised when the requested stage has too many barriers to enumerate."""
 
 
 @dataclass(frozen=True)
@@ -167,8 +176,12 @@ def build_segments(spec: UcpSpec) -> SegmentGeometry:
     Built top-down: at stage g every interval of width w is replaced by two
     end intervals of width (w - w * rho**-(alpha+beta*g)) / 2.  The closed
     forms (segment_length etc.) are cross-checks of this construction, not
-    inputs to it.
+    inputs to it.  Raises OracleInfeasibleError, before anything is allocated,
+    for G above DEFAULT_STAGE_CAP.
     """
+    if spec.G > DEFAULT_STAGE_CAP:
+        raise OracleInfeasibleError(f"infeasible: stage G={spec.G} exceeds the cap "
+                                    f"{DEFAULT_STAGE_CAP} for listing every barrier")
     intervals = [(0.0, spec.L)]
     for g in range(1, spec.G + 1):
         frac = spec.removal_fraction(g)

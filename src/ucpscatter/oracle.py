@@ -1,11 +1,12 @@
 """Brute-force ground truth: direct transfer-matrix product over the
 explicit barrier/gap sequence, with no super-periodicity mathematics.
 
-Amplitudes are referenced locally at each region boundary, so a barrier of
-width w contributes barrier_matrix(k, V, w) composed with diag(e^{-ikw},
-e^{ikw}) and a gap of width d contributes diag(e^{-ikd}, e^{ikd}); the total
-is accumulated in spatial order.  Being unimodular, it gives T = 1/(1 + |m12|^2),
-assembled in the log domain as the closed form's is.
+The product is the real transfer matrix [[A, kB], [C/k, D]] of (psi, psi'/k),
+accumulated region by region in spatial order: a barrier of width w contributes
+[[cos(kappa w), (k/kappa) sin(kappa w)], [-(kappa/k) sin(kappa w), cos(kappa w)]]
+and a gap of width d the rotation by kd.  Being unimodular, it gives
+T = 1/(1 + |m12|^2) with |m12| = hypot(A - D, kB + C/k) / 2, assembled in the
+log domain as the closed form's is.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .geometry import SegmentGeometry, UcpSpec, build_segments
-from .scattering import (_LN2, ScatterResult, TransferMatrix, _assemble,
-                         _require_positive_k, barrier_matrix)
+from .geometry import (DEFAULT_STAGE_CAP, OracleInfeasibleError, SegmentGeometry, UcpSpec,
+                       build_segments)
+from .scattering import (_LN2, ScatterResult, TransferMatrix, _assemble, _barrier_terms,
+                         _require_positive_k)
 
 __all__ = [
     "OracleInfeasibleError",
@@ -32,16 +34,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_STAGE_CAP = 16
 _DET_DRIFT_TOL = 1e-9
 _TAIL_EPS = 1e-9  # relative: the final barrier ends at span up to roundoff
-# the running product is kept below _PRODUCT_MAX / |factor| so that the next
-# product by the factor stays below 2**1021
+# after each barrier the product's entries are kept below _PRODUCT_MAX divided
+# by the barrier's largest entry; a gap is a rotation, so the next barrier
+# takes them no further than 2**1021
 _PRODUCT_MAX = 2.0**1020
-
-
-class OracleInfeasibleError(RuntimeError):
-    """Raised when the requested stage has too many barriers to enumerate."""
 
 
 @dataclass(frozen=True)
@@ -88,55 +86,44 @@ def _regions(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
     return tuple((r.width, r.kind == "barrier") for r in regions)
 
 
-def transmission_oracle(
-    spec: UcpSpec, k: float, stage_cap: int = DEFAULT_STAGE_CAP
-) -> ScatterResult:
+def transmission_oracle(spec: UcpSpec, k: float) -> ScatterResult:
     """Transmission by multiplying out all 2**G barrier matrices explicitly.
 
     Independent of the closed form: the geometry comes from build_segments
     and the product runs region by region.  Raises OracleInfeasibleError for
-    G above stage_cap (the closed form remains available there).
+    G above DEFAULT_STAGE_CAP (the closed form remains available there).
     """
-    if spec.G > stage_cap:
-        raise OracleInfeasibleError(
-            f"oracle infeasible: stage G={spec.G} exceeds cap {stage_cap} "
-            f"({2 ** spec.G} barriers)"
-        )
-    # t = [[t11, t12], [t21, t22]] multiplies as TransferMatrix.__matmul__ does, less the
-    # zero off-diagonal terms of the diagonal propagation_matrix(k, -width)
-    t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
-    exp2 = 0  # the product is 2**exp2 * t
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0  # A, kB, C/k, D
+    exp2 = 0  # the product is 2**exp2 * [[a, b], [c, d]]
     factors = {}  # the regions repeat a few widths, so each factor is built once
-    for region in _regions(spec):
+    for region in _regions(spec):  # build_segments checks the stage cap before k is checked
         factor = factors.get(region)
         if factor is None:
             width, is_barrier = region
-            b = barrier_matrix(k, spec.V, width) if is_barrier else None
-            limit = _PRODUCT_MAX / abs(b.m22) if is_barrier else None
-            p = propagation_matrix(k, -width)  # local-boundary convention: strip the global phase
-            factor = factors[region] = (b, limit, p.m11, p.m22)
-        b, limit, phase, inverse = factor
-        if b is not None:
-            t11, t12, t21, t22 = (
-                t11 * b.m11 + t12 * b.m21,
-                t11 * b.m12 + t12 * b.m22,
-                t21 * b.m11 + t22 * b.m21,
-                t21 * b.m12 + t22 * b.m22,
-            )
-            if abs(t22) > limit:  # the next product by b could overflow: rescale exactly
-                e = math.frexp(abs(t22))[1] + 1
-                f = 2.0**-e
-                t11, t12, t21, t22 = t11 * f, t12 * f, t21 * f, t22 * f
-                exp2 += e
-        t11, t12, t21, t22 = t11 * phase, t12 * inverse, t21 * phase, t22 * inverse
+            if is_barrier:
+                cos_m1, k_sin, em_sin, _ = _barrier_terms(k, spec.V, width)  # checks k
+                cos_z, k_sin = 1.0 + cos_m1.real, k_sin.real
+                entries = (cos_z, k_sin, 2.0 * em_sin.real - k_sin, cos_z)
+                factor = (*entries, _PRODUCT_MAX / max(map(abs, entries)))
+            else:
+                cos_kd, sin_kd = math.cos(k * width), math.sin(k * width)
+                factor = (cos_kd, sin_kd, -sin_kd, cos_kd, None)
+            factors[region] = factor
+        fa, fb, fc, fd, limit = factor
+        a, b, c, d = a * fa + b * fc, a * fb + b * fd, c * fa + d * fc, c * fb + d * fd
+        if limit is not None and abs(a) + abs(b) + abs(c) + abs(d) > limit:
+            # the next factors could overflow: rescale exactly
+            e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1] + 1
+            f = 2.0**-e
+            a, b, c, d = a * f, b * f, c * f, d * f
+            exp2 += e
     # det - 1 cancels catastrophically when entries are ~cosh(|kappa| w) large,
-    # so the drift is judged relative to |m22|^2, on entries scaled first to stay
-    # finite; unit is the identity at the product's scale
+    # so the drift is judged relative to the largest entry squared, on entries
+    # scaled first to stay finite; unit is the identity at the product's scale
     unit = 2.0**-exp2
-    inv = 1.0 / max(unit, abs(t22))
-    drift = abs(t11 * inv * (t22 * inv) - t12 * inv * (t21 * inv) - unit * inv * (unit * inv))
+    inv = 1.0 / max(unit, abs(a), abs(b), abs(c), abs(d))
+    drift = abs(a * inv * (d * inv) - b * inv * (c * inv) - unit * inv * (unit * inv))
     if drift > _DET_DRIFT_TOL:
-        logger.warning(
-            "oracle determinant drift %.3e at G=%d, k=%g", drift, spec.G, k
-        )
-    return _assemble(None if t12 == 0 else 2.0 * (math.log(abs(t12)) + exp2 * _LN2))
+        logger.warning("oracle determinant drift %.3e at G=%d, k=%g", drift, spec.G, k)
+    m12_abs = math.hypot(a - d, b + c) / 2.0
+    return _assemble(None if m12_abs == 0.0 else 2.0 * (math.log(m12_abs) + exp2 * _LN2))

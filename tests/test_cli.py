@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ucpscatter import cli, saturation_scan, transmission_ucp, UcpSpec
+from ucpscatter import saturation_scan, transmission_ucp, UcpSpec
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
 
 
@@ -224,10 +224,10 @@ class TestGeometry:
 
     def test_stage_above_cap_refused_before_building(self, monkeypatch, capsys):
         # 2**40 intervals must never be allocated: fail loudly if the build starts
-        def unreachable(spec):
-            raise AssertionError("build_segments called")
+        def unreachable(spec, g):
+            raise AssertionError("build_segments started building")
 
-        monkeypatch.setattr(cli, "build_segments", unreachable)
+        monkeypatch.setattr(UcpSpec, "removal_fraction", unreachable)
         code = main(["geometry", "--L", "1", "--V", "5", "--rho", "3", "--alpha", "1",
                      "--beta", "0", "--G", "40"])
         assert code == EXIT_ORACLE_INFEASIBLE
@@ -400,3 +400,12 @@ class TestBadInput:
              "--out", str(tmp_path / "absent" / "out.csv")],
             capsys,
         )
+
+    def test_huge_stage_for_the_oracle_is_infeasible(self, capsys):
+        # 2**G has more digits than an int may format: the diagnostic must not need it
+        code = main(["transmission", "--L", "1", "--V", "1", "--rho", "3", "--alpha", "1",
+                     "--beta", "0", "--G", "20000", "--kmin", "1", "--kmax", "2", "--nk", "2",
+                     "--engine", "oracle"])
+        err = capsys.readouterr().err
+        assert code == EXIT_ORACLE_INFEASIBLE
+        assert err.count("\n") == 1 and "infeasible" in err and "G=20000" in err

@@ -16,7 +16,7 @@ from ucpscatter import (
     transmission_oracle,
     transmission_ucp,
 )
-from ucpscatter.scattering import _assemble
+from ucpscatter.scattering import _assemble, _barrier_terms
 
 
 small_specs = st.builds(
@@ -31,8 +31,26 @@ small_specs = st.builds(
 
 
 def matrix_product_oracle(spec, k):
-    """The oracle written as a plain TransferMatrix product, region by region,
-    with T = 1/(1 + |m12|^2) of the product."""
+    """The oracle written as a plain product of real (psi, psi'/k) matrices
+    [[A, kB], [C/k, D]], region by region, with no rescale, and
+    T = 1/(1 + |m12|^2) of the product."""
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for region in region_sequence(build_segments(spec)).regions:
+        if region.kind == "barrier":
+            cos_m1, k_sin, em_sin, _ = _barrier_terms(k, spec.V, region.width)
+            cos_z, k_sin = 1.0 + cos_m1.real, k_sin.real
+            fa, fb, fc, fd = cos_z, k_sin, 2.0 * em_sin.real - k_sin, cos_z
+        else:
+            cos_kd, sin_kd = math.cos(k * region.width), math.sin(k * region.width)
+            fa, fb, fc, fd = cos_kd, sin_kd, -sin_kd, cos_kd
+        a, b, c, d = a * fa + b * fc, a * fb + b * fd, c * fa + d * fc, c * fb + d * fd
+    m12_abs = math.hypot(a - d, b + c) / 2.0
+    return _assemble(None if m12_abs == 0.0 else 2.0 * math.log(m12_abs))
+
+
+def plane_wave_product_oracle(spec, k):
+    """The oracle in the complex plane-wave basis: a plain TransferMatrix
+    product with amplitudes referenced locally at each region boundary."""
     total = TransferMatrix(1.0, 0.0, 0.0, 1.0)
     for region in region_sequence(build_segments(spec)).regions:
         if region.kind == "barrier":
@@ -134,36 +152,51 @@ class TestTransmissionOracle:
         with pytest.raises(OracleInfeasibleError, match="G=17"):
             transmission_oracle(spec, 1.0)
 
-    def test_stage_cap_override(self):
-        spec = UcpSpec(L=1, V=5, rho=3, alpha=1, beta=0, G=5)
-        with pytest.raises(OracleInfeasibleError):
-            transmission_oracle(spec, 1.0, stage_cap=4)
-        transmission_oracle(spec, 1.0, stage_cap=5)  # exactly at the cap is fine
+    @pytest.mark.parametrize("spec, k, want", [
+        # k^2 << |V|: 60-digit values of the self-similar product
+        (UcpSpec(L=0.3998265663677245, V=15003.279773227676, rho=4.3201757839479,
+                 alpha=0.5, beta=0.5, G=11), 0.002574005810062283, -38.52193160681353),
+        (UcpSpec(L=142.58, V=-357.79, rho=4.168, alpha=0, beta=1, G=11), 0.005108,
+         -28.843368084673527),
+    ])
+    def test_keeps_digits_far_below_the_barrier_scale(self, spec, k, want):
+        assert transmission_oracle(spec, k).log10_transmission == pytest.approx(want, abs=1e-10)
+
+
+PRODUCT_CASES = [
+    # tunnelling (k^2 < V) and above the barrier, every stage up to 6
+    *[(UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=G), k)
+      for G in range(7) for k in (0.3, 2.0, 4.9, 5.2, 11.0)],
+    (UcpSpec(L=5, V=25, rho=2.5, alpha=0.5, beta=1, G=6), 1.7),
+    (UcpSpec(L=10, V=100, rho=3, alpha=1, beta=0, G=4), 0.5),
+    # T = 1 to within rounding, on both sides of 1
+    (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 13.047376229371563),
+    (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 38.22687781296883),
+    (UcpSpec(L=5, V=25, rho=4, alpha=0.5, beta=0.5, G=6), 39.90667777962994),
+    (UcpSpec(L=4, V=0, rho=2.5, alpha=0.5, beta=1, G=3), 1.1),
+    # |m22|^2 overflows a double
+    (UcpSpec(L=10, V=40000, rho=3, alpha=1, beta=0, G=4), 0.5),
+]
 
 
 class TestOracleProduct:
-    """transmission_oracle equals the plain matrix product bit for bit."""
+    """transmission_oracle equals the plain matrix product bit for bit, and
+    the plane-wave product to rounding."""
 
     @staticmethod
     def assert_bitwise(spec, k):
         assert transmission_oracle(spec, k) == matrix_product_oracle(spec, k)
 
-    @pytest.mark.parametrize("spec, k", [
-        # tunnelling (k^2 < V) and above the barrier, every stage up to 6
-        *[(UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=G), k)
-          for G in range(7) for k in (0.3, 2.0, 4.9, 5.2, 11.0)],
-        (UcpSpec(L=5, V=25, rho=2.5, alpha=0.5, beta=1, G=6), 1.7),
-        (UcpSpec(L=10, V=100, rho=3, alpha=1, beta=0, G=4), 0.5),
-        # T = 1 to within rounding, on both sides of 1
-        (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 13.047376229371563),
-        (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 38.22687781296883),
-        (UcpSpec(L=5, V=25, rho=4, alpha=0.5, beta=0.5, G=6), 39.90667777962994),
-        (UcpSpec(L=4, V=0, rho=2.5, alpha=0.5, beta=1, G=3), 1.1),
-        # |m22|^2 overflows a double
-        (UcpSpec(L=10, V=40000, rho=3, alpha=1, beta=0, G=4), 0.5),
-    ])
+    @pytest.mark.parametrize("spec, k", PRODUCT_CASES)
     def test_matches_plain_product(self, spec, k):
         self.assert_bitwise(spec, k)
+
+    @pytest.mark.parametrize("spec, k", PRODUCT_CASES)
+    def test_matches_plane_wave_product(self, spec, k):
+        # not a property over small_specs: near k = 0.05, V = 60 the plane-wave
+        # product itself is 5e-11 off in log10 T (the real one 1e-13)
+        a = transmission_oracle(spec, k).log10_transmission
+        assert abs(a - plane_wave_product_oracle(spec, k).log10_transmission) <= 1e-11
 
     def test_near_one_points_are_near_one(self):
         # guards the T ~ 1 cases above against drifting away from T = 1; where
