@@ -36,6 +36,7 @@ from .oracle import (
     propagation_matrix,
     region_sequence,
     transmission_oracle,
+    transmission_oracle_batch,
 )
 from .scattering import (
     BlochSequence,
@@ -45,6 +46,7 @@ from .scattering import (
     bloch_sequence,
     transmission_spp,
     transmission_ucp,
+    transmission_ucp_batch,
 )
 from .special import chebyshev_u, q_pochhammer
 
@@ -73,10 +75,12 @@ __all__ = [
     "barrier_matrix",
     "bloch_sequence",
     "transmission_ucp",
+    "transmission_ucp_batch",
     "transmission_spp",
     "propagation_matrix",
     "region_sequence",
     "transmission_oracle",
+    "transmission_oracle_batch",
     "constant_area_height",
     "reflection_asymptote",
     "fit_scaling",

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import UcpSpec, segment_length
-from .scattering import bloch_sequence, transmission_ucp
+from .scattering import bloch_sequence, transmission_ucp_batch
 
 __all__ = [
     "ScalingFit",
@@ -83,13 +83,15 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
 
 
 def _rolling_median(values: np.ndarray, window: int) -> np.ndarray:
+    """Median of values[i - window//2 : i + window//2 + 1] at each i, the
+    windows truncated at the ends; values must hold no NaN."""
     half = window // 2
-    out = np.empty_like(values)
-    for i in range(len(values)):
-        lo = max(0, i - half)
-        hi = min(len(values), i + half + 1)
-        out[i] = np.median(values[lo:hi])
-    return out
+    if values.size == 0:
+        return values.copy()
+    # NaN fills the missing ends of the edge windows, and nanmedian skips it
+    padded = np.pad(values, half, constant_values=np.nan)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+    return np.nanmedian(windows, axis=-1)
 
 
 def fit_scaling(
@@ -111,7 +113,7 @@ def fit_scaling(
         raise ValueError(f"n_points must be >= 50, got {n_points}")
     scaled = dataclasses.replace(spec, V=constant_area_height(spec, V0))
     ks = np.logspace(math.log10(k_min), math.log10(k_max), n_points)
-    refl = np.array([transmission_ucp(scaled, k).reflection for k in ks])
+    refl = np.array([res.reflection for res in transmission_ucp_batch([scaled] * n_points, ks)])
 
     positive = refl > 0.0
     ks, refl = ks[positive], refl[positive]
@@ -159,10 +161,9 @@ def saturation_scan(specs: Sequence[UcpSpec], k_grid: Sequence[float]) -> Satura
     if stages != list(range(stages[0], stages[0] + len(stages))):
         raise ValueError(f"stages must be consecutive, got {stages}")
 
-    profiles = [
-        np.array([transmission_ucp(s, k).log10_transmission for k in k_grid])
-        for s in specs
-    ]
+    results = transmission_ucp_batch([s for s in specs for _ in k_grid], list(k_grid) * len(specs))
+    profiles = np.array([res.log10_transmission for res in results])
+    profiles = profiles.reshape(len(specs), len(k_grid))
     metrics = [
         float(np.max(np.abs(profiles[i] - profiles[i + 1])))
         for i in range(len(profiles) - 1)

@@ -16,10 +16,13 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .geometry import (DEFAULT_STAGE_CAP, OracleInfeasibleError, SegmentGeometry, UcpSpec,
                        build_segments)
-from .scattering import (_LN2, ScatterResult, TransferMatrix, _assemble, _barrier_terms,
+from .scattering import (_LN2, ScatterResult, TransferMatrix, _assemble, _barrier_rows, _each,
                          _require_positive_k)
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "region_sequence",
     "propagation_matrix",
     "transmission_oracle",
+    "transmission_oracle_batch",
     "DEFAULT_STAGE_CAP",
 ]
 
@@ -40,6 +44,7 @@ _TAIL_EPS = 1e-9  # relative: the final barrier ends at span up to roundoff
 # by the barrier's largest entry; a gap is a rotation, so the next barrier
 # takes them no further than 2**1021
 _PRODUCT_MAX = 2.0**1020
+_SLACK = 1.0 + 2.0**-40  # far above the rounding of one 2x2 product
 
 
 @dataclass(frozen=True)
@@ -89,41 +94,88 @@ def _regions(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
 def transmission_oracle(spec: UcpSpec, k: float) -> ScatterResult:
     """Transmission by multiplying out all 2**G barrier matrices explicitly.
 
-    Independent of the closed form: the geometry comes from build_segments
-    and the product runs region by region.  Raises OracleInfeasibleError for
-    G above DEFAULT_STAGE_CAP (the closed form remains available there).
+    One point of transmission_oracle_batch; pass arrays there for speed.
     """
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0  # A, kB, C/k, D
-    exp2 = 0  # the product is 2**exp2 * [[a, b], [c, d]]
+    return transmission_oracle_batch(spec, [k])[0]
+
+
+def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[ScatterResult]:
+    """Transmission at each k, in input order, by multiplying out all 2**G
+    barrier matrices explicitly.
+
+    Independent of the closed form: the geometry comes from build_segments
+    and the product runs region by region, never using self-similarity.  The
+    product's entries are arrays over k: numpy does the + - x, the rescale
+    test and the rescale; sines and cosines are taken per element by
+    math.sin and math.cos, so each result equals the one-point call.  Raises
+    OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
+    remains available there).
+    """
+    regions = _regions(spec)  # build_segments checks the stage cap before k is checked
+    k = np.asarray(ks, dtype=float)
+    n = k.size
+    if n == 0:
+        return []
+    # [[A, kB], [C/k, D]] of every k: product[i, j] is an array over k,
+    # updated in place through its two column views
+    product = np.array([[np.ones(n), np.zeros(n)], [np.zeros(n), np.ones(n)]])
+    column_0, column_1 = product[:, :1], product[:, 1:]
+    term_0, term_1 = np.empty_like(product), np.empty_like(product)
+    exp2 = np.zeros(n, dtype=np.int64)  # the true product is 2**exp2 * product
+    # bound >= the Frobenius norm of every k's product, so |a| + |b| + |c| + |d|
+    # <= 2 bound: the rescale test is skipped while 4 bound stays within every
+    # limit (a NaN bound never skips it).  A gap (a rotation) keeps the norm, a
+    # barrier multiplies it by at most its spectral norm, and _SLACK covers the
+    # rounding of each product.
+    bound = math.sqrt(2.0)
     factors = {}  # the regions repeat a few widths, so each factor is built once
-    for region in _regions(spec):  # build_segments checks the stage cap before k is checked
+    for region in regions:
         factor = factors.get(region)
         if factor is None:
             width, is_barrier = region
             if is_barrier:
-                cos_m1, k_sin, em_sin, _ = _barrier_terms(k, spec.V, width)  # checks k
-                cos_z, k_sin = 1.0 + cos_m1.real, k_sin.real
-                entries = (cos_z, k_sin, 2.0 * em_sin.real - k_sin, cos_z)
-                factor = (*entries, _PRODUCT_MAX / max(map(abs, entries)))
+                cos_m1, k_sin, em_sin, _ = _barrier_rows(k, spec.V, width)  # checks k
+                cos_z = 1.0 + cos_m1
+                entries = np.array([[cos_z, k_sin], [2.0 * em_sin - k_sin, cos_z]])
+                limit = _PRODUCT_MAX / np.abs(entries).reshape(4, n).max(axis=0)
+                size_1 = np.abs(entries).sum(axis=0).max(axis=0)  # largest column sum
+                size_inf = np.abs(entries).sum(axis=1).max(axis=0)  # largest row sum
+                growth = float((np.sqrt(size_1) * np.sqrt(size_inf)).max())  # >= spectral norm
+                factor = (entries[0], entries[1], growth * _SLACK, limit, float(limit.min()))
             else:
-                cos_kd, sin_kd = math.cos(k * width), math.sin(k * width)
-                factor = (cos_kd, sin_kd, -sin_kd, cos_kd, None)
+                kd = k * width
+                cos_kd, sin_kd = _each(math.cos, kd), _each(math.sin, kd)
+                factor = (np.array([cos_kd, sin_kd]), np.array([-sin_kd, cos_kd]), _SLACK,
+                          None, None)
             factors[region] = factor
-        fa, fb, fc, fd, limit = factor
-        a, b, c, d = a * fa + b * fc, a * fb + b * fd, c * fa + d * fc, c * fb + d * fd
-        if limit is not None and abs(a) + abs(b) + abs(c) + abs(d) > limit:
-            # the next factors could overflow: rescale exactly
-            e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1] + 1
-            f = 2.0**-e
-            a, b, c, d = a * f, b * f, c * f, d * f
-            exp2 += e
-    # det - 1 cancels catastrophically when entries are ~cosh(|kappa| w) large,
-    # so the drift is judged relative to the largest entry squared, on entries
-    # scaled first to stay finite; unit is the identity at the product's scale
-    unit = 2.0**-exp2
-    inv = 1.0 / max(unit, abs(a), abs(b), abs(c), abs(d))
-    drift = abs(a * inv * (d * inv) - b * inv * (c * inv) - unit * inv * (unit * inv))
-    if drift > _DET_DRIFT_TOL:
-        logger.warning("oracle determinant drift %.3e at G=%d, k=%g", drift, spec.G, k)
-    m12_abs = math.hypot(a - d, b + c) / 2.0
-    return _assemble(None if m12_abs == 0.0 else 2.0 * (math.log(m12_abs) + exp2 * _LN2))
+        row_0, row_1, growth, limit, floor = factor
+        # product[i, j] = product[i, 0] * row_0[j] + product[i, 1] * row_1[j]
+        np.multiply(column_0, row_0, out=term_0)
+        np.multiply(column_1, row_1, out=term_1)
+        np.add(term_0, term_1, out=product)
+        bound *= growth
+        if limit is not None and not 4.0 * bound <= floor:  # a k may need a rescale: test each
+            size = np.abs(product).reshape(4, n)
+            total = size[0] + size[1] + size[2] + size[3]
+            big = total > limit
+            if big.any():  # the next factors could overflow: rescale exactly
+                e = np.where(big, np.frexp(size.max(axis=0))[1] + 1, 0)
+                scale = np.ldexp(1.0, -e)
+                product *= scale
+                total *= scale
+                exp2 += e
+            bound = float(total.max())
+    results = []
+    for k_i, (a, b, c, d), e in zip(k.tolist(), product.reshape(4, n).T.tolist(), exp2.tolist()):
+        # det - 1 cancels catastrophically when entries are ~cosh(|kappa| w)
+        # large, so the drift is judged relative to the largest entry squared,
+        # on entries scaled first to stay finite; unit is the identity at the
+        # product's scale
+        unit = 2.0**-e
+        inv = 1.0 / max(unit, abs(a), abs(b), abs(c), abs(d))
+        drift = abs(a * inv * (d * inv) - b * inv * (c * inv) - unit * inv * (unit * inv))
+        if drift > _DET_DRIFT_TOL:
+            logger.warning("oracle determinant drift %.3e at G=%d, k=%g", drift, spec.G, k_i)
+        m12_abs = math.hypot(a - d, b + c) / 2.0
+        results.append(_assemble(None if m12_abs == 0.0 else 2.0 * (math.log(m12_abs) + e * _LN2)))
+    return results

@@ -1,11 +1,12 @@
 """Closed-form transmission machinery.
 
 The stage-G system is a super-periodic arrangement (doubling at every order)
-of a single rectangular barrier of width l_G.  transmission_ucp builds its
-transfer matrix by self-similar doubling, block_{g-1} = block_g . gap(d_g) .
-block_g, in O(G) 2x2 products that lose no digits at any stage, and takes
-T = 1/(1 + |m12|**2) in the log domain, so that transmissions far below
-double-precision underflow remain representable through log10(T).
+of a single rectangular barrier of width l_G.  transmission_ucp_batch builds
+its transfer matrix by self-similar doubling, block_{g-1} = block_g . gap(d_g)
+. block_g, in O(G) 2x2 products that lose no digits at any stage, for many
+(spec, k) points at once, and takes T = 1/(1 + |m12|**2) in the log domain,
+so that transmissions far below double-precision underflow remain
+representable through log10(T).  transmission_ucp is its one-point call.
 
 bloch_sequence and transmission_spp keep the paper's recursions: the Bloch
 phases Omega_q of
@@ -24,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .geometry import UcpSpec, _stage_table
 from .special import chebyshev_u
 
@@ -34,6 +37,7 @@ __all__ = [
     "barrier_matrix",
     "bloch_sequence",
     "transmission_ucp",
+    "transmission_ucp_batch",
     "transmission_spp",
 ]
 
@@ -42,8 +46,12 @@ _LN10 = math.log(10.0)
 # below this |kappa * width| the sin(kappa w)/kappa factor switches to its
 # Taylor series; the 1/kappa pole of eps_minus cancels analytically
 _SERIES_CUTOFF = 1e-8
-# a doubling block larger than this is rescaled before it is squared
+# a doubling block is rescaled before it is squared when its size leaves
+# [_RESCALE_BELOW, _RESCALE_AT].  Once rescaled, a block can shrink: where its
+# largest entry far exceeds its trace, squaring it scales it by about
+# trace / largest entry, so without the lower bound it underflows to 0 (T = 1)
 _RESCALE_AT = 2.0**500
+_RESCALE_BELOW = 2.0**-250
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,7 @@ def _assemble(log_x: float | None) -> ScatterResult:
 
 
 def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
-    """Product x . y of two doubling blocks held as in transmission_ucp."""
+    """Product x . y of two doubling blocks held as in _doubling."""
     o1, p1, q1, r1, b1 = x
     o2, p2, q2, r2, b2 = y
     w1, w2 = o1 + p1, o2 + p2
@@ -218,6 +226,53 @@ def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, .
 def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
     """Closed-form transmission through the stage-G system at wavenumber k.
 
+    One point of transmission_ucp_batch; pass arrays there for speed.
+    """
+    return transmission_ucp_batch([spec], [k])[0]
+
+
+def transmission_ucp_batch(specs: Sequence[UcpSpec], ks: Sequence[float]) -> list[ScatterResult]:
+    """Closed-form transmission at each point (specs[i], ks[i]), in input order.
+
+    Points of a common stage G run the doubling together (see _doubling); each
+    result equals the one-point transmission_ucp(specs[i], ks[i]).
+    """
+    if len(specs) != len(ks):
+        raise ValueError(f"len(specs)={len(specs)} and len(ks)={len(ks)} must match")
+    k = np.asarray(ks, dtype=float)
+    stages: dict[int, list[int]] = {}  # G -> indices of its points, in input order
+    for i, spec in enumerate(specs):
+        stages.setdefault(spec.G, []).append(i)
+    results: list[ScatterResult] = [None] * len(specs)
+    for G, idx in stages.items():
+        tables = [_stage_table(specs[i]) for i in idx]
+        gaps = np.array([t.gaps for t in tables], dtype=float).reshape(len(idx), G).T
+        V = np.array([specs[i].V for i in idx], dtype=float)
+        l_G = np.array([t.l_G for t in tables], dtype=float)
+        for i, res in zip(idx, _doubling(l_G, gaps, V, k[idx])):
+            results[i] = res
+    return results
+
+
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied element by element: math.sin and math.cos round as the
+    scalar code does, where np.sin and np.cos differ in the last bits."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
+    """Real parts of _barrier_terms at each point, one row per term; V and
+    width broadcast against k.  Checks each k, in order."""
+    k, V, width = np.broadcast_arrays(k, V, width)
+    terms = [_barrier_terms(*point) for point in zip(k.tolist(), V.tolist(), width.tolist())]
+    return np.array(terms, dtype=complex).reshape(k.size, 4).real.T
+
+
+def _doubling(l_G: np.ndarray, gaps: np.ndarray, V: np.ndarray,
+              k: np.ndarray) -> list[ScatterResult]:
+    """T at points of one stage G: l_G, V and k hold a value per point, and
+    gaps[g - 1] the gap d_g of every point.
+
     Self-similar doubling (Jaggard & Sun, Opt. Lett. 1990): block_G is one
     barrier of width l_G and block_{g-1} = block_g . gap(d_g) . block_g, so
     the stage-G product takes O(G) 2x2 products and loses no digits to
@@ -227,26 +282,38 @@ def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
     apart, so a block much thinner than a wavelength keeps its deviation
     from I; kB is kept itself, so it keeps its digits where C/k is far larger
     (k**2 << V); and m12 = q - i r in the plane-wave basis, so R keeps its
-    digits at T ~ 1.  Blocks are rescaled by powers of two as they grow.
+    digits at T ~ 1.  Blocks are rescaled by powers of two as they grow
+    (and, once rescaled, as they shrink).
+
+    Each entry of a block is an array over the points.  numpy does the
+    + - x, the rescale test and the rescale; sines are taken per element by
+    math.sin, so every point gets the bits of a one-point call.
     """
-    l_G, gaps = _stage_table(spec)
-    cos_m1, k_sin, em_sin, _ = _barrier_terms(k, spec.V, l_G)  # checks k
-    block = (1.0, cos_m1.real, 0.0, em_sin.real, k_sin.real)
-    exp2 = 0  # the true block is 2**exp2 * block
-    for d in reversed(gaps):  # d_G first
+    cos_m1, k_sin, em_sin, _ = _barrier_rows(k, V, l_G)  # checks k
+    block = (np.ones(k.size), cos_m1, np.zeros(k.size), em_sin, k_sin)
+    # the true block is 2**exp2 * block; exp2 doubles at every stage, and is
+    # held as a float, which unlike an int64 cannot wrap
+    exp2 = np.zeros(k.size)
+    for d in gaps[::-1]:  # d_G first
         o, p, q, r, b = block
-        if abs(o + p) + abs(q) + abs(r) + abs(b) > _RESCALE_AT:
-            e = math.frexp(max(abs(o + p), abs(q), abs(r), abs(b)))[1]
-            block = tuple(x * 2.0**-e for x in block)
+        size = (abs(o + p), abs(q), abs(r), abs(b))
+        total = size[0] + size[1] + size[2] + size[3]
+        off = (total > _RESCALE_AT) | (total < _RESCALE_BELOW)
+        if off.any():
+            e = np.where(off, np.frexp(np.maximum.reduce(size))[1], 0)
+            scale = np.ldexp(1.0, -e)
+            block = tuple(x * scale for x in block)
             exp2 += e
-        half = math.sin(k * d / 2.0)  # the gap is a rotation by kd
-        gap = (1.0, -2.0 * half * half, 0.0, 0.0, math.sin(k * d))
+        kd = k * d
+        half = _each(math.sin, kd / 2.0)  # the gap is a rotation by kd
+        gap = (1.0, -2.0 * half * half, 0.0, 0.0, _each(math.sin, kd))
         block = _block_product(_block_product(block, gap), block)
         exp2 *= 2
-    m12_abs = math.hypot(block[2], block[3])
-    if m12_abs == 0.0:
-        return _assemble(None)
-    return _assemble(2.0 * (math.log(m12_abs) + exp2 * _LN2))
+    results = []
+    for q, r, e in zip(block[2].tolist(), block[3].tolist(), exp2.tolist()):
+        m12_abs = math.hypot(q, r)
+        results.append(_assemble(None if m12_abs == 0.0 else 2.0 * (math.log(m12_abs) + e * _LN2)))
+    return results
 
 
 def transmission_spp(

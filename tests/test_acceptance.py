@@ -22,9 +22,10 @@ from ucpscatter import (
     saturation_scan,
     segment_length,
     super_period,
-    transmission_oracle,
+    transmission_oracle_batch,
     transmission_spp,
     transmission_ucp,
+    transmission_ucp_batch,
 )
 
 FAMILIES = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.5, 1.0), (0.5, 2.0)]
@@ -49,16 +50,11 @@ def test_criterion_1_oracle_equivalence():
     checked = 0
     for spec in _grid_specs(6):
         lg = segment_length(spec, spec.G)
-        for k in K_GRID:
-            k = float(k)
-            if abs(k * k - spec.V) ** 0.5 * lg < 1e-6:
-                continue
-            diff = abs(
-                transmission_ucp(spec, k).transmission
-                - transmission_oracle(spec, k).transmission
-            )
-            worst = max(worst, diff)
-            checked += 1
+        ks = [k for k in K_GRID.tolist() if not abs(k * k - spec.V) ** 0.5 * lg < 1e-6]
+        closed = transmission_ucp_batch([spec] * len(ks), ks)
+        for a, b in zip(closed, transmission_oracle_batch(spec, ks)):
+            worst = max(worst, abs(a.transmission - b.transmission))
+        checked += len(ks)
     ok = worst <= 1e-9
     _report(1, "closed form vs oracle", ok, f"max |dT| = {worst:.3e} over {checked} points")
     assert ok
@@ -92,11 +88,11 @@ def test_criterion_2_special_case_geometry():
 
 
 def test_criterion_3_unitarity_and_unimodularity():
-    worst_unitarity = 0.0
-    for spec in _grid_specs(6):
-        for k in (0.5, 2.0, 7.7, 30.0):
-            res = transmission_ucp(spec, k)
-            worst_unitarity = max(worst_unitarity, abs(res.transmission + res.reflection - 1.0))
+    points = [(spec, k) for spec in _grid_specs(6) for k in (0.5, 2.0, 7.7, 30.0)]
+    worst_unitarity = max(
+        abs(res.transmission + res.reflection - 1.0)
+        for res in transmission_ucp_batch(*zip(*points))
+    )
     # full oracle product at G=16 (65536 barriers), k above the barrier top
     spec = UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=1.0, beta=0.0, G=16)
     k = 6.0
@@ -177,14 +173,12 @@ def test_criterion_6_validity_bound():
 
 def test_criterion_7_spp_engine_consistency():
     worst = 0.0
+    ks = K_GRID[::10].tolist()
     for spec in _grid_specs(6):
-        unit = None
         ss = [super_period(spec, f) for f in range(1, spec.G + 1)]
-        for k in K_GRID[::10]:
-            k = float(k)
+        for k, b in zip(ks, transmission_ucp_batch([spec] * len(ks), ks)):
             unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
             a = transmission_spp(unit, [2] * spec.G, ss, k)
-            b = transmission_ucp(spec, k)
             worst = max(worst, abs(a.transmission - b.transmission) / b.transmission)
     # single repetition must be the bare unit cell
     worst_n1 = 0.0
@@ -226,16 +220,13 @@ def test_criterion_9_log_domain_correctness():
     got = transmission_ucp(spec, k).log10_transmission
     boundary_err = abs(got - direct)
 
-    finite = True
-    for spec in _grid_specs(15):
-        for k in K_GRID[::4]:
-            res = transmission_ucp(spec, float(k))
-            if not (
-                math.isfinite(res.transmission)
-                and math.isfinite(res.reflection)
-                and math.isfinite(res.log10_transmission)
-            ):
-                finite = False
+    points = [(spec, k) for spec in _grid_specs(15) for k in K_GRID[::4].tolist()]
+    finite = all(
+        math.isfinite(res.transmission)
+        and math.isfinite(res.reflection)
+        and math.isfinite(res.log10_transmission)
+        for res in transmission_ucp_batch(*zip(*points))
+    )
     ok = boundary_err <= 1e-8 and finite
     _report(
         9,
@@ -288,18 +279,19 @@ def test_criterion_10_deep_stages():
     parts = {}
     # (b) the oracle, region by region, at the deepest stages it runs in seconds
     diffs = []
+    ks = [0.5, 2.0, 4.0]
     for G in (12, 14):
         for alpha, beta in FAMILIES:
             spec = UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=G)
-            for k in (0.5, 2.0, 4.0):
-                diffs.append(abs(transmission_ucp(spec, k).log10_transmission
-                                 - transmission_oracle(spec, k).log10_transmission))
+            pairs = zip(transmission_ucp_batch([spec] * len(ks), ks),
+                        transmission_oracle_batch(spec, ks))
+            diffs += [abs(a.log10_transmission - b.log10_transmission) for a, b in pairs]
     parts["b"] = (all(d <= 1e-9 for d in diffs), f"oracle G=12,14: {max(diffs):.2e}")
     # (c) finite at the deepest stage and the highest k
-    finite = True
-    for alpha, beta in FAMILIES:
-        res = transmission_ucp(UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=64), 1e5)
-        finite &= all(map(math.isfinite, dataclasses.astuple(res)))
+    deepest = [UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=64)
+               for alpha, beta in FAMILIES]
+    finite = all(all(map(math.isfinite, dataclasses.astuple(res)))
+                 for res in transmission_ucp_batch(deepest, [1e5] * len(deepest)))
     parts["c"] = (finite, f"finite at G=64, k=1e5: {finite}")
     # (d) a thick stack, far below underflow
     thick = transmission_ucp(UcpSpec(L=400.0, V=400.0, rho=3.0, alpha=3.0, beta=0.0, G=6), 1.0)
@@ -320,13 +312,11 @@ def test_criterion_10_deep_stages():
     # (a) the paper's recursion evaluated with 80 digits; last, so that without
     # mpmath parts (b)-(e) are still checked before the test is skipped
     mpmath = pytest.importorskip("mpmath")
-    diffs = []
-    for G in (20, 32, 48, 64):
-        for alpha, beta in FAMILIES:
-            spec = UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=G)
-            for k in (0.1, 2.0, 8.22, 1e5):
-                diffs.append(abs(transmission_ucp(spec, k).log10_transmission
-                                 - _paper_recursion_log10_t(mpmath, spec, k)))
+    points = [(UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=G), k)
+              for G in (20, 32, 48, 64) for alpha, beta in FAMILIES
+              for k in (0.1, 2.0, 8.22, 1e5)]
+    diffs = [abs(res.log10_transmission - _paper_recursion_log10_t(mpmath, spec, k))
+             for (spec, k), res in zip(points, transmission_ucp_batch(*zip(*points)))]
     ok = all(d <= 1e-9 for d in diffs)
     _report(10, "deep stages (a)", ok, f"80-digit recursion, G=20..64: {max(diffs):.2e}")
     assert ok

@@ -14,6 +14,7 @@ from ucpscatter import (
     segment_length,
     transmission_ucp,
 )
+from ucpscatter.analysis import _MEDIAN_WINDOW, _rolling_median
 
 
 specs_any = st.builds(
@@ -132,6 +133,29 @@ class TestFitScaling:
         fit = fit_scaling(spec, 2.0, (60.0, 300.0), n_points=120)
         assert fit.k_window == (60.0, 300.0)
         assert fit.n_used <= 120
+
+
+def rolling_median_loop(values, window):
+    """The Python loop _rolling_median replaced: windows truncated at the ends."""
+    half = window // 2
+    out = np.empty_like(values)
+    for i in range(len(values)):
+        lo = max(0, i - half)
+        hi = min(len(values), i + half + 1)
+        out[i] = np.median(values[lo:hi])
+    return out
+
+
+class TestRollingMedian:
+    @given(st.integers(0, 60), st.sampled_from([1, 2, 3, 4, 7, _MEDIAN_WINDOW]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=50)
+    def test_equals_the_loop(self, n, window, seed):
+        # lengths below the window included: then every window is truncated
+        rng = np.random.default_rng(seed)
+        values = 10.0 ** rng.uniform(-12, 0, n)
+        values[rng.random(n) < 0.2] = 0.5  # ties
+        assert np.array_equal(_rolling_median(values, window), rolling_median_loop(values, window))
 
 
 class TestSaturationScan:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ucpscatter import saturation_scan, transmission_ucp, UcpSpec
+from ucpscatter import ScatterResult, saturation_scan, transmission_ucp, UcpSpec
+from ucpscatter import cli
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
 
 
@@ -96,6 +97,26 @@ class TestTransmission:
             assert all(math.isfinite(float(x)) for x in row)
         assert text.splitlines()[-1] == "# max_abs_diff=0"
 
+    def test_nan_reaches_the_footer(self, tmp_path, monkeypatch):
+        # max(0.0, nan) is 0.0: the footer must not hide a NaN point
+        real = cli.transmission_oracle_batch
+
+        def one_nan(spec, ks):
+            results = real(spec, ks)
+            results[1] = ScatterResult(math.nan, math.nan, math.nan)
+            return results
+
+        monkeypatch.setattr(cli, "transmission_oracle_batch", one_nan)
+        code, text = run(
+            ["transmission", *SPEC_ARGS, "--kmin", "1", "--kmax", "4", "--nk", "3",
+             "--engine", "both"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        _, _, rows = parse_csv(text)
+        assert rows[1][5] == "nan"
+        assert text.splitlines()[-1] == "# max_abs_diff=nan"
+
     def test_zero_height_transmits_everywhere(self, tmp_path):
         _, text = run(
             ["transmission", "--L", "5", "--V", "0", "--rho", "2.5", "--alpha", "0.5",
@@ -185,6 +206,24 @@ class TestGrid:
         flags = [r[4] for r in rows]
         assert flags == ["0", "1", "1"]
         assert rows[0][5] == ""
+
+    def test_rows_line_up_with_one_point_calls(self, tmp_path):
+        # one batch call spans every valid spec of the cube: each valid row
+        # must carry its own point's T, with the invalid (0, 0) rows between
+        code, text = run(
+            ["grid", "--L", "5", "--V", "25", "--G", "3", "--alpha-range", "0:1:3",
+             "--beta-range", "0:2:3", "--rho-range", "2.5:4:2", "--k", "0.7,2.5,6"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        _, _, rows = parse_csv(text)
+        assert len(rows) == 3 * 3 * 2 * 3
+        assert [r[4] for r in rows[:6]] == ["0"] * 6  # alpha = beta = 0, both rho
+        valid = [r for r in rows if r[4] == "1"]
+        assert len(valid) == len(rows) - 6
+        for a, b, rho, k, _, t in valid:
+            spec = UcpSpec(L=5, V=25, rho=float(rho), alpha=float(a), beta=float(b), G=3)
+            assert float(t) == transmission_ucp(spec, float(k)).transmission
 
     def test_nan_exponent_flagged_not_fatal(self, tmp_path):
         code, text = run(
