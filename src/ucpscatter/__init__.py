@@ -7,7 +7,7 @@ closed-form transmission coefficient built on super-periodic transfer-matrix
 recursions and an independent brute-force oracle for cross-validation.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .analysis import (
     SaturationReport,
@@ -22,8 +22,6 @@ from .geometry import (
     SegmentGeometry,
     UcpSpec,
     build_segments,
-    gamma1,
-    gamma2,
     gap_length,
     max_valid_stage,
     segment_length,
@@ -31,8 +29,6 @@ from .geometry import (
 )
 from .oracle import (
     OracleInfeasibleError,
-    Region,
-    RegionSequence,
     propagation_matrix,
     region_sequence,
     transmission_oracle,
@@ -48,7 +44,7 @@ from .scattering import (
     transmission_ucp,
     transmission_ucp_batch,
 )
-from .special import chebyshev_u, q_pochhammer
+from .special import q_pochhammer
 
 __all__ = [
     "__version__",
@@ -56,20 +52,15 @@ __all__ = [
     "OracleInfeasibleError",
     "UcpSpec",
     "SegmentGeometry",
-    "Region",
-    "RegionSequence",
     "TransferMatrix",
     "BlochSequence",
     "ScatterResult",
     "ScalingFit",
     "SaturationReport",
-    "chebyshev_u",
     "q_pochhammer",
     "segment_length",
     "gap_length",
     "super_period",
-    "gamma1",
-    "gamma2",
     "build_segments",
     "max_valid_stage",
     "barrier_matrix",

@@ -5,9 +5,10 @@ g = 1..G, the middle fraction rho**-(alpha + beta*g) of each remaining
 segment.  alpha=1, beta=0 reproduces the general Cantor set; alpha=0, beta=1
 the general Smith-Volterra-Cantor set.
 
-This module provides the closed-form segment/gap/spacing lengths, the gamma
-phase distances entering the Bloch recursion, and the explicit interval list
-used by the brute-force oracle.
+This module provides the closed-form segment/gap/spacing lengths, the
+per-spec table of them that the closed form uses, and the explicit interval
+list.  The stage cap on listing every barrier is checked here, for
+build_segments and for the oracle's region list alike.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "segment_length",
     "gap_length",
     "super_period",
-    "gamma1",
-    "gamma2",
     "build_segments",
     "max_valid_stage",
 ]
@@ -149,25 +148,25 @@ class _StageTable(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _stage_table(spec: UcpSpec) -> _StageTable:
-    """l_G and the gaps d_1..d_G: every length the closed form and the Bloch recursion use."""
-    return _StageTable(
-        segment_length(spec, spec.G), tuple(gap_length(spec, g) for g in range(1, spec.G + 1))
-    )
+    """l_G and the gaps d_1..d_G: every length the closed form uses.
+
+    One pass of the q-Pochhammer product: its running value after g factors
+    gives l_g, so each entry has the bits of segment_length and gap_length.
+    """
+    mu, nu = spec.rho ** -(spec.alpha + spec.beta), spec.rho ** -spec.beta
+    prod, factor, gaps = 1.0, mu, []
+    for g in range(1, spec.G + 1):
+        gaps.append(spec.L / 2.0 ** (g - 1) * prod * spec.removal_fraction(g))  # l_{g-1} * frac
+        prod *= 1.0 - factor
+        factor *= nu
+    return _StageTable(spec.L / 2.0**spec.G * prod, tuple(gaps))
 
 
-def gamma1(spec: UcpSpec, q: int) -> float:
-    """Phase distance gamma_1(q) = -(l_G + d_{G-q+1}); always negative."""
-    _check_stage(spec, q, lowest=1)
-    l_G, gaps = _stage_table(spec)
-    return -(l_G + gaps[spec.G - q])
-
-
-def gamma2(spec: UcpSpec, q: int, r: int) -> float:
-    """Phase distance gamma_2(q, r) = d_{G-r+1} - d_{G-q+1} for 1 <= r < q <= G."""
-    if not 1 <= r < q <= spec.G:
-        raise InvalidSpecError(f"gamma2 requires 1 <= r < q <= G, got q={q}, r={r}")
-    gaps = _stage_table(spec).gaps
-    return gaps[spec.G - r] - gaps[spec.G - q]
+def _check_listable(spec: UcpSpec) -> None:
+    """Raise OracleInfeasibleError for G above DEFAULT_STAGE_CAP."""
+    if spec.G > DEFAULT_STAGE_CAP:
+        raise OracleInfeasibleError(f"infeasible: stage G={spec.G} exceeds the cap "
+                                    f"{DEFAULT_STAGE_CAP} for listing every barrier")
 
 
 def build_segments(spec: UcpSpec) -> SegmentGeometry:
@@ -179,9 +178,7 @@ def build_segments(spec: UcpSpec) -> SegmentGeometry:
     inputs to it.  Raises OracleInfeasibleError, before anything is allocated,
     for G above DEFAULT_STAGE_CAP.
     """
-    if spec.G > DEFAULT_STAGE_CAP:
-        raise OracleInfeasibleError(f"infeasible: stage G={spec.G} exceeds the cap "
-                                    f"{DEFAULT_STAGE_CAP} for listing every barrier")
+    _check_listable(spec)
     intervals = [(0.0, spec.L)]
     for g in range(1, spec.G + 1):
         frac = spec.removal_fraction(g)

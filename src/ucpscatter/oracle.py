@@ -1,6 +1,11 @@
 """Brute-force ground truth: direct transfer-matrix product over the
 explicit barrier/gap sequence, with no super-periodicity mathematics.
 
+The sequence comes from the removal rule applied top-down, region by region:
+at stage g each barrier of width w becomes a barrier, a gap and a barrier of
+widths c, w - 2c and c, with c = w (1 - rho**-(alpha + beta*g)) / 2, so every
+width is formed from its parent's, never as a difference of absolute offsets.
+
 The product is the real transfer matrix [[A, kB], [C/k, D]] of (psi, psi'/k),
 accumulated region by region in spatial order: a barrier of width w contributes
 [[cos(kappa w), (k/kappa) sin(kappa w)], [-(kappa/k) sin(kappa w), cos(kappa w)]]
@@ -15,20 +20,16 @@ import cmath
 import functools
 import logging
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import (DEFAULT_STAGE_CAP, OracleInfeasibleError, SegmentGeometry, UcpSpec,
-                       build_segments)
+from .geometry import DEFAULT_STAGE_CAP, OracleInfeasibleError, UcpSpec, _check_listable
 from .scattering import (_LN2, ScatterResult, TransferMatrix, _assemble, _barrier_rows, _each,
                          _require_positive_k)
 
 __all__ = [
     "OracleInfeasibleError",
-    "Region",
-    "RegionSequence",
     "region_sequence",
     "propagation_matrix",
     "transmission_oracle",
@@ -39,7 +40,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _DET_DRIFT_TOL = 1e-9
-_TAIL_EPS = 1e-9  # relative: the final barrier ends at span up to roundoff
 # after each barrier the product's entries are kept below _PRODUCT_MAX divided
 # by the barrier's largest entry; a gap is a rotation, so the next barrier
 # takes them no further than 2**1021
@@ -47,34 +47,27 @@ _PRODUCT_MAX = 2.0**1020
 _SLACK = 1.0 + 2.0**-40  # far above the rounding of one 2x2 product
 
 
-@dataclass(frozen=True)
-class Region:
-    kind: str  # "barrier" | "gap"
-    width: float
+def region_sequence(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
+    """(width, is_barrier) of every region of the stage-G system, in order.
 
-
-@dataclass(frozen=True)
-class RegionSequence:
-    regions: tuple[Region, ...]
-
-
-def region_sequence(geometry: SegmentGeometry) -> RegionSequence:
-    """Alternating barrier/gap list spanning [0, span]; zero widths elided."""
-    regions: list[Region] = []
-    pos = 0.0
-    for off, w in geometry.barriers:
-        gap = off - pos
-        if gap > 0.0:
-            regions.append(Region("gap", gap))
-        if w > 0.0:
-            regions.append(Region("barrier", w))
-        pos = off + w
-    # the construction places the last barrier flush against the right edge,
-    # so any remaining tail is floating-point residue unless it is sizable
-    tail = geometry.span - pos
-    if tail > _TAIL_EPS * geometry.span:
-        regions.append(Region("gap", tail))
-    return RegionSequence(tuple(regions))
+    Built by the removal rule, top-down (see the module docstring); the
+    barrier widths are those of build_segments, bit for bit.  Raises
+    OracleInfeasibleError, before anything is allocated, for G above
+    DEFAULT_STAGE_CAP.
+    """
+    _check_listable(spec)
+    regions = [(spec.L, True)]
+    for g in range(1, spec.G + 1):
+        frac = spec.removal_fraction(g)
+        split = []
+        for width, is_barrier in regions:
+            if is_barrier:
+                c = width * (1.0 - frac) / 2.0
+                split += ((c, True), (width - 2.0 * c, False), (c, True))
+            else:
+                split.append((width, False))
+        regions = split
+    return tuple(regions)
 
 
 def propagation_matrix(k: float, d: float) -> TransferMatrix:
@@ -86,9 +79,8 @@ def propagation_matrix(k: float, d: float) -> TransferMatrix:
 
 @functools.lru_cache(maxsize=4)
 def _regions(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
-    """(width, is_barrier) of every region of the stage-G system, in order."""
-    regions = region_sequence(build_segments(spec)).regions
-    return tuple((r.width, r.kind == "barrier") for r in regions)
+    """region_sequence(spec), kept for the last few specs."""
+    return region_sequence(spec)
 
 
 def transmission_oracle(spec: UcpSpec, k: float) -> ScatterResult:
@@ -103,7 +95,7 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
     """Transmission at each k, in input order, by multiplying out all 2**G
     barrier matrices explicitly.
 
-    Independent of the closed form: the geometry comes from build_segments
+    Independent of the closed form: the geometry comes from region_sequence
     and the product runs region by region, never using self-similarity.  The
     product's entries are arrays over k: numpy does the + - x, the rescale
     test and the rescale; sines and cosines are taken per element by
@@ -111,7 +103,7 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
     OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
     remains available there).
     """
-    regions = _regions(spec)  # build_segments checks the stage cap before k is checked
+    regions = _regions(spec)  # the stage cap is checked before k is
     k = np.asarray(ks, dtype=float)
     n = k.size
     if n == 0:

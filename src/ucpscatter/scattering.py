@@ -1,34 +1,37 @@
 """Closed-form transmission machinery.
 
 The stage-G system is a super-periodic arrangement (doubling at every order)
-of a single rectangular barrier of width l_G.  transmission_ucp_batch builds
-its transfer matrix by self-similar doubling, block_{g-1} = block_g . gap(d_g)
-. block_g, in O(G) 2x2 products that lose no digits at any stage, for many
-(spec, k) points at once, and takes T = 1/(1 + |m12|**2) in the log domain,
-so that transmissions far below double-precision underflow remain
-representable through log10(T).  transmission_ucp is its one-point call.
+of a single rectangular barrier of width l_G.  One kernel, _repetition, builds
+the transfer matrix of any super-periodic arrangement of a barrier: at order f
+the block so far is repeated N_f times, block_f = (block_{f-1} . gap)^(N_f-1)
+. block_{f-1}, by binary powering of real 2x2 blocks that lose no digits at
+any stage, for many points at once.  It serves three results:
 
-bloch_sequence and transmission_spp keep the paper's recursions: the Bloch
-phases Omega_q of
+- transmission_ucp_batch: the doubling, N_f = 2 at every order, with T =
+  1/(1 + |m12|**2) taken in the log domain, so that transmissions far below
+  double-precision underflow remain representable through log10(T);
+  transmission_ucp is its one-point call;
+- bloch_sequence: the paper's Bloch phases Omega_q of
 
-    T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2)
+      T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2),
 
-and their generic Chebyshev form.  In double precision they lose about q bits
-at stage q, so the Omega_q, and reflection_asymptote, which uses them, hold
-to about G = 16.
+  each the half-trace of the order-q unit cell (block . gap), which the
+  kernel gets for free;
+- transmission_spp: arbitrary repetition counts N_f at spacings s_f, the
+  paper's generic (Chebyshev) form, without its Chebyshev factors.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import UcpSpec, _stage_table
-from .special import chebyshev_u
 
 __all__ = [
     "TransferMatrix",
@@ -52,6 +55,9 @@ _SERIES_CUTOFF = 1e-8
 # trace / largest entry, so without the lower bound it underflows to 0 (T = 1)
 _RESCALE_AT = 2.0**500
 _RESCALE_BELOW = 2.0**-250
+# a Bloch phase's exponent is clipped to this before ldexp: beyond it any
+# nonzero phase is +-inf or 0 anyway
+_EXP_CLIP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -154,38 +160,19 @@ def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
 def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
     """Bloch phases Omega_1..Omega_G of the stage-G system at wavenumber k.
 
-    Uses the doubling-specific recursion
-
-        Omega_q = 2**(q-1) |m22| cos(theta - k gamma_1(q)) prod_{p<q} Omega_p
-                  - sum_{r<q} 2**(q-r-1) cos(k gamma_2(q, r))
-                    prod_{r<p<q} Omega_p,
-
-    with theta = arg(m22) of the unit-cell barrier of width l_G.  Total cost
-    is O(G^2); exact zeros (transmission resonances) propagate unclamped.
-    The subtraction cancels about q bits at stage q, so in double precision
-    the phases hold to about G = 16.
+    Omega_q is the half-trace of the order-q unit cell, block_{G-q+1} .
+    gap(d_{G-q+1}) (Yeh, Yariv & Hong, JOSA 67, 423, 1977), taken from the
+    doubling itself, so it keeps its digits at every stage.  A phase too large
+    for a double comes back as +-inf; exact zeros (transmission resonances)
+    come back as 0.
     """
     l_G, gaps = _stage_table(spec)
-    cell = barrier_matrix(k, spec.V, l_G)  # checks k
-    amp = abs(cell.m22)
-    theta = math.atan2(cell.m22.imag, cell.m22.real) if amp > 0.0 else 0.0
-    omegas: list[float] = []
-    prefix = 1.0
-    for q in range(1, spec.G + 1):
-        d_q = gaps[spec.G - q]  # d_{G-q+1}
-        gamma_1 = -(l_G + d_q)
-        lead = 2.0 ** (q - 1) * amp * math.cos(theta - k * gamma_1) * prefix
-        tail = 1.0  # prod_{p=r+1}^{q-1} Omega_p, extended as r steps down
-        acc = 0.0
-        for r in range(q - 1, 0, -1):
-            if r != q - 1:
-                tail *= omegas[r]  # Omega_{r+1}
-            gamma_2 = gaps[spec.G - r] - d_q
-            acc += 2.0 ** (q - r - 1) * math.cos(k * gamma_2) * tail
-        omega = lead - acc
-        omegas.append(omega)
-        prefix *= omega
-    return BlochSequence(omegas=tuple(omegas))
+    _, _, half_traces = _repetition(np.array([k], dtype=float), spec.V, l_G,
+                                    [(d, 2) for d in gaps[::-1]])
+    with np.errstate(over="ignore"):
+        omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
+                  for h, e in half_traces]
+    return BlochSequence(omegas=tuple(float(w[0]) for w in omegas))
 
 
 def _assemble(log_x: float | None) -> ScatterResult:
@@ -210,7 +197,7 @@ def _assemble(log_x: float | None) -> ScatterResult:
 
 
 def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
-    """Product x . y of two doubling blocks held as in _doubling."""
+    """Product x . y of two doubling blocks held as in _repetition."""
     o1, p1, q1, r1, b1 = x
     o2, p2, q2, r2, b2 = y
     w1, w2 = o1 + p1, o2 + p2
@@ -234,8 +221,8 @@ def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
 def transmission_ucp_batch(specs: Sequence[UcpSpec], ks: Sequence[float]) -> list[ScatterResult]:
     """Closed-form transmission at each point (specs[i], ks[i]), in input order.
 
-    Points of a common stage G run the doubling together (see _doubling); each
-    result equals the one-point transmission_ucp(specs[i], ks[i]).
+    Points of a common stage G run the doubling together (see _repetition);
+    each result equals the one-point transmission_ucp(specs[i], ks[i]).
     """
     if len(specs) != len(ks):
         raise ValueError(f"len(specs)={len(specs)} and len(ks)={len(ks)} must match")
@@ -249,7 +236,8 @@ def transmission_ucp_batch(specs: Sequence[UcpSpec], ks: Sequence[float]) -> lis
         gaps = np.array([t.gaps for t in tables], dtype=float).reshape(len(idx), G).T
         V = np.array([specs[i].V for i in idx], dtype=float)
         l_G = np.array([t.l_G for t in tables], dtype=float)
-        for i, res in zip(idx, _doubling(l_G, gaps, V, k[idx])):
+        block, exp2, _ = _repetition(k[idx], V, l_G, [(d, 2) for d in gaps[::-1]])  # d_G first
+        for i, res in zip(idx, _results(block, exp2)):
             results[i] = res
     return results
 
@@ -268,47 +256,82 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
     return np.array(terms, dtype=complex).reshape(k.size, 4).real.T
 
 
-def _doubling(l_G: np.ndarray, gaps: np.ndarray, V: np.ndarray,
-              k: np.ndarray) -> list[ScatterResult]:
-    """T at points of one stage G: l_G, V and k hold a value per point, and
-    gaps[g - 1] the gap d_g of every point.
+def _rescaled(block: tuple, exp2: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """block and exp2 with every point whose block size left [_RESCALE_BELOW,
+    _RESCALE_AT] scaled by a power of two, its largest entry into [1/2, 1)."""
+    o, p, q, r, b = block
+    size = (abs(o + p), abs(q), abs(r), abs(b))
+    total = size[0] + size[1] + size[2] + size[3]
+    off = (total > _RESCALE_AT) | (total < _RESCALE_BELOW)
+    if off.any():
+        e = np.where(off, np.frexp(np.maximum.reduce(size))[1], 0)
+        scale = np.ldexp(1.0, -e)
+        block = tuple(x * scale for x in block)
+        exp2 = exp2 + e
+    return block, exp2
 
-    Self-similar doubling (Jaggard & Sun, Opt. Lett. 1990): block_G is one
-    barrier of width l_G and block_{g-1} = block_g . gap(d_g) . block_g, so
-    the stage-G product takes O(G) 2x2 products and loses no digits to
-    cancellation.  A block is the real transfer matrix [[A, kB], [C/k, D]]
-    of (psi, psi'/k), held as (o, p, q, r, b) with A = o + p + q,
-    D = o + p - q, kB = b and C/k = 2r - b.  The identity part o is kept
-    apart, so a block much thinner than a wavelength keeps its deviation
-    from I; kB is kept itself, so it keeps its digits where C/k is far larger
-    (k**2 << V); and m12 = q - i r in the plane-wave basis, so R keeps its
-    digits at T ~ 1.  Blocks are rescaled by powers of two as they grow
-    (and, once rescaled, as they shrink).
 
-    Each entry of a block is an array over the points.  numpy does the
-    + - x, the rescale test and the rescale; sines are taken per element by
-    math.sin, so every point gets the bits of a one-point call.
+def _power(cell: tuple, exp2: np.ndarray, m: int) -> tuple[tuple, np.ndarray]:
+    """cell**m for m >= 1 by binary powering; every product is rescaled."""
+    result = None
+    while True:
+        if m & 1:
+            if result is None:
+                result, result_exp2 = cell, exp2
+            else:
+                result, result_exp2 = _rescaled(_block_product(result, cell), result_exp2 + exp2)
+        m >>= 1
+        if not m:
+            return result, result_exp2
+        cell, exp2 = _rescaled(_block_product(cell, cell), exp2 + exp2)
+
+
+def _repetition(k: np.ndarray, V, width,
+                orders: Sequence[tuple]) -> tuple[tuple, np.ndarray, list]:
+    """Transfer block of a super-periodic arrangement of one barrier (V, width)
+    at each point k; V and width broadcast against k.
+
+    orders holds (gap, N) per order f = 1..g, gap an array over the points or
+    one value: the block starts as the barrier, and at each order
+    cell = block . gap(d_f) and block = cell**(N_f - 1) . block, N_f >= 1
+    (Jaggard & Sun, Opt. Lett. 1990).  The doubling (N_f = 2) takes two
+    products per order and loses no digits to cancellation.  A block is the
+    real transfer matrix [[A, kB], [C/k, D]] of (psi, psi'/k), held as
+    (o, p, q, r, b) with A = o + p + q, D = o + p - q, kB = b and
+    C/k = 2r - b.  The identity part o is kept apart, so a block much thinner
+    than a wavelength keeps its deviation from I; kB is kept itself, so it
+    keeps its digits where C/k is far larger (k**2 << V); m12 = q - i r in the
+    plane-wave basis, so R keeps its digits at T ~ 1; and o + p is the
+    half-trace.  The block is rescaled by a power of two at each order, and
+    every product of the powering as it is formed, when its size leaves
+    [_RESCALE_BELOW, _RESCALE_AT].
+
+    Returns the final block, exp2 (the true block is 2**exp2 * block) and,
+    per order, (half-trace of the cell, its exp2).  Each entry is an array
+    over the points: numpy does the + - x, the rescale test and the rescale;
+    sines are taken per element by math.sin, so every point gets the bits of
+    a one-point call.
     """
-    cos_m1, k_sin, em_sin, _ = _barrier_rows(k, V, l_G)  # checks k
+    cos_m1, k_sin, em_sin, _ = _barrier_rows(k, V, width)  # checks k
     block = (np.ones(k.size), cos_m1, np.zeros(k.size), em_sin, k_sin)
-    # the true block is 2**exp2 * block; exp2 doubles at every stage, and is
-    # held as a float, which unlike an int64 cannot wrap
+    # exp2 is held as a float, which unlike an int64 cannot wrap: the doubling
+    # doubles it at every order
     exp2 = np.zeros(k.size)
-    for d in gaps[::-1]:  # d_G first
-        o, p, q, r, b = block
-        size = (abs(o + p), abs(q), abs(r), abs(b))
-        total = size[0] + size[1] + size[2] + size[3]
-        off = (total > _RESCALE_AT) | (total < _RESCALE_BELOW)
-        if off.any():
-            e = np.where(off, np.frexp(np.maximum.reduce(size))[1], 0)
-            scale = np.ldexp(1.0, -e)
-            block = tuple(x * scale for x in block)
-            exp2 += e
+    half_traces = []
+    for d, n in orders:
+        block, exp2 = _rescaled(block, exp2)
         kd = k * d
         half = _each(math.sin, kd / 2.0)  # the gap is a rotation by kd
-        gap = (1.0, -2.0 * half * half, 0.0, 0.0, _each(math.sin, kd))
-        block = _block_product(_block_product(block, gap), block)
-        exp2 *= 2
+        cell = _block_product(block, (1.0, -2.0 * half * half, 0.0, 0.0, _each(math.sin, kd)))
+        half_traces.append((cell[0] + cell[1], exp2))
+        if n > 1:
+            power, power_exp2 = _power(cell, exp2, n - 1)
+            block, exp2 = _block_product(power, block), power_exp2 + exp2
+    return block, exp2, half_traces
+
+
+def _results(block: tuple, exp2: np.ndarray) -> list[ScatterResult]:
+    """T and R of each point from |m12| = hypot(q, r) of its final block."""
     results = []
     for q, r, e in zip(block[2].tolist(), block[3].tolist(), exp2.tolist()):
         m12_abs = math.hypot(q, r)
@@ -317,57 +340,29 @@ def _doubling(l_G: np.ndarray, gaps: np.ndarray, V: np.ndarray,
 
 
 def transmission_spp(
-    unit: TransferMatrix,
+    V: float,
+    width: float,
     Ns: Sequence[int],
     ss: Sequence[float],
     k: float,
 ) -> ScatterResult:
-    """Transmission of a generic super-periodic arrangement of `unit`.
+    """Transmission of a generic super-periodic arrangement of one barrier.
 
-    Order-f repetition count Ns[f-1] at spacing ss[f-1], f = 1..g.  This is
-    the general engine (arbitrary repetition counts, Chebyshev factors
-    U_{N-1}) and serves as the independent check of the doubling-specific
-    recursion in bloch_sequence.  Conventions: N_0 = 1, s_0 = 0; sums whose
-    running variable exceeds its limit are dropped, such products are 1.
+    The unit is a rectangular barrier of height V and width width.  The
+    order-f block is Ns[f-1] copies of the order-(f-1) block, repeated at
+    spacing ss[f-1], f = 1..g, so the copies are separated by gaps
+    s_f - width_{f-1}, with width_0 = width and
+    width_f = (N_f - 1) s_f + width_{f-1}.  Runs the kernel of the closed
+    form (see _repetition); with Ns all 2 and ss the super-periods it is the
+    stage-g system.  Repetition counts must be integers >= 1.
     """
-    _require_positive_k(k)
     if len(Ns) != len(ss):
         raise ValueError(f"len(Ns)={len(Ns)} and len(ss)={len(ss)} must match")
-    if any(n < 1 for n in Ns):
-        raise ValueError("all repetition counts must be >= 1")
-    g = len(Ns)
-    amp = abs(unit.m22)
-    theta = math.atan2(unit.m22.imag, unit.m22.real) if amp > 0.0 else 0.0
-    n = [1] + list(Ns)       # n[p] = N_p with N_0 = 1
-    s = [0.0] + list(ss)     # s[p] = s_p with s_0 = 0
-
-    omegas: list[float] = []
-    u_factors: list[float] = []  # U_{N_p - 1}(Omega_p), p = 1..g
-    for q in range(1, g + 1):
-        phase = sum((n[p] - 1) * s[p] for p in range(1, q)) - s[q]
-        lead = amp * math.cos(theta - k * phase)
-        for p in range(1, q):
-            lead *= u_factors[p - 1]
-        acc = 0.0
-        for r in range(1, q - 1):
-            arg = sum(n[p] * s[p] for p in range(r, q)) - sum(s[p] for p in range(r + 1, q + 1))
-            term = math.cos(k * arg) * chebyshev_u(n[r] - 2, omegas[r - 1])
-            for p in range(r + 1, q):
-                term *= u_factors[p - 1]
-            acc += term
-        if q >= 2:
-            acc += chebyshev_u(n[q - 1] - 2, omegas[q - 2]) * math.cos(
-                k * (n[q - 1] * s[q - 1] - s[q])
-            )
-        omega = lead - acc
-        omegas.append(omega)
-        u_factors.append(chebyshev_u(n[q] - 1, omega))
-
-    m12_abs = abs(unit.m12)
-    if m12_abs == 0.0 or any(u == 0.0 for u in u_factors):
-        return _assemble(None)
-    log_x = 2.0 * math.log(m12_abs) + 2.0 * math.fsum(
-        math.log(abs(u)) for u in u_factors
-    )
-    return _assemble(log_x)
-
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in Ns):
+        raise ValueError(f"repetition counts must be integers >= 1, got {list(Ns)}")
+    orders, span = [], width
+    for n, s in zip(Ns, ss):
+        orders.append((s - span, n))
+        span = (n - 1) * s + span
+    block, exp2, _ = _repetition(np.array([k], dtype=float), V, width, orders)
+    return _results(block, exp2)[0]

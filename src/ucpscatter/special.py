@@ -1,31 +1,12 @@
-"""Scalar special-function kernels: Chebyshev U_n and the q-Pochhammer product.
+"""Scalar special-function kernel: the q-Pochhammer product.
 
-Both functions are pure and stateless; they are the only math primitives the
-rest of the package builds on.
+It is pure and stateless; the closed-form segment and super-period lengths
+of the geometry module build on it.
 """
 
 from __future__ import annotations
 
-__all__ = ["chebyshev_u", "q_pochhammer"]
-
-
-def chebyshev_u(n: int, x: float) -> float:
-    """Chebyshev polynomial of the second kind U_n(x).
-
-    Evaluated by the forward three-term recurrence
-    U_n = 2x U_{n-1} - U_{n-2} with seeds U_{-1} = 0, U_0 = 1,
-    which is exact at |x| = 1 and branch-free for |x| > 1.
-    Accepts n >= -1.
-    """
-    if n < -1:
-        raise ValueError(f"chebyshev_u: n must be >= -1, got {n}")
-    if n == -1:
-        return 0.0
-    u_prev = 0.0  # U_{-1}
-    u = 1.0       # U_0
-    for _ in range(n):
-        u_prev, u = u, 2.0 * x * u - u_prev
-    return u
+__all__ = ["q_pochhammer"]
 
 
 def q_pochhammer(mu: float, nu: float, p: int) -> float:

@@ -1,0 +1,170 @@
+"""The paper's own recursions, kept as test references.
+
+The library computes T, the Bloch phases and the generic repetition engine
+with one real-block kernel.  The paper writes them as recursions in the Bloch
+phases Omega_q and, for arbitrary repetition counts, Chebyshev factors
+U_{N-1}(Omega).  Those recursions cancel about q bits at stage q, so in double
+precision they hold to about G = 16; evaluated with 80 digits they hold to
+G = 64.  Tests import this module as plain `import paper`.
+"""
+
+import functools
+import math
+
+from ucpscatter import InvalidSpecError, ScatterResult
+from ucpscatter.geometry import _check_stage, _stage_table
+from ucpscatter.scattering import _assemble, barrier_matrix
+
+
+def gamma1(spec, q):
+    """Phase distance gamma_1(q) = -(l_G + d_{G-q+1}); always negative."""
+    _check_stage(spec, q, lowest=1)
+    l_G, gaps = _stage_table(spec)
+    return -(l_G + gaps[spec.G - q])
+
+
+def gamma2(spec, q, r):
+    """Phase distance gamma_2(q, r) = d_{G-r+1} - d_{G-q+1} for 1 <= r < q <= G."""
+    if not 1 <= r < q <= spec.G:
+        raise InvalidSpecError(f"gamma2 requires 1 <= r < q <= G, got q={q}, r={r}")
+    gaps = _stage_table(spec).gaps
+    return gaps[spec.G - r] - gaps[spec.G - q]
+
+
+def paper_bloch_sequence(spec, k):
+    """Bloch phases Omega_1..Omega_G by the doubling-specific recursion
+
+        Omega_q = 2**(q-1) |m22| cos(theta - k gamma_1(q)) prod_{p<q} Omega_p
+                  - sum_{r<q} 2**(q-r-1) cos(k gamma_2(q, r))
+                    prod_{r<p<q} Omega_p,
+
+    with theta = arg(m22) of the unit-cell barrier of width l_G, in double
+    precision.  O(G^2); the subtraction cancels about q bits at stage q.
+    """
+    l_G = _stage_table(spec).l_G
+    cell = barrier_matrix(k, spec.V, l_G)
+    amp = abs(cell.m22)
+    theta = math.atan2(cell.m22.imag, cell.m22.real) if amp > 0.0 else 0.0
+    omegas = []
+    prefix = 1.0
+    for q in range(1, spec.G + 1):
+        lead = 2.0 ** (q - 1) * amp * math.cos(theta - k * gamma1(spec, q)) * prefix
+        tail = 1.0  # prod_{p=r+1}^{q-1} Omega_p, extended as r steps down
+        acc = 0.0
+        for r in range(q - 1, 0, -1):
+            if r != q - 1:
+                tail *= omegas[r]  # Omega_{r+1}
+            acc += 2.0 ** (q - r - 1) * math.cos(k * gamma2(spec, q, r)) * tail
+        omega = lead - acc
+        omegas.append(omega)
+        prefix *= omega
+    return tuple(omegas)
+
+
+def chebyshev_u(n, x):
+    """Chebyshev polynomial of the second kind U_n(x), n >= -1.
+
+    Forward three-term recurrence U_n = 2x U_{n-1} - U_{n-2} with seeds
+    U_{-1} = 0, U_0 = 1, exact at |x| = 1 and branch-free for |x| > 1.
+    """
+    if n < -1:
+        raise ValueError(f"chebyshev_u: n must be >= -1, got {n}")
+    if n == -1:
+        return 0.0
+    u_prev = 0.0  # U_{-1}
+    u = 1.0       # U_0
+    for _ in range(n):
+        u_prev, u = u, 2.0 * x * u - u_prev
+    return u
+
+
+def paper_transmission_spp(unit, Ns, ss, k) -> ScatterResult:
+    """Transmission of a generic super-periodic arrangement of the unit cell
+    `unit` (a TransferMatrix) by the paper's Chebyshev form, in double
+    precision.
+
+    Order-f repetition count Ns[f-1] at spacing ss[f-1], f = 1..g, with
+    factors U_{N-1}(Omega).  Conventions: N_0 = 1, s_0 = 0; sums whose
+    running variable exceeds its limit are dropped, such products are 1.
+    O(g^3).  Its Chebyshev factors overflow for opaque stacks, where it
+    returns log10 T = -inf.
+    """
+    g = len(Ns)
+    amp = abs(unit.m22)
+    theta = math.atan2(unit.m22.imag, unit.m22.real) if amp > 0.0 else 0.0
+    n = [1] + list(Ns)       # n[p] = N_p with N_0 = 1
+    s = [0.0] + list(ss)     # s[p] = s_p with s_0 = 0
+
+    omegas = []
+    u_factors = []  # U_{N_p - 1}(Omega_p), p = 1..g
+    for q in range(1, g + 1):
+        phase = sum((n[p] - 1) * s[p] for p in range(1, q)) - s[q]
+        lead = amp * math.cos(theta - k * phase)
+        for p in range(1, q):
+            lead *= u_factors[p - 1]
+        acc = 0.0
+        for r in range(1, q - 1):
+            arg = sum(n[p] * s[p] for p in range(r, q)) - sum(s[p] for p in range(r + 1, q + 1))
+            term = math.cos(k * arg) * chebyshev_u(n[r] - 2, omegas[r - 1])
+            for p in range(r + 1, q):
+                term *= u_factors[p - 1]
+            acc += term
+        if q >= 2:
+            acc += chebyshev_u(n[q - 1] - 2, omegas[q - 2]) * math.cos(
+                k * (n[q - 1] * s[q - 1] - s[q])
+            )
+        omega = lead - acc
+        omegas.append(omega)
+        u_factors.append(chebyshev_u(n[q] - 1, omega))
+
+    m12_abs = abs(unit.m12)
+    if m12_abs == 0.0 or any(u == 0.0 for u in u_factors):
+        return _assemble(None)
+    log_x = 2.0 * math.log(m12_abs) + 2.0 * math.fsum(
+        math.log(abs(u)) for u in u_factors
+    )
+    return _assemble(log_x)
+
+
+@functools.lru_cache(maxsize=None)
+def paper_recursion(mpmath, spec, k, dps=80):
+    """(log10 T, Omegas) from the paper's Bloch recursion, evaluated with dps
+    digits; cached, since several tests use the same deep points.
+
+    The recursion cancels about q bits at stage q, which 80 digits absorb up
+    to G=64; its sum over r < q is carried from stage to stage, so it costs
+    O(G).  The geometry comes from the removal rule, also at dps digits.  The
+    Omegas are mpmath numbers.
+    """
+    with mpmath.workdps(dps):
+        L, V, rho, alpha, beta, k = map(mpmath.mpf, (spec.L, spec.V, spec.rho, spec.alpha,
+                                                     spec.beta, k))
+        G, seg, gaps = spec.G, L, []  # gaps[g-1] = d_g, seg ends as l_G
+        for g in range(1, G + 1):
+            frac = rho ** -(alpha + beta * g)
+            gaps.append(seg * frac)
+            seg = seg * (1 - frac) / 2
+        kappa = mpmath.sqrt(mpmath.mpc(k * k - V))
+        sin_over_kappa = mpmath.sin(kappa * seg) / kappa
+        m22 = (mpmath.cos(kappa * seg) + 1j * (2 * k * k - V) / (2 * k) * sin_over_kappa) \
+            * mpmath.exp(-1j * k * seg)
+        m12 = V / (2 * k) * sin_over_kappa
+        amp, theta = abs(m22), mpmath.arg(m22)
+        trig = [(mpmath.cos(k * d), mpmath.sin(k * d)) for d in gaps]
+        # cos(k gamma_2(q, r)) = cos(k d_{G-r+1}) cos(k d_{G-q+1})
+        # + sin(k d_{G-r+1}) sin(k d_{G-q+1}), so the sum over r < q is
+        # cos(k d_{G-q+1}) c_acc + sin(k d_{G-q+1}) s_acc, with
+        # (c_acc, s_acc) = sum_{r<q} 2**(q-r-1) trig[G-r] prod_{r<p<q} Omega_p
+        # carried from q to q + 1 in O(1)
+        omegas, prefix = [], mpmath.mpf(1)
+        c_acc = s_acc = mpmath.mpf(0)
+        for q in range(1, G + 1):
+            gamma_1 = -(seg + gaps[G - q])
+            lead = 2 ** (q - 1) * amp * mpmath.cos(theta - k * gamma_1) * prefix
+            cq, sq = trig[G - q]
+            omega = lead - (cq * c_acc + sq * s_acc)
+            omegas.append(omega)
+            prefix *= omega
+            c_acc, s_acc = 2 * omega * c_acc + cq, 2 * omega * s_acc + sq
+        x = 4**G * abs(m12) ** 2 * prefix**2
+        return float(-mpmath.log10(1 + x)), tuple(omegas)

@@ -9,15 +9,17 @@ import math
 import numpy as np
 import pytest
 
+import paper
 from ucpscatter import (
     InvalidSpecError,
     UcpSpec,
     barrier_matrix,
     bloch_sequence,
-    build_segments,
+    constant_area_height,
     fit_scaling,
     gap_length,
     propagation_matrix,
+    reflection_asymptote,
     region_sequence,
     saturation_scan,
     segment_length,
@@ -97,10 +99,10 @@ def test_criterion_3_unitarity_and_unimodularity():
     spec = UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=1.0, beta=0.0, G=16)
     k = 6.0
     total = propagation_matrix(k, 0.0)
-    for region in region_sequence(build_segments(spec)).regions:
-        if region.kind == "barrier":
-            total = total @ barrier_matrix(k, spec.V, region.width)
-        total = total @ propagation_matrix(k, -region.width)
+    for width, is_barrier in region_sequence(spec):
+        if is_barrier:
+            total = total @ barrier_matrix(k, spec.V, width)
+        total = total @ propagation_matrix(k, -width)
     det_err = abs(total.det() - 1.0)
     ok = worst_unitarity <= 1e-12 and det_err <= 1e-9
     _report(
@@ -176,21 +178,24 @@ def test_criterion_7_spp_engine_consistency():
     ks = K_GRID[::10].tolist()
     for spec in _grid_specs(6):
         ss = [super_period(spec, f) for f in range(1, spec.G + 1)]
+        l_G = segment_length(spec, spec.G)
         for k, b in zip(ks, transmission_ucp_batch([spec] * len(ks), ks)):
-            unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
-            a = transmission_spp(unit, [2] * spec.G, ss, k)
-            worst = max(worst, abs(a.transmission - b.transmission) / b.transmission)
+            a = transmission_spp(spec.V, l_G, [2] * spec.G, ss, k)
+            # the paper's Chebyshev form, in double precision, holds at g <= 6
+            c = paper.paper_transmission_spp(barrier_matrix(k, spec.V, l_G), [2] * spec.G, ss, k)
+            worst = max(worst, abs(a.transmission - b.transmission) / b.transmission,
+                        abs(a.transmission - c.transmission) / c.transmission)
     # single repetition must be the bare unit cell
     worst_n1 = 0.0
     for k in (0.5, 2.0, 9.0):
         unit = barrier_matrix(k, 25.0, 1.3)
         base = 1.0 / (1.0 + abs(unit.m12) ** 2)
-        got = transmission_spp(unit, [1], [2.0], k).transmission
+        got = transmission_spp(25.0, 1.3, [1], [2.0], k).transmission
         worst_n1 = max(worst_n1, abs(got - base) / base)
     ok = worst <= 1e-10 and worst_n1 <= 1e-12
     _report(
         7,
-        "generic repetition engine vs closed form",
+        "generic repetition engine vs closed form and the Chebyshev form",
         ok,
         f"max rel diff = {worst:.3e}, N=1 reduction = {worst_n1:.3e}",
     )
@@ -214,7 +219,7 @@ def test_criterion_9_log_domain_correctness():
     k = 0.5
     cell = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
     x = np.longdouble(4.0) ** spec.G * np.longdouble(abs(cell.m12)) ** 2
-    for w in bloch_sequence(spec, k).omegas:
+    for w in paper.paper_bloch_sequence(spec, k):
         x *= np.longdouble(w) ** 2
     direct = -float(np.log10(np.longdouble(1.0) + x))
     got = transmission_ucp(spec, k).log10_transmission
@@ -235,44 +240,6 @@ def test_criterion_9_log_domain_correctness():
         f"boundary |d log10 T| = {boundary_err:.3e}, all finite to G=15: {finite}",
     )
     assert ok
-
-
-def _paper_recursion_log10_t(mpmath, spec, k, dps=80):
-    """log10 T from the paper's Bloch recursion, evaluated with dps digits.
-
-    The recursion cancels about q bits at stage q, which 80 digits absorb up
-    to G=64.  The geometry comes from the removal rule, also at dps digits.
-    """
-    with mpmath.workdps(dps):
-        L, V, rho, alpha, beta, k = map(mpmath.mpf, (spec.L, spec.V, spec.rho, spec.alpha,
-                                                     spec.beta, k))
-        G, seg, gaps = spec.G, L, []  # gaps[g-1] = d_g, seg ends as l_G
-        for g in range(1, G + 1):
-            frac = rho ** -(alpha + beta * g)
-            gaps.append(seg * frac)
-            seg = seg * (1 - frac) / 2
-        kappa = mpmath.sqrt(mpmath.mpc(k * k - V))
-        sin_over_kappa = mpmath.sin(kappa * seg) / kappa
-        m22 = (mpmath.cos(kappa * seg) + 1j * (2 * k * k - V) / (2 * k) * sin_over_kappa) \
-            * mpmath.exp(-1j * k * seg)
-        m12 = V / (2 * k) * sin_over_kappa
-        amp, theta = abs(m22), mpmath.arg(m22)
-        trig = [(mpmath.cos(k * d), mpmath.sin(k * d)) for d in gaps]
-        omegas, prefix = [], mpmath.mpf(1)
-        for q in range(1, G + 1):
-            gamma_1 = -(seg + gaps[G - q])
-            lead = 2 ** (q - 1) * amp * mpmath.cos(theta - k * gamma_1) * prefix
-            acc, tail = 0, mpmath.mpf(1)  # tail = prod_{r<p<q} Omega_p
-            for r in range(q - 1, 0, -1):
-                if r != q - 1:
-                    tail *= omegas[r]
-                # cos(k gamma_2(q, r)) = cos(k d_{G-r+1} - k d_{G-q+1})
-                (cr, sr), (cq, sq) = trig[G - r], trig[G - q]
-                acc += 2 ** (q - r - 1) * (cr * cq + sr * sq) * tail
-            omegas.append(lead - acc)
-            prefix *= omegas[-1]
-        x = 4**G * abs(m12) ** 2 * prefix**2
-        return float(-mpmath.log10(1 + x))
 
 
 def test_criterion_10_deep_stages():
@@ -315,8 +282,42 @@ def test_criterion_10_deep_stages():
     points = [(UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=G), k)
               for G in (20, 32, 48, 64) for alpha, beta in FAMILIES
               for k in (0.1, 2.0, 8.22, 1e5)]
-    diffs = [abs(res.log10_transmission - _paper_recursion_log10_t(mpmath, spec, k))
+    diffs = [abs(res.log10_transmission - paper.paper_recursion(mpmath, spec, k)[0])
              for (spec, k), res in zip(points, transmission_ucp_batch(*zip(*points)))]
     ok = all(d <= 1e-9 for d in diffs)
     _report(10, "deep stages (a)", ok, f"80-digit recursion, G=20..64: {max(diffs):.2e}")
     assert ok
+
+
+def test_criterion_11_bloch_phases_at_deep_stages():
+    # (b) the large-k reflection asymptote, built on the Bloch phases, against
+    # the exact R at G=32, in the band 3..30 sqrt(10 V_G) above its guard
+    ratios = {}
+    for alpha, beta, rho in [(0.0, 1.0, 3.0), (0.5, 1.0, 2.5)]:
+        spec = UcpSpec(L=1.0, V=10.0, rho=rho, alpha=alpha, beta=beta, G=32)
+        v_g = constant_area_height(spec, 10.0)
+        ks = (np.linspace(3.0, 30.0, 101) * math.sqrt(10.0 * v_g)).tolist()
+        exact = transmission_ucp_batch([dataclasses.replace(spec, V=v_g)] * len(ks), ks)
+        ratios[alpha, beta] = float(np.median(
+            [reflection_asymptote(spec, 10.0, k) / res.reflection for k, res in zip(ks, exact)]))
+    ok_b = all(abs(r - 1.0) <= 0.01 for r in ratios.values())
+    _report(11, "Bloch phases at deep stages (b)", ok_b,
+            "median asymptote / exact R at G=32: "
+            + ", ".join(f"{r:.6f}" for r in ratios.values()))
+    assert ok_b, ratios
+
+    # (a) the Bloch phases against the paper's recursion with 80 digits
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for G in (32, 64):
+        for alpha, beta in FAMILIES:
+            spec = UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=G)
+            for k in (0.1, 2.0, 8.22, 1e5):
+                want = [float(w) for w in paper.paper_recursion(mpmath, spec, k)[1]]
+                got = bloch_sequence(spec, k).omegas
+                assert len(got) == len(want) == G
+                worst = max(worst, max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(got, want)))
+    ok_a = worst <= 1e-9
+    _report(11, "Bloch phases at deep stages (a)", ok_a,
+            f"80-digit recursion, G=32,64: max |dOmega|/max(1, |Omega|) = {worst:.2e}")
+    assert ok_a

@@ -64,9 +64,10 @@ def test_closed_form_batch_is_physical(spec, ks):
         assert math.isfinite(res.log10_transmission)
 
 
-# L <= 20: at k L of 1e4 and more, the oracle's region widths, which are
-# differences of absolute offsets, move log10 T by up to 6e-9 off the exact
-# geometry, while its product stays within 1e-11 of that over its own widths
+# L <= 20, the range this property has run over since before the oracle formed
+# each region width from its parent's; test_oracle.py pins a k L ~ 3e4 case.
+# Widening it waits on the oracle's NaN for barriers near the opaque limit
+# (see the FOUND line on it in CHANGES.md)
 @given(specs(10, max_span=20.0), st.lists(wavenumbers, min_size=1, max_size=4))
 @settings(max_examples=30, deadline=None)
 def test_oracle_batch_equals_one_point_calls_and_the_closed_form(spec, ks):

@@ -3,17 +3,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paper import gamma1, gamma2
 from ucpscatter import (
     InvalidSpecError,
     UcpSpec,
     build_segments,
-    gamma1,
-    gamma2,
     gap_length,
     max_valid_stage,
     segment_length,
     super_period,
 )
+from ucpscatter.geometry import _stage_table
 from ucpscatter.special import q_pochhammer
 
 
@@ -163,6 +163,9 @@ class TestSuperPeriod:
 
 
 class TestGammas:
+    # gamma1 and gamma2 are the phase distances of the paper's recursion; they
+    # live with it in tests/paper.py, built on the closed form's _stage_table
+
     def test_gamma1_standard_cantor_closed_form(self):
         spec = cantor(G=4)
         for q in range(1, 5):
@@ -202,6 +205,10 @@ class TestGammas:
     @settings(max_examples=60)
     def test_equal_to_the_length_formulas_bit_for_bit(self, spec):
         G = spec.G
+        # the one-pass stage table has the bits of the closed-form lengths
+        assert _stage_table(spec) == (
+            segment_length(spec, G), tuple(gap_length(spec, g) for g in range(1, G + 1))
+        )
         for q in range(1, G + 1):
             assert gamma1(spec, q) == -(segment_length(spec, G) + gap_length(spec, G - q + 1))
             for r in range(1, q):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from ucpscatter import (
     OracleInfeasibleError,
-    Region,
     TransferMatrix,
     UcpSpec,
     barrier_matrix,
@@ -35,13 +34,13 @@ def matrix_product_oracle(spec, k):
     [[A, kB], [C/k, D]], region by region, with no rescale, and
     T = 1/(1 + |m12|^2) of the product."""
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for region in region_sequence(build_segments(spec)).regions:
-        if region.kind == "barrier":
-            cos_m1, k_sin, em_sin, _ = _barrier_terms(k, spec.V, region.width)
+    for width, is_barrier in region_sequence(spec):
+        if is_barrier:
+            cos_m1, k_sin, em_sin, _ = _barrier_terms(k, spec.V, width)
             cos_z, k_sin = 1.0 + cos_m1.real, k_sin.real
             fa, fb, fc, fd = cos_z, k_sin, 2.0 * em_sin.real - k_sin, cos_z
         else:
-            cos_kd, sin_kd = math.cos(k * region.width), math.sin(k * region.width)
+            cos_kd, sin_kd = math.cos(k * width), math.sin(k * width)
             fa, fb, fc, fd = cos_kd, sin_kd, -sin_kd, cos_kd
         a, b, c, d = a * fa + b * fc, a * fb + b * fd, c * fa + d * fc, c * fb + d * fd
     m12_abs = math.hypot(a - d, b + c) / 2.0
@@ -52,10 +51,10 @@ def plane_wave_product_oracle(spec, k):
     """The oracle in the complex plane-wave basis: a plain TransferMatrix
     product with amplitudes referenced locally at each region boundary."""
     total = TransferMatrix(1.0, 0.0, 0.0, 1.0)
-    for region in region_sequence(build_segments(spec)).regions:
-        if region.kind == "barrier":
-            total = total @ barrier_matrix(k, spec.V, region.width)
-        total = total @ propagation_matrix(k, -region.width)
+    for width, is_barrier in region_sequence(spec):
+        if is_barrier:
+            total = total @ barrier_matrix(k, spec.V, width)
+        total = total @ propagation_matrix(k, -width)
     m12_abs = abs(total.m12)
     return _assemble(None if m12_abs == 0.0 else 2.0 * math.log(m12_abs))
 
@@ -87,28 +86,42 @@ class TestPropagationMatrix:
 class TestRegionSequence:
     def test_stage_zero_is_one_barrier(self):
         spec = UcpSpec(L=2, V=5, rho=3, alpha=1, beta=0, G=0)
-        seq = region_sequence(build_segments(spec))
-        assert seq.regions == (Region("barrier", 2.0),)
+        assert region_sequence(spec) == ((2.0, True),)
 
     def test_standard_cantor_stage1(self):
         spec = UcpSpec(L=1, V=5, rho=3, alpha=1, beta=0, G=1)
-        seq = region_sequence(build_segments(spec))
-        kinds = [r.kind for r in seq.regions]
-        widths = [r.width for r in seq.regions]
-        assert kinds == ["barrier", "gap", "barrier"]
-        assert widths == pytest.approx([1 / 3, 1 / 3, 1 / 3])
+        regions = region_sequence(spec)
+        assert [is_barrier for _, is_barrier in regions] == [True, False, True]
+        assert [width for width, _ in regions] == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
     @given(small_specs)
     @settings(max_examples=60)
     def test_alternating_and_span_covering(self, spec):
-        seq = region_sequence(build_segments(spec))
-        kinds = [r.kind for r in seq.regions]
+        regions = region_sequence(spec)
+        kinds = [is_barrier for _, is_barrier in regions]
         # strictly alternating, starting and ending on a barrier
-        assert kinds[0] == "barrier" and kinds[-1] == "barrier"
+        assert kinds[0] and kinds[-1]
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
-        assert sum(1 for kind in kinds if kind == "barrier") == 2**spec.G
-        assert math.fsum(r.width for r in seq.regions) == pytest.approx(spec.L, rel=1e-12)
-        assert all(r.width > 0 for r in seq.regions)
+        assert sum(kinds) == 2**spec.G
+        assert math.fsum(width for width, _ in regions) == pytest.approx(spec.L, rel=1e-12)
+        assert all(width > 0 for width, _ in regions)
+
+    @given(small_specs)
+    @settings(max_examples=60)
+    def test_matches_the_interval_list(self, spec):
+        # the barriers are build_segments' own widths; each gap, formed from
+        # its parent barrier, matches the difference of the listed offsets
+        regions = region_sequence(spec)
+        barriers = build_segments(spec).barriers
+        assert [width for width, is_barrier in regions if is_barrier] == [w for _, w in barriers]
+        gaps = [width for width, is_barrier in regions if not is_barrier]
+        offsets = [b[0] - (a[0] + a[1]) for a, b in zip(barriers, barriers[1:])]
+        assert len(gaps) == len(offsets)
+        assert all(abs(g - d) <= 1e-12 * spec.L for g, d in zip(gaps, offsets))
+
+    def test_stage_cap_is_checked_before_listing(self):
+        with pytest.raises(OracleInfeasibleError, match="G=20000"):
+            region_sequence(UcpSpec(L=1, V=5, rho=3, alpha=1, beta=0, G=20000))
 
 
 class TestTransmissionOracle:
@@ -161,6 +174,15 @@ class TestTransmissionOracle:
     ])
     def test_keeps_digits_far_below_the_barrier_scale(self, spec, k, want):
         assert transmission_oracle(spec, k).log10_transmission == pytest.approx(want, abs=1e-10)
+
+    def test_keeps_digits_at_large_k_times_span(self):
+        # k L ~ 3e4: gap widths taken as differences of absolute offsets put the
+        # oracle 6.0e-9 off; -7165.362184737855 is a 60-digit product over the
+        # exact self-similar geometry
+        spec = UcpSpec(L=251.0308363434303, V=28382.65209883983, rho=1.4714465650886817,
+                       alpha=0.3461287859608727, beta=1.6709977562588991, G=10)
+        got = transmission_oracle(spec, 128.1653727193095).log10_transmission
+        assert got == pytest.approx(-7165.362184737855, abs=1e-10)
 
 
 PRODUCT_CASES = [

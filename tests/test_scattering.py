@@ -2,14 +2,14 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import paper
 from ucpscatter import (
     UcpSpec,
     barrier_matrix,
     bloch_sequence,
-    gamma1,
-    gamma2,
+    gap_length,
     segment_length,
     super_period,
     transmission_spp,
@@ -80,7 +80,8 @@ class TestBlochSequence:
         k = 2.7
         cell = barrier_matrix(k, spec.V, segment_length(spec, 1))
         theta = cmath.phase(cell.m22)
-        expected = abs(cell.m22) * math.cos(theta - k * gamma1(spec, 1))
+        gamma_1 = -(segment_length(spec, 1) + gap_length(spec, 1))
+        expected = abs(cell.m22) * math.cos(theta - k * gamma_1)
         seq = bloch_sequence(spec, k)
         assert seq.omegas[0] == pytest.approx(expected, rel=1e-13)
 
@@ -89,10 +90,9 @@ class TestBlochSequence:
         k = 3.1
         cell = barrier_matrix(k, spec.V, segment_length(spec, 2))
         amp, theta = abs(cell.m22), cmath.phase(cell.m22)
-        w1 = amp * math.cos(theta - k * gamma1(spec, 1))
-        w2 = 2 * amp * math.cos(theta - k * gamma1(spec, 2)) * w1 - math.cos(
-            k * gamma2(spec, 2, 1)
-        )
+        l_2, d_1, d_2 = segment_length(spec, 2), gap_length(spec, 1), gap_length(spec, 2)
+        w1 = amp * math.cos(theta - k * -(l_2 + d_2))
+        w2 = 2 * amp * math.cos(theta - k * -(l_2 + d_1)) * w1 - math.cos(k * (d_2 - d_1))
         seq = bloch_sequence(spec, k)
         assert seq.omegas[0] == pytest.approx(w1, rel=1e-13)
         assert seq.omegas[1] == pytest.approx(w2, rel=1e-12)
@@ -101,19 +101,21 @@ class TestBlochSequence:
         # re-derive each Omega keeping m22 complex; imaginary residue must vanish
         spec = UcpSpec(L=10, V=25, rho=3, alpha=1, beta=0, G=6)
         k = 4.0
-        cell = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
+        G, l_G = spec.G, segment_length(spec, spec.G)
+        d = [None] + [gap_length(spec, g) for g in range(1, G + 1)]  # d[g] = d_g
+        cell = barrier_matrix(k, spec.V, l_G)
         m22 = cell.m22
         omegas = []
         for q in range(1, spec.G + 1):
             lead = (
                 2.0 ** (q - 1)
-                * (m22 * cmath.exp(-1j * k * gamma1(spec, q))).real
+                * (m22 * cmath.exp(-1j * k * -(l_G + d[G - q + 1]))).real
                 * math.prod(omegas[: q - 1], start=1.0)
             )
             z = (
                 2.0 ** (q - 1)
                 * m22
-                * cmath.exp(-1j * k * gamma1(spec, q))
+                * cmath.exp(-1j * k * -(l_G + d[G - q + 1]))
                 * math.prod(omegas[: q - 1], start=1.0)
             )
             # the Hermitian combination (z + conj(z))/2 is what the real path uses
@@ -122,7 +124,7 @@ class TestBlochSequence:
             for r in range(1, q):
                 acc += (
                     2.0 ** (q - r - 1)
-                    * math.cos(k * gamma2(spec, q, r))
+                    * math.cos(k * (d[G - r + 1] - d[G - q + 1]))
                     * math.prod(omegas[r:q - 1], start=1.0)
                 )
             omegas.append(lead - acc)
@@ -184,7 +186,7 @@ class TestTransmissionUcp:
 class TestTransmissionSpp:
     def test_order_zero_single_cell(self):
         unit = barrier_matrix(2.0, 10.0, 1.0)
-        res = transmission_spp(unit, [], [], 2.0)
+        res = transmission_spp(10.0, 1.0, [], [], 2.0)
         assert res.transmission == pytest.approx(1.0 / (1.0 + abs(unit.m12) ** 2), rel=1e-13)
 
     @given(
@@ -194,17 +196,15 @@ class TestTransmissionSpp:
     )
     @settings(max_examples=200)
     def test_n1_is_no_repetition(self, k, V, width):
-        unit = barrier_matrix(k, V, width)
-        base = transmission_spp(unit, [], [], k)
-        once = transmission_spp(unit, [1], [0.7], k)
+        base = transmission_spp(V, width, [], [], k)
+        once = transmission_spp(V, width, [1], [0.7], k)
         assert once.transmission == pytest.approx(base.transmission, rel=1e-12, abs=1e-300)
 
     def test_doubling_reproduces_closed_form(self):
         spec = UcpSpec(L=10, V=25, rho=3, alpha=1, beta=0, G=4)
         for k in (0.7, 2.1, 4.4, 9.0):
-            unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
             ss = [super_period(spec, f) for f in range(1, spec.G + 1)]
-            spp = transmission_spp(unit, [2] * spec.G, ss, k)
+            spp = transmission_spp(spec.V, segment_length(spec, spec.G), [2] * spec.G, ss, k)
             ucp = transmission_ucp(spec, k)
             assert spp.log10_transmission == pytest.approx(
                 ucp.log10_transmission, rel=1e-10, abs=1e-12
@@ -215,16 +215,14 @@ class TestTransmissionSpp:
         # fed through the generic engine instead of super_period
         spec = UcpSpec(L=1, V=25, rho=3, alpha=1, beta=0, G=3)
         k = 3.7
-        unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
         ss = [2.0 * spec.L / 3.0 ** (spec.G + 1 - f) for f in range(1, spec.G + 1)]
-        spp = transmission_spp(unit, [2] * spec.G, ss, k)
+        spp = transmission_spp(spec.V, segment_length(spec, spec.G), [2] * spec.G, ss, k)
         ucp = transmission_ucp(spec, k)
         assert spp.transmission == pytest.approx(ucp.transmission, rel=1e-10)
 
     def test_svc_super_period_closed_form_drives_same_result(self):
         spec = UcpSpec(L=1, V=25, rho=4, alpha=0, beta=1, G=3)
         k = 2.9
-        unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
         G = spec.G
 
         def lg(g):
@@ -232,16 +230,61 @@ class TestTransmissionSpp:
 
         # s_f = l_{G+1-f} + l_{G-f} * 4^{-(G+1-f)}
         ss = [lg(G + 1 - f) + lg(G - f) * 4.0 ** -(G + 1 - f) for f in range(1, G + 1)]
-        spp = transmission_spp(unit, [2] * G, ss, k)
+        spp = transmission_spp(spec.V, lg(G), [2] * G, ss, k)
         ucp = transmission_ucp(spec, k)
         assert spp.transmission == pytest.approx(ucp.transmission, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [0.3, 2.0, 6.1, 40.0])
+    def test_four_copies_are_two_doublings(self, k):
+        # binary powering (N = 4) against two doubling orders of the same stack
+        V, w, s = 25.0, 0.4, 1.1
+        four = transmission_spp(V, w, [4], [s], k)
+        twice = transmission_spp(V, w, [2, 2], [s, 2.0 * s], k)
+        assert four.log10_transmission == pytest.approx(
+            twice.log10_transmission, rel=1e-12, abs=1e-14
+        )
+
     def test_dimension_mismatch(self):
-        unit = barrier_matrix(1.0, 5.0, 1.0)
         with pytest.raises(ValueError):
-            transmission_spp(unit, [2, 2], [1.0], 1.0)
+            transmission_spp(5.0, 1.0, [2, 2], [1.0], 1.0)
         with pytest.raises(ValueError):
-            transmission_spp(unit, [0], [1.0], 1.0)
+            transmission_spp(5.0, 1.0, [0], [1.0], 1.0)
+
+    @pytest.mark.parametrize("Ns", [[2.0], [2.5], ["2"], [None], [-1], [3, 0]])
+    def test_counts_must_be_integers_of_at_least_one(self, Ns):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            transmission_spp(5.0, 1.0, Ns, [1.0] * len(Ns), 1.0)
+
+    def test_opaque_stack_keeps_its_digits(self):
+        # 180 opaque barriers: the paper's Chebyshev factors overflow a double
+        # and give log10 T = -inf; a 60-digit product gives -1142.32406637313722
+        k, V, w = 1.4457632957239137, 27.169421741580173, 1.426962764909146
+        Ns = [3, 5, 3, 4]
+        ss = [2.8126906406232504, 7.925014387427165, 40.308627003425975, 120.34638587413593]
+        assert paper.paper_transmission_spp(barrier_matrix(k, V, w), Ns, ss, k) \
+            .log10_transmission == -math.inf
+        got = transmission_spp(V, w, Ns, ss, k).log10_transmission
+        assert got == pytest.approx(-1142.32406637313722, abs=1e-9)
+
+    @given(
+        k=st.floats(0.1, 20),
+        V=st.floats(-20, 40),
+        width=st.floats(0.01, 3),
+        orders=st.lists(st.tuples(st.integers(1, 5), st.floats(0.0, 3.0)), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_chebyshev_form(self, k, V, width, orders):
+        # the paper's Chebyshev form in double precision is exact enough at
+        # these depths (N <= 5, g <= 4) wherever its factors stay finite
+        Ns, ss, span = [], [], width
+        for n, gap in orders:  # spacing = the block's width plus a gap
+            Ns.append(n)
+            ss.append(span + gap)
+            span = (n - 1) * ss[-1] + span
+        want = paper.paper_transmission_spp(barrier_matrix(k, V, width), Ns, ss, k)
+        assume(math.isfinite(want.log10_transmission))
+        got = transmission_spp(V, width, Ns, ss, k).log10_transmission
+        assert abs(got - want.log10_transmission) <= 1e-10 * max(1.0, abs(want.log10_transmission))
 
 
 class TestPerSpecTable:
@@ -261,7 +304,6 @@ class TestPerSpecTable:
         assert other != first and other_seq != first_seq
         for spec, res in ((a, first), (b, other)):
             # the generic engine takes its spacings from super_period, not the table
-            unit = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
             ss = [super_period(spec, f) for f in range(1, spec.G + 1)]
-            spp = transmission_spp(unit, [2] * spec.G, ss, k)
+            spp = transmission_spp(spec.V, segment_length(spec, spec.G), [2] * spec.G, ss, k)
             assert res.log10_transmission == pytest.approx(spp.log10_transmission, rel=1e-10)

@@ -3,10 +3,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ucpscatter import chebyshev_u, q_pochhammer
+from paper import chebyshev_u
+from ucpscatter import q_pochhammer
 
 
 class TestChebyshevU:
+    # U_n is the paper's Chebyshev factor; it lives with the paper's generic
+    # recursion in tests/paper.py, the reference for transmission_spp
+
     def test_u0_is_one(self):
         assert chebyshev_u(0, 0.37) == 1.0
 
