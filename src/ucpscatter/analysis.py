@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, segment_length
+from .geometry import UcpSpec, _stage_table
 from .scattering import bloch_sequence, transmission_ucp_batch
 
 __all__ = [
@@ -56,10 +56,17 @@ def constant_area_height(spec: UcpSpec, V0: float) -> float:
     """Stage-G barrier height keeping the total barrier area at L*V0.
 
     V_G = L * V0 / (2**G * l_G), so 2**G * l_G * V_G = L * V0 exactly.
+    Raises ValueError where l_G or V_G does not fit a double.
     """
     if not V0 > 0.0:
         raise ValueError(f"V0 must be positive, got {V0}")
-    return spec.L * V0 / (2.0**spec.G * segment_length(spec, spec.G))
+    l_G = _stage_table(spec).l_G
+    if l_G == 0.0:
+        raise ValueError(f"barrier width l_G underflows a double at G={spec.G}")
+    height = spec.L * V0 / math.ldexp(l_G, spec.G)
+    if not math.isfinite(height):
+        raise ValueError(f"constant-area height overflows a double at G={spec.G}")
+    return height
 
 
 def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
@@ -74,12 +81,12 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
         raise ValueError(
             f"asymptote guard violated: V_G/k^2 = {v_g / (k * k):.3g} >= {_ASYMPTOTE_GUARD}"
         )
-    l_g = segment_length(spec, spec.G)
+    l_g = _stage_table(spec).l_G
     seq = bloch_sequence(dataclasses.replace(spec, V=v_g), k)
     prod = 1.0
     for w in seq.omegas:
         prod *= w * w
-    return 4.0**spec.G * (v_g * l_g / 2.0) ** 2 / (k * k) * prod
+    return math.ldexp(v_g * l_g / 2.0, spec.G) ** 2 / (k * k) * prod  # 4**G (v_g l_g / 2)**2
 
 
 def _rolling_median(values: np.ndarray, window: int) -> np.ndarray:

@@ -8,6 +8,7 @@ above the cap for enumerating every barrier (oracle or geometry).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -33,13 +34,16 @@ def _fmt(x: float) -> str:
     return format(x, _FLOAT_FMT)
 
 
-def _spec_arguments(parser: argparse.ArgumentParser) -> None:
+def _spec_arguments(parser: argparse.ArgumentParser, height: bool = True,
+                    stage: bool = True) -> None:
     parser.add_argument("--L", type=float, help="total span")
-    parser.add_argument("--V", type=float, help="barrier height")
+    if height:
+        parser.add_argument("--V", type=float, help="barrier height")
     parser.add_argument("--rho", type=float, help="scaling parameter (> 1)")
     parser.add_argument("--alpha", type=float, help="removal exponent offset")
     parser.add_argument("--beta", type=float, help="removal exponent slope")
-    parser.add_argument("--G", type=int, help="stage (recursion depth)")
+    if stage:
+        parser.add_argument("--G", type=int, help="stage (recursion depth)")
 
 
 def _k_range_arguments(parser: argparse.ArgumentParser) -> None:
@@ -288,15 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags are spelled in full, so a flag a command lacks (scaling's --V) is
+    # an error, not an abbreviation of another (--V0)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("transmission", help="T(k) sweep for one spec")
+    p = command("transmission", help="T(k) sweep for one spec")
     _spec_arguments(p)
     _sweep_arguments(p)
     p.add_argument("--engine", choices=["closed_form", "oracle", "both"])
     _common_arguments(p)
     p.set_defaults(func=cmd_transmission)
 
-    p = sub.add_parser("grid", help="T over an (alpha, beta, rho) grid at fixed k values")
+    p = command("grid", help="T over an (alpha, beta, rho) grid at fixed k values")
     _spec_arguments(p)
     for axis in ("alpha", "beta", "rho"):
         p.add_argument(f"--{axis}-range", help=f"{axis} axis as MIN:MAX:COUNT")
@@ -304,27 +311,27 @@ def build_parser() -> argparse.ArgumentParser:
     _common_arguments(p)
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("geometry", help="explicit barrier intervals as CSV")
+    p = command("geometry", help="explicit barrier intervals as CSV")
     _spec_arguments(p)
     _common_arguments(p)
     p.set_defaults(func=cmd_geometry)
 
-    p = sub.add_parser("scaling", help="log-log reflection scaling fit as JSON")
-    _spec_arguments(p)
+    p = command("scaling", help="log-log reflection scaling fit as JSON")
+    _spec_arguments(p, height=False)  # the height is the constant-area V_G from --V0
     p.add_argument("--V0", type=float, help="stage-0 height for constant-area scaling")
     _k_range_arguments(p)  # fit_scaling always spaces k logarithmically
     _common_arguments(p)
     p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("saturation", help="stage-to-stage transmission distances as JSON")
-    _spec_arguments(p)
+    p = command("saturation", help="stage-to-stage transmission distances as JSON")
+    _spec_arguments(p, stage=False)  # the stages are --gmin..--gmax
     p.add_argument("--gmin", type=int, help="first stage")
     p.add_argument("--gmax", type=int, help="last stage")
     _sweep_arguments(p)
     _common_arguments(p)
     p.set_defaults(func=cmd_saturation)
 
-    p = sub.add_parser("validate", help="check spec well-formedness")
+    p = command("validate", help="check spec well-formedness")
     _spec_arguments(p)
     _common_arguments(p)
     p.set_defaults(func=cmd_validate)

@@ -7,8 +7,8 @@ the general Smith-Volterra-Cantor set.
 
 This module provides the closed-form segment/gap/spacing lengths, the
 per-spec table of them that the closed form uses, and the explicit interval
-list.  The stage cap on listing every barrier is checked here, for
-build_segments and for the oracle's region list alike.
+list.  The removal rule is applied top-down once, in _removal_widths, for
+build_segments and the oracle's region list alike, with the stage cap.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ __all__ = [
 
 
 DEFAULT_STAGE_CAP = 16  # the largest stage whose 2**G barriers build_segments lists
+_LARGEST_STAGE = int(sys.float_info.max)  # beta * g needs g as a double: past it, g fails
 
 
 class InvalidSpecError(ValueError):
@@ -78,13 +80,13 @@ class UcpSpec:
             raise InvalidSpecError("alpha and beta cannot both be zero")
         if not isinstance(self.G, numbers.Integral) or self.G < 0:
             raise InvalidSpecError(f"G must be a non-negative integer, got {self.G}")
-        for g in range(1, self.G + 1):
-            if self.alpha + self.beta * g <= 0.0:
-                raise InvalidSpecError(
-                    f"alpha + beta*G <= 0 at stage g={g} "
-                    f"(alpha={self.alpha}, beta={self.beta}): "
-                    "the removal fraction reaches 1 and the geometry degenerates"
-                )
+        bound = max_valid_stage(self.alpha, self.beta)
+        if bound is not None and self.G > bound:
+            raise InvalidSpecError(
+                f"alpha + beta*G <= 0 at stage g={bound + 1} "
+                f"(alpha={self.alpha}, beta={self.beta}): "
+                "the removal fraction reaches 1 and the geometry degenerates"
+            )
 
     def removal_fraction(self, g: int) -> float:
         """Fraction of each segment removed at stage g: rho**-(alpha + beta*g)."""
@@ -117,7 +119,7 @@ def segment_length(spec: UcpSpec, g: int) -> float:
     """
     _check_stage(spec, g)
     prod = q_pochhammer(spec.rho ** -(spec.alpha + spec.beta), spec.rho ** -spec.beta, g)
-    return spec.L / 2.0**g * prod
+    return math.ldexp(spec.L, -g) * prod
 
 
 def gap_length(spec: UcpSpec, g: int) -> float:
@@ -138,12 +140,12 @@ def super_period(spec: UcpSpec, f: int) -> float:
     prod = q_pochhammer(
         spec.rho ** -(spec.alpha + spec.beta), spec.rho ** -spec.beta, spec.G - f
     )
-    return spec.L / 2.0**m * (1.0 + spec.removal_fraction(m)) * prod
+    return math.ldexp(spec.L, -m) * (1.0 + spec.removal_fraction(m)) * prod
 
 
 class _StageTable(NamedTuple):
     l_G: float  # width of each of the 2**G barriers
-    gaps: tuple[float, ...]  # gaps[g-1] = d_g, g = 1..G
+    gaps: tuple[float, ...]  # gaps[g-1] = d_g, g = 1..G, up to the first l_g that is 0
 
 
 @functools.lru_cache(maxsize=64)
@@ -152,50 +154,61 @@ def _stage_table(spec: UcpSpec) -> _StageTable:
 
     One pass of the q-Pochhammer product: its running value after g factors
     gives l_g, so each entry has the bits of segment_length and gap_length.
+    The pass stops at the first l_g that underflows to 0: every later length
+    is 0 too, so l_G = 0 and the gaps left out are 0, at any G.
     """
     mu, nu = spec.rho ** -(spec.alpha + spec.beta), spec.rho ** -spec.beta
     prod, factor, gaps = 1.0, mu, []
     for g in range(1, spec.G + 1):
-        gaps.append(spec.L / 2.0 ** (g - 1) * prod * spec.removal_fraction(g))  # l_{g-1} * frac
+        l_prev = math.ldexp(spec.L, 1 - g) * prod  # l_{g-1}
+        if l_prev == 0.0:
+            break
+        gaps.append(l_prev * spec.removal_fraction(g))
         prod *= 1.0 - factor
         factor *= nu
-    return _StageTable(spec.L / 2.0**spec.G * prod, tuple(gaps))
+    return _StageTable(math.ldexp(spec.L, -spec.G) * prod, tuple(gaps))
 
 
-def _check_listable(spec: UcpSpec) -> None:
-    """Raise OracleInfeasibleError for G above DEFAULT_STAGE_CAP."""
+def _removal_widths(spec: UcpSpec) -> tuple[list[float], list[float]]:
+    """The removal rule, top-down: every stage-g barrier has the width
+    w_g = w_{g-1} (1 - rho**-(alpha + beta*g)) / 2 formed from its parent's
+    (w_0 = L), and the gap between the two halves of a stage-(g-1) barrier is
+    w_{g-1} - 2 w_g.  Returns ([w_0..w_G], [gap_1..gap_G]); raises
+    OracleInfeasibleError, the cap on listing every barrier, for G above it.
+    """
     if spec.G > DEFAULT_STAGE_CAP:
         raise OracleInfeasibleError(f"infeasible: stage G={spec.G} exceeds the cap "
                                     f"{DEFAULT_STAGE_CAP} for listing every barrier")
+    widths, gaps = [spec.L], []
+    for g in range(1, spec.G + 1):
+        w = widths[-1]
+        widths.append(w * (1.0 - spec.removal_fraction(g)) / 2.0)
+        gaps.append(w - 2.0 * widths[-1])
+    return widths, gaps
 
 
 def build_segments(spec: UcpSpec) -> SegmentGeometry:
     """Explicit interval list of the stage-G system.
 
-    Built top-down: at stage g every interval of width w is replaced by two
-    end intervals of width (w - w * rho**-(alpha+beta*g)) / 2.  The closed
-    forms (segment_length etc.) are cross-checks of this construction, not
-    inputs to it.  Raises OracleInfeasibleError, before anything is allocated,
-    for G above DEFAULT_STAGE_CAP.
+    Built top-down from _removal_widths: at stage g each interval at offset
+    off splits into ones at off and off + w_{g-1} - w_g.  The closed forms
+    (segment_length etc.) are cross-checks of this construction, not inputs
+    to it.  Raises OracleInfeasibleError, before anything is allocated, for G
+    above DEFAULT_STAGE_CAP.
     """
-    _check_listable(spec)
-    intervals = [(0.0, spec.L)]
-    for g in range(1, spec.G + 1):
-        frac = spec.removal_fraction(g)
-        nxt = []
-        for off, w in intervals:
-            child = w * (1.0 - frac) / 2.0
-            nxt.append((off, child))
-            nxt.append((off + w - child, child))
-        intervals = nxt
-    return SegmentGeometry(span=spec.L, barriers=tuple(intervals))
+    widths, _ = _removal_widths(spec)
+    offsets = [0.0]
+    for w, child in zip(widths, widths[1:]):
+        offsets = [x for off in offsets for x in (off, off + w - child)]
+    return SegmentGeometry(span=spec.L, barriers=tuple((off, widths[-1]) for off in offsets))
 
 
 def max_valid_stage(alpha: float, beta: float) -> int | None:
     """Largest stage G with alpha + beta*g > 0 for every g = 1..G.
 
     Returns None when unbounded (beta >= 0 with alpha + beta > 0) and 0 when
-    even stage 1 is impossible.
+    even stage 1 is impossible.  alpha + beta*g falls with g, in floating
+    point too: galloping and bisection find the bound in O(log G) steps.
     """
     if alpha == 0.0 and beta == 0.0:
         raise InvalidSpecError("alpha and beta cannot both be zero")
@@ -203,7 +216,11 @@ def max_valid_stage(alpha: float, beta: float) -> int | None:
         return 0
     if beta >= 0.0:
         return None
-    g = 1
-    while alpha + beta * (g + 1) > 0.0:
-        g += 1
-    return g
+    valid, failing = 1, 2
+    while failing <= _LARGEST_STAGE and alpha + beta * failing > 0.0:
+        valid, failing = failing, 2 * failing
+    failing = min(failing, _LARGEST_STAGE + 1)
+    while failing - valid > 1:
+        mid = (valid + failing) // 2
+        valid, failing = (mid, failing) if alpha + beta * mid > 0.0 else (valid, mid)
+    return valid

@@ -1,32 +1,31 @@
 """Brute-force ground truth: direct transfer-matrix product over the
 explicit barrier/gap sequence, with no super-periodicity mathematics.
 
-The sequence comes from the removal rule applied top-down, region by region:
-at stage g each barrier of width w becomes a barrier, a gap and a barrier of
-widths c, w - 2c and c, with c = w (1 - rho**-(alpha + beta*g)) / 2, so every
-width is formed from its parent's, never as a difference of absolute offsets.
+The sequence comes from the geometry module's one top-down width chain: at
+stage g each barrier of width w becomes a barrier, a gap and a barrier of
+widths c, w - 2c and c, with c = w (1 - rho**-(alpha + beta*g)) / 2, so no
+width is a difference of absolute offsets.
 
 The product is the real transfer matrix [[A, kB], [C/k, D]] of (psi, psi'/k),
 accumulated region by region in spatial order: a barrier of width w contributes
 [[cos(kappa w), (k/kappa) sin(kappa w)], [-(kappa/k) sin(kappa w), cos(kappa w)]]
 and a gap of width d the rotation by kd.  Being unimodular, it gives
-T = 1/(1 + |m12|^2) with |m12| = hypot(A - D, kB + C/k) / 2, assembled in the
-log domain as the closed form's is.
+T = 1/(1 + |m12|^2) with |m12| = hypot((A - D)/2, (kB + C/k)/2), assembled in
+the log domain by the closed form's own code.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import logging
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_STAGE_CAP, OracleInfeasibleError, UcpSpec, _check_listable
-from .scattering import (_LN2, ScatterResult, TransferMatrix, _assemble, _barrier_rows, _each,
-                         _require_positive_k)
+from .geometry import DEFAULT_STAGE_CAP, OracleInfeasibleError, UcpSpec, _removal_widths
+from .scattering import (ScatterResult, TransferMatrix, _barrier_rows, _each, _require_positive_k,
+                         _results)
 
 __all__ = [
     "OracleInfeasibleError",
@@ -50,24 +49,16 @@ _SLACK = 1.0 + 2.0**-40  # far above the rounding of one 2x2 product
 def region_sequence(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
     """(width, is_barrier) of every region of the stage-G system, in order.
 
-    Built by the removal rule, top-down (see the module docstring); the
-    barrier widths are those of build_segments, bit for bit.  Raises
-    OracleInfeasibleError, before anything is allocated, for G above
-    DEFAULT_STAGE_CAP.
+    2**G barriers of width w_G, with the stage-g gap between the two halves of
+    each stage-(g-1) barrier (see the module docstring); the barrier widths
+    are those of build_segments, bit for bit.  Raises OracleInfeasibleError,
+    before anything is allocated, for G above DEFAULT_STAGE_CAP.
     """
-    _check_listable(spec)
-    regions = [(spec.L, True)]
-    for g in range(1, spec.G + 1):
-        frac = spec.removal_fraction(g)
-        split = []
-        for width, is_barrier in regions:
-            if is_barrier:
-                c = width * (1.0 - frac) / 2.0
-                split += ((c, True), (width - 2.0 * c, False), (c, True))
-            else:
-                split.append((width, False))
-        regions = split
-    return tuple(regions)
+    widths, gaps = _removal_widths(spec)
+    regions = ((widths[-1], True),)
+    for g in range(spec.G, 0, -1):  # stage g-1's barrier: two stage-g halves and a gap
+        regions = regions + ((gaps[g - 1], False),) + regions
+    return regions
 
 
 def propagation_matrix(k: float, d: float) -> TransferMatrix:
@@ -75,12 +66,6 @@ def propagation_matrix(k: float, d: float) -> TransferMatrix:
     _require_positive_k(k)
     phase = cmath.exp(1j * k * d)
     return TransferMatrix(phase, 0.0, 0.0, 1.0 / phase)
-
-
-@functools.lru_cache(maxsize=4)
-def _regions(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
-    """region_sequence(spec), kept for the last few specs."""
-    return region_sequence(spec)
 
 
 def transmission_oracle(spec: UcpSpec, k: float) -> ScatterResult:
@@ -103,7 +88,7 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
     OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
     remains available there).
     """
-    regions = _regions(spec)  # the stage cap is checked before k is
+    regions = region_sequence(spec)  # the stage cap is checked before k is
     k = np.asarray(ks, dtype=float)
     n = k.size
     if n == 0:
@@ -128,24 +113,35 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
             if is_barrier:
                 cos_m1, k_sin, em_sin, _ = _barrier_rows(k, spec.V, width)  # checks k
                 cos_z = 1.0 + cos_m1
-                entries = np.array([[cos_z, k_sin], [2.0 * em_sin - k_sin, cos_z]])
+                with np.errstate(over="ignore"):
+                    c_k = 2.0 * em_sin - k_sin
+                shift = None  # where C/k overflows, the factor is held as 2**-2 of itself
+                if not np.isfinite(c_k).all():
+                    shift = np.where(np.isfinite(c_k), 0, 2)
+                    scale = np.ldexp(1.0, -shift)
+                    cos_z, k_sin, em_sin = cos_z * scale, k_sin * scale, em_sin * scale
+                    c_k = 2.0 * em_sin - k_sin
+                entries = np.array([[cos_z, k_sin], [c_k, cos_z]])
                 limit = _PRODUCT_MAX / np.abs(entries).reshape(4, n).max(axis=0)
                 size_1 = np.abs(entries).sum(axis=0).max(axis=0)  # largest column sum
                 size_inf = np.abs(entries).sum(axis=1).max(axis=0)  # largest row sum
                 growth = float((np.sqrt(size_1) * np.sqrt(size_inf)).max())  # >= spectral norm
-                factor = (entries[0], entries[1], growth * _SLACK, limit, float(limit.min()))
+                factor = (entries[0], entries[1], growth * _SLACK, limit, float(limit.min()),
+                          shift)
             else:
                 kd = k * width
                 cos_kd, sin_kd = _each(math.cos, kd), _each(math.sin, kd)
                 factor = (np.array([cos_kd, sin_kd]), np.array([-sin_kd, cos_kd]), _SLACK,
-                          None, None)
+                          None, None, None)
             factors[region] = factor
-        row_0, row_1, growth, limit, floor = factor
+        row_0, row_1, growth, limit, floor, shift = factor
         # product[i, j] = product[i, 0] * row_0[j] + product[i, 1] * row_1[j]
         np.multiply(column_0, row_0, out=term_0)
         np.multiply(column_1, row_1, out=term_1)
         np.add(term_0, term_1, out=product)
         bound *= growth
+        if shift is not None:
+            exp2 += shift
         if limit is not None and not 4.0 * bound <= floor:  # a k may need a rescale: test each
             size = np.abs(product).reshape(4, n)
             total = size[0] + size[1] + size[2] + size[3]
@@ -157,7 +153,6 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
                 total *= scale
                 exp2 += e
             bound = float(total.max())
-    results = []
     for k_i, (a, b, c, d), e in zip(k.tolist(), product.reshape(4, n).T.tolist(), exp2.tolist()):
         # det - 1 cancels catastrophically when entries are ~cosh(|kappa| w)
         # large, so the drift is judged relative to the largest entry squared,
@@ -168,6 +163,5 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
         drift = abs(a * inv * (d * inv) - b * inv * (c * inv) - unit * inv * (unit * inv))
         if drift > _DET_DRIFT_TOL:
             logger.warning("oracle determinant drift %.3e at G=%d, k=%g", drift, spec.G, k_i)
-        m12_abs = math.hypot(a - d, b + c) / 2.0
-        results.append(_assemble(None if m12_abs == 0.0 else 2.0 * (math.log(m12_abs) + e * _LN2)))
-    return results
+    (a, b), (c, d) = product
+    return _results((a - d) / 2.0, (b + c) / 2.0, exp2)

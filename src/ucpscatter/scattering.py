@@ -233,11 +233,13 @@ def transmission_ucp_batch(specs: Sequence[UcpSpec], ks: Sequence[float]) -> lis
     results: list[ScatterResult] = [None] * len(specs)
     for G, idx in stages.items():
         tables = [_stage_table(specs[i]) for i in idx]
-        gaps = np.array([t.gaps for t in tables], dtype=float).reshape(len(idx), G).T
         V = np.array([specs[i].V for i in idx], dtype=float)
         l_G = np.array([t.l_G for t in tables], dtype=float)
+        if not l_G.all():  # a table cut short where l_g underflowed: its barrier is refused
+            _barrier_rows(k[idx], V, l_G)
+        gaps = np.array([t.gaps for t in tables], dtype=float).reshape(len(idx), G).T
         block, exp2, _ = _repetition(k[idx], V, l_G, [(d, 2) for d in gaps[::-1]])  # d_G first
-        for i, res in zip(idx, _results(block, exp2)):
+        for i, res in zip(idx, _results(block[2], block[3], exp2)):
             results[i] = res
     return results
 
@@ -330,11 +332,12 @@ def _repetition(k: np.ndarray, V, width,
     return block, exp2, half_traces
 
 
-def _results(block: tuple, exp2: np.ndarray) -> list[ScatterResult]:
-    """T and R of each point from |m12| = hypot(q, r) of its final block."""
+def _results(q: np.ndarray, r: np.ndarray, exp2: np.ndarray) -> list[ScatterResult]:
+    """T and R of each point from |m12| = hypot(q, r) of its product, whose
+    q = (A - D)/2 and r = (kB + C/k)/2 are 2**-exp2 of the true ones."""
     results = []
-    for q, r, e in zip(block[2].tolist(), block[3].tolist(), exp2.tolist()):
-        m12_abs = math.hypot(q, r)
+    for q_i, r_i, e in zip(q.tolist(), r.tolist(), exp2.tolist()):
+        m12_abs = math.hypot(q_i, r_i)
         results.append(_assemble(None if m12_abs == 0.0 else 2.0 * (math.log(m12_abs) + e * _LN2)))
     return results
 
@@ -365,4 +368,4 @@ def transmission_spp(
         orders.append((s - span, n))
         span = (n - 1) * s + span
     block, exp2, _ = _repetition(np.array([k], dtype=float), V, width, orders)
-    return _results(block, exp2)[0]
+    return _results(block[2], block[3], exp2)[0]

@@ -13,6 +13,7 @@ from ucpscatter import (
     saturation_scan,
     segment_length,
     transmission_ucp,
+    transmission_ucp_batch,
 )
 from ucpscatter.analysis import _MEDIAN_WINDOW, _rolling_median
 
@@ -53,6 +54,18 @@ class TestConstantAreaHeight:
         with pytest.raises(ValueError):
             constant_area_height(spec, 0.0)
 
+    def test_deep_stage_without_a_barrier_width_is_refused(self):
+        # l_G = 3**-800 and l_G of the G = 1100 SVC stage are 0 in a double
+        for spec in (UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=800),
+                     UcpSpec(L=1, V=1, rho=3, alpha=0, beta=1, G=1100)):
+            with pytest.raises(ValueError, match="underflows"):
+                constant_area_height(spec, 10.0)
+
+    def test_area_is_conserved_past_stage_512(self):
+        spec = UcpSpec(L=1, V=1, rho=2.5, alpha=0.5, beta=1, G=600)
+        area = math.ldexp(segment_length(spec, spec.G), spec.G) * constant_area_height(spec, 10.0)
+        assert area == pytest.approx(10.0, rel=1e-12)
+
     @given(specs_any, st.floats(0.01, 50))
     @settings(max_examples=100)
     def test_area_is_conserved(self, spec, v0):
@@ -83,6 +96,16 @@ class TestReflectionAsymptote:
         low, high = median_ratio(90.0, 130.0), median_ratio(350.0, 500.0)
         assert low == pytest.approx(1.0, abs=0.01)
         assert high == pytest.approx(1.0, abs=0.01)
+
+    def test_holds_past_stage_512(self):
+        # 4.0**G overflowed a double from G = 512
+        spec = UcpSpec(L=1, V=1, rho=2.5, alpha=0.5, beta=1, G=600)
+        v_g = constant_area_height(spec, 10.0)
+        scaled = dataclasses.replace(spec, V=v_g)
+        ks = np.logspace(math.log10(3.0), math.log10(30.0), 5) * math.sqrt(10.0 * v_g)
+        for k, exact in zip(ks, transmission_ucp_batch([scaled] * len(ks), ks)):
+            assert reflection_asymptote(spec, 10.0, float(k)) == pytest.approx(
+                exact.reflection, rel=1e-4)
 
     def test_guard_violation(self):
         spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)

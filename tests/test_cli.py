@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -295,6 +296,14 @@ class TestScaling:
                   "--scale", "log"])
         assert exc.value.code == 2
 
+    def test_no_height_flag(self):
+        # the height is the constant-area V_G from --V0; --V is not taken for --V0 either
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--L", "1", "--rho", "1.75", "--alpha", "0.5", "--beta", "0.25",
+                  "--G", "5", "--V0", "25", "--kmin", "50", "--kmax", "500", "--nk", "300",
+                  "--V", "3"])
+        assert exc.value.code == 2
+
 
 class TestSaturation:
     def test_json_report(self, tmp_path):
@@ -324,6 +333,14 @@ class TestSaturation:
         ks = np.logspace(math.log10(0.5), math.log10(10), 40)
         expected = saturation_scan(specs, [float(k) for k in ks])
         assert json.loads(text)["metrics"] == list(expected.metrics)
+
+    def test_no_stage_flag(self):
+        # the stages are --gmin..--gmax
+        with pytest.raises(SystemExit) as exc:
+            main(["saturation", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
+                  "--beta", "1", "--gmin", "3", "--gmax", "5", "--kmin", "0.5",
+                  "--kmax", "10", "--nk", "40", "--G", "3"])
+        assert exc.value.code == 2
 
 
 class TestValidate:
@@ -357,6 +374,7 @@ class TestBadInput:
         assert code == EXIT_INVALID_SPEC
         assert err.count("\n") == 1 and err.startswith("invalid input: ")
         assert "Traceback" not in err
+        return err
 
     def test_grid_nonpositive_k(self, capsys):
         self.assert_one_line_exit_2(
@@ -418,6 +436,20 @@ class TestBadInput:
             capsys,
         )
 
+    @pytest.mark.parametrize("argv, config", [
+        (["scaling", "--L", "1", "--rho", "1.75", "--alpha", "0.5", "--beta", "0.25",
+          "--G", "5", "--V0", "25", "--kmin", "50", "--kmax", "500", "--nk", "300"],
+         "V = 3\n"),  # scaling's height is the constant-area V_G from --V0
+        (["saturation", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
+          "--beta", "1", "--gmin", "3", "--gmax", "4", "--kmin", "0.5", "--kmax", "10",
+          "--nk", "5"],
+         "G = 3\n"),  # saturation's stages are --gmin..--gmax
+    ], ids=["scaling-V", "saturation-G"])
+    def test_config_key_of_a_flag_the_command_lacks(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        self.assert_one_line_exit_2([*argv, "--config", str(cfg)], capsys)
+
     @pytest.mark.parametrize("engine", ["closed_form", "oracle", "both"])
     def test_opaque_single_barrier(self, capsys, engine):
         # kappa*w = 8000i: sin(kappa*w) does not fit in a double
@@ -448,3 +480,35 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == EXIT_ORACLE_INFEASIBLE
         assert err.count("\n") == 1 and "infeasible" in err and "G=20000" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["transmission", "--L", "1", "--V", "1", "--rho", "3", "--alpha", "1", "--beta", "0",
+         "--G", "1100", "--kmin", "1", "--kmax", "2", "--nk", "2"],
+        ["transmission", "--L", "1", "--V", "1", "--rho", "3", "--alpha", "0", "--beta", "1",
+         "--G", "1100", "--kmin", "1", "--kmax", "2", "--nk", "2"],
+        ["saturation", "--L", "1", "--V", "1", "--rho", "3", "--alpha", "0", "--beta", "1",
+         "--gmin", "1099", "--gmax", "1100", "--kmin", "1", "--kmax", "2", "--nk", "2"],
+        ["scaling", "--L", "1", "--V0", "10", "--rho", "1.75", "--alpha", "0.5",
+         "--beta", "0.25", "--G", "1100", "--kmin", "50", "--kmax", "500", "--nk", "100"],
+        # l_G underflows at a different stage for each rho
+        ["grid", "--L", "1", "--V", "1", "--G", "1100", "--alpha", "1", "--beta", "0",
+         "--rho-range", "1.5:3:2", "--k", "1"],
+    ], ids=["transmission-cantor", "transmission-svc", "saturation", "scaling", "grid"])
+    def test_stage_past_a_double_power_of_two(self, capsys, argv):
+        # 2.0**g overflowed from g = 1024; every barrier is narrower than a double holds
+        assert "barrier width" in self.assert_one_line_exit_2(argv, capsys)
+
+    @pytest.mark.parametrize("command", ["transmission", "scaling"])
+    def test_billion_stages_end_at_once(self, capsys, command):
+        # one loop step per stage took minutes; the lengths settle after about 1100
+        argv = {
+            "transmission": ["--V", "1", "--kmin", "1", "--kmax", "2", "--nk", "2"],
+            "scaling": ["--V0", "10", "--kmin", "50", "--kmax", "500", "--nk", "100"],
+        }[command]
+        start = time.perf_counter()
+        self.assert_one_line_exit_2(
+            [command, "--L", "1", "--rho", "3", "--alpha", "1", "--beta", "0",
+             "--G", "1000000000", *argv],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0

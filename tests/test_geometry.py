@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,53 @@ valid_specs = st.builds(
 )
 
 
+def split_loop_segments(spec):
+    """The removal rule as one split per interval and stage: the former
+    build_segments, kept as the reference of the one width chain."""
+    intervals = [(0.0, spec.L)]
+    for g in range(1, spec.G + 1):
+        frac = spec.removal_fraction(g)
+        nxt = []
+        for off, w in intervals:
+            child = w * (1.0 - frac) / 2.0
+            nxt.append((off, child))
+            nxt.append((off + w - child, child))
+        intervals = nxt
+    return tuple(intervals)
+
+
+def stage_loop_error(alpha, beta, G):
+    """The former UcpSpec stage check, one step per stage: its message, or None."""
+    for g in range(1, G + 1):
+        if alpha + beta * g <= 0.0:
+            return (f"alpha + beta*G <= 0 at stage g={g} (alpha={alpha}, beta={beta}): "
+                    "the removal fraction reaches 1 and the geometry degenerates")
+    return None
+
+
+def stage_loop_bound(alpha, beta):
+    """The former max_valid_stage, one step per stage."""
+    if alpha + beta <= 0.0:
+        return 0
+    if beta >= 0.0:
+        return None
+    g = 1
+    while alpha + beta * (g + 1) > 0.0:
+        g += 1
+    return g
+
+
+# exponent pairs whose stage bound, if any, is at most about 2e4
+exponent_pairs = st.one_of(
+    st.tuples(st.floats(-5, 5), st.floats(-5, 5)).filter(
+        lambda ab: ab[1] >= 0.0 or ab[0] <= -2e4 * ab[1]),
+    # alpha on, or one ulp off, a multiple of -beta: rounding decides the bound
+    st.builds(lambda b, n, ulp: (n * b if ulp is None else math.nextafter(n * b, ulp), -b),
+              st.floats(1e-3, 10), st.integers(1, 20000),
+              st.sampled_from([None, -math.inf, math.inf])),
+).filter(lambda ab: ab != (0.0, 0.0))
+
+
 class TestSpecValidation:
     def test_rejects_nonpositive_span(self):
         with pytest.raises(InvalidSpecError):
@@ -68,6 +118,28 @@ class TestSpecValidation:
     def test_rejects_non_integer_stage(self, G):
         with pytest.raises(InvalidSpecError, match="integer"):
             UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=G)
+
+
+class TestSpecStageBound:
+    @given(exponent_pairs, st.integers(0, 300))
+    @settings(max_examples=300)
+    def test_same_verdict_and_text_as_the_stage_loop(self, ab, G):
+        alpha, beta = ab
+        want = stage_loop_error(alpha, beta, G)
+        if want is None:
+            UcpSpec(L=1, V=1, rho=3, alpha=alpha, beta=beta, G=G)
+        else:
+            with pytest.raises(InvalidSpecError) as exc:
+                UcpSpec(L=1, V=1, rho=3, alpha=alpha, beta=beta, G=G)
+            assert str(exc.value) == want
+
+    def test_huge_stage_is_checked_at_once(self):
+        # the stage loop took about 1 s per 10**7 stages
+        start = time.perf_counter()
+        UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0.5, G=10**9)
+        with pytest.raises(InvalidSpecError, match="g=1000000000 "):
+            UcpSpec(L=1, V=1, rho=3, alpha=1e5, beta=-1e-4, G=10**9)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSegmentLength:
@@ -227,7 +299,50 @@ class TestGammas:
             gamma2(cantor(G=3), 2, 2)
 
 
+class TestDeepStages:
+    """Stages whose lengths leave a double: no overflow, and no per-stage loop
+    past the first l_g that underflows."""
+
+    @given(valid_specs, st.integers(0, 1023))
+    @settings(max_examples=60)
+    def test_lengths_keep_their_bits_below_stage_1024(self, spec, g):
+        spec = dataclasses.replace(spec, G=g)
+        mu, nu = spec.rho ** -(spec.alpha + spec.beta), spec.rho ** -spec.beta
+        assert segment_length(spec, g) == spec.L / 2.0**g * q_pochhammer(mu, nu, g)
+        if g:
+            assert super_period(spec, 1) == (spec.L / 2.0**g * (1.0 + spec.removal_fraction(g))
+                                             * q_pochhammer(mu, nu, g - 1))
+
+    def test_lengths_past_stage_1024_are_zero(self):
+        # 2.0**g overflows a double from g = 1024
+        spec = svc(G=1100)
+        assert segment_length(spec, 1100) == 0.0
+        assert gap_length(spec, 1100) == 0.0
+        assert super_period(spec, 1) == 0.0
+        assert _stage_table(spec).l_G == 0.0
+
+    def test_stage_table_stops_where_l_g_underflows(self):
+        spec = cantor(G=800)  # l_g = 3**-g is 0 in a double from g = 679
+        table = _stage_table(spec)
+        n = len(table.gaps)
+        assert table.l_G == 0.0 and segment_length(spec, n) == 0.0 < segment_length(spec, n - 1)
+        assert table.gaps == tuple(gap_length(spec, g) for g in range(1, n + 1))
+        assert all(gap_length(spec, g) == 0.0 for g in range(n + 1, 801))
+
+    def test_stage_table_at_a_billion_stages(self):
+        start = time.perf_counter()
+        table = _stage_table(svc(G=10**9))
+        assert table.l_G == 0.0 and len(table.gaps) < 1100
+        assert time.perf_counter() - start < 1.0
+
+
 class TestBuildSegments:
+    @given(valid_specs, st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_split_loop(self, spec, G):
+        spec = dataclasses.replace(spec, G=G)
+        assert build_segments(spec).barriers == split_loop_segments(spec)
+
     def test_stage_zero(self):
         geo = build_segments(cantor(L=4.0, G=0))
         assert geo.barriers == ((0.0, 4.0),)
@@ -280,6 +395,38 @@ class TestBuildSegments:
 class TestMaxValidStage:
     def test_negative_beta_bound(self):
         assert max_valid_stage(2, -0.1) == 19
+
+    @given(exponent_pairs)
+    @settings(max_examples=300)
+    def test_equals_the_stage_loop(self, ab):
+        assert max_valid_stage(*ab) == stage_loop_bound(*ab)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, -1e-6), (0.3, -3e-7), (7.0, -7e-6)])
+    def test_equals_the_stage_loop_near_a_million(self, alpha, beta):
+        bound = max_valid_stage(alpha, beta)
+        assert 1e5 < bound <= 1e6
+        assert bound == stage_loop_bound(alpha, beta)
+
+    def test_far_bound_is_found_at_once(self):
+        # the stage loop takes about two minutes to count this far
+        start = time.perf_counter()
+        assert max_valid_stage(1e5, -1e-4) == 999999999
+        assert time.perf_counter() - start < 1.0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_never_hangs_or_raises_for_finite_exponents(self, alpha, beta):
+        if alpha == 0.0 and beta == 0.0:
+            return
+        bound = max_valid_stage(alpha, beta)
+        if bound:  # the last valid stage: valid, and the next one not (or past a double)
+            assert alpha + beta * bound > 0.0
+            largest = int(sys.float_info.max)
+            assert bound == largest or not alpha + beta * (bound + 1) > 0.0
+
+    def test_bound_past_the_largest_double(self):
+        # alpha + beta*g stays positive at every g a double holds
+        assert max_valid_stage(1.0, -5e-324) == int(sys.float_info.max)
 
     def test_cantor_unbounded(self):
         assert max_valid_stage(1, 0) is None

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from ucpscatter import (
     region_sequence,
     segment_length,
     transmission_oracle,
+    transmission_oracle_batch,
     transmission_ucp,
 )
 from ucpscatter.scattering import _assemble, _barrier_terms
@@ -27,6 +30,23 @@ small_specs = st.builds(
     beta=st.floats(0.0, 2),
     G=st.integers(0, 6),
 )
+
+
+def split_loop_regions(spec):
+    """The removal rule as one split per barrier and stage: the former
+    region_sequence, kept as the reference of the one width chain."""
+    regions = [(spec.L, True)]
+    for g in range(1, spec.G + 1):
+        frac = spec.removal_fraction(g)
+        split = []
+        for width, is_barrier in regions:
+            if is_barrier:
+                c = width * (1.0 - frac) / 2.0
+                split += ((c, True), (width - 2.0 * c, False), (c, True))
+            else:
+                split.append((width, False))
+        regions = split
+    return tuple(regions)
 
 
 def matrix_product_oracle(spec, k):
@@ -119,6 +139,12 @@ class TestRegionSequence:
         assert len(gaps) == len(offsets)
         assert all(abs(g - d) <= 1e-12 * spec.L for g, d in zip(gaps, offsets))
 
+    @given(small_specs, st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_split_loop(self, spec, G):
+        spec = dataclasses.replace(spec, G=G)
+        assert region_sequence(spec) == split_loop_regions(spec)
+
     def test_stage_cap_is_checked_before_listing(self):
         with pytest.raises(OracleInfeasibleError, match="G=20000"):
             region_sequence(UcpSpec(L=1, V=5, rho=3, alpha=1, beta=0, G=20000))
@@ -174,6 +200,17 @@ class TestTransmissionOracle:
     ])
     def test_keeps_digits_far_below_the_barrier_scale(self, spec, k, want):
         assert transmission_oracle(spec, k).log10_transmission == pytest.approx(want, abs=1e-10)
+
+    def test_barrier_entries_beyond_a_double(self):
+        # C/k = 2 eps_- sin - k sin/kappa overflows a double at these k (the
+        # product turned NaN); the closed form gives the pinned values
+        spec = UcpSpec(L=57.271623783941266, V=12828.594060047031, rho=3.402702584634892,
+                       alpha=1.0820643318776448, beta=0.86216933013465, G=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = transmission_oracle_batch(spec, [0.13068226511790876, 0.20391286626553243])
+        assert [r.log10_transmission for r in got] == pytest.approx(
+            [-4917.332228862264, -4916.8293810458545], abs=1e-9)
 
     def test_keeps_digits_at_large_k_times_span(self):
         # k L ~ 3e4: gap widths taken as differences of absolute offsets put the

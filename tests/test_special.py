@@ -1,7 +1,8 @@
 import math
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paper import chebyshev_u
 from ucpscatter import q_pochhammer
@@ -66,3 +67,25 @@ class TestQPochhammer:
         lhs = q_pochhammer(mu, nu, p)
         rhs = (1.0 - mu) * q_pochhammer(mu * nu, nu, p - 1)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+
+
+def pochhammer_loop(mu, nu, p):
+    """(mu; nu)_p one factor per step, to the end."""
+    result, factor = 1.0, mu
+    for _ in range(p):
+        result *= 1.0 - factor
+        factor *= nu
+    return result
+
+
+class TestPochhammerEarlyStop:
+    @given(st.floats(-2, 2), st.floats(-1.5, 1.5), st.integers(0, 3000))
+    @settings(max_examples=200)
+    def test_same_bits_as_every_step(self, mu, nu, p):
+        assert q_pochhammer(mu, nu, p) == pochhammer_loop(mu, nu, p)
+
+    def test_settled_products_return_at_once(self):
+        start = time.perf_counter()
+        assert q_pochhammer(0.5, 1.0, 10**12) == 0.0  # the product underflows to 0
+        assert q_pochhammer(0.5, 0.5, 10**12) == q_pochhammer(0.5, 0.5, 100)  # 1 - factor is 1
+        assert time.perf_counter() - start < 1.0
