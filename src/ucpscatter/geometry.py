@@ -110,6 +110,26 @@ def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> None:
         raise InvalidSpecError(f"stage index {g} outside [{lowest}, {spec.G}]")
 
 
+def _ratio(spec: UcpSpec) -> float:
+    """rho**-beta, the ratio of consecutive removal fractions, or inf where
+    it exceeds a double (a large negative beta)."""
+    try:
+        return float(spec.rho ** -spec.beta)  # float(): an int rho and beta give an int
+    except OverflowError:
+        return math.inf
+
+
+def _removal_product(spec: UcpSpec, p: int) -> float:
+    """prod_{j=1..p} (1 - rho**-(alpha + beta*j)) as the q-Pochhammer product
+    (mu; nu)_p, mu = rho**-(alpha+beta) and nu = rho**-beta; where nu is not
+    finite (mu nu**j would be inf or 0 * inf), as the product of the removal
+    fractions themselves."""
+    nu = _ratio(spec)
+    if nu == math.inf:
+        return math.prod(1.0 - spec.removal_fraction(j) for j in range(1, p + 1))
+    return q_pochhammer(spec.rho ** -(spec.alpha + spec.beta), nu, p)
+
+
 def segment_length(spec: UcpSpec, g: int) -> float:
     """Length l_g of each of the 2**g barrier segments at stage g.
 
@@ -118,8 +138,7 @@ def segment_length(spec: UcpSpec, g: int) -> float:
     (rho**-(alpha+beta); rho**-beta)_g.
     """
     _check_stage(spec, g)
-    prod = q_pochhammer(spec.rho ** -(spec.alpha + spec.beta), spec.rho ** -spec.beta, g)
-    return math.ldexp(spec.L, -g) * prod
+    return math.ldexp(spec.L, -g) * _removal_product(spec, g)
 
 
 def gap_length(spec: UcpSpec, g: int) -> float:
@@ -137,9 +156,7 @@ def super_period(spec: UcpSpec, f: int) -> float:
     """
     _check_stage(spec, f, lowest=1)
     m = spec.G + 1 - f
-    prod = q_pochhammer(
-        spec.rho ** -(spec.alpha + spec.beta), spec.rho ** -spec.beta, spec.G - f
-    )
+    prod = _removal_product(spec, spec.G - f)
     return math.ldexp(spec.L, -m) * (1.0 + spec.removal_fraction(m)) * prod
 
 
@@ -155,16 +172,19 @@ def _stage_table(spec: UcpSpec) -> _StageTable:
     One pass of the q-Pochhammer product: its running value after g factors
     gives l_g, so each entry has the bits of segment_length and gap_length.
     The pass stops at the first l_g that underflows to 0: every later length
-    is 0 too, so l_G = 0 and the gaps left out are 0, at any G.
+    is 0 too, so l_G = 0 and the gaps left out are 0, at any G.  Where
+    rho**-beta is not finite, each factor is the removal fraction itself, as
+    in _removal_product.
     """
-    mu, nu = spec.rho ** -(spec.alpha + spec.beta), spec.rho ** -spec.beta
+    mu, nu = spec.rho ** -(spec.alpha + spec.beta), _ratio(spec)
     prod, factor, gaps = 1.0, mu, []
     for g in range(1, spec.G + 1):
         l_prev = math.ldexp(spec.L, 1 - g) * prod  # l_{g-1}
         if l_prev == 0.0:
             break
-        gaps.append(l_prev * spec.removal_fraction(g))
-        prod *= 1.0 - factor
+        removed = spec.removal_fraction(g)
+        gaps.append(l_prev * removed)
+        prod *= 1.0 - (factor if nu < math.inf else removed)
         factor *= nu
     return _StageTable(math.ldexp(spec.L, -spec.G) * prod, tuple(gaps))
 

@@ -7,9 +7,10 @@ the block so far is repeated N_f times, block_f = (block_{f-1} . gap)^(N_f-1)
 . block_{f-1}, by binary powering of real 2x2 blocks that lose no digits at
 any stage, for many points at once.  It serves three results:
 
-- transmission_ucp_batch: the doubling, N_f = 2 at every order, with T =
-  1/(1 + |m12|**2) taken in the log domain, so that transmissions far below
-  double-precision underflow remain representable through log10(T);
+- transmission_ucp_batch: the doubling, N_f = 2 at every order, in one pass
+  over points of any mix of stages, each joining at its own order G, with
+  T = 1/(1 + |m12|**2) taken in the log domain, so that transmissions far
+  below double-precision underflow remain representable through log10(T);
   transmission_ucp is its one-point call;
 - bloch_sequence: the paper's Bloch phases Omega_q of
 
@@ -27,7 +28,8 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -167,8 +169,9 @@ def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
     come back as 0.
     """
     l_G, gaps = _stage_table(spec)
-    _, _, half_traces = _repetition(np.array([k], dtype=float), spec.V, l_G,
-                                    [(d, 2) for d in gaps[::-1]])
+    k = np.array([k], dtype=float)
+    half_traces = []
+    _repetition(k, _barrier_rows(k, spec.V, l_G), [(d, 2) for d in gaps[::-1]], half_traces)
     with np.errstate(over="ignore"):
         omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
                   for h, e in half_traces]
@@ -221,27 +224,31 @@ def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
 def transmission_ucp_batch(specs: Sequence[UcpSpec], ks: Sequence[float]) -> list[ScatterResult]:
     """Closed-form transmission at each point (specs[i], ks[i]), in input order.
 
-    Points of a common stage G run the doubling together (see _repetition);
-    each result equals the one-point transmission_ucp(specs[i], ks[i]).
+    Every point runs in one pass of the doubling (see _repetition), whatever
+    its stage: highest stage first, each point joins at its own order G.
+    Each result equals the one-point transmission_ucp(specs[i], ks[i]).
     """
     if len(specs) != len(ks):
         raise ValueError(f"len(specs)={len(specs)} and len(ks)={len(ks)} must match")
+    tables = [_stage_table(spec) for spec in specs]
     k = np.asarray(ks, dtype=float)
-    stages: dict[int, list[int]] = {}  # G -> indices of its points, in input order
-    for i, spec in enumerate(specs):
-        stages.setdefault(spec.G, []).append(i)
-    results: list[ScatterResult] = [None] * len(specs)
-    for G, idx in stages.items():
-        tables = [_stage_table(specs[i]) for i in idx]
-        V = np.array([specs[i].V for i in idx], dtype=float)
-        l_G = np.array([t.l_G for t in tables], dtype=float)
-        if not l_G.all():  # a table cut short where l_g underflowed: its barrier is refused
-            _barrier_rows(k[idx], V, l_G)
-        gaps = np.array([t.gaps for t in tables], dtype=float).reshape(len(idx), G).T
-        block, exp2, _ = _repetition(k[idx], V, l_G, [(d, 2) for d in gaps[::-1]])  # d_G first
-        for i, res in zip(idx, _results(block[2], block[3], exp2)):
-            results[i] = res
-    return results
+    # checks each point in input order; past it every l_G > 0, so no table is cut short
+    barrier = _barrier_rows(k, np.array([s.V for s in specs], dtype=float),
+                            np.array([t.l_G for t in tables], dtype=float))
+    distinct = {id(t): t for t in tables}  # the points of a spec share its cached table
+    sizes = [len(t.gaps) for t in distinct.values()]
+    gaps = np.fromiter(chain.from_iterable(t.gaps for t in distinct.values()), float, sum(sizes))
+    offset = dict(zip(distinct, (np.cumsum(sizes) - sizes).tolist()))  # where a table's gaps start
+    minus_G = -np.array([s.G for s in specs], dtype=np.int64)
+    # highest stage first: the points still running at order g, G_i >= g, are a prefix
+    order = np.argsort(minus_G, kind="stable")
+    first = np.array([offset[id(t)] for t in tables], dtype=np.int64)[order]  # d_g at first + g - 1
+    minus_G = minus_G[order]
+    orders = ((gaps[first[:np.searchsorted(minus_G, -g, side="right")] + (g - 1)], 2)
+              for g in range(-int(minus_G[0]) if k.size else 0, 0, -1))  # d_G first
+    block, exp2 = _repetition(k[order], barrier[:, order], orders)
+    back = np.argsort(order)
+    return _results(block[2][back], block[3][back], exp2[back])
 
 
 def _each(fn, x: np.ndarray) -> np.ndarray:
@@ -252,18 +259,19 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
 
 def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
     """Real parts of _barrier_terms at each point, one row per term; V and
-    width broadcast against k.  Checks each k, in order."""
+    width broadcast against k.  Checks each point, in order; the terms are
+    read as they are made, not held as objects."""
     k, V, width = np.broadcast_arrays(k, V, width)
-    terms = [_barrier_terms(*point) for point in zip(k.tolist(), V.tolist(), width.tolist())]
-    return np.array(terms, dtype=complex).reshape(k.size, 4).real.T
+    terms = chain.from_iterable(map(_barrier_terms, k.tolist(), V.tolist(), width.tolist()))
+    return np.fromiter(terms, complex, 4 * k.size).reshape(k.size, 4).real.T
 
 
 def _rescaled(block: tuple, exp2: np.ndarray) -> tuple[tuple, np.ndarray]:
     """block and exp2 with every point whose block size left [_RESCALE_BELOW,
     _RESCALE_AT] scaled by a power of two, its largest entry into [1/2, 1)."""
     o, p, q, r, b = block
-    size = (abs(o + p), abs(q), abs(r), abs(b))
-    total = size[0] + size[1] + size[2] + size[3]
+    size = (abs(o), abs(o + p), abs(q), abs(r), abs(b))  # o alone can overflow o1 * o2
+    total = size[0] + size[1] + size[2] + size[3] + size[4]
     off = (total > _RESCALE_AT) | (total < _RESCALE_BELOW)
     if off.any():
         e = np.where(off, np.frexp(np.maximum.reduce(size))[1], 0)
@@ -288,48 +296,61 @@ def _power(cell: tuple, exp2: np.ndarray, m: int) -> tuple[tuple, np.ndarray]:
         cell, exp2 = _rescaled(_block_product(cell, cell), exp2 + exp2)
 
 
-def _repetition(k: np.ndarray, V, width,
-                orders: Sequence[tuple]) -> tuple[tuple, np.ndarray, list]:
-    """Transfer block of a super-periodic arrangement of one barrier (V, width)
-    at each point k; V and width broadcast against k.
+def _joined(block: tuple, exp2: np.ndarray, start: tuple, n: int) -> tuple[tuple, np.ndarray]:
+    """block and exp2 over the first n points: those past the block's join as
+    their barrier, start, with exp2 = 0."""
+    m = exp2.size
+    if n == m:
+        return block, exp2
+    return (tuple(np.concatenate((x, s[m:n])) for x, s in zip(block, start)),
+            np.concatenate((exp2, np.zeros(n - m))))
 
-    orders holds (gap, N) per order f = 1..g, gap an array over the points or
-    one value: the block starts as the barrier, and at each order
-    cell = block . gap(d_f) and block = cell**(N_f - 1) . block, N_f >= 1
-    (Jaggard & Sun, Opt. Lett. 1990).  The doubling (N_f = 2) takes two
-    products per order and loses no digits to cancellation.  A block is the
-    real transfer matrix [[A, kB], [C/k, D]] of (psi, psi'/k), held as
-    (o, p, q, r, b) with A = o + p + q, D = o + p - q, kB = b and
-    C/k = 2r - b.  The identity part o is kept apart, so a block much thinner
-    than a wavelength keeps its deviation from I; kB is kept itself, so it
-    keeps its digits where C/k is far larger (k**2 << V); m12 = q - i r in the
-    plane-wave basis, so R keeps its digits at T ~ 1; and o + p is the
-    half-trace.  The block is rescaled by a power of two at each order, and
-    every product of the powering as it is formed, when its size leaves
-    [_RESCALE_BELOW, _RESCALE_AT].
 
-    Returns the final block, exp2 (the true block is 2**exp2 * block) and,
-    per order, (half-trace of the cell, its exp2).  Each entry is an array
-    over the points: numpy does the + - x, the rescale test and the rescale;
-    sines are taken per element by math.sin, so every point gets the bits of
-    a one-point call.
+def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
+                half_traces: list | None = None) -> tuple[tuple, np.ndarray]:
+    """Transfer block of a super-periodic arrangement of one barrier at each
+    point k, barrier its rows from _barrier_rows.
+
+    orders holds (gap, N) per order f = 1..g: the block starts as the barrier,
+    and at each order cell = block . gap(d_f) and block = cell**(N_f - 1) .
+    block, N_f >= 1 (Jaggard & Sun, Opt. Lett. 1990).  A gap is one value for
+    every point, or an array over the first n points: the points past the
+    block's join it there as their barrier, so each point runs its own
+    number of orders, and those past the last order's join at the end.  The
+    doubling (N_f = 2) takes two products per order and loses no digits to
+    cancellation.  A block is the real transfer matrix [[A, kB], [C/k, D]] of
+    (psi, psi'/k), held as (o, p, q, r, b) with A = o + p + q, D = o + p - q,
+    kB = b and C/k = 2r - b.  The identity part o is kept apart, so a block
+    much thinner than a wavelength keeps its deviation from I; kB is kept
+    itself, so it keeps its digits where C/k is far larger (k**2 << V);
+    m12 = q - i r in the plane-wave basis, so R keeps its digits at T ~ 1;
+    and o + p is the half-trace.  The block is rescaled by a power of two at
+    each order, and every product of the powering as it is formed, when its
+    size leaves [_RESCALE_BELOW, _RESCALE_AT].
+
+    Returns the final block and exp2 (the true block is 2**exp2 * block),
+    and appends (half-trace of the cell, its exp2) per order to half_traces
+    when it is given.  Each entry is an array over the points: numpy does
+    the + - x, the rescale test and the rescale; sines are taken per element
+    by math.sin, so every point gets the bits of a one-point call.
     """
-    cos_m1, k_sin, em_sin, _ = _barrier_rows(k, V, width)  # checks k
-    block = (np.ones(k.size), cos_m1, np.zeros(k.size), em_sin, k_sin)
+    cos_m1, k_sin, em_sin, _ = barrier
+    start = (np.ones(k.size), cos_m1, np.zeros(k.size), em_sin, k_sin)
     # exp2 is held as a float, which unlike an int64 cannot wrap: the doubling
     # doubles it at every order
-    exp2 = np.zeros(k.size)
-    half_traces = []
+    block, exp2 = tuple(x[:0] for x in start), np.zeros(0)
     for d, n in orders:
-        block, exp2 = _rescaled(block, exp2)
-        kd = k * d
+        points = np.size(d) if np.ndim(d) else k.size
+        block, exp2 = _rescaled(*_joined(block, exp2, start, points))
+        kd = k[:points] * d
         half = _each(math.sin, kd / 2.0)  # the gap is a rotation by kd
         cell = _block_product(block, (1.0, -2.0 * half * half, 0.0, 0.0, _each(math.sin, kd)))
-        half_traces.append((cell[0] + cell[1], exp2))
+        if half_traces is not None:
+            half_traces.append((cell[0] + cell[1], exp2))
         if n > 1:
             power, power_exp2 = _power(cell, exp2, n - 1)
             block, exp2 = _block_product(power, block), power_exp2 + exp2
-    return block, exp2, half_traces
+    return _joined(block, exp2, start, k.size)
 
 
 def _results(q: np.ndarray, r: np.ndarray, exp2: np.ndarray) -> list[ScatterResult]:
@@ -367,5 +388,6 @@ def transmission_spp(
     for n, s in zip(Ns, ss):
         orders.append((s - span, n))
         span = (n - 1) * s + span
-    block, exp2, _ = _repetition(np.array([k], dtype=float), V, width, orders)
+    k = np.array([k], dtype=float)
+    block, exp2 = _repetition(k, _barrier_rows(k, V, width), orders)
     return _results(block[2], block[3], exp2)[0]

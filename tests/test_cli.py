@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from ucpscatter import ScatterResult, saturation_scan, transmission_ucp, UcpSpec
+from ucpscatter import (ScatterResult, saturation_scan, transmission_oracle, transmission_ucp,
+                        UcpSpec)
 from ucpscatter import cli
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
 
@@ -117,6 +118,21 @@ class TestTransmission:
         _, _, rows = parse_csv(text)
         assert rows[1][5] == "nan"
         assert text.splitlines()[-1] == "# max_abs_diff=nan"
+
+    @pytest.mark.parametrize("beta, G", [("-1000", "1"), ("-900", "2")])
+    def test_ratio_past_a_double_matches_the_oracle(self, tmp_path, beta, G):
+        # rho**-beta = 11**1000 overflowed a double: an OverflowError traceback
+        code, text = run(
+            ["transmission", "--L", "1", "--V", "1", "--rho", "11", "--alpha", "2000",
+             "--beta", beta, "--G", G, "--kmin", "1", "--kmax", "2", "--nk", "2"],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        spec = UcpSpec(L=1, V=1, rho=11, alpha=2000, beta=float(beta), G=int(G))
+        _, _, rows = parse_csv(text)
+        for row in rows:
+            oracle = transmission_oracle(spec, float(row[0]))
+            assert abs(float(row[3]) - oracle.log10_transmission) <= 1e-9
 
     def test_zero_height_transmits_everywhere(self, tmp_path):
         _, text = run(

@@ -336,6 +336,25 @@ class TestDeepStages:
         assert time.perf_counter() - start < 1.0
 
 
+class TestRatioPastADouble:
+    """rho**-beta above a double (a large negative beta): each factor of the
+    removal product is the removal fraction itself, where mu * nu**j is inf
+    or 0 * inf."""
+
+    @pytest.mark.parametrize("alpha, beta, G", [(2000, -1000, 1), (2000, -900, 2)])
+    def test_lengths_are_products_of_the_removal_fractions(self, alpha, beta, G):
+        spec = UcpSpec(L=1, V=1, rho=11, alpha=alpha, beta=beta, G=G)
+        prods = [math.prod(1.0 - spec.removal_fraction(j) for j in range(1, g + 1))
+                 for g in range(G + 1)]
+        for g in range(G + 1):
+            assert segment_length(spec, g) == math.ldexp(1.0, -g) * prods[g]
+        assert super_period(spec, 1) == (math.ldexp(1.0, -G) * (1.0 + spec.removal_fraction(G))
+                                         * prods[G - 1])
+        assert _stage_table(spec) == (
+            segment_length(spec, G), tuple(gap_length(spec, g) for g in range(1, G + 1))
+        )
+
+
 class TestBuildSegments:
     @given(valid_specs, st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
