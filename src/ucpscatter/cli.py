@@ -21,7 +21,7 @@ from . import __version__
 from .analysis import fit_scaling, saturation_scan
 from .geometry import InvalidSpecError, UcpSpec, build_segments
 from .oracle import OracleInfeasibleError, transmission_oracle_batch
-from .scattering import transmission_ucp_batch
+from .scattering import _require_positive_k, transmission_ucp_batch
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -202,6 +202,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     betas = _grid_axis(args, "beta")
     rhos = _grid_axis(args, "rho")
     ks = [float(t) for t in str(args.k).split(",")]
+    # L, V, G and k are the same at every point of the cube: a bad one is bad
+    # input, checked once (L, V and G on a Cantor spec, valid at any stage)
+    UcpSpec(L=args.L, V=args.V, rho=2.0, alpha=1.0, beta=0.0, G=args.G)
+    for k in ks:
+        _require_positive_k(k)
 
     lines = [
         f"# L={_fmt(args.L)}",

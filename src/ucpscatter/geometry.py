@@ -5,10 +5,11 @@ g = 1..G, the middle fraction rho**-(alpha + beta*g) of each remaining
 segment.  alpha=1, beta=0 reproduces the general Cantor set; alpha=0, beta=1
 the general Smith-Volterra-Cantor set.
 
-This module provides the closed-form segment/gap/spacing lengths, the
-per-spec table of them that the closed form uses, and the explicit interval
-list.  The removal rule is applied top-down once, in _removal_widths, for
-build_segments and the oracle's region list alike, with the stage cap.
+This module provides the segment/gap/spacing lengths, the per-spec table of
+them that the closed form uses, and the explicit interval list.  The removal
+rule is applied top-down once per spec, in _stage_table: the closed form, the
+length functions, build_segments and the oracle's region list all read its
+width chain.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-from .special import q_pochhammer
 
 __all__ = [
     "InvalidSpecError",
@@ -110,41 +109,49 @@ def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> None:
         raise InvalidSpecError(f"stage index {g} outside [{lowest}, {spec.G}]")
 
 
-def _ratio(spec: UcpSpec) -> float:
-    """rho**-beta, the ratio of consecutive removal fractions, or inf where
-    it exceeds a double (a large negative beta)."""
-    try:
-        return float(spec.rho ** -spec.beta)  # float(): an int rho and beta give an int
-    except OverflowError:
-        return math.inf
+class _StageTable(NamedTuple):
+    widths: tuple[float, ...]  # widths[g] = w_g, g = 0..G, up to the first that is 0
+    gaps: tuple[float, ...]  # gaps[g-1] = d_g, g = 1..len(widths) - 1
+
+    @property
+    def l_G(self) -> float:
+        """Width of each of the 2**G barriers (0 where the chain stopped short)."""
+        return self.widths[-1]
 
 
-def _removal_product(spec: UcpSpec, p: int) -> float:
-    """prod_{j=1..p} (1 - rho**-(alpha + beta*j)) as the q-Pochhammer product
-    (mu; nu)_p, mu = rho**-(alpha+beta) and nu = rho**-beta; where nu is not
-    finite (mu nu**j would be inf or 0 * inf), as the product of the removal
-    fractions themselves."""
-    nu = _ratio(spec)
-    if nu == math.inf:
-        return math.prod(1.0 - spec.removal_fraction(j) for j in range(1, p + 1))
-    return q_pochhammer(spec.rho ** -(spec.alpha + spec.beta), nu, p)
+@functools.lru_cache(maxsize=64)
+def _stage_table(spec: UcpSpec) -> _StageTable:
+    """The removal rule, top-down, once per spec: every stage-g barrier has
+    the width w_g = w_{g-1} (1 - rho**-(alpha + beta*g)) / 2 formed from its
+    parent's (w_0 = L), and the gap opened in it is d_g = w_{g-1}
+    rho**-(alpha + beta*g).  Every length of the module reads this chain.  It
+    stops at the first w_g that underflows to 0: every later length is 0 too,
+    so l_G = 0 and the lengths left out are 0, at any G.
+    """
+    widths, gaps = [spec.L], []
+    for g in range(1, spec.G + 1):
+        w = widths[-1]
+        if w == 0.0:
+            break
+        removed = spec.removal_fraction(g)
+        gaps.append(w * removed)
+        widths.append(w * (1.0 - removed) / 2.0)
+    return _StageTable(tuple(widths), tuple(gaps))
 
 
 def segment_length(spec: UcpSpec, g: int) -> float:
-    """Length l_g of each of the 2**g barrier segments at stage g.
-
-    l_g = (L / 2**g) * prod_{j=1..g} (1 - rho**-(alpha + beta*j)),
-    evaluated through the q-Pochhammer product
-    (rho**-(alpha+beta); rho**-beta)_g.
-    """
+    """Length l_g = w_g of each of the 2**g barrier segments at stage g,
+    (L / 2**g) * prod_{j=1..g} (1 - rho**-(alpha + beta*j))."""
     _check_stage(spec, g)
-    return math.ldexp(spec.L, -g) * _removal_product(spec, g)
+    widths = _stage_table(spec).widths
+    return widths[g] if g < len(widths) else 0.0
 
 
 def gap_length(spec: UcpSpec, g: int) -> float:
     """Gap d_g opened at stage g: l_{g-1} * rho**-(alpha + beta*g)."""
     _check_stage(spec, g, lowest=1)
-    return segment_length(spec, g - 1) * spec.removal_fraction(g)
+    gaps = _stage_table(spec).gaps
+    return gaps[g - 1] if g <= len(gaps) else 0.0
 
 
 def super_period(spec: UcpSpec, f: int) -> float:
@@ -152,71 +159,33 @@ def super_period(spec: UcpSpec, f: int) -> float:
 
     s_f = (L / 2**(G+1-f)) * (1 + rho**-(alpha + beta*(G+1-f)))
           * prod_{j=1..G-f} (1 - rho**-(alpha + beta*j)),
-    equivalently l_{G+1-f} + l_{G-f} * rho**-(alpha + beta*(G+1-f)).
+    taken as l_m + d_m with m = G+1-f.
     """
     _check_stage(spec, f, lowest=1)
     m = spec.G + 1 - f
-    prod = _removal_product(spec, spec.G - f)
-    return math.ldexp(spec.L, -m) * (1.0 + spec.removal_fraction(m)) * prod
+    return segment_length(spec, m) + gap_length(spec, m)
 
 
-class _StageTable(NamedTuple):
-    l_G: float  # width of each of the 2**G barriers
-    gaps: tuple[float, ...]  # gaps[g-1] = d_g, g = 1..G, up to the first l_g that is 0
-
-
-@functools.lru_cache(maxsize=64)
-def _stage_table(spec: UcpSpec) -> _StageTable:
-    """l_G and the gaps d_1..d_G: every length the closed form uses.
-
-    One pass of the q-Pochhammer product: its running value after g factors
-    gives l_g, so each entry has the bits of segment_length and gap_length.
-    The pass stops at the first l_g that underflows to 0: every later length
-    is 0 too, so l_G = 0 and the gaps left out are 0, at any G.  Where
-    rho**-beta is not finite, each factor is the removal fraction itself, as
-    in _removal_product.
-    """
-    mu, nu = spec.rho ** -(spec.alpha + spec.beta), _ratio(spec)
-    prod, factor, gaps = 1.0, mu, []
-    for g in range(1, spec.G + 1):
-        l_prev = math.ldexp(spec.L, 1 - g) * prod  # l_{g-1}
-        if l_prev == 0.0:
-            break
-        removed = spec.removal_fraction(g)
-        gaps.append(l_prev * removed)
-        prod *= 1.0 - (factor if nu < math.inf else removed)
-        factor *= nu
-    return _StageTable(math.ldexp(spec.L, -spec.G) * prod, tuple(gaps))
-
-
-def _removal_widths(spec: UcpSpec) -> tuple[list[float], list[float]]:
-    """The removal rule, top-down: every stage-g barrier has the width
-    w_g = w_{g-1} (1 - rho**-(alpha + beta*g)) / 2 formed from its parent's
-    (w_0 = L), and the gap between the two halves of a stage-(g-1) barrier is
-    w_{g-1} - 2 w_g.  Returns ([w_0..w_G], [gap_1..gap_G]); raises
-    OracleInfeasibleError, the cap on listing every barrier, for G above it.
+def _listed_widths(spec: UcpSpec) -> tuple[float, ...]:
+    """w_0..w_G for listing every barrier.  Raises OracleInfeasibleError, the
+    cap on listing every barrier, for G above it, before anything is listed.
     """
     if spec.G > DEFAULT_STAGE_CAP:
         raise OracleInfeasibleError(f"infeasible: stage G={spec.G} exceeds the cap "
                                     f"{DEFAULT_STAGE_CAP} for listing every barrier")
-    widths, gaps = [spec.L], []
-    for g in range(1, spec.G + 1):
-        w = widths[-1]
-        widths.append(w * (1.0 - spec.removal_fraction(g)) / 2.0)
-        gaps.append(w - 2.0 * widths[-1])
-    return widths, gaps
+    widths = _stage_table(spec).widths
+    return widths + (0.0,) * (spec.G + 1 - len(widths))
 
 
 def build_segments(spec: UcpSpec) -> SegmentGeometry:
     """Explicit interval list of the stage-G system.
 
-    Built top-down from _removal_widths: at stage g each interval at offset
-    off splits into ones at off and off + w_{g-1} - w_g.  The closed forms
-    (segment_length etc.) are cross-checks of this construction, not inputs
-    to it.  Raises OracleInfeasibleError, before anything is allocated, for G
-    above DEFAULT_STAGE_CAP.
+    Built top-down from the width chain of _stage_table, the one the closed
+    form reads: at stage g each interval at offset off splits into ones at
+    off and off + w_{g-1} - w_g.  Raises OracleInfeasibleError, before
+    anything is allocated, for G above DEFAULT_STAGE_CAP.
     """
-    widths, _ = _removal_widths(spec)
+    widths = _listed_widths(spec)
     offsets = [0.0]
     for w, child in zip(widths, widths[1:]):
         offsets = [x for off in offsets for x in (off, off + w - child)]

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_STAGE_CAP, OracleInfeasibleError, UcpSpec, _removal_widths
+from .geometry import DEFAULT_STAGE_CAP, OracleInfeasibleError, UcpSpec, _listed_widths
 from .scattering import (ScatterResult, TransferMatrix, _barrier_rows, _each, _require_positive_k,
                          _results)
 
@@ -54,10 +54,10 @@ def region_sequence(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
     are those of build_segments, bit for bit.  Raises OracleInfeasibleError,
     before anything is allocated, for G above DEFAULT_STAGE_CAP.
     """
-    widths, gaps = _removal_widths(spec)
+    widths = _listed_widths(spec)
     regions = ((widths[-1], True),)
     for g in range(spec.G, 0, -1):  # stage g-1's barrier: two stage-g halves and a gap
-        regions = regions + ((gaps[g - 1], False),) + regions
+        regions = regions + ((widths[g - 1] - 2.0 * widths[g], False),) + regions
     return regions
 
 

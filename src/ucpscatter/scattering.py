@@ -168,10 +168,11 @@ def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
     for a double comes back as +-inf; exact zeros (transmission resonances)
     come back as 0.
     """
-    l_G, gaps = _stage_table(spec)
+    table = _stage_table(spec)
     k = np.array([k], dtype=float)
     half_traces = []
-    _repetition(k, _barrier_rows(k, spec.V, l_G), [(d, 2) for d in gaps[::-1]], half_traces)
+    _repetition(k, _barrier_rows(k, spec.V, table.l_G), [(d, 2) for d in table.gaps[::-1]],
+                half_traces)
     with np.errstate(over="ignore"):
         omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
                   for h, e in half_traces]
@@ -378,14 +379,17 @@ def transmission_spp(
     s_f - width_{f-1}, with width_0 = width and
     width_f = (N_f - 1) s_f + width_{f-1}.  Runs the kernel of the closed
     form (see _repetition); with Ns all 2 and ss the super-periods it is the
-    stage-g system.  Repetition counts must be integers >= 1.
+    stage-g system.  Repetition counts must be integers >= 1 and spacings
+    finite.
     """
     if len(Ns) != len(ss):
         raise ValueError(f"len(Ns)={len(Ns)} and len(ss)={len(ss)} must match")
     if not all(isinstance(n, numbers.Integral) and n >= 1 for n in Ns):
         raise ValueError(f"repetition counts must be integers >= 1, got {list(Ns)}")
     orders, span = [], width
-    for n, s in zip(Ns, ss):
+    for f, (n, s) in enumerate(zip(Ns, ss), 1):
+        if not math.isfinite(s):
+            raise ValueError(f"spacing of order {f} must be finite, got {s}")
         orders.append((s - span, n))
         span = (n - 1) * s + span
     k = np.array([k], dtype=float)

@@ -1,7 +1,8 @@
 """Scalar special-function kernel: the q-Pochhammer product.
 
-It is pure and stateless; the closed-form segment and super-period lengths
-of the geometry module build on it.
+It is pure and stateless.  No module of the package calls it: the geometry
+lengths come from the module's top-down width chain, and the product is the
+tests' reference for that chain.
 """
 
 from __future__ import annotations

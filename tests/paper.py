@@ -19,8 +19,8 @@ from ucpscatter.scattering import _assemble, barrier_matrix
 def gamma1(spec, q):
     """Phase distance gamma_1(q) = -(l_G + d_{G-q+1}); always negative."""
     _check_stage(spec, q, lowest=1)
-    l_G, gaps = _stage_table(spec)
-    return -(l_G + gaps[spec.G - q])
+    table = _stage_table(spec)
+    return -(table.l_G + table.gaps[spec.G - q])
 
 
 def gamma2(spec, q, r):

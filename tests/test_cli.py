@@ -399,6 +399,21 @@ class TestBadInput:
             capsys,
         )
 
+    @pytest.mark.parametrize("arg, kind", [
+        ("--L=-5", "spec"), ("--V=nan", "spec"), ("--G=-1", "spec"), ("--k=-1,nan", "input"),
+    ])
+    def test_grid_bad_input_off_the_axes(self, arg, kind, capsys):
+        # every point of this cube is invalid too: the bad input is reported
+        # as such, not as rows of valid=0
+        fixed = {"--L": "5", "--V": "25", "--G": "3", "--k": "1,2"}
+        del fixed[arg.partition("=")[0]]
+        argv = ["grid", *(f"{flag}={value}" for flag, value in fixed.items()), arg,
+                "--alpha", "0", "--beta", "0", "--rho", "2.5"]
+        assert main(argv) == EXIT_INVALID_SPEC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"invalid {kind}: ")
+
     def test_saturation_zero_kmin(self, capsys):
         self.assert_one_line_exit_2(
             ["saturation", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",

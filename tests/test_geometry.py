@@ -39,6 +39,29 @@ valid_specs = st.builds(
 )
 
 
+def top_down_lengths(spec):
+    """The removal rule one stage at a time, top-down: [l_0..l_G], [d_1..d_G]."""
+    widths, gaps = [spec.L], []
+    for g in range(1, spec.G + 1):
+        frac = spec.removal_fraction(g)
+        gaps.append(widths[-1] * frac)
+        widths.append(widths[-1] * (1.0 - frac) / 2.0)
+    return widths, gaps
+
+
+def lengths_40_digits(spec):
+    """[l_0..l_G] and [d_1..d_G] of the double spec, evaluated with 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        rho, alpha, beta = map(mpmath.mpf, (spec.rho, spec.alpha, spec.beta))
+        widths, gaps = [mpmath.mpf(spec.L)], []
+        for g in range(1, spec.G + 1):
+            frac = rho ** -(alpha + beta * g)
+            gaps.append(widths[-1] * frac)
+            widths.append(widths[-1] * (1 - frac) / 2)
+    return widths, gaps
+
+
 def split_loop_segments(spec):
     """The removal rule as one split per interval and stage: the former
     build_segments, kept as the reference of the one width chain."""
@@ -278,7 +301,8 @@ class TestGammas:
     def test_equal_to_the_length_formulas_bit_for_bit(self, spec):
         G = spec.G
         # the one-pass stage table has the bits of the closed-form lengths
-        assert _stage_table(spec) == (
+        table = _stage_table(spec)
+        assert (table.l_G, table.gaps) == (
             segment_length(spec, G), tuple(gap_length(spec, g) for g in range(1, G + 1))
         )
         for q in range(1, G + 1):
@@ -307,11 +331,26 @@ class TestDeepStages:
     @settings(max_examples=60)
     def test_lengths_keep_their_bits_below_stage_1024(self, spec, g):
         spec = dataclasses.replace(spec, G=g)
-        mu, nu = spec.rho ** -(spec.alpha + spec.beta), spec.rho ** -spec.beta
-        assert segment_length(spec, g) == spec.L / 2.0**g * q_pochhammer(mu, nu, g)
+        widths, gaps = top_down_lengths(spec)
+        assert [segment_length(spec, j) for j in range(g + 1)] == widths
+        assert [gap_length(spec, j) for j in range(1, g + 1)] == gaps
         if g:
-            assert super_period(spec, 1) == (spec.L / 2.0**g * (1.0 + spec.removal_fraction(g))
-                                             * q_pochhammer(mu, nu, g - 1))
+            assert super_period(spec, 1) == widths[g] + gaps[g - 1]
+
+    @given(valid_specs, st.integers(0, 1023))
+    @settings(max_examples=60, deadline=None)
+    def test_lengths_hold_to_40_digits_below_stage_1024(self, spec, g):
+        # the worst over 6000 draws of this strategy is 1.9e-12 for both, at
+        # rho = 1.05, alpha = 0.05, beta = 0: 1 - f cancels, f/(1 - f) ~ 410
+        spec = dataclasses.replace(spec, G=g)
+        widths, gaps = lengths_40_digits(spec)
+        for j in range(g + 1):
+            l_j = segment_length(spec, j)
+            if l_j >= sys.float_info.min:
+                assert abs(l_j / widths[j] - 1) <= 2e-11
+            d_j = gap_length(spec, j) if j else 0.0
+            if d_j >= sys.float_info.min:
+                assert abs(d_j / gaps[j - 1] - 1) <= 2e-11
 
     def test_lengths_past_stage_1024_are_zero(self):
         # 2.0**g overflows a double from g = 1024
@@ -322,12 +361,18 @@ class TestDeepStages:
         assert _stage_table(spec).l_G == 0.0
 
     def test_stage_table_stops_where_l_g_underflows(self):
-        spec = cantor(G=800)  # l_g = 3**-g is 0 in a double from g = 679
+        spec = cantor(G=800)  # the chain rounds l_g = 3**-g to 0 from g = 678
         table = _stage_table(spec)
         n = len(table.gaps)
+        assert n == 678
         assert table.l_G == 0.0 and segment_length(spec, n) == 0.0 < segment_length(spec, n - 1)
         assert table.gaps == tuple(gap_length(spec, g) for g in range(1, n + 1))
         assert all(gap_length(spec, g) == 0.0 for g in range(n + 1, 801))
+
+    def test_every_span_is_zero_from_stage_2099(self):
+        # the widest chain: the largest span, halved exactly at every stage
+        spec = UcpSpec(L=sys.float_info.max, V=1, rho=1e300, alpha=1, beta=0, G=2099)
+        assert segment_length(spec, 2099) == 0.0 < segment_length(spec, 2098)
 
     def test_stage_table_at_a_billion_stages(self):
         start = time.perf_counter()
@@ -337,9 +382,8 @@ class TestDeepStages:
 
 
 class TestRatioPastADouble:
-    """rho**-beta above a double (a large negative beta): each factor of the
-    removal product is the removal fraction itself, where mu * nu**j is inf
-    or 0 * inf."""
+    """rho**-beta above a double (a large negative beta): the lengths are the
+    products of the removal fractions themselves, with no OverflowError."""
 
     @pytest.mark.parametrize("alpha, beta, G", [(2000, -1000, 1), (2000, -900, 2)])
     def test_lengths_are_products_of_the_removal_fractions(self, alpha, beta, G):
@@ -350,9 +394,21 @@ class TestRatioPastADouble:
             assert segment_length(spec, g) == math.ldexp(1.0, -g) * prods[g]
         assert super_period(spec, 1) == (math.ldexp(1.0, -G) * (1.0 + spec.removal_fraction(G))
                                          * prods[G - 1])
-        assert _stage_table(spec) == (
+        table = _stage_table(spec)
+        assert (table.l_G, table.gaps) == (
             segment_length(spec, G), tuple(gap_length(spec, g) for g in range(1, G + 1))
         )
+
+    def test_first_fractions_below_a_double(self):
+        # rho**-(alpha + beta) underflows to 0 while the later fractions grow
+        # to 1/2; a running factor mu * nu**j was 0 throughout and gave
+        # l_G = 1.4724e-31
+        spec = UcpSpec(L=1e300, V=1, rho=2, alpha=1100, beta=-1, G=1099)
+        widths, gaps = lengths_40_digits(spec)
+        assert float(widths[-1]) == pytest.approx(4.2522036048837170e-32, rel=1e-15, abs=0)
+        assert segment_length(spec, spec.G) == pytest.approx(float(widths[-1]), rel=1e-13, abs=0)
+        for g in (1097, 1098, 1099):
+            assert gap_length(spec, g) == pytest.approx(float(gaps[g - 1]), rel=1e-13, abs=0)
 
 
 class TestBuildSegments:

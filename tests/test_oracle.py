@@ -17,6 +17,7 @@ from ucpscatter import (
     transmission_oracle,
     transmission_oracle_batch,
     transmission_ucp,
+    transmission_ucp_batch,
 )
 from ucpscatter.scattering import _assemble, _barrier_terms
 
@@ -211,6 +212,33 @@ class TestTransmissionOracle:
             got = transmission_oracle_batch(spec, [0.13068226511790876, 0.20391286626553243])
         assert [r.log10_transmission for r in got] == pytest.approx(
             [-4917.332228862264, -4916.8293810458545], abs=1e-9)
+
+    @pytest.mark.parametrize("alpha, beta, G", [(1195, -119, 10), (1153, -72, 16)])
+    def test_agrees_with_closed_form_where_the_first_fractions_underflow(self, alpha, beta, G):
+        # rho**-(alpha + beta) is 0 in a double, and the last fraction is
+        # 1/2 or 2**-5: a running factor mu * nu**j gave 0 for every fraction,
+        # and the closed form was 11.2 decades off at G = 16
+        spec = UcpSpec(L=5, V=25, rho=2, alpha=alpha, beta=beta, G=G)
+        ks = [1.0, 4.0, 7.0]
+        want = [r.log10_transmission for r in transmission_oracle_batch(spec, ks)]
+        got = [r.log10_transmission for r in transmission_ucp_batch([spec] * 3, ks)]
+        assert got == pytest.approx(want, abs=1e-9)
+
+    @given(st.floats(1.5, 4), st.integers(2, 10), st.floats(0.5, 6), st.floats(1.01, 1.5),
+           st.floats(0.5, 20), st.floats(-50, 100), st.lists(st.floats(0.2, 15), min_size=1,
+                                                             max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_closed_form_from_a_fraction_below_a_double(self, rho, G, last, past,
+                                                                    L, V, ks):
+        # the exponent falls from alpha + beta, past 1075 log 2 / log rho (so
+        # the first fraction is 0 in a double), to `last` at stage G
+        first = past * 1075 * math.log(2) / math.log(rho)
+        beta = (last - first) / (G - 1)
+        spec = UcpSpec(L=L, V=V, rho=rho, alpha=first - beta, beta=beta, G=G)
+        assert spec.removal_fraction(1) == 0.0
+        want = [r.log10_transmission for r in transmission_oracle_batch(spec, ks)]
+        got = [r.log10_transmission for r in transmission_ucp_batch([spec] * len(ks), ks)]
+        assert got == pytest.approx(want, abs=1e-9)
 
     def test_keeps_digits_at_large_k_times_span(self):
         # k L ~ 3e4: gap widths taken as differences of absolute offsets put the

@@ -255,6 +255,12 @@ class TestTransmissionSpp:
         with pytest.raises(ValueError, match="integers >= 1"):
             transmission_spp(5.0, 1.0, Ns, [1.0] * len(Ns), 1.0)
 
+    @pytest.mark.parametrize("ss", [[math.nan], [1.0, math.inf], [2.0, -math.inf]])
+    def test_spacings_must_be_finite(self, ss):
+        # a NaN spacing gave T = R = nan; an infinite one a math.sin error
+        with pytest.raises(ValueError, match=f"spacing of order {len(ss)} must be finite"):
+            transmission_spp(25.0, 2.0, [2] * len(ss), ss, 1.3)
+
     def test_opaque_stack_keeps_its_digits(self):
         # 180 opaque barriers: the paper's Chebyshev factors overflow a double
         # and give log10 T = -inf; a 60-digit product gives -1142.32406637313722
