@@ -122,14 +122,8 @@ def _k_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _spec_header(spec: UcpSpec) -> list[str]:
-    return [
-        f"# L={_fmt(spec.L)}",
-        f"# V={_fmt(spec.V)}",
-        f"# rho={_fmt(spec.rho)}",
-        f"# alpha={_fmt(spec.alpha)}",
-        f"# beta={_fmt(spec.beta)}",
-        f"# G={spec.G}",
-    ]
+    names = ("L", "V", "rho", "alpha", "beta")
+    return [f"# {name}={_fmt(getattr(spec, name))}" for name in names] + [f"# G={spec.G}"]
 
 
 def _emit(lines: Sequence[str], out: str | None) -> None:
@@ -159,12 +153,8 @@ def cmd_transmission(args: argparse.Namespace) -> int:
         orac = transmission_oracle_batch(spec, ks)
     diffs = []
     for i, (k, primary) in enumerate(zip(ks, closed if closed is not None else orac)):
-        row = [
-            _fmt(k),
-            _fmt(primary.transmission),
-            _fmt(primary.reflection),
-            _fmt(primary.log10_transmission),
-        ]
+        row = [_fmt(x) for x in (k, primary.transmission, primary.reflection,
+                                 primary.log10_transmission)]
         if engine == "both":
             diffs.append(abs(closed[i].transmission - orac[i].transmission))
             row += [_fmt(orac[i].transmission), _fmt(diffs[-1])]
@@ -214,22 +204,23 @@ def cmd_grid(args: argparse.Namespace) -> int:
         f"# G={args.G}",
         "alpha,beta,rho,k,valid,T",
     ]
-    cube = []  # (alpha, beta, rho, spec or None when invalid)
-    for a, b, r in itertools.product(map(float, alphas), map(float, betas), map(float, rhos)):
+    # values are formatted once, by position: a float key misses NaN and merges -0.0 with 0.0
+    axes = [[(x, _fmt(x)) for x in axis.tolist()] for axis in (alphas, betas, rhos)]
+    cube = []  # ("alpha,beta,rho," text, spec or None when invalid)
+    for (a, a_text), (b, b_text), (r, r_text) in itertools.product(*axes):
         try:
             spec = UcpSpec(L=args.L, V=args.V, rho=r, alpha=a, beta=b, G=args.G)
         except InvalidSpecError:
             spec = None
-        cube.append((a, b, r, spec))
-    specs = [spec for *_, spec in cube if spec is not None]
+        cube.append((f"{a_text},{b_text},{r_text},", spec))
+    specs = [spec for _, spec in cube if spec is not None]
     results = iter(transmission_ucp_batch([s for s in specs for _ in ks], ks * len(specs)))
-    for a, b, r, spec in cube:
-        for k in ks:
-            if spec is None:
-                valid, t = "0", ""
-            else:
-                valid, t = "1", _fmt(next(results).transmission)
-            lines.append(",".join([_fmt(a), _fmt(b), _fmt(r), _fmt(k), valid, t]))
+    k_texts = [_fmt(k) for k in ks]
+    for prefix, spec in cube:
+        if spec is None:
+            lines.extend(prefix + k + ",0," for k in k_texts)
+        else:
+            lines.extend(prefix + k + ",1," + _fmt(next(results).transmission) for k in k_texts)
     _emit(lines, args.out)
     return EXIT_OK
 

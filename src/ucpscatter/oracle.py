@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import DEFAULT_STAGE_CAP, OracleInfeasibleError, UcpSpec, _listed_widths
-from .scattering import (ScatterResult, TransferMatrix, _barrier_rows, _each, _require_positive_k,
-                         _results)
+from .scattering import (ScatterResult, TransferMatrix, _barrier_rows, _gap_phase,
+                         _require_positive_k, _results)
 
 __all__ = [
     "OracleInfeasibleError",
@@ -82,9 +82,9 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
 
     Independent of the closed form: the geometry comes from region_sequence
     and the product runs region by region, never using self-similarity.  The
-    product's entries are arrays over k: numpy does the + - x, the rescale
-    test and the rescale; sines and cosines are taken per element by
-    math.sin and math.cos, so each result equals the one-point call.  Raises
+    product's entries are arrays over k: numpy does the + - x, the gaps'
+    cos and sin (its float64 cos and sin round as the C library's, which
+    math.cos and math.sin call), the rescale test and the rescale.  Raises
     OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
     remains available there).
     """
@@ -129,8 +129,8 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
                 factor = (entries[0], entries[1], growth * _SLACK, limit, float(limit.min()),
                           shift)
             else:
-                kd = k * width
-                cos_kd, sin_kd = _each(math.cos, kd), _each(math.sin, kd)
+                kd = _gap_phase(k, width)
+                cos_kd, sin_kd = np.cos(kd), np.sin(kd)
                 factor = (np.array([cos_kd, sin_kd]), np.array([-sin_kd, cos_kd]), _SLACK,
                           None, None, None)
             factors[region] = factor

@@ -252,10 +252,13 @@ def transmission_ucp_batch(specs: Sequence[UcpSpec], ks: Sequence[float]) -> lis
     return _results(block[2][back], block[3][back], exp2[back])
 
 
-def _each(fn, x: np.ndarray) -> np.ndarray:
-    """fn applied element by element: math.sin and math.cos round as the
-    scalar code does, where np.sin and np.cos differ in the last bits."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+def _gap_phase(k: np.ndarray, d) -> np.ndarray:
+    """k*d, the angle of a gap's rotation; ValueError where it overflows, as its sine is NaN."""
+    with np.errstate(over="ignore"):
+        kd = k * d
+    if np.isinf(kd).any():
+        raise ValueError("gap too wide: k*d overflows a double")
+    return kd
 
 
 def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
@@ -332,8 +335,8 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
     Returns the final block and exp2 (the true block is 2**exp2 * block),
     and appends (half-trace of the cell, its exp2) per order to half_traces
     when it is given.  Each entry is an array over the points: numpy does
-    the + - x, the rescale test and the rescale; sines are taken per element
-    by math.sin, so every point gets the bits of a one-point call.
+    the + - x, the sines (its float64 sin rounds as the C library's, which
+    math.sin calls), the rescale test and the rescale.
     """
     cos_m1, k_sin, em_sin, _ = barrier
     start = (np.ones(k.size), cos_m1, np.zeros(k.size), em_sin, k_sin)
@@ -343,9 +346,9 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
     for d, n in orders:
         points = np.size(d) if np.ndim(d) else k.size
         block, exp2 = _rescaled(*_joined(block, exp2, start, points))
-        kd = k[:points] * d
-        half = _each(math.sin, kd / 2.0)  # the gap is a rotation by kd
-        cell = _block_product(block, (1.0, -2.0 * half * half, 0.0, 0.0, _each(math.sin, kd)))
+        kd = _gap_phase(k[:points], d)
+        half = np.sin(kd / 2.0)  # the gap is a rotation by kd
+        cell = _block_product(block, (1.0, -2.0 * half * half, 0.0, 0.0, np.sin(kd)))
         if half_traces is not None:
             half_traces.append((cell[0] + cell[1], exp2))
         if n > 1:

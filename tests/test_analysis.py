@@ -32,21 +32,21 @@ specs_any = st.builds(
 class TestConstantAreaHeight:
     def test_stage_zero_is_v0(self):
         spec = UcpSpec(L=3, V=1, rho=3, alpha=1, beta=0, G=0)
-        assert constant_area_height(spec, 7.5) == pytest.approx(7.5, rel=1e-14)
+        assert constant_area_height(spec, 7.5) == pytest.approx(7.5, rel=1e-14, abs=0)
 
     def test_standard_cantor_growth(self):
         # 2^G barriers of width L/3^G: V_G = V0 * (3/2)^G
         for G in range(7):
             spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=G)
             assert constant_area_height(spec, 2.0) == pytest.approx(
-                2.0 * 1.5**G, rel=1e-12
+                2.0 * 1.5**G, rel=1e-12, abs=0
             )
 
     def test_svc_example(self):
         # rho=4, G=2: 4 barriers of width 45/256 -> V_2 = V0 * 256/180
         spec = UcpSpec(L=1, V=1, rho=4, alpha=0, beta=1, G=2)
         assert constant_area_height(spec, 10.0) == pytest.approx(
-            2560 / 180, rel=1e-13
+            2560 / 180, rel=1e-13, abs=0
         )
 
     def test_rejects_nonpositive_v0(self):
@@ -64,14 +64,14 @@ class TestConstantAreaHeight:
     def test_area_is_conserved_past_stage_512(self):
         spec = UcpSpec(L=1, V=1, rho=2.5, alpha=0.5, beta=1, G=600)
         area = math.ldexp(segment_length(spec, spec.G), spec.G) * constant_area_height(spec, 10.0)
-        assert area == pytest.approx(10.0, rel=1e-12)
+        assert area == pytest.approx(10.0, rel=1e-12, abs=0)
 
     @given(specs_any, st.floats(0.01, 50))
     @settings(max_examples=100)
     def test_area_is_conserved(self, spec, v0):
         v_g = constant_area_height(spec, v0)
         area = 2.0**spec.G * segment_length(spec, spec.G) * v_g
-        assert area == pytest.approx(spec.L * v0, rel=1e-12)
+        assert area == pytest.approx(spec.L * v0, rel=1e-12, abs=0)
 
 
 class TestReflectionAsymptote:
@@ -105,7 +105,7 @@ class TestReflectionAsymptote:
         ks = np.logspace(math.log10(3.0), math.log10(30.0), 5) * math.sqrt(10.0 * v_g)
         for k, exact in zip(ks, transmission_ucp_batch([scaled] * len(ks), ks)):
             assert reflection_asymptote(spec, 10.0, float(k)) == pytest.approx(
-                exact.reflection, rel=1e-4)
+                exact.reflection, rel=1e-4, abs=0)
 
     def test_guard_violation(self):
         spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)
@@ -118,7 +118,7 @@ class TestReflectionAsymptote:
         spec = UcpSpec(L=2, V=1, rho=3, alpha=1, beta=0, G=0)
         k = 40.0
         assert reflection_asymptote(spec, 5.0, k) == pytest.approx(
-            (5.0 * 2.0 / 2.0) ** 2 / k**2, rel=1e-13
+            (5.0 * 2.0 / 2.0) ** 2 / k**2, rel=1e-13, abs=0
         )
 
 
@@ -212,7 +212,7 @@ class TestSaturationScan:
             )
             for k in ks
         )
-        assert report.metrics[0] == pytest.approx(direct, rel=1e-14)
+        assert report.metrics[0] == pytest.approx(direct, rel=1e-14, abs=0)
 
     def test_rejects_mismatched_parameters(self):
         a = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=1)

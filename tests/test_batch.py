@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ucpscatter.scattering as scattering
+from ucpscatter.geometry import _stage_table
 from ucpscatter import (
     UcpSpec,
     transmission_oracle,
@@ -158,6 +159,38 @@ def test_oracle_batch_equals_one_point_calls_and_the_closed_form(spec, ks):
     closed = transmission_ucp_batch([spec] * len(ks), ks)
     for a, b in zip(closed, single):
         assert abs(a.log10_transmission - b.log10_transmission) <= 1e-9
+
+
+# stages deep enough for gaps far below any wavelength, down to where the width chain stops
+@given(specs(700, max_span=1e3), st.lists(wavenumbers, min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_numpy_sin_and_cos_round_as_math(spec, ks):
+    gaps = np.array(_stage_table(spec).gaps)
+    kd = np.multiply.outer(np.array(ks), gaps).ravel()
+    for x in (kd, kd / 2.0):
+        for fn in ("sin", "cos"):
+            got = getattr(np, fn)(x)
+            want = np.array([getattr(math, fn)(v) for v in x.tolist()])
+            differ = got.view(np.int64) != want.view(np.int64)
+            assert not differ.any(), (
+                f"np.{fn} and math.{fn} differ in bits at {x[differ][:4].tolist()}: both "
+                "engines take their gap rotations from np.sin and np.cos and rely on numpy "
+                "rounding as the C library's sin and cos, which math calls; the bit-for-bit "
+                "checks against math-based references (PRODUCT_CASES) rest on this")
+
+
+def test_gap_phase_past_a_double_raises():
+    # kappa*l_1 = 5e298 fits, but k*d_1 = 1e309 does not: np.sin would give NaN
+    spec = UcpSpec(L=1e308, V=1, rho=2, alpha=1.4426950409e-10, beta=0, G=1)
+    assert 0.0 <= transmission_ucp(spec, 1.0).transmission <= 1.0
+    assert 0.0 <= transmission_oracle(spec, 1.0).transmission <= 1.0
+    with pytest.raises(ValueError, match="gap too wide"):
+        transmission_ucp_batch([spec, spec], [1.0, 10.0])
+    with pytest.raises(ValueError, match="gap too wide"):
+        transmission_oracle_batch(spec, [1.0, 10.0])
+    assert 0.0 <= scattering.transmission_spp(1.0, 1.0, [2], [1e308], 1.0).transmission <= 1.0
+    with pytest.raises(ValueError, match="gap too wide"):
+        scattering.transmission_spp(1.0, 1.0, [2], [1e308], 2.0)
 
 
 def test_opaque_point_raises():

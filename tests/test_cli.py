@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -5,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from ucpscatter import (ScatterResult, saturation_scan, transmission_oracle, transmission_ucp,
-                        UcpSpec)
+from ucpscatter import (InvalidSpecError, ScatterResult, saturation_scan, transmission_oracle,
+                        transmission_ucp, UcpSpec)
 from ucpscatter import cli
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
 
@@ -262,6 +263,38 @@ class TestGrid:
         assert len(rows) == 2 * 3 * 2 * 3
 
 
+    @pytest.mark.parametrize("axes", [
+        # the invalid alpha = beta = 0 corner, with 0, 0.5 and 1 on both axes
+        {"alpha": [0.0, 0.5, 1.0], "beta": [0.0, 0.5, 1.0], "rho": [2.5, 4.0]},
+        {"alpha": [-0.0], "beta": [0.0, 1.0], "rho": [3.0]},  # -0.0 prints as -0
+        {"alpha": [0.5, 1.0], "beta": [math.nan], "rho": [2.5]},
+    ])
+    def test_bytes_match_rows_formatted_value_by_value(self, tmp_path, axes):
+        ks = [0.5, 2.5, 6.0]
+        argv = ["grid", "--L", "5", "--V", "25", "--G", "3", "--k", "0.5,2.5,6"]
+        for name, values in axes.items():
+            if len(values) == 1:
+                argv += [f"--{name}", repr(values[0])]
+            else:
+                argv += [f"--{name}-range", f"{values[0]!r}:{values[-1]!r}:{len(values)}"]
+        code, text = run(argv, tmp_path)
+        assert code == EXIT_OK
+        lines = ["# L=5", "# V=25", "# G=3", "alpha,beta,rho,k,valid,T"]
+        for a, b, rho in itertools.product(axes["alpha"], axes["beta"], axes["rho"]):
+            try:
+                spec = UcpSpec(L=5, V=25, rho=rho, alpha=a, beta=b, G=3)
+            except InvalidSpecError:
+                spec = None
+            for k in ks:
+                cells = [format(x, ".17g") for x in (a, b, rho, k)]
+                if spec is None:
+                    cells += ["0", ""]
+                else:
+                    cells += ["1", format(transmission_ucp(spec, k).transmission, ".17g")]
+                lines.append(",".join(cells))
+        assert text == "\n".join(lines) + "\n"
+
+
 class TestGeometry:
     def test_standard_cantor_stage1(self, tmp_path):
         code, text = run(
@@ -490,6 +523,18 @@ class TestBadInput:
              "--engine", engine],
             capsys,
         )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("engine", ["closed_form", "oracle"])
+    def test_gap_phase_past_a_double(self, capsys, engine):
+        # k*d_1 = 1e309 at k = 10: its sine would be a NaN
+        err = self.assert_one_line_exit_2(
+            ["transmission", "--L", "1e308", "--V", "1", "--rho", "2", "--alpha",
+             "1.4426950409e-10", "--beta", "0", "--G", "1", "--kmin", "1", "--kmax", "10",
+             "--nk", "2", "--engine", engine],
+            capsys,
+        )
+        assert "gap too wide" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         self.assert_one_line_exit_2(

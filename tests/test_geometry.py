@@ -172,25 +172,25 @@ class TestSegmentLength:
     def test_standard_cantor_thirds(self):
         spec = cantor(G=8)
         for g in range(9):
-            assert segment_length(spec, g) == pytest.approx(3.0**-g, rel=1e-13)
+            assert segment_length(spec, g) == pytest.approx(3.0**-g, rel=1e-13, abs=0)
 
     def test_svc_hand_product(self):
         # (1/4) * (3/4) * (15/16)
-        assert segment_length(svc(), 2) == pytest.approx(45 / 256, rel=1e-14)
+        assert segment_length(svc(), 2) == pytest.approx(45 / 256, rel=1e-14, abs=0)
 
     def test_general_cantor_closed_form(self):
         for rho in (2.1, 3.0, 5.0):
             spec = UcpSpec(L=1, V=1, rho=rho, alpha=1, beta=0, G=25)
             for g in range(26):
                 expected = ((rho - 1) / (2 * rho)) ** g
-                assert segment_length(spec, g) == pytest.approx(expected, rel=1e-12)
+                assert segment_length(spec, g) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_svc_closed_form(self):
         for rho in (3.0, 4.0, 6.0):
             spec = UcpSpec(L=1, V=1, rho=rho, alpha=0, beta=1, G=25)
             for g in range(26):
                 expected = 2.0**-g * math.prod(1 - rho**-j for j in range(1, g + 1))
-                assert segment_length(spec, g) == pytest.approx(expected, rel=1e-12)
+                assert segment_length(spec, g) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_pochhammer_ratio_form(self):
         # for alpha != 0 the product also equals
@@ -205,7 +205,7 @@ class TestSegmentLength:
                 / (ra - 1.0)
                 * q_pochhammer(1.0 / ra, spec.rho**-spec.beta, g + 1)
             )
-            assert segment_length(spec, g) == pytest.approx(alt, rel=1e-12)
+            assert segment_length(spec, g) == pytest.approx(alt, rel=1e-12, abs=0)
 
     def test_rejects_stage_out_of_range(self):
         with pytest.raises(InvalidSpecError):
@@ -216,14 +216,14 @@ class TestGapLength:
     def test_standard_cantor_gap_equals_segment(self):
         spec = cantor(G=6)
         for g in range(1, 7):
-            assert gap_length(spec, g) == pytest.approx(3.0**-g, rel=1e-13)
+            assert gap_length(spec, g) == pytest.approx(3.0**-g, rel=1e-13, abs=0)
 
     def test_svc_first_gap(self):
-        assert gap_length(svc(G=1), 1) == pytest.approx(0.25, rel=1e-14)
+        assert gap_length(svc(G=1), 1) == pytest.approx(0.25, rel=1e-14, abs=0)
 
     def test_direct_formula(self):
         spec = UcpSpec(L=5, V=1, rho=2.5, alpha=0.5, beta=1, G=1)
-        assert gap_length(spec, 1) == pytest.approx(5 * 2.5**-1.5, rel=1e-14)
+        assert gap_length(spec, 1) == pytest.approx(5 * 2.5**-1.5, rel=1e-14, abs=0)
 
     @given(valid_specs)
     def test_monotone_decreasing_for_positive_beta(self, spec):
@@ -237,13 +237,13 @@ class TestSuperPeriod:
     def test_top_order_no_product_term(self):
         spec = UcpSpec(L=2, V=1, rho=2.2, alpha=0.8, beta=0.4, G=5)
         expected = spec.L / 2 * (1 + spec.rho ** -(spec.alpha + spec.beta))
-        assert super_period(spec, spec.G) == pytest.approx(expected, rel=1e-13)
+        assert super_period(spec, spec.G) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_standard_cantor_stage2(self):
-        assert super_period(cantor(G=2), 1) == pytest.approx(2 / 9, rel=1e-13)
+        assert super_period(cantor(G=2), 1) == pytest.approx(2 / 9, rel=1e-13, abs=0)
 
     def test_svc_stage1(self):
-        assert super_period(svc(G=1), 1) == pytest.approx(5 / 8, rel=1e-14)
+        assert super_period(svc(G=1), 1) == pytest.approx(5 / 8, rel=1e-14, abs=0)
 
     @given(valid_specs)
     @settings(max_examples=60)
@@ -254,7 +254,7 @@ class TestSuperPeriod:
             expected = segment_length(spec, m) + segment_length(
                 spec, m - 1
             ) * spec.rho ** -(spec.alpha + spec.beta * m)
-            assert super_period(spec, f) == pytest.approx(expected, rel=1e-12)
+            assert super_period(spec, f) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestGammas:
@@ -265,28 +265,28 @@ class TestGammas:
         spec = cantor(G=4)
         for q in range(1, 5):
             expected = -spec.L / 3.0**spec.G * (1 + 3.0 ** (q - 1))
-            assert gamma1(spec, q) == pytest.approx(expected, rel=1e-12)
+            assert gamma1(spec, q) == pytest.approx(expected, rel=1e-12, abs=0)
             assert gamma1(spec, q) < 0
 
     def test_gamma1_direct_substitution(self):
         spec = UcpSpec(L=3, V=1, rho=2.5, alpha=0.5, beta=1, G=3)
         expected = -(segment_length(spec, 3) + gap_length(spec, 3))
-        assert gamma1(spec, 1) == pytest.approx(expected, rel=1e-14)
+        assert gamma1(spec, 1) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_gamma1_svc_value(self):
         # -(l_2 + d_1) for the standard SVC at G=2
-        assert gamma1(svc(), 2) == pytest.approx(-(45 / 256 + 1 / 4), rel=1e-13)
+        assert gamma1(svc(), 2) == pytest.approx(-(45 / 256 + 1 / 4), rel=1e-13, abs=0)
 
     def test_gamma2_svc_value(self):
         # d_2 - d_1 = 3/128 - 1/4
-        assert gamma2(svc(), 2, 1) == pytest.approx(3 / 128 - 1 / 4, rel=1e-13)
+        assert gamma2(svc(), 2, 1) == pytest.approx(3 / 128 - 1 / 4, rel=1e-13, abs=0)
 
     def test_gamma2_standard_cantor_closed_form(self):
         spec = cantor(G=5)
         for q in range(2, 6):
             for r in range(1, q):
                 expected = spec.L / 3.0 ** (spec.G - r + 1) * (1 - 3.0 ** (q - r))
-                assert gamma2(spec, q, r) == pytest.approx(expected, rel=1e-12)
+                assert gamma2(spec, q, r) == pytest.approx(expected, rel=1e-12, abs=0)
 
     @given(valid_specs)
     @settings(max_examples=60)

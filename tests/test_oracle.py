@@ -96,8 +96,8 @@ class TestPropagationMatrix:
         b = propagation_matrix(1.7, 1.1)
         c = propagation_matrix(1.7, 1.5)
         prod = a @ b
-        assert prod.m11 == pytest.approx(c.m11, rel=1e-14)
-        assert prod.m22 == pytest.approx(c.m22, rel=1e-14)
+        assert prod.m11 == pytest.approx(c.m11, rel=1e-14, abs=0)
+        assert prod.m22 == pytest.approx(c.m22, rel=1e-14, abs=0)
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ class TestRegionSequence:
         assert kinds[0] and kinds[-1]
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
         assert sum(kinds) == 2**spec.G
-        assert math.fsum(width for width, _ in regions) == pytest.approx(spec.L, rel=1e-12)
+        assert math.fsum(width for width, _ in regions) == pytest.approx(spec.L, rel=1e-12, abs=0)
         assert all(width > 0 for width, _ in regions)
 
     @given(small_specs)
@@ -156,7 +156,7 @@ class TestTransmissionOracle:
         spec = UcpSpec(L=1.5, V=12, rho=3, alpha=1, beta=0, G=0)
         for k in (0.7, 2.0, 3.4641, 8.0):
             assert transmission_oracle(spec, k).transmission == pytest.approx(
-                transmission_ucp(spec, k).transmission, rel=1e-12
+                transmission_ucp(spec, k).transmission, rel=1e-12, abs=0
             )
 
     @given(small_specs, st.floats(0.2, 15))
@@ -180,7 +180,7 @@ class TestTransmissionOracle:
         k = 0.5
         a = transmission_oracle(spec, k)
         b = transmission_ucp(spec, k)
-        assert a.log10_transmission == pytest.approx(b.log10_transmission, rel=1e-9)
+        assert a.log10_transmission == pytest.approx(b.log10_transmission, rel=1e-9, abs=0)
 
     def test_zero_height(self):
         spec = UcpSpec(L=4, V=0, rho=2.5, alpha=0.5, beta=1, G=3)

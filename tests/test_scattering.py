@@ -41,12 +41,12 @@ class TestBarrierMatrix:
     def test_kappa_zero_limit(self):
         # at E = V the off-diagonal magnitude tends to k*w/2
         m = barrier_matrix(5.0, 25.0, 1.0)
-        assert abs(m.m12) == pytest.approx(2.5, rel=1e-12)
+        assert abs(m.m12) == pytest.approx(2.5, rel=1e-12, abs=0)
 
     def test_tunneling_single_barrier(self):
         m = barrier_matrix(3.0, 25.0, 0.5)
         t = 1.0 / abs(m.m22) ** 2
-        assert t == pytest.approx(single_barrier_transmission(3.0, 25.0, 0.5), rel=1e-12)
+        assert t == pytest.approx(single_barrier_transmission(3.0, 25.0, 0.5), rel=1e-12, abs=0)
 
     def test_symmetry_structure(self):
         m = barrier_matrix(1.7, 6.0, 0.9)
@@ -83,7 +83,7 @@ class TestBlochSequence:
         gamma_1 = -(segment_length(spec, 1) + gap_length(spec, 1))
         expected = abs(cell.m22) * math.cos(theta - k * gamma_1)
         seq = bloch_sequence(spec, k)
-        assert seq.omegas[0] == pytest.approx(expected, rel=1e-13)
+        assert seq.omegas[0] == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_stage_two_matches_hand_expansion(self):
         spec = UcpSpec(L=2, V=15, rho=2.5, alpha=0.5, beta=1, G=2)
@@ -94,8 +94,8 @@ class TestBlochSequence:
         w1 = amp * math.cos(theta - k * -(l_2 + d_2))
         w2 = 2 * amp * math.cos(theta - k * -(l_2 + d_1)) * w1 - math.cos(k * (d_2 - d_1))
         seq = bloch_sequence(spec, k)
-        assert seq.omegas[0] == pytest.approx(w1, rel=1e-13)
-        assert seq.omegas[1] == pytest.approx(w2, rel=1e-12)
+        assert seq.omegas[0] == pytest.approx(w1, rel=1e-13, abs=0)
+        assert seq.omegas[1] == pytest.approx(w2, rel=1e-12, abs=0)
 
     def test_reality_against_complex_path(self):
         # re-derive each Omega keeping m22 complex; imaginary residue must vanish
@@ -145,7 +145,7 @@ class TestTransmissionUcp:
         spec = UcpSpec(L=1, V=10, rho=3, alpha=1, beta=0, G=0)
         res = transmission_ucp(spec, 2.0)
         assert res.transmission == pytest.approx(
-            single_barrier_transmission(2.0, 10.0, 1.0), rel=1e-12
+            single_barrier_transmission(2.0, 10.0, 1.0), rel=1e-12, abs=0
         )
 
     def test_unitarity(self):
@@ -187,7 +187,8 @@ class TestTransmissionSpp:
     def test_order_zero_single_cell(self):
         unit = barrier_matrix(2.0, 10.0, 1.0)
         res = transmission_spp(10.0, 1.0, [], [], 2.0)
-        assert res.transmission == pytest.approx(1.0 / (1.0 + abs(unit.m12) ** 2), rel=1e-13)
+        want = 1.0 / (1.0 + abs(unit.m12) ** 2)
+        assert res.transmission == pytest.approx(want, rel=1e-13, abs=0)
 
     @given(
         st.floats(0.1, 20),
@@ -218,7 +219,7 @@ class TestTransmissionSpp:
         ss = [2.0 * spec.L / 3.0 ** (spec.G + 1 - f) for f in range(1, spec.G + 1)]
         spp = transmission_spp(spec.V, segment_length(spec, spec.G), [2] * spec.G, ss, k)
         ucp = transmission_ucp(spec, k)
-        assert spp.transmission == pytest.approx(ucp.transmission, rel=1e-10)
+        assert spp.transmission == pytest.approx(ucp.transmission, rel=1e-10, abs=0)
 
     def test_svc_super_period_closed_form_drives_same_result(self):
         spec = UcpSpec(L=1, V=25, rho=4, alpha=0, beta=1, G=3)
@@ -232,7 +233,7 @@ class TestTransmissionSpp:
         ss = [lg(G + 1 - f) + lg(G - f) * 4.0 ** -(G + 1 - f) for f in range(1, G + 1)]
         spp = transmission_spp(spec.V, lg(G), [2] * G, ss, k)
         ucp = transmission_ucp(spec, k)
-        assert spp.transmission == pytest.approx(ucp.transmission, rel=1e-10)
+        assert spp.transmission == pytest.approx(ucp.transmission, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("k", [0.3, 2.0, 6.1, 40.0])
     def test_four_copies_are_two_doublings(self, k):
@@ -312,4 +313,5 @@ class TestPerSpecTable:
             # the generic engine takes its spacings from super_period, not the table
             ss = [super_period(spec, f) for f in range(1, spec.G + 1)]
             spp = transmission_spp(spec.V, segment_length(spec, spec.G), [2] * spec.G, ss, k)
-            assert res.log10_transmission == pytest.approx(spp.log10_transmission, rel=1e-10)
+            want = spp.log10_transmission
+            assert res.log10_transmission == pytest.approx(want, rel=1e-10, abs=0)

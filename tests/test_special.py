@@ -52,7 +52,7 @@ class TestQPochhammer:
 
     def test_third_ratio(self):
         # nu = 1 makes every factor (1 - 1/3)
-        assert q_pochhammer(1 / 3, 1.0, 4) == pytest.approx((2 / 3) ** 4, rel=1e-14)
+        assert q_pochhammer(1 / 3, 1.0, 4) == pytest.approx((2 / 3) ** 4, rel=1e-14, abs=0)
 
     def test_rejects_negative_p(self):
         with pytest.raises(ValueError):
