@@ -10,8 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, _stage_table
-from .scattering import bloch_sequence, transmission_ucp_batch
+from .geometry import UcpSpec
+from .scattering import _require_k_window, bloch_sequence, transmission_ucp_batch
 
 __all__ = [
     "ScalingFit",
@@ -60,7 +60,7 @@ def constant_area_height(spec: UcpSpec, V0: float) -> float:
     """
     if not V0 > 0.0:
         raise ValueError(f"V0 must be positive, got {V0}")
-    l_G = _stage_table(spec).l_G
+    l_G = spec.width_chain.l_G
     if l_G == 0.0:
         raise ValueError(f"barrier width l_G underflows a double at G={spec.G}")
     height = spec.L * V0 / math.ldexp(l_G, spec.G)
@@ -81,7 +81,7 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
         raise ValueError(
             f"asymptote guard violated: V_G/k^2 = {v_g / (k * k):.3g} >= {_ASYMPTOTE_GUARD}"
         )
-    l_g = _stage_table(spec).l_G
+    l_g = spec.width_chain.l_G
     seq = bloch_sequence(dataclasses.replace(spec, V=v_g), k)
     prod = 1.0
     for w in seq.omegas:
@@ -114,8 +114,7 @@ def fit_scaling(
     in the Born regime is -2.
     """
     k_min, k_max = k_window
-    if not 0.0 < k_min < k_max:
-        raise ValueError(f"bad k window {k_window}")
+    _require_k_window(k_min, k_max)
     if n_points < 50:
         raise ValueError(f"n_points must be >= 50, got {n_points}")
     scaled = dataclasses.replace(spec, V=constant_area_height(spec, V0))
@@ -154,6 +153,8 @@ def saturation_scan(specs: Sequence[UcpSpec], k_grid: Sequence[float]) -> Satura
     """
     if len(specs) < 2:
         raise ValueError("need at least two stages to compare")
+    if not len(k_grid):
+        raise ValueError("need at least one k to compare the stages at")
     head = specs[0]
     for s in specs[1:]:
         if (s.L, s.V, s.rho, s.alpha, s.beta) != (

@@ -21,7 +21,7 @@ from . import __version__
 from .analysis import fit_scaling, saturation_scan
 from .geometry import InvalidSpecError, UcpSpec, build_segments
 from .oracle import OracleInfeasibleError, transmission_oracle_batch
-from .scattering import _require_positive_k, transmission_ucp_batch
+from .scattering import _require_k_window, _require_positive_k, transmission_ucp_batch
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -114,8 +114,9 @@ def _build_spec(args: argparse.Namespace) -> UcpSpec:
 
 def _k_grid(args: argparse.Namespace) -> np.ndarray:
     _require(args, ["kmin", "kmax", "nk"])
-    if not (args.kmin > 0 and args.kmax > args.kmin and args.nk >= 2):
-        raise ValueError("need 0 < kmin < kmax and nk >= 2")
+    _require_k_window(args.kmin, args.kmax)
+    if args.nk < 2:
+        raise ValueError(f"need nk >= 2, got {args.nk}")
     if (args.scale or "linear") == "log":
         return np.logspace(math.log10(args.kmin), math.log10(args.kmax), args.nk)
     return np.linspace(args.kmin, args.kmax, args.nk)

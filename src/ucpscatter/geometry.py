@@ -5,20 +5,20 @@ g = 1..G, the middle fraction rho**-(alpha + beta*g) of each remaining
 segment.  alpha=1, beta=0 reproduces the general Cantor set; alpha=0, beta=1
 the general Smith-Volterra-Cantor set.
 
-This module provides the segment/gap/spacing lengths, the per-spec table of
-them that the closed form uses, and the explicit interval list.  The removal
-rule is applied top-down once per spec, in _stage_table: the closed form, the
-length functions, build_segments and the oracle's region list all read its
-width chain.
+This module provides the segment/gap/spacing lengths, the width chain of
+each spec that the closed form uses, and the explicit interval list.  The
+removal rule is applied top-down in one place, UcpSpec.width_chain, computed
+once per spec object on first use: the closed form, the length functions,
+build_segments and the oracle's region list all read it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 __all__ = [
@@ -45,6 +45,16 @@ class InvalidSpecError(ValueError):
 
 class OracleInfeasibleError(RuntimeError):
     """Raised when the requested stage has too many barriers to enumerate."""
+
+
+class _WidthChain(NamedTuple):
+    widths: tuple[float, ...]  # widths[g] = w_g, g = 0..G, up to the first that is 0
+    gaps: tuple[float, ...]  # gaps[g-1] = d_g, g = 1..len(widths) - 1
+
+    @property
+    def l_G(self) -> float:
+        """Width of each of the 2**G barriers (0 where the chain stopped short)."""
+        return self.widths[-1]
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,25 @@ class UcpSpec:
         """Fraction of each segment removed at stage g: rho**-(alpha + beta*g)."""
         return self.rho ** -(self.alpha + self.beta * g)
 
+    @cached_property
+    def width_chain(self) -> _WidthChain:
+        """The removal rule, top-down, once per spec object, on first use (not a
+        field: ==, hash and repr do not see it): every stage-g barrier has the
+        width w_g = w_{g-1} (1 - rho**-(alpha + beta*g)) / 2 formed from its
+        parent's (w_0 = L), and the gap opened in it is d_g = w_{g-1}
+        rho**-(alpha + beta*g).  Every length reads this chain.  It stops at
+        the first w_g that underflows to 0: every later length is 0 too, so
+        l_G = 0 and the lengths left out are 0, at any G."""
+        widths, gaps = [self.L], []
+        for g in range(1, self.G + 1):
+            w = widths[-1]
+            if w == 0.0:
+                break
+            removed = self.removal_fraction(g)
+            gaps.append(w * removed)
+            widths.append(w * (1.0 - removed) / 2.0)
+        return _WidthChain(tuple(widths), tuple(gaps))
+
 
 @dataclass(frozen=True)
 class SegmentGeometry:
@@ -109,48 +138,18 @@ def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> None:
         raise InvalidSpecError(f"stage index {g} outside [{lowest}, {spec.G}]")
 
 
-class _StageTable(NamedTuple):
-    widths: tuple[float, ...]  # widths[g] = w_g, g = 0..G, up to the first that is 0
-    gaps: tuple[float, ...]  # gaps[g-1] = d_g, g = 1..len(widths) - 1
-
-    @property
-    def l_G(self) -> float:
-        """Width of each of the 2**G barriers (0 where the chain stopped short)."""
-        return self.widths[-1]
-
-
-@functools.lru_cache(maxsize=64)
-def _stage_table(spec: UcpSpec) -> _StageTable:
-    """The removal rule, top-down, once per spec: every stage-g barrier has
-    the width w_g = w_{g-1} (1 - rho**-(alpha + beta*g)) / 2 formed from its
-    parent's (w_0 = L), and the gap opened in it is d_g = w_{g-1}
-    rho**-(alpha + beta*g).  Every length of the module reads this chain.  It
-    stops at the first w_g that underflows to 0: every later length is 0 too,
-    so l_G = 0 and the lengths left out are 0, at any G.
-    """
-    widths, gaps = [spec.L], []
-    for g in range(1, spec.G + 1):
-        w = widths[-1]
-        if w == 0.0:
-            break
-        removed = spec.removal_fraction(g)
-        gaps.append(w * removed)
-        widths.append(w * (1.0 - removed) / 2.0)
-    return _StageTable(tuple(widths), tuple(gaps))
-
-
 def segment_length(spec: UcpSpec, g: int) -> float:
     """Length l_g = w_g of each of the 2**g barrier segments at stage g,
     (L / 2**g) * prod_{j=1..g} (1 - rho**-(alpha + beta*j))."""
     _check_stage(spec, g)
-    widths = _stage_table(spec).widths
+    widths = spec.width_chain.widths
     return widths[g] if g < len(widths) else 0.0
 
 
 def gap_length(spec: UcpSpec, g: int) -> float:
     """Gap d_g opened at stage g: l_{g-1} * rho**-(alpha + beta*g)."""
     _check_stage(spec, g, lowest=1)
-    gaps = _stage_table(spec).gaps
+    gaps = spec.width_chain.gaps
     return gaps[g - 1] if g <= len(gaps) else 0.0
 
 
@@ -173,15 +172,15 @@ def _listed_widths(spec: UcpSpec) -> tuple[float, ...]:
     if spec.G > DEFAULT_STAGE_CAP:
         raise OracleInfeasibleError(f"infeasible: stage G={spec.G} exceeds the cap "
                                     f"{DEFAULT_STAGE_CAP} for listing every barrier")
-    widths = _stage_table(spec).widths
+    widths = spec.width_chain.widths
     return widths + (0.0,) * (spec.G + 1 - len(widths))
 
 
 def build_segments(spec: UcpSpec) -> SegmentGeometry:
     """Explicit interval list of the stage-G system.
 
-    Built top-down from the width chain of _stage_table, the one the closed
-    form reads: at stage g each interval at offset off splits into ones at
+    Built top-down from the spec's width chain, the one the closed form
+    reads: at stage g each interval at offset off splits into ones at
     off and off + w_{g-1} - w_g.  Raises OracleInfeasibleError, before
     anything is allocated, for G above DEFAULT_STAGE_CAP.
     """

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, _stage_table
+from .geometry import UcpSpec
 
 __all__ = [
     "TransferMatrix",
@@ -108,6 +108,12 @@ def _require_positive_k(k: float) -> None:
         raise ValueError(f"wavenumber k must be positive and finite, got {k}")
 
 
+def _require_k_window(k_min: float, k_max: float) -> None:
+    """The k range of a sweep or a fit: 0 < k_min < k_max, both finite."""
+    if not (0.0 < k_min < k_max and math.isfinite(k_max)):
+        raise ValueError(f"need 0 < kmin < kmax < inf, got kmin={k_min}, kmax={k_max}")
+
+
 def _barrier_terms(k: float, V: float, width: float) -> tuple[complex, ...]:
     """Terms of a rectangular barrier: (cos(kappa w) - 1, k sin(kappa w)/kappa,
     eps_- sin(kappa w), eps_+ sin(kappa w)).
@@ -116,12 +122,15 @@ def _barrier_terms(k: float, V: float, width: float) -> tuple[complex, ...]:
     plane for E < V (cos/sin become cosh/sinh analytically).  cos(kappa w) - 1
     is -2 sin(kappa w / 2)**2, so a barrier much thinner than a wavelength keeps
     its digits; the E = V point is covered by a series expansion of
-    sin(kappa w)/kappa.  Raises ValueError when the barrier is too opaque for
-    its terms to fit in a double.
+    sin(kappa w)/kappa.  Raises ValueError when a term does not fit in a
+    double.  Each term is a factor of k (k, V/(2k) or (2k^2 - V)/(2k)) times
+    one that grows as e**|Im kappa w|: the barrier is too opaque where that
+    growth outweighs the factor's, and k is out of range otherwise.
     """
     _require_positive_k(k)
     if not width > 0.0:
         raise ValueError(f"barrier width must be positive, got {width}")
+    em, ep = V / (2.0 * k), (2.0 * k * k - V) / (2.0 * k)
     kappa = cmath.sqrt(complex(k * k - V, 0.0))
     z = kappa * width
     try:
@@ -135,15 +144,13 @@ def _barrier_terms(k: float, V: float, width: float) -> tuple[complex, ...]:
         half = sin_over_kappa = math.inf
     # eps_{+-} = (k/kappa -+ kappa/k) / 2 folded into pole-free combinations:
     # eps_- sin(z) = V/(2k) * sin(z)/kappa, eps_+ sin(z) = (2k^2-V)/(2k) * sin(z)/kappa
-    terms = (
-        -2.0 * half * half,
-        k * sin_over_kappa,
-        V / (2.0 * k) * sin_over_kappa,
-        (2.0 * k * k - V) / (2.0 * k) * sin_over_kappa,
-    )
-    if not all(map(cmath.isfinite, terms)):
+    terms = (-2.0 * half * half, k * sin_over_kappa, em * sin_over_kappa, ep * sin_over_kappa)
+    if all(map(cmath.isfinite, terms)):
+        return terms
+    if cmath.isfinite(z) and abs(z.imag) > math.log(max(k, abs(em), abs(ep))):
         raise ValueError(f"barrier too opaque: kappa*w = {z:.6g} overflows a double")
-    return terms
+    raise ValueError(f"wavenumber k = {k:.6g} out of range: the terms of a barrier "
+                     f"of height {V:.6g} and width {width:.6g} overflow a double")
 
 
 def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
@@ -168,7 +175,7 @@ def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
     for a double comes back as +-inf; exact zeros (transmission resonances)
     come back as 0.
     """
-    table = _stage_table(spec)
+    table = spec.width_chain
     k = np.array([k], dtype=float)
     half_traces = []
     _repetition(k, _barrier_rows(k, spec.V, table.l_G), [(d, 2) for d in table.gaps[::-1]],
@@ -205,10 +212,11 @@ def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, .
     o1, p1, q1, r1, b1 = x
     o2, p2, q2, r2, b2 = y
     w1, w2 = o1 + p1, o2 + p2
+    rb, br = r1 * b2, b1 * r2
     return (
         o1 * o2,
-        o1 * p2 + p1 * o2 + (p1 * p2 + q1 * q2 + r1 * b2 + b1 * r2 - b1 * b2),
-        w1 * q2 + q1 * w2 - r1 * b2 + b1 * r2,
+        o1 * p2 + p1 * o2 + (p1 * p2 + q1 * q2 + rb + br - b1 * b2),
+        w1 * q2 + q1 * w2 - rb + br,
         (w1 - q1) * r2 + r1 * (w2 + q2) + q1 * b2 - b1 * q2,
         (w1 + q1) * b2 + b1 * (w2 - q2),
     )
@@ -228,23 +236,25 @@ def transmission_ucp_batch(specs: Sequence[UcpSpec], ks: Sequence[float]) -> lis
     Every point runs in one pass of the doubling (see _repetition), whatever
     its stage: highest stage first, each point joins at its own order G.
     Each result equals the one-point transmission_ucp(specs[i], ks[i]).
+    Equal specs share one row of geometry, the width chain of the first of
+    them; a spec object computes its chain once, on first use, so repeated
+    specs are cheapest passed as one object.
     """
     if len(specs) != len(ks):
         raise ValueError(f"len(specs)={len(specs)} and len(ks)={len(ks)} must match")
-    tables = [_stage_table(spec) for spec in specs]
+    index: dict[UcpSpec, int] = {}
+    rows = np.array([index.setdefault(s, len(index)) for s in specs], dtype=np.intp)
+    chains = [s.width_chain for s in index]
     k = np.asarray(ks, dtype=float)
-    # checks each point in input order; past it every l_G > 0, so no table is cut short
-    barrier = _barrier_rows(k, np.array([s.V for s in specs], dtype=float),
-                            np.array([t.l_G for t in tables], dtype=float))
-    distinct = {id(t): t for t in tables}  # the points of a spec share its cached table
-    sizes = [len(t.gaps) for t in distinct.values()]
-    gaps = np.fromiter(chain.from_iterable(t.gaps for t in distinct.values()), float, sum(sizes))
-    offset = dict(zip(distinct, (np.cumsum(sizes) - sizes).tolist()))  # where a table's gaps start
-    minus_G = -np.array([s.G for s in specs], dtype=np.int64)
+    # checks each point in input order; past it every l_G > 0, so no chain is cut short
+    barrier = _barrier_rows(k, np.array([s.V for s in index], dtype=float)[rows],
+                            np.array([c.l_G for c in chains], dtype=float)[rows])
+    G = np.array([len(c.gaps) for c in chains], dtype=np.int64)
+    gaps = np.fromiter(chain.from_iterable(c.gaps for c in chains), float, G.sum())
     # highest stage first: the points still running at order g, G_i >= g, are a prefix
-    order = np.argsort(minus_G, kind="stable")
-    first = np.array([offset[id(t)] for t in tables], dtype=np.int64)[order]  # d_g at first + g - 1
-    minus_G = minus_G[order]
+    order = np.argsort(-G[rows], kind="stable")
+    first = (np.cumsum(G) - G)[rows[order]]  # a point's d_g is gaps[first + g - 1]
+    minus_G = -G[rows[order]]
     orders = ((gaps[first[:np.searchsorted(minus_G, -g, side="right")] + (g - 1)], 2)
               for g in range(-int(minus_G[0]) if k.size else 0, 0, -1))  # d_G first
     block, exp2 = _repetition(k[order], barrier[:, order], orders)
@@ -382,9 +392,13 @@ def transmission_spp(
     s_f - width_{f-1}, with width_0 = width and
     width_f = (N_f - 1) s_f + width_{f-1}.  Runs the kernel of the closed
     form (see _repetition); with Ns all 2 and ss the super-periods it is the
-    stage-g system.  Repetition counts must be integers >= 1 and spacings
-    finite.
+    stage-g system.  V must be finite, width positive and finite, repetition
+    counts integers >= 1 and spacings finite.
     """
+    if not math.isfinite(V):
+        raise ValueError(f"V must be finite, got {V}")
+    if not (width > 0.0 and math.isfinite(width)):
+        raise ValueError(f"width must be positive and finite, got {width}")
     if len(Ns) != len(ss):
         raise ValueError(f"len(Ns)={len(Ns)} and len(ss)={len(ss)} must match")
     if not all(isinstance(n, numbers.Integral) and n >= 1 for n in Ns):

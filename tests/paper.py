@@ -12,22 +12,22 @@ import functools
 import math
 
 from ucpscatter import InvalidSpecError, ScatterResult
-from ucpscatter.geometry import _check_stage, _stage_table
+from ucpscatter.geometry import _check_stage
 from ucpscatter.scattering import _assemble, barrier_matrix
 
 
 def gamma1(spec, q):
     """Phase distance gamma_1(q) = -(l_G + d_{G-q+1}); always negative."""
     _check_stage(spec, q, lowest=1)
-    table = _stage_table(spec)
-    return -(table.l_G + table.gaps[spec.G - q])
+    chain = spec.width_chain
+    return -(chain.l_G + chain.gaps[spec.G - q])
 
 
 def gamma2(spec, q, r):
     """Phase distance gamma_2(q, r) = d_{G-r+1} - d_{G-q+1} for 1 <= r < q <= G."""
     if not 1 <= r < q <= spec.G:
         raise InvalidSpecError(f"gamma2 requires 1 <= r < q <= G, got q={q}, r={r}")
-    gaps = _stage_table(spec).gaps
+    gaps = spec.width_chain.gaps
     return gaps[spec.G - r] - gaps[spec.G - q]
 
 
@@ -41,7 +41,7 @@ def paper_bloch_sequence(spec, k):
     with theta = arg(m22) of the unit-cell barrier of width l_G, in double
     precision.  O(G^2); the subtraction cancels about q bits at stage q.
     """
-    l_G = _stage_table(spec).l_G
+    l_G = spec.width_chain.l_G
     cell = barrier_matrix(k, spec.V, l_G)
     amp = abs(cell.m22)
     theta = math.atan2(cell.m22.imag, cell.m22.real) if amp > 0.0 else 0.0

@@ -151,6 +151,13 @@ class TestFitScaling:
         with pytest.raises(ValueError):
             fit_scaling(spec, 1.0, (1.0, 2.0), n_points=10)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("window", [(1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)])
+    def test_non_finite_window_rejected(self, window):
+        spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=2)
+        with pytest.raises(ValueError, match="kmax"):
+            fit_scaling(spec, 1.0, window)
+
     def test_reports_window(self):
         spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=1)
         fit = fit_scaling(spec, 2.0, (60.0, 300.0), n_points=120)
@@ -224,6 +231,11 @@ class TestSaturationScan:
         specs = self._stages(1.0, (2, 4))
         with pytest.raises(ValueError, match="consecutive"):
             saturation_scan(specs, [1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_empty_k_grid(self):
+        with pytest.raises(ValueError, match="at least one k"):
+            saturation_scan(self._stages(1.0, (2, 3)), [])
 
     def test_rejects_single_spec(self):
         with pytest.raises(ValueError):

@@ -211,6 +211,17 @@ class TestGrid:
         assert rows[0][4] == "1"
         assert float(rows[0][5]) == transmission_ucp(spec, 2.0).transmission
 
+    def test_geometry_once_per_valid_cell(self, tmp_path, monkeypatch):
+        calls = []
+        fraction = UcpSpec.removal_fraction
+        monkeypatch.setattr(UcpSpec, "removal_fraction",
+                            lambda spec, g: calls.append(g) or fraction(spec, g))
+        # 9 cells, the (0, 0) corner invalid, 3 k each: G calls per valid cell
+        code, _ = run(["grid", "--L", "5", "--V", "25", "--G", "4", "--alpha-range", "0:1:3",
+                       "--beta-range", "0:1:3", "--rho", "2.5", "--k", "1,2,3"], tmp_path)
+        assert code == EXIT_OK
+        assert calls == [1, 2, 3, 4] * 8
+
     def test_invalid_points_flagged_not_fatal(self, tmp_path):
         # alpha axis crosses 0 with beta = 0: the (0, 0) corner is invalid
         code, text = run(
@@ -535,6 +546,31 @@ class TestBadInput:
             capsys,
         )
         assert "gap too wide" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["transmission", *SPEC_ARGS, "--kmin", "1", "--kmax", "inf", "--nk", "4"],
+        ["transmission", *SPEC_ARGS, "--kmin", "1", "--kmax", "inf", "--nk", "4",
+         "--scale", "log"],
+        ["scaling", "--L", "1", "--V0", "10", "--rho", "1.75", "--alpha", "0.5",
+         "--beta", "0.25", "--G", "5", "--kmin", "50", "--kmax", "inf", "--nk", "100"],
+    ], ids=["linear", "log", "scaling"])
+    def test_infinite_kmax(self, capsys, argv):
+        # numpy's grid over an infinite window warned and held a NaN k
+        assert "kmax=inf" in self.assert_one_line_exit_2(argv, capsys)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        [*SPEC_ARGS, "--kmin", "1e-320", "--kmax", "1"],
+        [*SPEC_ARGS, "--kmin", "1", "--kmax", "1.7e308"],
+        # V/(2k) = 1.25e308 fits, times sinh(5)/5 it does not
+        ["--L", "1", "--V", "25", "--rho", "2.5", "--alpha", "0.5", "--beta", "1", "--G", "0",
+         "--kmin", "1e-307", "--kmax", "1"],
+    ], ids=["V-over-2k", "k-squared", "V-over-2k-times-sinh"])
+    def test_wavenumber_whose_barrier_terms_overflow(self, capsys, argv):
+        # the barrier is not opaque (|kappa w| <= 5): the factors of k make the overflow
+        err = self.assert_one_line_exit_2(["transmission", *argv, "--nk", "2"], capsys)
+        assert "wavenumber k = " in err and "too opaque" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         self.assert_one_line_exit_2(

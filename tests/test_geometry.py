@@ -16,7 +16,6 @@ from ucpscatter import (
     segment_length,
     super_period,
 )
-from ucpscatter.geometry import _stage_table
 from ucpscatter.special import q_pochhammer
 
 
@@ -259,7 +258,7 @@ class TestSuperPeriod:
 
 class TestGammas:
     # gamma1 and gamma2 are the phase distances of the paper's recursion; they
-    # live with it in tests/paper.py, built on the closed form's _stage_table
+    # live with it in tests/paper.py, built on the spec's width chain
 
     def test_gamma1_standard_cantor_closed_form(self):
         spec = cantor(G=4)
@@ -300,8 +299,8 @@ class TestGammas:
     @settings(max_examples=60)
     def test_equal_to_the_length_formulas_bit_for_bit(self, spec):
         G = spec.G
-        # the one-pass stage table has the bits of the closed-form lengths
-        table = _stage_table(spec)
+        # the width chain has the bits of the closed-form lengths
+        table = spec.width_chain
         assert (table.l_G, table.gaps) == (
             segment_length(spec, G), tuple(gap_length(spec, g) for g in range(1, G + 1))
         )
@@ -358,11 +357,11 @@ class TestDeepStages:
         assert segment_length(spec, 1100) == 0.0
         assert gap_length(spec, 1100) == 0.0
         assert super_period(spec, 1) == 0.0
-        assert _stage_table(spec).l_G == 0.0
+        assert spec.width_chain.l_G == 0.0
 
     def test_stage_table_stops_where_l_g_underflows(self):
         spec = cantor(G=800)  # the chain rounds l_g = 3**-g to 0 from g = 678
-        table = _stage_table(spec)
+        table = spec.width_chain
         n = len(table.gaps)
         assert n == 678
         assert table.l_G == 0.0 and segment_length(spec, n) == 0.0 < segment_length(spec, n - 1)
@@ -374,9 +373,17 @@ class TestDeepStages:
         spec = UcpSpec(L=sys.float_info.max, V=1, rho=1e300, alpha=1, beta=0, G=2099)
         assert segment_length(spec, 2099) == 0.0 < segment_length(spec, 2098)
 
+    def test_reading_the_chain_leaves_the_spec_as_it_was(self):
+        read, fresh = svc(G=12), svc(G=12)
+        assert read.width_chain.l_G > 0.0
+        assert "width_chain" in vars(read) and "width_chain" not in vars(fresh)
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert dataclasses.replace(read) == fresh
+        assert dataclasses.astuple(read) == dataclasses.astuple(fresh)
+
     def test_stage_table_at_a_billion_stages(self):
         start = time.perf_counter()
-        table = _stage_table(svc(G=10**9))
+        table = svc(G=10**9).width_chain
         assert table.l_G == 0.0 and len(table.gaps) < 1100
         assert time.perf_counter() - start < 1.0
 
@@ -394,7 +401,7 @@ class TestRatioPastADouble:
             assert segment_length(spec, g) == math.ldexp(1.0, -g) * prods[g]
         assert super_period(spec, 1) == (math.ldexp(1.0, -G) * (1.0 + spec.removal_fraction(G))
                                          * prods[G - 1])
-        table = _stage_table(spec)
+        table = spec.width_chain
         assert (table.l_G, table.gaps) == (
             segment_length(spec, G), tuple(gap_length(spec, g) for g in range(1, G + 1))
         )

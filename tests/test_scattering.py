@@ -14,6 +14,7 @@ from ucpscatter import (
     super_period,
     transmission_spp,
     transmission_ucp,
+    transmission_ucp_batch,
 )
 
 
@@ -183,7 +184,37 @@ class TestTransmissionUcp:
         assert res.log10_transmission == pytest.approx(direct_log10_t, abs=1e-8)
 
 
+class TestReflectionNearFullTransmission:
+    """R where T ~ 1, against the paper's recursion with 80 digits.  The bound
+    is C (s + eps), s the reference's own relative change in R under one ulp
+    of k: the worst of these 64 points is 82 (s + eps), at (0.5, 2), G=16,
+    k=3e3, and the worst relative error 2.1e-9."""
+
+    C = 1000.0
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (0.5, 1.0), (0.5, 2.0)])
+    def test_reflection_keeps_its_digits(self, alpha, beta):
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(spec, k):
+            return -math.expm1(math.log(10.0) * paper.paper_recursion(mpmath, spec, k)[0])
+
+        points = [(UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=alpha, beta=beta, G=G), k)
+                  for G in (8, 16, 32, 64) for k in (30.0, 300.0, 3e3, 3e4)]
+        for (spec, k), res in zip(points, transmission_ucp_batch(*zip(*points))):
+            want = reference(spec, k)
+            s = abs(reference(spec, math.nextafter(k, math.inf)) / want - 1.0)
+            assert 0.0 < want < 1e-2
+            assert abs(res.reflection / want - 1.0) <= self.C * (s + 2.0**-52), (spec, k)
+
+
 class TestTransmissionSpp:
+    @pytest.mark.parametrize("V, width", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                          (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)])
+    def test_height_and_width_checked_as_a_spec_checks_them(self, V, width):
+        with pytest.raises(ValueError, match="V must be finite" if width == 1.0 else "width"):
+            transmission_spp(V, width, [2], [3.0], 1.0)
+
     def test_order_zero_single_cell(self):
         unit = barrier_matrix(2.0, 10.0, 1.0)
         res = transmission_spp(10.0, 1.0, [], [], 2.0)
