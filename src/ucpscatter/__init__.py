@@ -32,6 +32,7 @@ from .oracle import (
     propagation_matrix,
     region_sequence,
     transmission_oracle,
+    transmission_oracle_arrays,
     transmission_oracle_batch,
 )
 from .scattering import (
@@ -42,6 +43,7 @@ from .scattering import (
     bloch_sequence,
     transmission_spp,
     transmission_ucp,
+    transmission_ucp_arrays,
     transmission_ucp_batch,
 )
 from .special import q_pochhammer
@@ -67,11 +69,13 @@ __all__ = [
     "bloch_sequence",
     "transmission_ucp",
     "transmission_ucp_batch",
+    "transmission_ucp_arrays",
     "transmission_spp",
     "propagation_matrix",
     "region_sequence",
     "transmission_oracle",
     "transmission_oracle_batch",
+    "transmission_oracle_arrays",
     "constant_area_height",
     "reflection_asymptote",
     "fit_scaling",

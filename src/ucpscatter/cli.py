@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .analysis import fit_scaling, saturation_scan
 from .geometry import InvalidSpecError, UcpSpec, build_segments
-from .oracle import OracleInfeasibleError, transmission_oracle_batch
-from .scattering import _require_k_window, _require_positive_k, transmission_ucp_batch
+from .oracle import OracleInfeasibleError, transmission_oracle_arrays
+from .scattering import _require_k_window, _require_positive_k, transmission_ucp_arrays
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -149,17 +149,14 @@ def cmd_transmission(args: argparse.Namespace) -> int:
         lines.append("k,T,R,log10_T")
     closed = orac = None
     if engine in ("closed_form", "both"):
-        closed = transmission_ucp_batch([spec] * len(ks), ks)
+        closed = transmission_ucp_arrays([spec] * len(ks), ks)
     if engine in ("oracle", "both"):
-        orac = transmission_oracle_batch(spec, ks)
-    diffs = []
-    for i, (k, primary) in enumerate(zip(ks, closed if closed is not None else orac)):
-        row = [_fmt(x) for x in (k, primary.transmission, primary.reflection,
-                                 primary.log10_transmission)]
-        if engine == "both":
-            diffs.append(abs(closed[i].transmission - orac[i].transmission))
-            row += [_fmt(orac[i].transmission), _fmt(diffs[-1])]
-        lines.append(",".join(row))
+        orac = transmission_oracle_arrays(spec, ks)
+    columns = [ks, *(x.tolist() for x in (closed if closed is not None else orac))]
+    if engine == "both":
+        diffs = np.abs(closed[0] - orac[0])
+        columns += [orac[0].tolist(), diffs.tolist()]
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
     if engine == "both":
         # np.max, unlike max, keeps a NaN
         lines.append(f"# max_abs_diff={_fmt(float(np.max(diffs)))}")
@@ -215,13 +212,14 @@ def cmd_grid(args: argparse.Namespace) -> int:
             spec = None
         cube.append((f"{a_text},{b_text},{r_text},", spec))
     specs = [spec for _, spec in cube if spec is not None]
-    results = iter(transmission_ucp_batch([s for s in specs for _ in ks], ks * len(specs)))
+    transmission = transmission_ucp_arrays([s for s in specs for _ in ks], ks * len(specs))[0]
+    transmissions = iter(transmission.tolist())
     k_texts = [_fmt(k) for k in ks]
     for prefix, spec in cube:
         if spec is None:
             lines.extend(prefix + k + ",0," for k in k_texts)
         else:
-            lines.extend(prefix + k + ",1," + _fmt(next(results).transmission) for k in k_texts)
+            lines.extend(prefix + k + ",1," + _fmt(next(transmissions)) for k in k_texts)
     _emit(lines, args.out)
     return EXIT_OK
 

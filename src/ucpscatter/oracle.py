@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import DEFAULT_STAGE_CAP, OracleInfeasibleError, UcpSpec, _listed_widths
-from .scattering import (ScatterResult, TransferMatrix, _barrier_rows, _gap_phase,
+from .scattering import (ScatterResult, TransferMatrix, _barrier_rows, _gap_phase, _records,
                          _require_positive_k, _results)
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "propagation_matrix",
     "transmission_oracle",
     "transmission_oracle_batch",
+    "transmission_oracle_arrays",
     "DEFAULT_STAGE_CAP",
 ]
 
@@ -88,11 +89,18 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
     OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
     remains available there).
     """
+    return _records(*transmission_oracle_arrays(spec, ks))
+
+
+def transmission_oracle_arrays(spec: UcpSpec,
+                               ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numbers of transmission_oracle_batch(spec, ks) as three float
+    arrays over the k: T, R and log10 T."""
     regions = region_sequence(spec)  # the stage cap is checked before k is
     k = np.asarray(ks, dtype=float)
     n = k.size
     if n == 0:
-        return []
+        return _results(k, k, k)
     # [[A, kB], [C/k, D]] of every k: product[i, j] is an array over k,
     # updated in place through its two column views
     product = np.array([[np.ones(n), np.zeros(n)], [np.zeros(n), np.ones(n)]])
@@ -153,15 +161,23 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
                 total *= scale
                 exp2 += e
             bound = float(total.max())
-    for k_i, (a, b, c, d), e in zip(k.tolist(), product.reshape(4, n).T.tolist(), exp2.tolist()):
-        # det - 1 cancels catastrophically when entries are ~cosh(|kappa| w)
-        # large, so the drift is judged relative to the largest entry squared,
-        # on entries scaled first to stay finite; unit is the identity at the
-        # product's scale
-        unit = 2.0**-e
-        inv = 1.0 / max(unit, abs(a), abs(b), abs(c), abs(d))
-        drift = abs(a * inv * (d * inv) - b * inv * (c * inv) - unit * inv * (unit * inv))
-        if drift > _DET_DRIFT_TOL:
-            logger.warning("oracle determinant drift %.3e at G=%d, k=%g", drift, spec.G, k_i)
     (a, b), (c, d) = product
+    drift = _det_drift(a, b, c, d, exp2)
+    drifting = drift > _DET_DRIFT_TOL
+    for k_i, drift_i in zip(k[drifting].tolist(), drift[drifting].tolist()):
+        logger.warning("oracle determinant drift %.3e at G=%d, k=%g", drift_i, spec.G, k_i)
     return _results((a - d) / 2.0, (b + c) / 2.0, exp2)
+
+
+def _det_drift(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
+               exp2: np.ndarray) -> np.ndarray:
+    """|det - 1| of each k's product 2**exp2 * [[a, b], [c, d]], relative to
+    its largest entry squared.
+
+    det - 1 cancels catastrophically when entries are ~cosh(|kappa| w) large,
+    so the drift is judged on entries scaled first to stay finite; unit is
+    the identity at the product's scale.
+    """
+    unit = np.ldexp(1.0, -exp2)
+    inv = 1.0 / np.maximum.reduce([unit, np.abs(a), np.abs(b), np.abs(c), np.abs(d)])
+    return np.abs(a * inv * (d * inv) - b * inv * (c * inv) - unit * inv * (unit * inv))

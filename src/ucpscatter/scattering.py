@@ -20,6 +20,15 @@ any stage, for many points at once.  It serves three results:
   kernel gets for free;
 - transmission_spp: arbitrary repetition counts N_f at spacings s_f, the
   paper's generic (Chebyshev) form, without its Chebyshev factors.
+
+Every step runs over all points at once, and each point's numbers are those
+of the per-point formulas in math and cmath, bit for bit.  numpy does the
++ - x /, sqrt (correctly rounded in both) and sin and cos (numpy's float64 sin
+and cos round as the C library's, which math calls).  sinh, exp, log, log1p
+and hypot come from math, through one map over the points that need them:
+numpy's own versions of these differ from math's in the last bit on some
+arguments, and math.hypot is not the C library's hypot.  Swapping one of them
+for numpy's changes output bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ __all__ = [
     "bloch_sequence",
     "transmission_ucp",
     "transmission_ucp_batch",
+    "transmission_ucp_arrays",
     "transmission_spp",
 ]
 
@@ -60,6 +70,11 @@ _RESCALE_BELOW = 2.0**-250
 # a Bloch phase's exponent is clipped to this before ldexp: beyond it any
 # nonzero phase is +-inf or 0 anyway
 _EXP_CLIP = 1 << 12
+# cmath.sqrt scales an argument below the smallest normal double before its sqrt
+_DBL_MIN = float(np.finfo(float).tiny)
+# cmath takes sinh(y) past log(DBL_MAX / 4) as sinh(y - 1) * e
+_SINH_LARGE = math.log(float(np.finfo(float).max) / 4.0)
+_SINH_CLIP = 710.0
 
 
 @dataclass(frozen=True)
@@ -114,51 +129,98 @@ def _require_k_window(k_min: float, k_max: float) -> None:
         raise ValueError(f"need 0 < kmin < kmax < inf, got kmin={k_min}, kmax={k_max}")
 
 
-def _barrier_terms(k: float, V: float, width: float) -> tuple[complex, ...]:
-    """Terms of a rectangular barrier: (cos(kappa w) - 1, k sin(kappa w)/kappa,
-    eps_- sin(kappa w), eps_+ sin(kappa w)).
+def _libm(fn, *args: np.ndarray) -> np.ndarray:
+    """fn from math at each point, through one map over the points."""
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, args[0].size)
 
-    Natural units: k = sqrt(E), kappa = sqrt(E - V) continued into the complex
-    plane for E < V (cos/sin become cosh/sinh analytically).  cos(kappa w) - 1
-    is -2 sin(kappa w / 2)**2, so a barrier much thinner than a wavelength keeps
+
+def _sinh(y: np.ndarray) -> np.ndarray:
+    """sinh(y) from math.sinh, taken as cmath takes it: sinh(y - 1) * e past
+    _SINH_LARGE, inf where that overflows."""
+    large = np.abs(y) > _SINH_LARGE
+    if not large.any():
+        return _libm(math.sinh, y)
+    # math.sinh raises past about +-710.48, where sinh(y - 1) * e overflows anyway
+    out = _libm(math.sinh, np.where(large, y - 1.0, y).clip(-_SINH_CLIP, _SINH_CLIP))
+    return out * np.where(large, math.e, 1.0)
+
+
+def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
+    """Terms of a rectangular barrier at each point, one row per term:
+    cos(kappa w) - 1, k sin(kappa w)/kappa, eps_- sin(kappa w) and
+    eps_+ sin(kappa w).  V and width are values or arrays like k.
+
+    Natural units: k = sqrt(E), kappa = sqrt(E - V), real for E >= V and
+    imaginary below (cos/sin become cosh/sinh).  cos(kappa w) - 1 is
+    -2 sin(kappa w / 2)**2, so a barrier much thinner than a wavelength keeps
     its digits; the E = V point is covered by a series expansion of
-    sin(kappa w)/kappa.  Raises ValueError when a term does not fit in a
-    double.  Each term is a factor of k (k, V/(2k) or (2k^2 - V)/(2k)) times
-    one that grows as e**|Im kappa w|: the barrier is too opaque where that
-    growth outweighs the factor's, and k is out of range otherwise.
+    sin(kappa w)/kappa.  eps_{+-} = (k/kappa -+ kappa/k) / 2 are folded into
+    the pole-free eps_- sin(z) = V/(2k) * sin(z)/kappa and eps_+ sin(z) =
+    (2k^2-V)/(2k) * sin(z)/kappa.  Each term is the real part of the one
+    complex formula in cmath, bit for bit: the steps are those of cmath.sqrt,
+    cmath.sin and complex * and /, taken in real arithmetic, with the signed
+    zero of the imaginary part where a product can be zero.
+
+    Raises ValueError for the first bad point in input order: k not positive
+    and finite, width not positive, or a term that does not fit a double.
+    Each term is a factor of k (k, V/(2k) or (2k^2 - V)/(2k)) times one that
+    grows as e**|Im kappa w|: the barrier is too opaque where that growth
+    outweighs the factor's, and k is out of range otherwise.
     """
-    _require_positive_k(k)
-    if not width > 0.0:
-        raise ValueError(f"barrier width must be positive, got {width}")
-    em, ep = V / (2.0 * k), (2.0 * k * k - V) / (2.0 * k)
-    kappa = cmath.sqrt(complex(k * k - V, 0.0))
-    z = kappa * width
-    try:
-        half = cmath.sin(z / 2.0)
-        if abs(z) < _SERIES_CUTOFF:
-            z2 = z * z
-            sin_over_kappa = width * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
-        else:
-            sin_over_kappa = cmath.sin(z) / kappa
-    except OverflowError:  # |Im z| above ~710: sinh exceeds a double
-        half = sin_over_kappa = math.inf
-    # eps_{+-} = (k/kappa -+ kappa/k) / 2 folded into pole-free combinations:
-    # eps_- sin(z) = V/(2k) * sin(z)/kappa, eps_+ sin(z) = (2k^2-V)/(2k) * sin(z)/kappa
-    terms = (-2.0 * half * half, k * sin_over_kappa, em * sin_over_kappa, ep * sin_over_kappa)
-    if all(map(cmath.isfinite, terms)):
-        return terms
-    if cmath.isfinite(z) and abs(z.imag) > math.log(max(k, abs(em), abs(ep))):
-        raise ValueError(f"barrier too opaque: kappa*w = {z:.6g} overflows a double")
-    raise ValueError(f"wavenumber k = {k:.6g} out of range: the terms of a barrier "
-                     f"of height {V:.6g} and width {width:.6g} overflow a double")
+    with np.errstate(all="ignore"):  # a bad point is found below, in input order
+        two_k = 2.0 * k
+        em, ep = V / two_k, (two_k * k - V) / two_k
+        s = k * k - V
+        # |kappa| as cmath.sqrt rounds it: 2 sqrt(|s|/8 + |s|/8), that is
+        # sqrt(8 (|s|/8)), which differs from sqrt(|s|) where |s|/8 is
+        # subnormal; below _DBL_MIN it scales |s| up first and gives sqrt(|s|)
+        size = np.abs(s)
+        size = np.sqrt(np.where(size < _DBL_MIN, size, size / 8.0 * 8.0))
+        z = size * width  # kappa w is z for real kappa and i z for imaginary
+        imaginary = s < 0.0
+        # sin(kappa w / 2) is half or i half, sin(kappa w) is sin_z or i sin_z
+        half, sin_z = np.sin(z / 2.0), np.sin(z)
+        if imaginary.any():
+            z_imag = z[imaginary]
+            sinh = _sinh(np.concatenate((z_imag / 2.0, z_imag)))
+            half[imaginary], sin_z[imaginary] = sinh[:z_imag.size], sinh[z_imag.size:]
+        # -2 half**2 and +2 half**2, with cmath's -0.0 at half = 0
+        cos_m1 = np.where(imaginary & (half > 0.0), 2.0, -2.0) * half * half
+        sin_over_kappa = sin_z / size
+        series = z < _SERIES_CUTOFF
+        if series.any():
+            z2 = np.where(imaginary, -z, z) * z  # (kappa w)**2
+            sin_over_kappa = np.where(series, width * (1.0 - z2 / 6.0 + z2 * z2 / 120.0),
+                                      sin_over_kappa)
+        rows = np.array([cos_m1, k * sin_over_kappa, em * sin_over_kappa, ep * sin_over_kappa])
+        if not rows[1:].all():
+            # the imaginary part of sin(kappa w)/kappa is a zero, -0.0 where
+            # sin(kappa w) > 0 > cos(kappa w) for real kappa, and a zero
+            # product x * sin(kappa w)/kappa takes its sign in x - 0.0 * it
+            rows[1:] -= np.where(~imaginary & (sin_z > 0.0) & (np.cos(z) < 0.0), -0.0, 0.0)
+        # k = inf or NaN makes every term NaN
+        ok = (k > 0.0) & (width > 0.0) & np.isfinite(rows).all(axis=0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        k_i, V_i, w_i, z_i, em_i, ep_i, s_i = (
+            float(x[i]) for x in np.broadcast_arrays(k, V, width, z, em, ep, s))
+        _require_positive_k(k_i)
+        if not w_i > 0.0:
+            raise ValueError(f"barrier width must be positive, got {w_i}")
+        kappa_w = complex(0.0, z_i) if s_i < 0.0 else complex(z_i, 0.0)
+        if math.isfinite(z_i) and abs(kappa_w.imag) > math.log(max(k_i, abs(em_i), abs(ep_i))):
+            raise ValueError(f"barrier too opaque: kappa*w = {kappa_w:.6g} overflows a double")
+        raise ValueError(f"wavenumber k = {k_i:.6g} out of range: the terms of a barrier "
+                         f"of height {V_i:.6g} and width {w_i:.6g} overflow a double")
+    return rows
 
 
 def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
     """Transfer matrix of a rectangular barrier of the given height and width.
 
-    One complex code path serves every energy regime (see _barrier_terms).
+    One code path serves every energy regime (see _barrier_rows).
     """
-    cos_m1, _, em_sin, ep_sin = _barrier_terms(k, V, width)
+    cos_m1, _, em_sin, ep_sin = _barrier_rows(np.array([k], dtype=float), V, width)[:, 0].tolist()
     cos_z = 1.0 + cos_m1
     phase = cmath.exp(1j * k * width)
     m11 = (cos_z - 1j * ep_sin) * phase
@@ -184,27 +246,6 @@ def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
         omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
                   for h, e in half_traces]
     return BlochSequence(omegas=tuple(float(w[0]) for w in omegas))
-
-
-def _assemble(log_x: float | None) -> ScatterResult:
-    """Build a ScatterResult from ln(X) where T = 1/(1+X); None means X = 0."""
-    if log_x is None:
-        return ScatterResult(transmission=1.0, reflection=0.0, log10_transmission=0.0)
-    # log(1 + X) without forming X when it over/underflows
-    if log_x > 36.0:
-        log1p_x = log_x + math.log1p(math.exp(-log_x))
-    elif log_x > -36.0:
-        log1p_x = math.log1p(math.exp(log_x))
-    else:
-        log1p_x = math.exp(log_x)
-    log10_t = -log1p_x / _LN10
-    if log_x <= 0.0:
-        reflection = math.exp(log_x - log1p_x)  # X / (1 + X), accurate when tiny
-        transmission = 1.0 - reflection
-    else:
-        transmission = math.exp(-log1p_x)  # may underflow to 0.0 for huge X
-        reflection = 1.0 - transmission
-    return ScatterResult(transmission, reflection, log10_t)
 
 
 def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
@@ -240,6 +281,13 @@ def transmission_ucp_batch(specs: Sequence[UcpSpec], ks: Sequence[float]) -> lis
     them; a spec object computes its chain once, on first use, so repeated
     specs are cheapest passed as one object.
     """
+    return _records(*transmission_ucp_arrays(specs, ks))
+
+
+def transmission_ucp_arrays(specs: Sequence[UcpSpec],
+                            ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numbers of transmission_ucp_batch(specs, ks) as three float arrays
+    over the points: T, R and log10 T."""
     if len(specs) != len(ks):
         raise ValueError(f"len(specs)={len(specs)} and len(ks)={len(ks)} must match")
     index: dict[UcpSpec, int] = {}
@@ -269,15 +317,6 @@ def _gap_phase(k: np.ndarray, d) -> np.ndarray:
     if np.isinf(kd).any():
         raise ValueError("gap too wide: k*d overflows a double")
     return kd
-
-
-def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
-    """Real parts of _barrier_terms at each point, one row per term; V and
-    width broadcast against k.  Checks each point, in order; the terms are
-    read as they are made, not held as objects."""
-    k, V, width = np.broadcast_arrays(k, V, width)
-    terms = chain.from_iterable(map(_barrier_terms, k.tolist(), V.tolist(), width.tolist()))
-    return np.fromiter(terms, complex, 4 * k.size).reshape(k.size, 4).real.T
 
 
 def _rescaled(block: tuple, exp2: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -367,14 +406,40 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
     return _joined(block, exp2, start, k.size)
 
 
-def _results(q: np.ndarray, r: np.ndarray, exp2: np.ndarray) -> list[ScatterResult]:
-    """T and R of each point from |m12| = hypot(q, r) of its product, whose
-    q = (A - D)/2 and r = (kB + C/k)/2 are 2**-exp2 of the true ones."""
-    results = []
-    for q_i, r_i, e in zip(q.tolist(), r.tolist(), exp2.tolist()):
-        m12_abs = math.hypot(q_i, r_i)
-        results.append(_assemble(None if m12_abs == 0.0 else 2.0 * (math.log(m12_abs) + e * _LN2)))
-    return results
+def _results(q: np.ndarray, r: np.ndarray,
+             exp2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T, R and log10 T of each point from |m12| = hypot(q, r) of its product,
+    whose q = (A - D)/2 and r = (kB + C/k)/2 are 2**-exp2 of the true ones.
+
+    T = 1/(1 + X) with X = |m12|**2 is taken from ln X, so that T far below
+    double-precision underflow keeps its log10; X = 0 gives T = 1 exactly.
+    """
+    m12_abs = _libm(math.hypot, q, r)
+    zero = m12_abs == 0.0
+    if zero.any():
+        # X = 0: T = 1, R = 0 and log10 T = 0 exactly; ln X is taken at |m12| = 1 instead
+        t, refl, log10_t = _results(np.where(zero, 1.0, q), r, exp2)
+        return np.where(zero, 1.0, t), np.where(zero, 0.0, refl), np.where(zero, 0.0, log10_t)
+    log_x = 2.0 * (_libm(math.log, m12_abs) + exp2 * _LN2)
+    # log(1 + X) without forming X where it over/underflows: log X + log1p(1/X)
+    # above 36, log1p(X) down to -36 and X below
+    big = log_x > 36.0
+    x_or_inverse = _libm(math.exp, np.where(big, -log_x, log_x))
+    log1p_x = np.where(log_x > -36.0, _libm(math.log1p, x_or_inverse) + np.where(big, log_x, 0.0),
+                       x_or_inverse)
+    minus = -log1p_x
+    # the smaller of T and R from its logarithm, the other as 1 minus it: R =
+    # X / (1 + X) keeps its digits when tiny, and T may underflow to 0.0
+    low = log_x <= 0.0
+    smaller = _libm(math.exp, np.where(low, log_x - log1p_x, minus))
+    larger = 1.0 - smaller
+    return np.where(low, larger, smaller), np.where(low, smaller, larger), minus / _LN10
+
+
+def _records(transmission: np.ndarray, reflection: np.ndarray,
+             log10_t: np.ndarray) -> list[ScatterResult]:
+    """One ScatterResult per point of the arrays _results returns."""
+    return list(map(ScatterResult, transmission.tolist(), reflection.tolist(), log10_t.tolist()))
 
 
 def transmission_spp(
@@ -411,4 +476,4 @@ def transmission_spp(
         span = (n - 1) * s + span
     k = np.array([k], dtype=float)
     block, exp2 = _repetition(k, _barrier_rows(k, V, width), orders)
-    return _results(block[2], block[3], exp2)[0]
+    return _records(*_results(block[2], block[3], exp2))[0]

@@ -6,14 +6,82 @@ phases Omega_q and, for arbitrary repetition counts, Chebyshev factors
 U_{N-1}(Omega).  Those recursions cancel about q bits at stage q, so in double
 precision they hold to about G = 16; evaluated with 80 digits they hold to
 G = 64.  Tests import this module as plain `import paper`.
+
+The per-point forms of the library's array code are kept here too:
+barrier_terms, the terms of one barrier in complex cmath arithmetic, and
+assemble, T and R of one point from ln X in math; the library's
+_barrier_rows and _results must give their bits.
 """
 
+import cmath
 import functools
 import math
 
 from ucpscatter import InvalidSpecError, ScatterResult
 from ucpscatter.geometry import _check_stage
-from ucpscatter.scattering import _assemble, barrier_matrix
+from ucpscatter.scattering import _LN10, _SERIES_CUTOFF, _require_positive_k, barrier_matrix
+
+
+def barrier_terms(k, V, width):
+    """Terms of a rectangular barrier: (cos(kappa w) - 1, k sin(kappa w)/kappa,
+    eps_- sin(kappa w), eps_+ sin(kappa w)), as complex numbers.
+
+    Natural units: k = sqrt(E), kappa = sqrt(E - V) continued into the complex
+    plane for E < V (cos/sin become cosh/sinh analytically).  cos(kappa w) - 1
+    is -2 sin(kappa w / 2)**2, so a barrier much thinner than a wavelength keeps
+    its digits; the E = V point is covered by a series expansion of
+    sin(kappa w)/kappa.  Raises ValueError when a term does not fit in a
+    double.  Each term is a factor of k (k, V/(2k) or (2k^2 - V)/(2k)) times
+    one that grows as e**|Im kappa w|: the barrier is too opaque where that
+    growth outweighs the factor's, and k is out of range otherwise.  Where
+    kappa is real and kappa*w overflows, cmath.sin raises its own ValueError,
+    "math domain error".
+    """
+    _require_positive_k(k)
+    if not width > 0.0:
+        raise ValueError(f"barrier width must be positive, got {width}")
+    em, ep = V / (2.0 * k), (2.0 * k * k - V) / (2.0 * k)
+    kappa = cmath.sqrt(complex(k * k - V, 0.0))
+    z = kappa * width
+    try:
+        half = cmath.sin(z / 2.0)
+        if abs(z) < _SERIES_CUTOFF:
+            z2 = z * z
+            sin_over_kappa = width * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
+        else:
+            sin_over_kappa = cmath.sin(z) / kappa
+    except OverflowError:  # |Im z| above ~710: sinh exceeds a double
+        half = sin_over_kappa = math.inf
+    # eps_{+-} = (k/kappa -+ kappa/k) / 2 folded into pole-free combinations:
+    # eps_- sin(z) = V/(2k) * sin(z)/kappa, eps_+ sin(z) = (2k^2-V)/(2k) * sin(z)/kappa
+    terms = (-2.0 * half * half, k * sin_over_kappa, em * sin_over_kappa, ep * sin_over_kappa)
+    if all(map(cmath.isfinite, terms)):
+        return terms
+    if cmath.isfinite(z) and abs(z.imag) > math.log(max(k, abs(em), abs(ep))):
+        raise ValueError(f"barrier too opaque: kappa*w = {z:.6g} overflows a double")
+    raise ValueError(f"wavenumber k = {k:.6g} out of range: the terms of a barrier "
+                     f"of height {V:.6g} and width {width:.6g} overflow a double")
+
+
+def assemble(log_x):
+    """Build a ScatterResult from ln(X) where T = 1/(1+X); None means X = 0."""
+    if log_x is None:
+        return ScatterResult(transmission=1.0, reflection=0.0, log10_transmission=0.0)
+    # log(1 + X) without forming X when it over/underflows
+    if log_x > 36.0:
+        log1p_x = log_x + math.log1p(math.exp(-log_x))
+    elif log_x > -36.0:
+        log1p_x = math.log1p(math.exp(log_x))
+    else:
+        log1p_x = math.exp(log_x)
+    log10_t = -log1p_x / _LN10
+    if log_x <= 0.0:
+        reflection = math.exp(log_x - log1p_x)  # X / (1 + X), accurate when tiny
+        transmission = 1.0 - reflection
+    else:
+        transmission = math.exp(-log1p_x)  # may underflow to 0.0 for huge X
+        reflection = 1.0 - transmission
+    return ScatterResult(transmission, reflection, log10_t)
 
 
 def gamma1(spec, q):
@@ -119,11 +187,11 @@ def paper_transmission_spp(unit, Ns, ss, k) -> ScatterResult:
 
     m12_abs = abs(unit.m12)
     if m12_abs == 0.0 or any(u == 0.0 for u in u_factors):
-        return _assemble(None)
+        return assemble(None)
     log_x = 2.0 * math.log(m12_abs) + 2.0 * math.fsum(
         math.log(abs(u)) for u in u_factors
     )
-    return _assemble(log_x)
+    return assemble(log_x)
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,13 +2,17 @@
 the results stay physical over the whole range the closed form accepts."""
 
 import dataclasses
+import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import ucpscatter.oracle as oracle
 import ucpscatter.scattering as scattering
+from paper import assemble, barrier_terms
 from ucpscatter import (
     UcpSpec,
     transmission_oracle,
@@ -274,3 +278,183 @@ def test_rescaled_block_keeps_its_digits():
     assert res.log10_transmission == pytest.approx(-49346.58232556531, abs=1e-9)
     assert transmission_oracle(spec, 0.0033897316930988656).log10_transmission == pytest.approx(
         res.log10_transmission, abs=1e-9)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def positive(lo, hi):
+    """Floats in [lo, hi], spread evenly in log."""
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def signed(lo, hi):
+    return st.tuples(positive(lo, hi), st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1])
+
+
+def near_kappa_w(target, k, V, c):
+    """A width at which |kappa w| = c * target."""
+    return c * target / (math.sqrt(abs(k * k - V)) or 1.0)
+
+
+DBL_MIN = float(np.finfo(float).tiny)
+zero_heights = st.sampled_from([0.0, -0.0])
+barrier_points = st.one_of(
+    # propagating and evanescent, V <= 0 among them, and widths down to 1e-300
+    st.tuples(positive(1e-3, 1e5), st.one_of(zero_heights, st.floats(-1e3, 3e4)),
+              positive(1e-3, 1e3)),
+    st.tuples(positive(1e-3, 1e5), st.one_of(zero_heights, st.floats(-1e3, 3e4)),
+              positive(1e-300, 1e-3)),
+    # E ~ V: k**2 = V (1 + delta)
+    st.builds(lambda V, delta, w: (math.sqrt(V * (1.0 + delta)), V, w),
+              positive(1e-3, 1e5), signed(1e-16, 1e-4), positive(1e-6, 10.0)),
+    # |kappa w| on both sides of the series cutoff
+    st.builds(lambda k, V, c: (k, V, near_kappa_w(scattering._SERIES_CUTOFF, k, V, c)),
+              positive(1e-3, 1e3), st.floats(-1e3, 3e4), st.floats(0.5, 2.0)),
+    # |Im kappa w| where cmath's sinh switches to sinh(y - 1) * e, up to overflow
+    st.builds(lambda k, gap, y: (k, k * k + gap, y / math.sqrt(gap)),
+              positive(1e-3, 10.0), positive(1e-2, 1e4), st.floats(708.39, 710.5)),
+    # subnormal k**2 - V
+    st.builds(lambda k, c, w: (k, c * k * k, w), positive(1e-170, 1e-150),
+              st.sampled_from([0.0, -0.0, 2.0, 0.5, 1.5]), positive(1e-300, 1e300)),
+    # |k**2 - V| in [DBL_MIN, 8 DBL_MIN), where cmath.sqrt's |s|/8 is subnormal
+    st.builds(lambda c, h, w: (math.sqrt(c * DBL_MIN), h * c * DBL_MIN, w), st.floats(1.0, 8.0),
+              st.sampled_from([0.0, 2.0]), positive(1e-300, 1e300)),
+    # eps_+ = 0: 2 k**2 = V
+    st.builds(lambda k, w: (k, 2.0 * k * k, w), positive(1e-3, 1e3), positive(1e-6, 1e3)),
+)
+
+
+def reference_rows(points):
+    """The rows of _barrier_rows from the per-point cmath terms, or the message
+    of the first point that raises.  Where kappa is real and kappa*w overflows,
+    cmath.sin's own "math domain error" became the out-of-range message."""
+    rows = []
+    for k, V, width in points:
+        try:
+            rows.append([term.real for term in barrier_terms(k, V, width)])
+        except ValueError as exc:
+            if str(exc) != "math domain error":
+                return str(exc)
+            return (f"wavenumber k = {k:.6g} out of range: the terms of a barrier "
+                    f"of height {V:.6g} and width {width:.6g} overflow a double")
+    return np.array(rows).reshape(len(points), 4).T
+
+
+def assert_rows_as_reference(points):
+    want = reference_rows(points)
+    k, V, width = (np.array(column, dtype=float) for column in zip(*points))
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as raised:
+            scattering._barrier_rows(k, V, width)
+        assert str(raised.value) == want
+    else:
+        got = scattering._barrier_rows(k, V, width)
+        assert np.array_equal(bits(got), bits(want)), (got, want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.lists(barrier_points, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_barrier_rows_are_the_complex_terms_bit_for_bit(points):
+    # signed zeros too: V = +-0.0, eps_+ = 0 and underflowing products among them
+    assert_rows_as_reference(points)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+def test_first_bad_point_raises_its_message(order):
+    bad = [(-1.0, 25.0, 0.1),      # k <= 0
+           (2.0, 25.0, 0.0),       # width <= 0
+           (1.0, 1e10, 0.1),       # too opaque
+           (1e200, 1.0, 1.0)]      # k out of range
+    good = (1.5, 25.0, 0.1)
+    points = [good] + [p for i in order for p in (bad[i], good)]
+    assert_rows_as_reference(points)
+    assert isinstance(reference_rows(points), str)
+
+
+def test_overflowing_real_kappa_w_names_k():
+    # cmath.sin raised "math domain error" here; the message now names k, as
+    # for every other term that does not fit a double
+    with pytest.raises(ValueError, match=r"^wavenumber k = 1e\+10 out of range"):
+        scattering._barrier_rows(np.array([1.0, 1e10]), 1.0, 1e300)
+    with pytest.raises(ValueError, match="math domain error"):
+        barrier_terms(1e10, 1.0, 1e300)
+
+
+def from_log_x(log_x, e, angle):
+    """(q, r, exp2) with 2 (ln hypot(q, r) + exp2 ln 2) about log_x."""
+    m12_abs = math.exp(log_x / 2.0 - e * math.log(2.0))
+    return m12_abs * math.cos(angle), m12_abs * math.sin(angle), float(e)
+
+
+log_x_points = st.one_of(
+    # ln X on both sides of -36, 0 and 36
+    st.builds(from_log_x, st.one_of(st.floats(-45.0, 45.0), st.floats(35.0, 38.0),
+                                    st.floats(-38.0, -35.0), st.floats(-1.0, 1.0)),
+              st.integers(-60, 60), st.floats(0.0, 2.0 * math.pi)),
+    # |m12| about 1, where numpy's log rounds unlike math's most often
+    st.tuples(st.floats(0.5, 1.5), st.floats(-0.5, 0.5), st.just(0.0)),
+    # m12 = 0
+    st.tuples(zero_heights, zero_heights, st.integers(-10**6, 10**6).map(float)),
+    # |exp2| up to 1e6
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(-10**6, 10**6).map(float)),
+    st.tuples(signed(1e-300, 1e300), signed(1e-300, 1e300), st.integers(-2000, 2000).map(float)),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.lists(log_x_points, min_size=1, max_size=20))
+# np.log and np.hypot round these unlike math.log and math.hypot
+@example([(0.9695125239175644, 0.0, 0.0), (-30.580056446260382, -18.41610235034864, 0.0)])
+@settings(max_examples=200, deadline=None)
+def test_results_are_the_per_point_assembly_bit_for_bit(points):
+    q, r, exp2 = (np.array(column) for column in zip(*points))
+    want = []
+    for q_i, r_i, e in points:
+        m12_abs = math.hypot(q_i, r_i)
+        log_x = None if m12_abs == 0.0 else 2.0 * (math.log(m12_abs) + e * math.log(2.0))
+        want.append(assemble(log_x))
+    got = scattering._results(q, r, exp2)
+    assert np.array_equal(bits(got), bits([[dataclasses.astuple(w)[i] for w in want]
+                                           for i in range(3)]))
+    assert scattering._records(*got) == want
+
+
+def det_drift_loop(a, b, c, d, exp2):
+    """The oracle's determinant drift per k, as its per-k loop computed it."""
+    drifts = []
+    for a_i, b_i, c_i, d_i, e in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist(), exp2.tolist()):
+        unit = 2.0**-e
+        inv = 1.0 / max(unit, abs(a_i), abs(b_i), abs(c_i), abs(d_i))
+        drifts.append(abs(a_i * inv * (d_i * inv) - b_i * inv * (c_i * inv)
+                          - unit * inv * (unit * inv)))
+    return np.array(drifts)
+
+
+entries = st.one_of(signed(1e-300, 1e300), st.sampled_from([0.0, -0.0, math.inf, math.nan]))
+
+
+@given(st.lists(st.tuples(entries, entries, entries, entries, st.integers(0, 1074)),
+                min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_det_drift_is_the_per_k_loop_bit_for_bit(rows):
+    a, b, c, d, exp2 = (np.array(column) for column in zip(*rows))
+    with np.errstate(all="ignore"):  # inf and NaN entries
+        got = oracle._det_drift(a, b, c, d, exp2.astype(np.int64))
+    assert np.array_equal(bits(got), bits(det_drift_loop(a, b, c, d, exp2)))
+
+
+def test_drift_warns_once_per_k_in_input_order(monkeypatch, caplog):
+    spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
+    ks = [3.0, 0.5, 2.0]
+    with caplog.at_level(logging.WARNING, logger="ucpscatter.oracle"):
+        transmission_oracle_batch(spec, ks)
+        assert caplog.records == []
+        monkeypatch.setattr(oracle, "_DET_DRIFT_TOL", -1.0)  # every drift exceeds it
+        transmission_oracle_batch(spec, ks)
+    messages = [record.getMessage() for record in caplog.records]
+    assert [m.rsplit(", ", 1)[1] for m in messages] == [f"k={k:g}" for k in ks]
+    assert all(m.startswith("oracle determinant drift ") and " at G=4, " in m for m in messages)

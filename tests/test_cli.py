@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from ucpscatter import (InvalidSpecError, ScatterResult, saturation_scan, transmission_oracle,
+from ucpscatter import (InvalidSpecError, saturation_scan, transmission_oracle,
                         transmission_ucp, UcpSpec)
 from ucpscatter import cli
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
@@ -102,14 +102,15 @@ class TestTransmission:
 
     def test_nan_reaches_the_footer(self, tmp_path, monkeypatch):
         # max(0.0, nan) is 0.0: the footer must not hide a NaN point
-        real = cli.transmission_oracle_batch
+        real = cli.transmission_oracle_arrays
 
         def one_nan(spec, ks):
             results = real(spec, ks)
-            results[1] = ScatterResult(math.nan, math.nan, math.nan)
+            for column in results:
+                column[1] = math.nan
             return results
 
-        monkeypatch.setattr(cli, "transmission_oracle_batch", one_nan)
+        monkeypatch.setattr(cli, "transmission_oracle_arrays", one_nan)
         code, text = run(
             ["transmission", *SPEC_ARGS, "--kmin", "1", "--kmax", "4", "--nk", "3",
              "--engine", "both"],

@@ -19,7 +19,7 @@ from ucpscatter import (
     transmission_ucp,
     transmission_ucp_batch,
 )
-from ucpscatter.scattering import _assemble, _barrier_terms
+from paper import assemble, barrier_terms
 
 
 small_specs = st.builds(
@@ -57,7 +57,7 @@ def matrix_product_oracle(spec, k):
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for width, is_barrier in region_sequence(spec):
         if is_barrier:
-            cos_m1, k_sin, em_sin, _ = _barrier_terms(k, spec.V, width)
+            cos_m1, k_sin, em_sin, _ = barrier_terms(k, spec.V, width)
             cos_z, k_sin = 1.0 + cos_m1.real, k_sin.real
             fa, fb, fc, fd = cos_z, k_sin, 2.0 * em_sin.real - k_sin, cos_z
         else:
@@ -65,7 +65,7 @@ def matrix_product_oracle(spec, k):
             fa, fb, fc, fd = cos_kd, sin_kd, -sin_kd, cos_kd
         a, b, c, d = a * fa + b * fc, a * fb + b * fd, c * fa + d * fc, c * fb + d * fd
     m12_abs = math.hypot(a - d, b + c) / 2.0
-    return _assemble(None if m12_abs == 0.0 else 2.0 * math.log(m12_abs))
+    return assemble(None if m12_abs == 0.0 else 2.0 * math.log(m12_abs))
 
 
 def plane_wave_product_oracle(spec, k):
@@ -77,7 +77,7 @@ def plane_wave_product_oracle(spec, k):
             total = total @ barrier_matrix(k, spec.V, width)
         total = total @ propagation_matrix(k, -width)
     m12_abs = abs(total.m12)
-    return _assemble(None if m12_abs == 0.0 else 2.0 * math.log(m12_abs))
+    return assemble(None if m12_abs == 0.0 else 2.0 * math.log(m12_abs))
 
 
 class TestPropagationMatrix:

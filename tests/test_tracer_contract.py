@@ -42,5 +42,6 @@ def test_tracer_installs_and_leaves_the_output_unchanged():
     assert plain[0] == cli.EXIT_OK
     assert traced == plain
     assert tracer.stats["cli.main"][0] == 1  # the wrappers ran
-    assert tracer.stats["oracle.transmission_oracle_batch"][0] == 1
+    # the command reads the oracle's numbers as arrays, through the traced public name
+    assert tracer.stats["oracle.transmission_oracle_arrays"][0] == 1
     assert run(ARGV) == plain  # and are gone again
