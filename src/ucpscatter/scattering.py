@@ -156,10 +156,11 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
     its digits; the E = V point is covered by a series expansion of
     sin(kappa w)/kappa.  eps_{+-} = (k/kappa -+ kappa/k) / 2 are folded into
     the pole-free eps_- sin(z) = V/(2k) * sin(z)/kappa and eps_+ sin(z) =
-    (2k^2-V)/(2k) * sin(z)/kappa.  Each term is the real part of the one
-    complex formula in cmath, bit for bit: the steps are those of cmath.sqrt,
-    cmath.sin and complex * and /, taken in real arithmetic, with the signed
-    zero of the imaginary part where a product can be zero.
+    (2k^2-V)/(2k) * sin(z)/kappa.  Each term is, bit for bit, the real part
+    of the per-point complex formula in cmath (kept in tests/paper.py as
+    barrier_terms): the steps are those of cmath.sqrt, cmath.sin and complex
+    * and /, taken in real arithmetic, with the signed zero of the imaginary
+    part where a product can be zero.
 
     Raises ValueError for the first bad point in input order: k not positive
     and finite, width not positive, or a term that does not fit a double.
@@ -413,6 +414,8 @@ def _results(q: np.ndarray, r: np.ndarray,
 
     T = 1/(1 + X) with X = |m12|**2 is taken from ln X, so that T far below
     double-precision underflow keeps its log10; X = 0 gives T = 1 exactly.
+    Each point gets the bits of the per-point if-chain kept in tests/paper.py
+    as assemble; masks pick each branch's value.
     """
     m12_abs = _libm(math.hypot, q, r)
     zero = m12_abs == 0.0

@@ -354,6 +354,8 @@ def assert_rows_as_reference(points):
         assert np.array_equal(bits(got), bits(want)), (got, want)
 
 
+# RuntimeWarning only: with every warning an error, a failing example's report
+# ends in an internal error of the Hypothesis plugin instead
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.lists(barrier_points, min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
@@ -362,7 +364,7 @@ def test_barrier_rows_are_the_complex_terms_bit_for_bit(points):
     assert_rows_as_reference(points)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
 def test_first_bad_point_raises_its_message(order):
     bad = [(-1.0, 25.0, 0.1),      # k <= 0
