@@ -28,7 +28,7 @@ and cos round as the C library's, which math calls).  sinh, exp, log, log1p
 and hypot come from math, through one map over the points that need them:
 numpy's own versions of these differ from math's in the last bit on some
 arguments, and math.hypot is not the C library's hypot.  Swapping one of them
-for numpy's changes output bytes.
+for numpy's changes bits, and the bit-identity tests fail.
 """
 
 from __future__ import annotations
