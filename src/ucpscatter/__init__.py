@@ -5,9 +5,15 @@ and beta, stage G) interpolating between general Cantor (alpha=1, beta=0) and
 general Smith-Volterra-Cantor (alpha=0, beta=1) barrier geometries, with a
 closed-form transmission coefficient built on super-periodic transfer-matrix
 recursions and an independent brute-force oracle for cross-validation.
+
+Each engine has one array entry point and one one-point call:
+transmission_ucp_arrays(specs, ks) gives T, R and log10 T of every spec at
+every k as arrays of shape (len(specs), len(ks)), and
+transmission_oracle_arrays(spec, ks) of one spec at every k;
+transmission_ucp(spec, k) and transmission_oracle(spec, k) give one point.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analysis import (
     SaturationReport,
@@ -33,7 +39,6 @@ from .oracle import (
     region_sequence,
     transmission_oracle,
     transmission_oracle_arrays,
-    transmission_oracle_batch,
 )
 from .scattering import (
     BlochSequence,
@@ -44,7 +49,6 @@ from .scattering import (
     transmission_spp,
     transmission_ucp,
     transmission_ucp_arrays,
-    transmission_ucp_batch,
 )
 from .special import q_pochhammer
 
@@ -68,13 +72,11 @@ __all__ = [
     "barrier_matrix",
     "bloch_sequence",
     "transmission_ucp",
-    "transmission_ucp_batch",
     "transmission_ucp_arrays",
     "transmission_spp",
     "propagation_matrix",
     "region_sequence",
     "transmission_oracle",
-    "transmission_oracle_batch",
     "transmission_oracle_arrays",
     "constant_area_height",
     "reflection_asymptote",

@@ -119,7 +119,7 @@ def fit_scaling(
         raise ValueError(f"n_points must be >= 50, got {n_points}")
     scaled = dataclasses.replace(spec, V=constant_area_height(spec, V0))
     ks = np.logspace(math.log10(k_min), math.log10(k_max), n_points)
-    refl = transmission_ucp_arrays([scaled] * n_points, ks)[1]
+    refl = transmission_ucp_arrays([scaled], ks)[1][0]
 
     positive = refl > 0.0
     ks, refl = ks[positive], refl[positive]
@@ -169,9 +169,7 @@ def saturation_scan(specs: Sequence[UcpSpec], k_grid: Sequence[float]) -> Satura
     if stages != list(range(stages[0], stages[0] + len(stages))):
         raise ValueError(f"stages must be consecutive, got {stages}")
 
-    points = [s for s in specs for _ in k_grid]
-    log10_t = transmission_ucp_arrays(points, list(k_grid) * len(specs))[2]
-    profiles = log10_t.reshape(len(specs), len(k_grid))
+    profiles = transmission_ucp_arrays(specs, k_grid)[2]
     metrics = [
         float(np.max(np.abs(profiles[i] - profiles[i + 1])))
         for i in range(len(profiles) - 1)

@@ -1,8 +1,9 @@
 """Command-line front end: transmission sweeps, parameter grids, geometry
 dumps, and analysis reports as CSV/JSON for external plotting.
 
-Exit codes: 0 success, 2 invalid input (spec, options or config), 3 stage
-above the cap for enumerating every barrier (oracle or geometry).
+Exit codes: 0 success, 2 invalid input (spec, options or config, or an
+option sizing an array too large to allocate), 3 stage above the cap for
+enumerating every barrier (oracle or geometry).
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def cmd_transmission(args: argparse.Namespace) -> int:
         lines.append("k,T,R,log10_T")
     closed = orac = None
     if engine in ("closed_form", "both"):
-        closed = transmission_ucp_arrays([spec] * len(ks), ks)
+        closed = [x[0] for x in transmission_ucp_arrays([spec], ks)]
     if engine in ("oracle", "both"):
         orac = transmission_oracle_arrays(spec, ks)
     columns = [ks, *(x.tolist() for x in (closed if closed is not None else orac))]
@@ -212,14 +213,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
             spec = None
         cube.append((f"{a_text},{b_text},{r_text},", spec))
     specs = [spec for _, spec in cube if spec is not None]
-    transmission = transmission_ucp_arrays([s for s in specs for _ in ks], ks * len(specs))[0]
-    transmissions = iter(transmission.tolist())
+    rows = iter(transmission_ucp_arrays(specs, ks)[0].tolist())
     k_texts = [_fmt(k) for k in ks]
     for prefix, spec in cube:
         if spec is None:
             lines.extend(prefix + k + ",0," for k in k_texts)
         else:
-            lines.extend(prefix + k + ",1," + _fmt(next(transmissions)) for k in k_texts)
+            lines.extend(prefix + k + ",1," + _fmt(t) for k, t in zip(k_texts, next(rows)))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -341,7 +341,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "config", None):
             _apply_config(args, _load_config(args.config))
         return args.func(args)
-    except (ValueError, OSError) as exc:  # bad spec, option value, config, or file path
+    # bad spec, option value, config, or file path, or an allocation an option sized too large
+    except (ValueError, OSError, MemoryError) as exc:
         kind = "spec" if isinstance(exc, InvalidSpecError) else "input"
         print(f"invalid {kind}: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import DEFAULT_STAGE_CAP, OracleInfeasibleError, UcpSpec, _listed_widths
-from .scattering import (ScatterResult, TransferMatrix, _barrier_rows, _gap_phase, _records,
+from .scattering import (ScatterResult, TransferMatrix, _barrier_rows, _gap_phase,
                          _require_positive_k, _results)
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "region_sequence",
     "propagation_matrix",
     "transmission_oracle",
-    "transmission_oracle_batch",
     "transmission_oracle_arrays",
     "DEFAULT_STAGE_CAP",
 ]
@@ -72,14 +71,15 @@ def propagation_matrix(k: float, d: float) -> TransferMatrix:
 def transmission_oracle(spec: UcpSpec, k: float) -> ScatterResult:
     """Transmission by multiplying out all 2**G barrier matrices explicitly.
 
-    One point of transmission_oracle_batch; pass arrays there for speed.
+    One point of transmission_oracle_arrays; pass every k there for speed.
     """
-    return transmission_oracle_batch(spec, [k])[0]
+    return ScatterResult(*(x.item() for x in transmission_oracle_arrays(spec, [k])))
 
 
-def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[ScatterResult]:
-    """Transmission at each k, in input order, by multiplying out all 2**G
-    barrier matrices explicitly.
+def transmission_oracle_arrays(spec: UcpSpec,
+                               ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T, R and log10 T at each k, three float arrays over ks in input order,
+    by multiplying out all 2**G barrier matrices explicitly.
 
     Independent of the closed form: the geometry comes from region_sequence
     and the product runs region by region, never using self-similarity.  The
@@ -89,13 +89,6 @@ def transmission_oracle_batch(spec: UcpSpec, ks: Sequence[float]) -> list[Scatte
     OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
     remains available there).
     """
-    return _records(*transmission_oracle_arrays(spec, ks))
-
-
-def transmission_oracle_arrays(spec: UcpSpec,
-                               ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numbers of transmission_oracle_batch(spec, ks) as three float
-    arrays over the k: T, R and log10 T."""
     regions = region_sequence(spec)  # the stage cap is checked before k is
     k = np.asarray(ks, dtype=float)
     n = k.size

@@ -7,11 +7,11 @@ the block so far is repeated N_f times, block_f = (block_{f-1} . gap)^(N_f-1)
 . block_{f-1}, by binary powering of real 2x2 blocks that lose no digits at
 any stage, for many points at once.  It serves three results:
 
-- transmission_ucp_batch: the doubling, N_f = 2 at every order, in one pass
-  over points of any mix of stages, each joining at its own order G, with
-  T = 1/(1 + |m12|**2) taken in the log domain, so that transmissions far
-  below double-precision underflow remain representable through log10(T);
-  transmission_ucp is its one-point call;
+- transmission_ucp_arrays: the doubling, N_f = 2 at every order, of every
+  spec at every k in one pass, specs of any mix of stages each joining at its
+  own order G, with T = 1/(1 + |m12|**2) taken in the log domain, so that
+  transmissions far below double-precision underflow remain representable
+  through log10(T); transmission_ucp is its one-point call;
 - bloch_sequence: the paper's Bloch phases Omega_q of
 
       T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2),
@@ -51,7 +51,6 @@ __all__ = [
     "barrier_matrix",
     "bloch_sequence",
     "transmission_ucp",
-    "transmission_ucp_batch",
     "transmission_ucp_arrays",
     "transmission_spp",
 ]
@@ -267,48 +266,41 @@ def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, .
 def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
     """Closed-form transmission through the stage-G system at wavenumber k.
 
-    One point of transmission_ucp_batch; pass arrays there for speed.
+    One point of transmission_ucp_arrays; pass every spec and k there for speed.
     """
-    return transmission_ucp_batch([spec], [k])[0]
-
-
-def transmission_ucp_batch(specs: Sequence[UcpSpec], ks: Sequence[float]) -> list[ScatterResult]:
-    """Closed-form transmission at each point (specs[i], ks[i]), in input order.
-
-    Every point runs in one pass of the doubling (see _repetition), whatever
-    its stage: highest stage first, each point joins at its own order G.
-    Each result equals the one-point transmission_ucp(specs[i], ks[i]).
-    Equal specs share one row of geometry, the width chain of the first of
-    them; a spec object computes its chain once, on first use, so repeated
-    specs are cheapest passed as one object.
-    """
-    return _records(*transmission_ucp_arrays(specs, ks))
+    return ScatterResult(*(x.item() for x in transmission_ucp_arrays([spec], [k])))
 
 
 def transmission_ucp_arrays(specs: Sequence[UcpSpec],
                             ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numbers of transmission_ucp_batch(specs, ks) as three float arrays
-    over the points: T, R and log10 T."""
-    if len(specs) != len(ks):
-        raise ValueError(f"len(specs)={len(specs)} and len(ks)={len(ks)} must match")
-    index: dict[UcpSpec, int] = {}
-    rows = np.array([index.setdefault(s, len(index)) for s in specs], dtype=np.intp)
-    chains = [s.width_chain for s in index]
+    """Closed-form T, R and log10 T of every spec at every k, three float
+    arrays of shape (len(specs), len(ks)): [i, j] is specs[i] at ks[j], and
+    equals the one-point transmission_ucp(specs[i], ks[j]) bit for bit.
+
+    Every point runs in one pass of the doubling (see _repetition), whatever
+    its stage: highest stage first, each spec's points join at its own order
+    G.  A spec object computes its width chain once, on first use.
+    """
+    chains = [s.width_chain for s in specs]
     k = np.asarray(ks, dtype=float)
-    # checks each point in input order; past it every l_G > 0, so no chain is cut short
-    barrier = _barrier_rows(k, np.array([s.V for s in index], dtype=float)[rows],
-                            np.array([c.l_G for c in chains], dtype=float)[rows])
+    shape = (len(chains), k.size)
+    points_k = np.tile(k, shape[0])  # every point's k, spec-major: the same in any spec order
+    heights = np.array([s.V for s in specs], dtype=float)
+    widths = np.array([c.l_G for c in chains], dtype=float)
+    # spec-major, so the first bad point raised is the first (spec, k) in row-major
+    # order; past it every l_G > 0, so no chain is cut short
+    barrier = _barrier_rows(points_k, heights.repeat(k.size), widths.repeat(k.size))
     G = np.array([len(c.gaps) for c in chains], dtype=np.int64)
     gaps = np.fromiter(chain.from_iterable(c.gaps for c in chains), float, G.sum())
-    # highest stage first: the points still running at order g, G_i >= g, are a prefix
-    order = np.argsort(-G[rows], kind="stable")
-    first = (np.cumsum(G) - G)[rows[order]]  # a point's d_g is gaps[first + g - 1]
-    minus_G = -G[rows[order]]
-    orders = ((gaps[first[:np.searchsorted(minus_G, -g, side="right")] + (g - 1)], 2)
-              for g in range(-int(minus_G[0]) if k.size else 0, 0, -1))  # d_G first
-    block, exp2 = _repetition(k[order], barrier[:, order], orders)
+    # highest stage first: the specs still running at order g, G_i >= g, are a prefix
+    order = np.argsort(-G, kind="stable")
+    first, G = (np.cumsum(G) - G)[order], G[order]  # a spec's d_g is gaps[first + g - 1]
+    orders = ((np.repeat(gaps[first[G >= g] + (g - 1)], k.size), 2)
+              for g in range(int(G[0]) if barrier.size else 0, 0, -1))  # d_G first
+    block, exp2 = _repetition(points_k, barrier.reshape(4, *shape)[:, order].reshape(4, -1),
+                              orders)
     back = np.argsort(order)
-    return _results(block[2][back], block[3][back], exp2[back])
+    return tuple(x.reshape(shape)[back] for x in _results(block[2], block[3], exp2))
 
 
 def _gap_phase(k: np.ndarray, d) -> np.ndarray:
@@ -439,12 +431,6 @@ def _results(q: np.ndarray, r: np.ndarray,
     return np.where(low, larger, smaller), np.where(low, smaller, larger), minus / _LN10
 
 
-def _records(transmission: np.ndarray, reflection: np.ndarray,
-             log10_t: np.ndarray) -> list[ScatterResult]:
-    """One ScatterResult per point of the arrays _results returns."""
-    return list(map(ScatterResult, transmission.tolist(), reflection.tolist(), log10_t.tolist()))
-
-
 def transmission_spp(
     V: float,
     width: float,
@@ -479,4 +465,4 @@ def transmission_spp(
         span = (n - 1) * s + span
     k = np.array([k], dtype=float)
     block, exp2 = _repetition(k, _barrier_rows(k, V, width), orders)
-    return _records(*_results(block[2], block[3], exp2))[0]
+    return ScatterResult(*(x.item() for x in _results(block[2], block[3], exp2)))

@@ -13,7 +13,7 @@ from ucpscatter import (
     saturation_scan,
     segment_length,
     transmission_ucp,
-    transmission_ucp_batch,
+    transmission_ucp_arrays,
 )
 from ucpscatter.analysis import _MEDIAN_WINDOW, _rolling_median
 
@@ -103,9 +103,8 @@ class TestReflectionAsymptote:
         v_g = constant_area_height(spec, 10.0)
         scaled = dataclasses.replace(spec, V=v_g)
         ks = np.logspace(math.log10(3.0), math.log10(30.0), 5) * math.sqrt(10.0 * v_g)
-        for k, exact in zip(ks, transmission_ucp_batch([scaled] * len(ks), ks)):
-            assert reflection_asymptote(spec, 10.0, float(k)) == pytest.approx(
-                exact.reflection, rel=1e-4, abs=0)
+        for k, exact in zip(ks.tolist(), transmission_ucp_arrays([scaled], ks)[1][0].tolist()):
+            assert reflection_asymptote(spec, 10.0, k) == pytest.approx(exact, rel=1e-4, abs=0)
 
     def test_guard_violation(self):
         spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)

@@ -1,4 +1,4 @@
-"""The batch forms of both engines: every point equals its one-point call, and
+"""The array forms of both engines: every point equals its one-point call, and
 the results stay physical over the whole range the closed form accepts."""
 
 import dataclasses
@@ -14,11 +14,12 @@ import ucpscatter.oracle as oracle
 import ucpscatter.scattering as scattering
 from paper import assemble, barrier_terms
 from ucpscatter import (
+    ScatterResult,
     UcpSpec,
     transmission_oracle,
-    transmission_oracle_batch,
+    transmission_oracle_arrays,
     transmission_ucp,
-    transmission_ucp_batch,
+    transmission_ucp_arrays,
 )
 
 
@@ -37,6 +38,13 @@ def specs(max_stage, max_span=400.0):
 wavenumbers = st.floats(1e-3, 1e5)
 
 
+def records(arrays):
+    """A ScatterResult per point of T, R and log10 T arrays, nested as the arrays are."""
+    if arrays[0].ndim == 2:
+        return [records(rows) for rows in zip(*arrays)]
+    return [ScatterResult(*point) for point in zip(*(x.tolist() for x in arrays))]
+
+
 def one_point_or_none(engine, spec, k):
     """engine(spec, k), or None for the documented opaque-barrier ValueError."""
     try:
@@ -46,48 +54,48 @@ def one_point_or_none(engine, spec, k):
         return None
 
 
-@given(st.lists(st.tuples(specs(64), wavenumbers), min_size=1, max_size=4))
-@settings(max_examples=30, deadline=None)
-def test_closed_form_batch_equals_one_point_calls(points):
-    # mixed stages, and rescaled points next to unscaled ones: no cross-talk
-    single = [(spec, k, one_point_or_none(transmission_ucp, spec, k)) for spec, k in points]
-    kept = [(spec, k, res) for spec, k, res in single if res is not None]
+def assert_every_spec_at_every_k_is_its_one_point_call(pool, ks):
+    """transmission_ucp_arrays over the specs of pool that no k makes too
+    opaque: each [i, j] is transmission_ucp(specs[i], ks[j]), == and repr."""
+    single = [[one_point_or_none(transmission_ucp, spec, k) for k in ks] for spec in pool]
+    kept = [i for i, row in enumerate(single) if None not in row]
     assume(kept)
-    specs_, ks, want = zip(*kept)
-    assert transmission_ucp_batch(specs_, ks) == list(want)
+    want = [single[i] for i in kept]
+    got = records(transmission_ucp_arrays([pool[i] for i in kept], ks))
+    assert got == want and repr(got) == repr(want)
+
+
+@given(st.lists(specs(64), min_size=1, max_size=4), st.lists(wavenumbers, min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_closed_form_batch_equals_one_point_calls(pool, ks):
+    # mixed stages, and rescaled points next to unscaled ones: no cross-talk
+    assert_every_spec_at_every_k_is_its_one_point_call(pool, ks)
 
 
 @given(st.lists(specs(64), min_size=1, max_size=6), st.data())
 @settings(max_examples=30, deadline=None)
 def test_one_pass_at_any_mix_of_stages_equals_one_point_calls(pool, data):
-    # up to 64 points in random order, repeated specs and G = 0 points among
-    # them: each joins the doubling at its own stage
+    # up to 16 specs in random order, repeated specs and G = 0 specs among
+    # them, at up to 8 k: each spec joins the doubling at its own stage
     pool.append(dataclasses.replace(pool[0], G=0))
-    points = data.draw(st.lists(st.tuples(st.sampled_from(pool), wavenumbers),
-                                min_size=1, max_size=64))
-    single = [(spec, k, one_point_or_none(transmission_ucp, spec, k)) for spec, k in points]
-    kept = [(spec, k, res) for spec, k, res in single if res is not None]
-    assume(kept)
-    specs_, ks, want = zip(*kept)
-    assert transmission_ucp_batch(specs_, ks) == list(want)
+    drawn = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    ks = data.draw(st.lists(wavenumbers, min_size=1, max_size=8))
+    assert_every_spec_at_every_k_is_its_one_point_call(drawn, ks)
 
 
-DEEP_STAGES = range(16, 33)
+DEEP_STAGES = [UcpSpec(L=5, V=25, rho=3, alpha=0.5, beta=1, G=G) for G in range(16, 33)]
 DEEP_K = np.linspace(0.5, 10.0, 64)
 
 
-def deep_batch():
-    """The points of a saturation scan over stages 16..32 at 64 k, stage by stage."""
-    stages = [UcpSpec(L=5, V=25, rho=3, alpha=0.5, beta=1, G=G) for G in DEEP_STAGES]
-    return [s for s in stages for _ in DEEP_K], list(DEEP_K) * len(stages)
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def test_deep_batch_equals_the_batches_of_its_stages():
-    specs_, ks = deep_batch()
-    n = len(DEEP_K)
-    per_stage = [res for i in range(0, len(ks), n)
-                 for res in transmission_ucp_batch(specs_[i:i + n], ks[i:i + n])]
-    assert transmission_ucp_batch(specs_, ks) == per_stage
+    # the points of a saturation scan over stages 16..32 at 64 k
+    per_stage = [transmission_ucp_arrays([spec], DEEP_K) for spec in DEEP_STAGES]
+    for got, want in zip(transmission_ucp_arrays(DEEP_STAGES, DEEP_K), zip(*per_stage)):
+        assert np.array_equal(bits(got), bits(np.concatenate(want)))
 
 
 def test_deep_batch_is_one_doubling_pass(monkeypatch):
@@ -101,24 +109,22 @@ def test_deep_batch_is_one_doubling_pass(monkeypatch):
         return product(x, y)
 
     monkeypatch.setattr(scattering, "_block_product", counted)
-    transmission_ucp_batch(*deep_batch())
-    assert len(calls) == 2 * max(DEEP_STAGES)
+    transmission_ucp_arrays(DEEP_STAGES, DEEP_K)
+    assert len(calls) == 2 * DEEP_STAGES[-1].G
 
 
 @given(specs(64), st.lists(wavenumbers, min_size=1, max_size=6))
 @settings(max_examples=30, deadline=None)
 def test_equal_spec_objects_equal_one_point_calls(spec, ks):
-    # equal but distinct objects share one row of geometry, V = 0.0 next to
-    # V = -0.0 among them; each result is still its one-point call's
+    # equal but distinct objects, V = 0.0 next to V = -0.0 among them: each
+    # result is still its one-point call's
     zero = dataclasses.replace(spec, V=0.0)
     pool = [spec, dataclasses.replace(spec), zero, dataclasses.replace(spec, V=-0.0),
             dataclasses.replace(zero)]
-    single = [(s, k, one_point_or_none(transmission_ucp, s, k)) for k in ks for s in pool]
-    kept = [(s, k, res) for s, k, res in single if res is not None]
-    assume(kept)
-    specs_, ks_, want = zip(*kept)
-    got = transmission_ucp_batch(specs_, ks_)
-    assert got == list(want) and repr(got) == repr(list(want))
+    ks = [k for k in ks if one_point_or_none(transmission_ucp, spec, k) is not None
+          and one_point_or_none(transmission_ucp, zero, k) is not None]
+    assume(ks)
+    assert_every_spec_at_every_k_is_its_one_point_call(pool, ks)
 
 
 def count_removal_fractions(monkeypatch):
@@ -137,34 +143,50 @@ def count_removal_fractions(monkeypatch):
 @pytest.mark.parametrize("G", [16, 64])
 def test_geometry_once_per_spec(monkeypatch, G):
     calls = count_removal_fractions(monkeypatch)
-    ks = np.linspace(0.5, 10.0, 500).tolist()
+    ks = np.linspace(0.5, 10.0, 500)
     spec = UcpSpec(L=5, V=25, rho=3, alpha=0.5, beta=1, G=G)
-    first = transmission_ucp_batch([spec] * 500, ks)
+    first = transmission_ucp_arrays([spec], ks)
     assert calls == list(range(1, G + 1))
-    assert transmission_ucp_batch([spec] * 500, ks) == first
-    assert len(calls) == G  # the second batch on the same object computes none
+    assert np.array_equal(bits(transmission_ucp_arrays([spec], ks)), bits(first))
+    assert len(calls) == G  # the second call on the same object computes none
     calls.clear()
-    rebuilt = [UcpSpec(L=5, V=25, rho=3, alpha=0.5, beta=1, G=G) for _ in ks]
-    assert transmission_ucp_batch(rebuilt, ks) == first
-    assert len(calls) == G  # 500 equal objects share the chain of the first
+    rebuilt = [UcpSpec(L=5, V=25, rho=3, alpha=0.5, beta=1, G=G) for _ in range(3)]
+    got = transmission_ucp_arrays(rebuilt, ks)
+    assert all(np.array_equal(bits(x), bits(np.repeat(y, 3, axis=0))) for x, y in zip(got, first))
+    assert calls == list(range(1, G + 1)) * 3  # each object computes its own chain, once
+
+
+def test_grid_shaped_call_hashes_no_spec(monkeypatch):
+    # the grid workload's shape: a 14**3 cube of (alpha, beta, rho) at G = 8, 3 k
+    calls = count_removal_fractions(monkeypatch)
+    hashes = []
+    monkeypatch.setattr(UcpSpec, "__hash__", lambda spec: hashes.append(1) or 0)
+    axis = np.linspace(0.1, 1.4, 14).tolist()
+    cube = [UcpSpec(L=5, V=25, rho=1.5 + r, alpha=a, beta=b, G=8)
+            for a, b, r in itertools.product(axis, axis, axis)]
+    T = transmission_ucp_arrays(cube, [0.5, 2.0, 7.0])[0]
+    assert T.shape == (2744, 3)
+    assert hashes == []
+    assert calls == list(range(1, 9)) * 2744  # one width chain per spec object
+    assert all("width_chain" in vars(spec) for spec in cube)
 
 
 def test_points_are_checked_in_input_order():
-    # the opaque G = 0 point comes first in the input; the bad k, at a higher
-    # stage, joins the doubling first
+    # the first bad (spec, k) in row-major order raises, though thin, at a
+    # higher stage, joins the doubling first
     thin = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
     thick = UcpSpec(L=400, V=400, rho=3, alpha=3, beta=0, G=0)
     with pytest.raises(ValueError, match="too opaque"):
-        transmission_ucp_batch([thin, thick, thin, thin], [1.0, 1.0, -1.0, 2.0])
+        transmission_ucp_arrays([thick, thin], [1.0, -1.0])
     with pytest.raises(ValueError, match="wavenumber"):
-        transmission_ucp_batch([thin, thin, thick], [1.0, -1.0, 1.0])
+        transmission_ucp_arrays([thin, thick], [1.0, -1.0])
 
 
 def test_overflowing_identity_part_is_rescaled():
     # the constant-area height of V0 = 10 at G = 600: o1 * o2 overflowed once
     # the block was scaled up by its other entries, and T was NaN
     spec = UcpSpec(L=1, V=4.516015599358285e106, rho=3, alpha=1, beta=0, G=600)
-    for res in transmission_ucp_batch([spec] * 3, [2e54, 5e54, 1e55]):
+    for res in records(transmission_ucp_arrays([spec], [2e54, 5e54, 1e55]))[0]:
         assert 0.0 <= res.transmission <= 1.0 and 0.0 <= res.reflection <= 1.0
         assert math.isfinite(res.log10_transmission)
 
@@ -181,7 +203,7 @@ def test_reflection_survives_600_orders_near_full_transmission():
 def test_closed_form_has_no_nan_at_large_heights_and_wavenumbers(spec, V, ks):
     spec = dataclasses.replace(spec, V=V)
     try:
-        results = transmission_ucp_batch([spec] * len(ks), ks)
+        results = records(transmission_ucp_arrays([spec], ks))[0]
     except ValueError as exc:
         assert "too opaque" in str(exc) or "barrier width" in str(exc)
         assume(False)
@@ -194,7 +216,7 @@ def test_closed_form_has_no_nan_at_large_heights_and_wavenumbers(spec, V, ks):
 @settings(max_examples=50, deadline=None)
 def test_closed_form_batch_is_physical(spec, ks):
     try:
-        results = transmission_ucp_batch([spec] * len(ks), ks)
+        results = records(transmission_ucp_arrays([spec], ks))[0]
     except ValueError as exc:
         assert "too opaque" in str(exc)
         assume(False)
@@ -209,8 +231,8 @@ def test_closed_form_batch_is_physical(spec, ks):
 def test_oracle_batch_equals_one_point_calls_and_the_closed_form(spec, ks):
     single = [one_point_or_none(transmission_oracle, spec, k) for k in ks]
     assume(None not in single)
-    assert transmission_oracle_batch(spec, ks) == single
-    closed = transmission_ucp_batch([spec] * len(ks), ks)
+    assert records(transmission_oracle_arrays(spec, ks)) == single
+    closed = records(transmission_ucp_arrays([spec], ks))[0]
     for a, b in zip(closed, single):
         assert abs(a.log10_transmission - b.log10_transmission) <= 1e-9
 
@@ -239,9 +261,9 @@ def test_gap_phase_past_a_double_raises():
     assert 0.0 <= transmission_ucp(spec, 1.0).transmission <= 1.0
     assert 0.0 <= transmission_oracle(spec, 1.0).transmission <= 1.0
     with pytest.raises(ValueError, match="gap too wide"):
-        transmission_ucp_batch([spec, spec], [1.0, 10.0])
+        transmission_ucp_arrays([spec], [1.0, 10.0])
     with pytest.raises(ValueError, match="gap too wide"):
-        transmission_oracle_batch(spec, [1.0, 10.0])
+        transmission_oracle_arrays(spec, [1.0, 10.0])
     assert 0.0 <= scattering.transmission_spp(1.0, 1.0, [2], [1e308], 1.0).transmission <= 1.0
     with pytest.raises(ValueError, match="gap too wide"):
         scattering.transmission_spp(1.0, 1.0, [2], [1e308], 2.0)
@@ -251,21 +273,17 @@ def test_opaque_point_raises():
     thin = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
     thick = UcpSpec(L=400, V=400, rho=3, alpha=3, beta=0, G=0)
     with pytest.raises(ValueError, match="too opaque"):
-        transmission_ucp_batch([thin, thick], [1.0, 1.0])
+        transmission_ucp_arrays([thin, thick], [1.0])
     with pytest.raises(ValueError, match="too opaque"):
-        transmission_oracle_batch(thick, [2.0, 1.0])
-
-
-def test_lengths_must_match():
-    spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
-    with pytest.raises(ValueError, match="must match"):
-        transmission_ucp_batch([spec, spec], [1.0])
+        transmission_oracle_arrays(thick, [2.0, 1.0])
 
 
 def test_empty_batches():
     spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
-    assert transmission_ucp_batch([], []) == []
-    assert transmission_oracle_batch(spec, []) == []
+    for specs_, ks, shape in [([], [1.0, 2.0, 3.0], (0, 3)), ([spec], [], (1, 0)),
+                              ([spec, spec], [], (2, 0)), ([], [], (0, 0))]:
+        assert [x.shape for x in transmission_ucp_arrays(specs_, ks)] == [shape] * 3
+    assert [x.shape for x in transmission_oracle_arrays(spec, [])] == [(0,)] * 3
 
 
 def test_rescaled_block_keeps_its_digits():
@@ -278,10 +296,6 @@ def test_rescaled_block_keeps_its_digits():
     assert res.log10_transmission == pytest.approx(-49346.58232556531, abs=1e-9)
     assert transmission_oracle(spec, 0.0033897316930988656).log10_transmission == pytest.approx(
         res.log10_transmission, abs=1e-9)
-
-
-def bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def positive(lo, hi):
@@ -422,7 +436,7 @@ def test_results_are_the_per_point_assembly_bit_for_bit(points):
     got = scattering._results(q, r, exp2)
     assert np.array_equal(bits(got), bits([[dataclasses.astuple(w)[i] for w in want]
                                            for i in range(3)]))
-    assert scattering._records(*got) == want
+    assert records(got) == want
 
 
 def det_drift_loop(a, b, c, d, exp2):
@@ -453,10 +467,10 @@ def test_drift_warns_once_per_k_in_input_order(monkeypatch, caplog):
     spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
     ks = [3.0, 0.5, 2.0]
     with caplog.at_level(logging.WARNING, logger="ucpscatter.oracle"):
-        transmission_oracle_batch(spec, ks)
+        transmission_oracle_arrays(spec, ks)
         assert caplog.records == []
         monkeypatch.setattr(oracle, "_DET_DRIFT_TOL", -1.0)  # every drift exceeds it
-        transmission_oracle_batch(spec, ks)
+        transmission_oracle_arrays(spec, ks)
     messages = [record.getMessage() for record in caplog.records]
     assert [m.rsplit(", ", 1)[1] for m in messages] == [f"k={k:g}" for k in ks]
     assert all(m.startswith("oracle determinant drift ") and " at G=4, " in m for m in messages)

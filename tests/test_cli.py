@@ -1,13 +1,15 @@
 import itertools
 import json
 import math
+import pathlib
+import re
 import time
 
 import numpy as np
 import pytest
 
 from ucpscatter import (InvalidSpecError, saturation_scan, transmission_oracle,
-                        transmission_ucp, UcpSpec)
+                        transmission_ucp, UcpSpec, __version__)
 from ucpscatter import cli
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
 
@@ -611,6 +613,19 @@ class TestBadInput:
         # 2.0**g overflowed from g = 1024; every barrier is narrower than a double holds
         assert "barrier width" in self.assert_one_line_exit_2(argv, capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["transmission", *SPEC_ARGS, "--kmin", "1", "--kmax", "4", "--nk", "1000000000000000"],
+        ["grid", "--L", "5", "--V", "25", "--G", "3", "--alpha-range", "0:1:1000000000000000",
+         "--beta", "1", "--rho", "2.5", "--k", "1"],
+        ["scaling", "--L", "1", "--V0", "10", "--rho", "1.75", "--alpha", "0.5",
+         "--beta", "0.25", "--G", "5", "--kmin", "50", "--kmax", "500",
+         "--nk", "1000000000000000"],
+    ], ids=["transmission", "grid", "scaling"])
+    def test_allocation_an_option_sizes_past_memory(self, capsys, argv):
+        # 1e15 doubles do not fit a 47-bit address space: numpy refuses the
+        # array before touching memory, and its MemoryError was a traceback
+        assert "Unable to allocate" in self.assert_one_line_exit_2(argv, capsys)
+
     @pytest.mark.parametrize("command", ["transmission", "scaling"])
     def test_billion_stages_end_at_once(self, capsys, command):
         # one loop step per stage took minutes; the lengths settle after about 1100
@@ -625,3 +640,12 @@ class TestBadInput:
             capsys,
         )
         assert time.perf_counter() - start < 1.0
+
+
+def test_version_matches_pyproject(capsys):
+    # read with a regex: tomllib is missing on Python 3.10
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]*)"$', text, re.M) == [__version__]
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out == __version__ + "\n"

@@ -14,7 +14,7 @@ from ucpscatter import (
     super_period,
     transmission_spp,
     transmission_ucp,
-    transmission_ucp_batch,
+    transmission_ucp_arrays,
 )
 
 
@@ -199,13 +199,16 @@ class TestReflectionNearFullTransmission:
         def reference(spec, k):
             return -math.expm1(math.log(10.0) * paper.paper_recursion(mpmath, spec, k)[0])
 
-        points = [(UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=alpha, beta=beta, G=G), k)
-                  for G in (8, 16, 32, 64) for k in (30.0, 300.0, 3e3, 3e4)]
-        for (spec, k), res in zip(points, transmission_ucp_batch(*zip(*points))):
-            want = reference(spec, k)
-            s = abs(reference(spec, math.nextafter(k, math.inf)) / want - 1.0)
-            assert 0.0 < want < 1e-2
-            assert abs(res.reflection / want - 1.0) <= self.C * (s + 2.0**-52), (spec, k)
+        specs = [UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=alpha, beta=beta, G=G)
+                 for G in (8, 16, 32, 64)]
+        ks = [30.0, 300.0, 3e3, 3e4]
+        rows = transmission_ucp_arrays(specs, ks)[1].tolist()
+        for spec, row in zip(specs, rows):
+            for k, reflection in zip(ks, row):
+                want = reference(spec, k)
+                s = abs(reference(spec, math.nextafter(k, math.inf)) / want - 1.0)
+                assert 0.0 < want < 1e-2
+                assert abs(reflection / want - 1.0) <= self.C * (s + 2.0**-52), (spec, k)
 
 
 class TestTransmissionSpp:
