@@ -11,7 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import UcpSpec
-from .scattering import _require_k_window, bloch_sequence, transmission_ucp_arrays
+from .scattering import (_require_k_window, _require_positive_k, bloch_sequence,
+                         transmission_ucp_arrays)
 
 __all__ = [
     "ScalingFit",
@@ -76,15 +77,15 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
     phases evaluated at the constant-area height V_G.  Valid only for
     V_G / k**2 < 0.1; used for comparison against the exact reflection.
     """
+    _require_positive_k(k)
     v_g = constant_area_height(spec, V0)
     if not v_g / (k * k) < _ASYMPTOTE_GUARD:
         raise ValueError(
             f"asymptote guard violated: V_G/k^2 = {v_g / (k * k):.3g} >= {_ASYMPTOTE_GUARD}"
         )
     l_g = spec.width_chain.l_G
-    seq = bloch_sequence(dataclasses.replace(spec, V=v_g), k)
     prod = 1.0
-    for w in seq.omegas:
+    for w in bloch_sequence(dataclasses.replace(spec, V=v_g), k):
         prod *= w * w
     return math.ldexp(v_g * l_g / 2.0, spec.G) ** 2 / (k * k) * prod  # 4**G (v_g l_g / 2)**2
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import fit_scaling, saturation_scan
-from .geometry import InvalidSpecError, UcpSpec, build_segments
-from .oracle import OracleInfeasibleError, transmission_oracle_arrays
+from .geometry import InvalidSpecError, OracleInfeasibleError, UcpSpec, build_segments
+from .oracle import transmission_oracle_arrays
 from .scattering import _require_k_window, _require_positive_k, transmission_ucp_arrays
 
 EXIT_OK = 0
@@ -226,10 +226,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 def cmd_geometry(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    geometry = build_segments(spec)
     lines = _spec_header(spec)
     lines.append("index,offset,width")
-    for i, (off, w) in enumerate(geometry.barriers):
+    for i, (off, w) in enumerate(build_segments(spec)):
         lines.append(f"{i},{_fmt(off)},{_fmt(w)}")
     _emit(lines, args.out)
     return EXIT_OK

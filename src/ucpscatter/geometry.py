@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -26,7 +26,6 @@ __all__ = [
     "OracleInfeasibleError",
     "DEFAULT_STAGE_CAP",
     "UcpSpec",
-    "SegmentGeometry",
     "segment_length",
     "gap_length",
     "super_period",
@@ -121,18 +120,6 @@ class UcpSpec:
         return _WidthChain(tuple(widths), tuple(gaps))
 
 
-@dataclass(frozen=True)
-class SegmentGeometry:
-    """Explicit barrier intervals of a stage-G system.
-
-    barriers is an ordered list of (offset, width) pairs inside [0, span],
-    pairwise disjoint and mirror-symmetric about span/2.
-    """
-
-    span: float
-    barriers: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-
-
 def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> None:
     if not (lowest <= g <= spec.G):
         raise InvalidSpecError(f"stage index {g} outside [{lowest}, {spec.G}]")
@@ -176,8 +163,10 @@ def _listed_widths(spec: UcpSpec) -> tuple[float, ...]:
     return widths + (0.0,) * (spec.G + 1 - len(widths))
 
 
-def build_segments(spec: UcpSpec) -> SegmentGeometry:
-    """Explicit interval list of the stage-G system.
+def build_segments(spec: UcpSpec) -> tuple[tuple[float, float], ...]:
+    """Explicit interval list of the stage-G system: the (offset, width) of
+    every barrier in order, pairwise disjoint inside [0, L] and
+    mirror-symmetric about L/2.
 
     Built top-down from the spec's width chain, the one the closed form
     reads: at stage g each interval at offset off splits into ones at
@@ -188,7 +177,7 @@ def build_segments(spec: UcpSpec) -> SegmentGeometry:
     offsets = [0.0]
     for w, child in zip(widths, widths[1:]):
         offsets = [x for off in offsets for x in (off, off + w - child)]
-    return SegmentGeometry(span=spec.L, barriers=tuple((off, widths[-1]) for off in offsets))
+    return tuple((off, widths[-1]) for off in offsets)
 
 
 def max_valid_stage(alpha: float, beta: float) -> int | None:

@@ -16,25 +16,16 @@ the log domain by the closed form's own code.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import DEFAULT_STAGE_CAP, OracleInfeasibleError, UcpSpec, _listed_widths
-from .scattering import (ScatterResult, TransferMatrix, _barrier_rows, _gap_phase,
-                         _require_positive_k, _results)
+from .geometry import UcpSpec, _listed_widths
+from .scattering import ScatterResult, _barrier_rows, _gap_phase, _results
 
-__all__ = [
-    "OracleInfeasibleError",
-    "region_sequence",
-    "propagation_matrix",
-    "transmission_oracle",
-    "transmission_oracle_arrays",
-    "DEFAULT_STAGE_CAP",
-]
+__all__ = ["region_sequence", "transmission_oracle", "transmission_oracle_arrays"]
 
 logger = logging.getLogger(__name__)
 
@@ -59,13 +50,6 @@ def region_sequence(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
     for g in range(spec.G, 0, -1):  # stage g-1's barrier: two stage-g halves and a gap
         regions = regions + ((widths[g - 1] - 2.0 * widths[g], False),) + regions
     return regions
-
-
-def propagation_matrix(k: float, d: float) -> TransferMatrix:
-    """Free-space transfer matrix diag(e^{ikd}, e^{-ikd}); identity at d = 0."""
-    _require_positive_k(k)
-    phase = cmath.exp(1j * k * d)
-    return TransferMatrix(phase, 0.0, 0.0, 1.0 / phase)
 
 
 def transmission_oracle(spec: UcpSpec, k: float) -> ScatterResult:

@@ -33,7 +33,6 @@ for numpy's changes bits, and the bit-identity tests fail.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -46,9 +45,7 @@ from .geometry import UcpSpec
 
 __all__ = [
     "TransferMatrix",
-    "BlochSequence",
     "ScatterResult",
-    "barrier_matrix",
     "bloch_sequence",
     "transmission_ucp",
     "transmission_ucp_arrays",
@@ -78,7 +75,13 @@ _SINH_CLIP = 710.0
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Unimodular 2x2 complex transfer matrix of a potential region."""
+    """Unimodular 2x2 complex transfer matrix of a potential region.
+
+    No code of the package uses it: the plane-wave matrices built from it are
+    test references in tests/paper.py.  It stays only because
+    perfbench/tracer.py wraps its __matmul__ (METHODS), until the benchmark
+    drops that entry.
+    """
 
     m11: complex
     m12: complex
@@ -95,13 +98,6 @@ class TransferMatrix:
             self.m21 * other.m11 + self.m22 * other.m21,
             self.m21 * other.m12 + self.m22 * other.m22,
         )
-
-
-@dataclass(frozen=True)
-class BlochSequence:
-    """Ordered Bloch phases Omega_1..Omega_G."""
-
-    omegas: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -215,21 +211,9 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
     return rows
 
 
-def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
-    """Transfer matrix of a rectangular barrier of the given height and width.
-
-    One code path serves every energy regime (see _barrier_rows).
-    """
-    cos_m1, _, em_sin, ep_sin = _barrier_rows(np.array([k], dtype=float), V, width)[:, 0].tolist()
-    cos_z = 1.0 + cos_m1
-    phase = cmath.exp(1j * k * width)
-    m11 = (cos_z - 1j * ep_sin) * phase
-    m12 = 1j * em_sin
-    return TransferMatrix(m11, m12, -m12, (cos_z + 1j * ep_sin) / phase)
-
-
-def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
-    """Bloch phases Omega_1..Omega_G of the stage-G system at wavenumber k.
+def bloch_sequence(spec: UcpSpec, k: float) -> tuple[float, ...]:
+    """Bloch phases Omega_1..Omega_G of the stage-G system at wavenumber k, a
+    tuple of G floats.
 
     Omega_q is the half-trace of the order-q unit cell, block_{G-q+1} .
     gap(d_{G-q+1}) (Yeh, Yariv & Hong, JOSA 67, 423, 1977), taken from the
@@ -245,7 +229,7 @@ def bloch_sequence(spec: UcpSpec, k: float) -> BlochSequence:
     with np.errstate(over="ignore"):
         omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
                   for h, e in half_traces]
-    return BlochSequence(omegas=tuple(float(w[0]) for w in omegas))
+    return tuple(float(w[0]) for w in omegas)
 
 
 def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:

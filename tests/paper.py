@@ -10,16 +10,20 @@ G = 64.  Tests import this module as plain `import paper`.
 The per-point forms of the library's array code are kept here too:
 barrier_terms, the terms of one barrier in complex cmath arithmetic, and
 assemble, T and R of one point from ln X in math; the library's
-_barrier_rows and _results must give their bits.
+_barrier_rows and _results must give their bits.  So are the complex
+plane-wave matrices the paper multiplies, barrier_matrix and
+propagation_matrix, which no engine of the library uses.
 """
 
 import cmath
 import functools
 import math
 
-from ucpscatter import InvalidSpecError, ScatterResult
+import numpy as np
+
+from ucpscatter import InvalidSpecError, ScatterResult, TransferMatrix
 from ucpscatter.geometry import _check_stage
-from ucpscatter.scattering import _LN10, _SERIES_CUTOFF, _require_positive_k, barrier_matrix
+from ucpscatter.scattering import _LN10, _SERIES_CUTOFF, _barrier_rows, _require_positive_k
 
 
 def barrier_terms(k, V, width):
@@ -82,6 +86,26 @@ def assemble(log_x):
         transmission = math.exp(-log1p_x)  # may underflow to 0.0 for huge X
         reflection = 1.0 - transmission
     return ScatterResult(transmission, reflection, log10_t)
+
+
+def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
+    """Transfer matrix of a rectangular barrier of the given height and width.
+
+    One code path serves every energy regime (see _barrier_rows).
+    """
+    cos_m1, _, em_sin, ep_sin = _barrier_rows(np.array([k], dtype=float), V, width)[:, 0].tolist()
+    cos_z = 1.0 + cos_m1
+    phase = cmath.exp(1j * k * width)
+    m11 = (cos_z - 1j * ep_sin) * phase
+    m12 = 1j * em_sin
+    return TransferMatrix(m11, m12, -m12, (cos_z + 1j * ep_sin) / phase)
+
+
+def propagation_matrix(k: float, d: float) -> TransferMatrix:
+    """Free-space transfer matrix diag(e^{ikd}, e^{-ikd}); identity at d = 0."""
+    _require_positive_k(k)
+    phase = cmath.exp(1j * k * d)
+    return TransferMatrix(phase, 0.0, 0.0, 1.0 / phase)
 
 
 def gamma1(spec, q):

@@ -111,6 +111,13 @@ class TestReflectionAsymptote:
         with pytest.raises(ValueError, match="guard"):
             reflection_asymptote(spec, 25.0, 2.0)
 
+    @pytest.mark.parametrize("k", [0.0, -0.0, -5.0, math.nan, math.inf])
+    def test_rejects_a_bad_wavenumber_first(self, k):
+        # k is checked before V_G / k**2: +-0 divides by zero, and -5 passes as its square
+        spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)
+        with pytest.raises(ValueError, match="wavenumber k must be positive and finite"):
+            reflection_asymptote(spec, 25.0, k)
+
     def test_single_barrier_closed_form(self):
         # G=0: asymptote reduces to (V0 L / (2k))^2 with a cos^2 Bloch-free
         # prefactor absent -> (V0 l0 / 2)^2 / k^2

@@ -1,0 +1,45 @@
+"""The public surface: each public name is declared once, in the __all__ of
+the module that defines it, and the package re-exports every module's
+__all__ as its own."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import ucpscatter
+
+MODULES = [importlib.import_module(f"ucpscatter.{info.name}")
+           for info in pkgutil.iter_modules(ucpscatter.__path__)]
+
+
+def test_package_names_are_unique_and_resolve():
+    names = ucpscatter.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(ucpscatter, name)  # raises AttributeError for a name that does not resolve
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_lists_only_what_it_defines(module):
+    for name in getattr(module, "__all__", ()):
+        value = getattr(module, name)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == module.__name__, name
+        assert getattr(ucpscatter, name) is value
+
+
+def test_each_name_is_declared_once():
+    declared = [name for module in MODULES for name in getattr(module, "__all__", ())]
+    assert len(declared) == len(set(declared))
+    assert sorted(ucpscatter.__all__) == sorted(["__version__", *declared])
+
+
+@pytest.mark.parametrize("name", ["barrier_matrix", "propagation_matrix", "BlochSequence",
+                                  "SegmentGeometry"])
+def test_test_references_and_wrappers_are_not_public(name):
+    # the plane-wave matrices are test references in tests/paper.py; bloch_sequence
+    # and build_segments return their tuples without a one-field wrapper
+    assert not hasattr(ucpscatter, name)
+    assert not any(hasattr(module, name) for module in MODULES)

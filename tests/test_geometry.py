@@ -423,54 +423,54 @@ class TestBuildSegments:
     @settings(max_examples=60, deadline=None)
     def test_equals_the_split_loop(self, spec, G):
         spec = dataclasses.replace(spec, G=G)
-        assert build_segments(spec).barriers == split_loop_segments(spec)
+        assert build_segments(spec) == split_loop_segments(spec)
 
     def test_stage_zero(self):
-        geo = build_segments(cantor(L=4.0, G=0))
-        assert geo.barriers == ((0.0, 4.0),)
+        barriers = build_segments(cantor(L=4.0, G=0))
+        assert barriers == ((0.0, 4.0),)
 
     def test_standard_cantor_stage1(self):
-        geo = build_segments(cantor(G=1))
-        assert geo.barriers[0] == pytest.approx((0.0, 1 / 3))
-        assert geo.barriers[1] == pytest.approx((2 / 3, 1 / 3))
+        barriers = build_segments(cantor(G=1))
+        assert barriers[0] == pytest.approx((0.0, 1 / 3))
+        assert barriers[1] == pytest.approx((2 / 3, 1 / 3))
 
     def test_svc_stage1(self):
-        geo = build_segments(svc(G=1))
-        assert geo.barriers[0] == pytest.approx((0.0, 3 / 8))
-        assert geo.barriers[1] == pytest.approx((5 / 8, 3 / 8))
+        barriers = build_segments(svc(G=1))
+        assert barriers[0] == pytest.approx((0.0, 3 / 8))
+        assert barriers[1] == pytest.approx((5 / 8, 3 / 8))
 
     @given(valid_specs)
     @settings(max_examples=80)
     def test_invariants(self, spec):
-        geo = build_segments(spec)
-        n = len(geo.barriers)
+        barriers = build_segments(spec)
+        n = len(barriers)
         assert n == 2**spec.G
         l_g = segment_length(spec, spec.G)
         tol = 1e-12 * spec.L
         prev_end = -tol
-        for off, w in geo.barriers:
+        for off, w in barriers:
             assert w == pytest.approx(l_g, abs=tol)
             assert off >= prev_end - tol
             prev_end = off + w
         assert prev_end <= spec.L + tol
         # mirror symmetry about L/2
-        for (off, w), (off2, w2) in zip(geo.barriers, reversed(geo.barriers)):
+        for (off, w), (off2, w2) in zip(barriers, reversed(barriers)):
             assert off == pytest.approx(spec.L - off2 - w2, abs=tol)
         # widths sum to 2^G * l_G
-        width = math.fsum(w for _, w in geo.barriers)
+        width = math.fsum(w for _, w in barriers)
         assert width == pytest.approx(n * l_g, abs=1e-10 * spec.L)
 
     @given(valid_specs)
     @settings(max_examples=60)
     def test_width_plus_gaps_is_span(self, spec):
-        geo = build_segments(spec)
+        barriers = build_segments(spec)
         gaps = []
         pos = 0.0
-        for off, w in geo.barriers:
+        for off, w in barriers:
             gaps.append(off - pos)
             pos = off + w
         gaps.append(spec.L - pos)
-        total = math.fsum(w for _, w in geo.barriers) + math.fsum(gaps)
+        total = math.fsum(w for _, w in barriers) + math.fsum(gaps)
         assert total == pytest.approx(spec.L, abs=1e-10 * spec.L)
 
 

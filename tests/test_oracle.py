@@ -9,9 +9,7 @@ from ucpscatter import (
     OracleInfeasibleError,
     TransferMatrix,
     UcpSpec,
-    barrier_matrix,
     build_segments,
-    propagation_matrix,
     region_sequence,
     segment_length,
     transmission_oracle,
@@ -19,7 +17,7 @@ from ucpscatter import (
     transmission_ucp,
     transmission_ucp_arrays,
 )
-from paper import assemble, barrier_terms
+from paper import assemble, barrier_matrix, barrier_terms, propagation_matrix
 
 
 small_specs = st.builds(
@@ -133,7 +131,7 @@ class TestRegionSequence:
         # the barriers are build_segments' own widths; each gap, formed from
         # its parent barrier, matches the difference of the listed offsets
         regions = region_sequence(spec)
-        barriers = build_segments(spec).barriers
+        barriers = build_segments(spec)
         assert [width for width, is_barrier in regions if is_barrier] == [w for _, w in barriers]
         gaps = [width for width, is_barrier in regions if not is_barrier]
         offsets = [b[0] - (a[0] + a[1]) for a, b in zip(barriers, barriers[1:])]

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import paper
+from paper import barrier_matrix
 from ucpscatter import (
     UcpSpec,
-    barrier_matrix,
     bloch_sequence,
     gap_length,
     segment_length,
@@ -74,7 +74,7 @@ class TestBarrierMatrix:
 class TestBlochSequence:
     def test_stage_zero_empty(self):
         spec = UcpSpec(L=1, V=10, rho=3, alpha=1, beta=0, G=0)
-        assert bloch_sequence(spec, 2.0).omegas == ()
+        assert bloch_sequence(spec, 2.0) == ()
 
     def test_stage_one_matches_hand_formula(self):
         spec = UcpSpec(L=1, V=10, rho=3, alpha=1, beta=0, G=1)
@@ -84,7 +84,7 @@ class TestBlochSequence:
         gamma_1 = -(segment_length(spec, 1) + gap_length(spec, 1))
         expected = abs(cell.m22) * math.cos(theta - k * gamma_1)
         seq = bloch_sequence(spec, k)
-        assert seq.omegas[0] == pytest.approx(expected, rel=1e-13, abs=0)
+        assert seq[0] == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_stage_two_matches_hand_expansion(self):
         spec = UcpSpec(L=2, V=15, rho=2.5, alpha=0.5, beta=1, G=2)
@@ -95,8 +95,8 @@ class TestBlochSequence:
         w1 = amp * math.cos(theta - k * -(l_2 + d_2))
         w2 = 2 * amp * math.cos(theta - k * -(l_2 + d_1)) * w1 - math.cos(k * (d_2 - d_1))
         seq = bloch_sequence(spec, k)
-        assert seq.omegas[0] == pytest.approx(w1, rel=1e-13, abs=0)
-        assert seq.omegas[1] == pytest.approx(w2, rel=1e-12, abs=0)
+        assert seq[0] == pytest.approx(w1, rel=1e-13, abs=0)
+        assert seq[1] == pytest.approx(w2, rel=1e-12, abs=0)
 
     def test_reality_against_complex_path(self):
         # re-derive each Omega keeping m22 complex; imaginary residue must vanish
@@ -130,7 +130,7 @@ class TestBlochSequence:
                 )
             omegas.append(lead - acc)
         seq = bloch_sequence(spec, k)
-        for mine, theirs in zip(omegas, seq.omegas):
+        for mine, theirs in zip(omegas, seq):
             assert theirs == pytest.approx(mine, rel=1e-10, abs=1e-10)
 
 
@@ -177,7 +177,7 @@ class TestTransmissionUcp:
         cell = barrier_matrix(k, spec.V, segment_length(spec, spec.G))
         seq = bloch_sequence(spec, k)
         x = 4.0**spec.G * abs(cell.m12) ** 2
-        for w in seq.omegas:
+        for w in seq:
             x *= w * w
         direct_log10_t = -math.log10(1.0 + x)
         res = transmission_ucp(spec, k)

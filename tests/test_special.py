@@ -71,9 +71,11 @@ class TestQPochhammer:
 
 
 def pochhammer_loop(mu, nu, p):
-    """(mu; nu)_p one factor per step, to the end."""
+    """(mu; nu)_p one factor per step, to the end or to an exact 0."""
     result, factor = 1.0, mu
     for _ in range(p):
+        if result == 0.0:  # every true factor is finite: the product stays 0
+            break
         result *= 1.0 - factor
         factor *= nu
     return result
@@ -81,13 +83,17 @@ def pochhammer_loop(mu, nu, p):
 
 class TestPochhammerEarlyStop:
     @given(st.floats(-2, 2), st.floats(-1.5, 1.5), st.integers(0, 3000))
-    # a zero factor, then factors that overflow: 0 * -inf is NaN in both
+    # a zero factor, then factors that overflow: 0 * -inf would be NaN
     @example(1.0, 1.5, 1752)
     @settings(max_examples=200)
     def test_same_bits_as_every_step(self, mu, nu, p):
         # bits, not ==, which no NaN satisfies
         got, want = q_pochhammer(mu, nu, p), pochhammer_loop(mu, nu, p)
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    def test_zero_factor_then_overflowing_factors_is_zero(self):
+        # 1 - mu = 0, then mu nu^j overflows past j ~ 1751: 0 * inf must not make it NaN
+        assert q_pochhammer(1.0, 1.5, 1752) == 0.0
 
     def test_settled_products_return_at_once(self):
         start = time.perf_counter()
