@@ -128,41 +128,27 @@ def _spec_header(spec: UcpSpec) -> list[str]:
     return [f"# {name}={_fmt(getattr(spec, name))}" for name in names] + [f"# G={spec.G}"]
 
 
-def _emit(lines: Sequence[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_transmission(args: argparse.Namespace) -> int:
+def cmd_transmission(args: argparse.Namespace) -> list[str]:
     spec = _build_spec(args)
     ks = _k_grid(args).tolist()
     engine = args.engine or "closed_form"
 
-    lines = _spec_header(spec)
-    lines.append(f"# engine={engine}")
-    if engine == "both":
-        lines.append("k,T,R,log10_T,T_oracle,abs_diff")
+    lines = [*_spec_header(spec), f"# engine={engine}", "k,T,R,log10_T"]
+    if engine == "oracle":
+        t, r, log10_t = transmission_oracle_arrays(spec, ks)
     else:
-        lines.append("k,T,R,log10_T")
-    closed = orac = None
-    if engine in ("closed_form", "both"):
-        closed = [x[0] for x in transmission_ucp_arrays([spec], ks)]
-    if engine in ("oracle", "both"):
-        orac = transmission_oracle_arrays(spec, ks)
-    columns = [ks, *(x.tolist() for x in (closed if closed is not None else orac))]
+        t, r, log10_t = (x[0] for x in transmission_ucp_arrays([spec], ks))
+    columns = [ks, t.tolist(), r.tolist(), log10_t.tolist()]
+    footer = []
     if engine == "both":
-        diffs = np.abs(closed[0] - orac[0])
-        columns += [orac[0].tolist(), diffs.tolist()]
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
-    if engine == "both":
+        t_oracle = transmission_oracle_arrays(spec, ks)[0]
+        diffs = np.abs(t - t_oracle)
+        lines[-1] += ",T_oracle,abs_diff"
+        columns += [t_oracle.tolist(), diffs.tolist()]
         # np.max, unlike max, keeps a NaN
-        lines.append(f"# max_abs_diff={_fmt(float(np.max(diffs)))}")
-    _emit(lines, args.out)
-    return EXIT_OK
+        footer.append(f"# max_abs_diff={_fmt(float(np.max(diffs)))}")
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
+    return lines + footer
 
 
 def _parse_range(text: str, name: str) -> np.ndarray:
@@ -185,7 +171,7 @@ def _grid_axis(args: argparse.Namespace, name: str) -> np.ndarray:
     raise ValueError(f"provide --{name} or --{name}-range")
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
+def cmd_grid(args: argparse.Namespace) -> list[str]:
     _require(args, ["L", "V", "G", "k"])
     alphas = _grid_axis(args, "alpha")
     betas = _grid_axis(args, "beta")
@@ -220,21 +206,19 @@ def cmd_grid(args: argparse.Namespace) -> int:
             lines.extend(prefix + k + ",0," for k in k_texts)
         else:
             lines.extend(prefix + k + ",1," + _fmt(t) for k, t in zip(k_texts, next(rows)))
-    _emit(lines, args.out)
-    return EXIT_OK
+    return lines
 
 
-def cmd_geometry(args: argparse.Namespace) -> int:
+def cmd_geometry(args: argparse.Namespace) -> list[str]:
     spec = _build_spec(args)
     lines = _spec_header(spec)
     lines.append("index,offset,width")
     for i, (off, w) in enumerate(build_segments(spec)):
         lines.append(f"{i},{_fmt(off)},{_fmt(w)}")
-    _emit(lines, args.out)
-    return EXIT_OK
+    return lines
 
 
-def cmd_scaling(args: argparse.Namespace) -> int:
+def cmd_scaling(args: argparse.Namespace) -> list[str]:
     _require(args, ["L", "V0", "rho", "alpha", "beta", "G", "kmin", "kmax", "nk"])
     spec = UcpSpec(L=args.L, V=args.V0, rho=args.rho, alpha=args.alpha, beta=args.beta, G=args.G)
     fit = fit_scaling(spec, args.V0, (args.kmin, args.kmax), args.nk)
@@ -247,11 +231,10 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         "r_squared": fit.r_squared,
         "n_used": fit.n_used,
     }
-    _emit([json.dumps(report, indent=2)], args.out)
-    return EXIT_OK
+    return [json.dumps(report, indent=2)]
 
 
-def cmd_saturation(args: argparse.Namespace) -> int:
+def cmd_saturation(args: argparse.Namespace) -> list[str]:
     _require(args, ["L", "V", "rho", "alpha", "beta", "gmin", "gmax", "kmin", "kmax", "nk"])
     if args.gmax <= args.gmin:
         raise ValueError("need gmax > gmin")
@@ -268,15 +251,13 @@ def cmd_saturation(args: argparse.Namespace) -> int:
         "stage_pairs": [[g, g + 1] for g in report.stages],
         "metrics": list(report.metrics),
     }
-    _emit([json.dumps(payload, indent=2)], args.out)
-    return EXIT_OK
+    return [json.dumps(payload, indent=2)]
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> list[str]:
     spec = _build_spec(args)
-    _emit([f"valid: L={spec.L} V={spec.V} rho={spec.rho} alpha={spec.alpha} "
-           f"beta={spec.beta} G={spec.G}"], args.out)
-    return EXIT_OK
+    return [f"valid: L={spec.L} V={spec.V} rho={spec.rho} alpha={spec.alpha} "
+            f"beta={spec.beta} G={spec.G}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +320,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "config", None):
             _apply_config(args, _load_config(args.config))
-        return args.func(args)
+        text = "\n".join(args.func(args)) + "\n"  # each command returns its lines
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
     # bad spec, option value, config, or file path, or an allocation an option sized too large
     except (ValueError, OSError, MemoryError) as exc:
         kind = "spec" if isinstance(exc, InvalidSpecError) else "input"

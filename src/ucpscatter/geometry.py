@@ -84,11 +84,9 @@ class UcpSpec:
             raise InvalidSpecError(f"rho must be > 1, got {self.rho}")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise InvalidSpecError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
-        if self.alpha == 0.0 and self.beta == 0.0:
-            raise InvalidSpecError("alpha and beta cannot both be zero")
+        bound = max_valid_stage(self.alpha, self.beta)  # rejects alpha = beta = 0
         if not isinstance(self.G, numbers.Integral) or self.G < 0:
             raise InvalidSpecError(f"G must be a non-negative integer, got {self.G}")
-        bound = max_valid_stage(self.alpha, self.beta)
         if bound is not None and self.G > bound:
             raise InvalidSpecError(
                 f"alpha + beta*G <= 0 at stage g={bound + 1} "

@@ -96,7 +96,7 @@ def transmission_oracle_arrays(spec: UcpSpec,
         if factor is None:
             width, is_barrier = region
             if is_barrier:
-                cos_m1, k_sin, em_sin, _ = _barrier_rows(k, spec.V, width)  # checks k
+                cos_m1, k_sin, em_sin = _barrier_rows(k, spec.V, width)  # checks k
                 cos_z = 1.0 + cos_m1
                 with np.errstate(over="ignore"):
                     c_k = 2.0 * em_sin - k_sin

@@ -142,30 +142,29 @@ def _sinh(y: np.ndarray) -> np.ndarray:
 
 def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
     """Terms of a rectangular barrier at each point, one row per term:
-    cos(kappa w) - 1, k sin(kappa w)/kappa, eps_- sin(kappa w) and
-    eps_+ sin(kappa w).  V and width are values or arrays like k.
+    cos(kappa w) - 1, k sin(kappa w)/kappa and eps_- sin(kappa w).  V and
+    width are values or arrays like k.  (eps_+ sin(kappa w) is the second
+    minus the third.)
 
     Natural units: k = sqrt(E), kappa = sqrt(E - V), real for E >= V and
     imaginary below (cos/sin become cosh/sinh).  cos(kappa w) - 1 is
     -2 sin(kappa w / 2)**2, so a barrier much thinner than a wavelength keeps
     its digits; the E = V point is covered by a series expansion of
-    sin(kappa w)/kappa.  eps_{+-} = (k/kappa -+ kappa/k) / 2 are folded into
-    the pole-free eps_- sin(z) = V/(2k) * sin(z)/kappa and eps_+ sin(z) =
-    (2k^2-V)/(2k) * sin(z)/kappa.  Each term is, bit for bit, the real part
-    of the per-point complex formula in cmath (kept in tests/paper.py as
-    barrier_terms): the steps are those of cmath.sqrt, cmath.sin and complex
-    * and /, taken in real arithmetic, with the signed zero of the imaginary
-    part where a product can be zero.
+    sin(kappa w)/kappa.  eps_- = (k/kappa - kappa/k) / 2 is folded into the
+    pole-free eps_- sin(z) = V/(2k) * sin(z)/kappa.  Each term is, bit for
+    bit, the real part of the per-point complex formula in cmath (kept in
+    tests/paper.py as barrier_terms): the steps are those of cmath.sqrt,
+    cmath.sin and complex * and /, taken in real arithmetic, with the signed
+    zero of the imaginary part where a product can be zero.
 
     Raises ValueError for the first bad point in input order: k not positive
     and finite, width not positive, or a term that does not fit a double.
-    Each term is a factor of k (k, V/(2k) or (2k^2 - V)/(2k)) times one that
-    grows as e**|Im kappa w|: the barrier is too opaque where that growth
-    outweighs the factor's, and k is out of range otherwise.
+    Each term is a factor of k (k or V/(2k)) times one that grows as
+    e**|Im kappa w|: the barrier is too opaque where that growth outweighs
+    the factor's, and k is out of range otherwise.
     """
     with np.errstate(all="ignore"):  # a bad point is found below, in input order
-        two_k = 2.0 * k
-        em, ep = V / two_k, (two_k * k - V) / two_k
+        em = V / (2.0 * k)
         s = k * k - V
         # |kappa| as cmath.sqrt rounds it: 2 sqrt(|s|/8 + |s|/8), that is
         # sqrt(8 (|s|/8)), which differs from sqrt(|s|) where |s|/8 is
@@ -188,7 +187,7 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
             z2 = np.where(imaginary, -z, z) * z  # (kappa w)**2
             sin_over_kappa = np.where(series, width * (1.0 - z2 / 6.0 + z2 * z2 / 120.0),
                                       sin_over_kappa)
-        rows = np.array([cos_m1, k * sin_over_kappa, em * sin_over_kappa, ep * sin_over_kappa])
+        rows = np.array([cos_m1, k * sin_over_kappa, em * sin_over_kappa])
         if not rows[1:].all():
             # the imaginary part of sin(kappa w)/kappa is a zero, -0.0 where
             # sin(kappa w) > 0 > cos(kappa w) for real kappa, and a zero
@@ -198,13 +197,13 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
         ok = (k > 0.0) & (width > 0.0) & np.isfinite(rows).all(axis=0)
     if not ok.all():
         i = int(np.argmin(ok))
-        k_i, V_i, w_i, z_i, em_i, ep_i, s_i = (
-            float(x[i]) for x in np.broadcast_arrays(k, V, width, z, em, ep, s))
+        k_i, V_i, w_i, z_i, em_i, s_i = (
+            float(x[i]) for x in np.broadcast_arrays(k, V, width, z, em, s))
         _require_positive_k(k_i)
         if not w_i > 0.0:
             raise ValueError(f"barrier width must be positive, got {w_i}")
         kappa_w = complex(0.0, z_i) if s_i < 0.0 else complex(z_i, 0.0)
-        if math.isfinite(z_i) and abs(kappa_w.imag) > math.log(max(k_i, abs(em_i), abs(ep_i))):
+        if math.isfinite(z_i) and abs(kappa_w.imag) > math.log(max(k_i, abs(em_i))):
             raise ValueError(f"barrier too opaque: kappa*w = {kappa_w:.6g} overflows a double")
         raise ValueError(f"wavenumber k = {k_i:.6g} out of range: the terms of a barrier "
                          f"of height {V_i:.6g} and width {w_i:.6g} overflow a double")
@@ -281,7 +280,7 @@ def transmission_ucp_arrays(specs: Sequence[UcpSpec],
     first, G = (np.cumsum(G) - G)[order], G[order]  # a spec's d_g is gaps[first + g - 1]
     orders = ((np.repeat(gaps[first[G >= g] + (g - 1)], k.size), 2)
               for g in range(int(G[0]) if barrier.size else 0, 0, -1))  # d_G first
-    block, exp2 = _repetition(points_k, barrier.reshape(4, *shape)[:, order].reshape(4, -1),
+    block, exp2 = _repetition(points_k, barrier.reshape(3, *shape)[:, order].reshape(3, -1),
                               orders)
     back = np.argsort(order)
     return tuple(x.reshape(shape)[back] for x in _results(block[2], block[3], exp2))
@@ -364,7 +363,7 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
     the + - x, the sines (its float64 sin rounds as the C library's, which
     math.sin calls), the rescale test and the rescale.
     """
-    cos_m1, k_sin, em_sin, _ = barrier
+    cos_m1, k_sin, em_sin = barrier
     start = (np.ones(k.size), cos_m1, np.zeros(k.size), em_sin, k_sin)
     # exp2 is held as a float, which unlike an int64 cannot wrap: the doubling
     # doubles it at every order

@@ -28,23 +28,23 @@ from ucpscatter.scattering import _LN10, _SERIES_CUTOFF, _barrier_rows, _require
 
 def barrier_terms(k, V, width):
     """Terms of a rectangular barrier: (cos(kappa w) - 1, k sin(kappa w)/kappa,
-    eps_- sin(kappa w), eps_+ sin(kappa w)), as complex numbers.
+    eps_- sin(kappa w)), as complex numbers.
 
     Natural units: k = sqrt(E), kappa = sqrt(E - V) continued into the complex
     plane for E < V (cos/sin become cosh/sinh analytically).  cos(kappa w) - 1
     is -2 sin(kappa w / 2)**2, so a barrier much thinner than a wavelength keeps
     its digits; the E = V point is covered by a series expansion of
     sin(kappa w)/kappa.  Raises ValueError when a term does not fit in a
-    double.  Each term is a factor of k (k, V/(2k) or (2k^2 - V)/(2k)) times
-    one that grows as e**|Im kappa w|: the barrier is too opaque where that
-    growth outweighs the factor's, and k is out of range otherwise.  Where
-    kappa is real and kappa*w overflows, cmath.sin raises its own ValueError,
-    "math domain error".
+    double.  Each term is a factor of k (k or V/(2k)) times one that grows as
+    e**|Im kappa w|: the barrier is too opaque where that growth outweighs the
+    factor's, and k is out of range otherwise.  Where kappa is real and
+    kappa*w overflows, cmath.sin raises its own ValueError, "math domain
+    error".
     """
     _require_positive_k(k)
     if not width > 0.0:
         raise ValueError(f"barrier width must be positive, got {width}")
-    em, ep = V / (2.0 * k), (2.0 * k * k - V) / (2.0 * k)
+    em = V / (2.0 * k)
     kappa = cmath.sqrt(complex(k * k - V, 0.0))
     z = kappa * width
     try:
@@ -56,12 +56,12 @@ def barrier_terms(k, V, width):
             sin_over_kappa = cmath.sin(z) / kappa
     except OverflowError:  # |Im z| above ~710: sinh exceeds a double
         half = sin_over_kappa = math.inf
-    # eps_{+-} = (k/kappa -+ kappa/k) / 2 folded into pole-free combinations:
-    # eps_- sin(z) = V/(2k) * sin(z)/kappa, eps_+ sin(z) = (2k^2-V)/(2k) * sin(z)/kappa
-    terms = (-2.0 * half * half, k * sin_over_kappa, em * sin_over_kappa, ep * sin_over_kappa)
+    # eps_- = (k/kappa - kappa/k) / 2 folded into the pole-free
+    # eps_- sin(z) = V/(2k) * sin(z)/kappa
+    terms = (-2.0 * half * half, k * sin_over_kappa, em * sin_over_kappa)
     if all(map(cmath.isfinite, terms)):
         return terms
-    if cmath.isfinite(z) and abs(z.imag) > math.log(max(k, abs(em), abs(ep))):
+    if cmath.isfinite(z) and abs(z.imag) > math.log(max(k, abs(em))):
         raise ValueError(f"barrier too opaque: kappa*w = {z:.6g} overflows a double")
     raise ValueError(f"wavenumber k = {k:.6g} out of range: the terms of a barrier "
                      f"of height {V:.6g} and width {width:.6g} overflow a double")
@@ -93,8 +93,8 @@ def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
 
     One code path serves every energy regime (see _barrier_rows).
     """
-    cos_m1, _, em_sin, ep_sin = _barrier_rows(np.array([k], dtype=float), V, width)[:, 0].tolist()
-    cos_z = 1.0 + cos_m1
+    cos_m1, k_sin, em_sin = _barrier_rows(np.array([k], dtype=float), V, width)[:, 0].tolist()
+    cos_z, ep_sin = 1.0 + cos_m1, k_sin - em_sin
     phase = cmath.exp(1j * k * width)
     m11 = (cos_z - 1j * ep_sin) * phase
     m12 = 1j * em_sin

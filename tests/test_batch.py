@@ -353,7 +353,7 @@ def reference_rows(points):
                 return str(exc)
             return (f"wavenumber k = {k:.6g} out of range: the terms of a barrier "
                     f"of height {V:.6g} and width {width:.6g} overflow a double")
-    return np.array(rows).reshape(len(points), 4).T
+    return np.array(rows).reshape(len(points), 3).T
 
 
 def assert_rows_as_reference(points):

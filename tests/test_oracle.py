@@ -55,7 +55,7 @@ def matrix_product_oracle(spec, k):
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for width, is_barrier in region_sequence(spec):
         if is_barrier:
-            cos_m1, k_sin, em_sin, _ = barrier_terms(k, spec.V, width)
+            cos_m1, k_sin, em_sin = barrier_terms(k, spec.V, width)
             cos_z, k_sin = 1.0 + cos_m1.real, k_sin.real
             fa, fb, fc, fd = cos_z, k_sin, 2.0 * em_sin.real - k_sin, cos_z
         else:
