@@ -169,12 +169,16 @@ def build_segments(spec: UcpSpec) -> tuple[tuple[float, float], ...]:
     Built top-down from the spec's width chain, the one the closed form
     reads: at stage g each interval at offset off splits into ones at
     off and off + w_{g-1} - w_g.  Raises OracleInfeasibleError, before
-    anything is allocated, for G above DEFAULT_STAGE_CAP.
+    anything is allocated, for G above DEFAULT_STAGE_CAP, and ValueError
+    where an offset overflows a double (off + w_{g-1} can, for L near the
+    largest double).
     """
     widths = _listed_widths(spec)
     offsets = [0.0]
     for w, child in zip(widths, widths[1:]):
         offsets = [x for off in offsets for x in (off, off + w - child)]
+    if not all(map(math.isfinite, offsets)):
+        raise ValueError(f"barrier offsets overflow a double at L={spec.L}")
     return tuple((off, widths[-1]) for off in offsets)
 
 

@@ -71,6 +71,10 @@ _DBL_MIN = float(np.finfo(float).tiny)
 # cmath takes sinh(y) past log(DBL_MAX / 4) as sinh(y - 1) * e
 _SINH_LARGE = math.log(float(np.finfo(float).max) / 4.0)
 _SINH_CLIP = 710.0
+# |V|/(2k^2) is the ratio of a barrier's eps_- sin(kappa w) to k sin(kappa w)/kappa.
+# Past about 2**420 the rescaled doubling block flushes its smallest entries to 0
+# and log10 T goes wrong, by thousands of decades past 2**1000: such k are refused
+_MAX_V_OVER_2K2 = 2.0**400
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,11 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
     zero of the imaginary part where a product can be zero.
 
     Raises ValueError for the first bad point in input order: k not positive
-    and finite, width not positive, or a term that does not fit a double.
-    Each term is a factor of k (k or V/(2k)) times one that grows as
-    e**|Im kappa w|: the barrier is too opaque where that growth outweighs
-    the factor's, and k is out of range otherwise.
+    and finite, width not positive, a term that does not fit a double, or
+    |V|/(2k^2) above _MAX_V_OVER_2K2.  Each term is a factor of k (k or
+    V/(2k)) times one that grows as e**|Im kappa w|: the barrier is too
+    opaque where that growth outweighs the factor's, and k is out of range
+    otherwise.
     """
     with np.errstate(all="ignore"):  # a bad point is found below, in input order
         em = V / (2.0 * k)
@@ -194,7 +199,8 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
             # product x * sin(kappa w)/kappa takes its sign in x - 0.0 * it
             rows[1:] -= np.where(~imaginary & (sin_z > 0.0) & (np.cos(z) < 0.0), -0.0, 0.0)
         # k = inf or NaN makes every term NaN
-        ok = (k > 0.0) & (width > 0.0) & np.isfinite(rows).all(axis=0)
+        finite = np.isfinite(rows).all(axis=0)
+        ok = (k > 0.0) & (width > 0.0) & finite & (np.abs(em) <= _MAX_V_OVER_2K2 * k)
     if not ok.all():
         i = int(np.argmin(ok))
         k_i, V_i, w_i, z_i, em_i, s_i = (
@@ -202,6 +208,9 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
         _require_positive_k(k_i)
         if not w_i > 0.0:
             raise ValueError(f"barrier width must be positive, got {w_i}")
+        if finite[i]:
+            raise ValueError(f"wavenumber k = {k_i:.6g} too small for a barrier of height "
+                             f"{V_i:.6g}: |V|/(2k^2) exceeds 2**400")
         kappa_w = complex(0.0, z_i) if s_i < 0.0 else complex(z_i, 0.0)
         if math.isfinite(z_i) and abs(kappa_w.imag) > math.log(max(k_i, abs(em_i))):
             raise ValueError(f"barrier too opaque: kappa*w = {kappa_w:.6g} overflows a double")

@@ -23,7 +23,8 @@ import numpy as np
 
 from ucpscatter import InvalidSpecError, ScatterResult, TransferMatrix
 from ucpscatter.geometry import _check_stage
-from ucpscatter.scattering import _LN10, _SERIES_CUTOFF, _barrier_rows, _require_positive_k
+from ucpscatter.scattering import (_LN10, _MAX_V_OVER_2K2, _SERIES_CUTOFF, _barrier_rows,
+                                   _require_positive_k)
 
 
 def barrier_terms(k, V, width):
@@ -35,7 +36,8 @@ def barrier_terms(k, V, width):
     is -2 sin(kappa w / 2)**2, so a barrier much thinner than a wavelength keeps
     its digits; the E = V point is covered by a series expansion of
     sin(kappa w)/kappa.  Raises ValueError when a term does not fit in a
-    double.  Each term is a factor of k (k or V/(2k)) times one that grows as
+    double, or where |V|/(2k^2) exceeds _MAX_V_OVER_2K2, as _barrier_rows.
+    Each term is a factor of k (k or V/(2k)) times one that grows as
     e**|Im kappa w|: the barrier is too opaque where that growth outweighs the
     factor's, and k is out of range otherwise.  Where kappa is real and
     kappa*w overflows, cmath.sin raises its own ValueError, "math domain
@@ -60,7 +62,10 @@ def barrier_terms(k, V, width):
     # eps_- sin(z) = V/(2k) * sin(z)/kappa
     terms = (-2.0 * half * half, k * sin_over_kappa, em * sin_over_kappa)
     if all(map(cmath.isfinite, terms)):
-        return terms
+        if abs(em) <= _MAX_V_OVER_2K2 * k:
+            return terms
+        raise ValueError(f"wavenumber k = {k:.6g} too small for a barrier of height "
+                         f"{V:.6g}: |V|/(2k^2) exceeds 2**400")
     if cmath.isfinite(z) and abs(z.imag) > math.log(max(k, abs(em))):
         raise ValueError(f"barrier too opaque: kappa*w = {z:.6g} overflows a double")
     raise ValueError(f"wavenumber k = {k:.6g} out of range: the terms of a barrier "

@@ -575,6 +575,30 @@ class TestBadInput:
         err = self.assert_one_line_exit_2(["transmission", *argv, "--nk", "2"], capsys)
         assert "wavenumber k = " in err and "too opaque" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("G, kmin, kmax, engine", [
+        ("40", "1e-300", "1e-30", "closed_form"),  # printed 1e-300,nan,nan,nan and exit 0
+        *(("10", "1e-160", "1e-150", engine) for engine in ("closed_form", "oracle", "both")),
+        ("14", "1e-160", "1e-150", "closed_form"),
+    ])
+    def test_wavenumber_far_below_the_height(self, capsys, G, kmin, kmax, engine):
+        err = self.assert_one_line_exit_2(
+            ["transmission", "--L", "25", "--V", "1e5", "--rho", "3", "--alpha", "2",
+             "--beta", "0.5", "--G", G, "--kmin", kmin, "--kmax", kmax, "--nk", "5",
+             "--engine", engine],
+            capsys,
+        )
+        assert f"wavenumber k = {kmin} too small" in err and "2**400" in err
+
+    def test_geometry_offset_past_a_double(self, capsys):
+        # printed 7,inf,1.3391342255109273e+307 and exit 0
+        err = self.assert_one_line_exit_2(
+            ["geometry", "--L", "1.7976931348623157e308", "--V", "1e150", "--rho", "10",
+             "--alpha", "2", "--beta", "-0.5", "--G", "3"],
+            capsys,
+        )
+        assert "offsets overflow a double" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         self.assert_one_line_exit_2(
             ["validate", *SPEC_ARGS, "--config", str(tmp_path / "absent.cfg")], capsys
@@ -640,6 +664,32 @@ class TestBadInput:
             capsys,
         )
         assert time.perf_counter() - start < 1.0
+
+
+ONE_OF_EACH_COMMAND = {
+    "transmission": ["transmission", *SPEC_ARGS, "--kmin", "1", "--kmax", "4", "--nk", "4",
+                     "--engine", "both"],
+    "grid": ["grid", "--L", "5", "--V", "25", "--G", "3", "--alpha-range", "0:1:3",
+             "--beta", "1", "--rho", "2.5", "--k", "1,2"],
+    "geometry": ["geometry", *SPEC_ARGS],
+    "scaling": ["scaling", "--L", "1", "--V0", "10", "--rho", "1.75", "--alpha", "0.5",
+                "--beta", "0.25", "--G", "3", "--kmin", "50", "--kmax", "500", "--nk", "100"],
+    "saturation": ["saturation", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
+                   "--beta", "1", "--gmin", "2", "--gmax", "4", "--kmin", "0.5",
+                   "--kmax", "10", "--nk", "20"],
+    "validate": ["validate", *SPEC_ARGS],
+}
+
+
+@pytest.mark.parametrize("argv", ONE_OF_EACH_COMMAND.values(), ids=ONE_OF_EACH_COMMAND.keys())
+def test_out_holds_the_bytes_stdout_would(argv, tmp_path, capsys):
+    # main is the one writer: the same text goes to stdout or, whole, to --out
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
 
 
 def test_version_matches_pyproject(capsys):

@@ -122,6 +122,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match="both"):
             UcpSpec(L=1, V=1, rho=3, alpha=0, beta=0, G=1)
 
+    def test_both_exponents_zero_reported_before_the_stage(self):
+        # the stage bound rejects alpha = beta = 0, and is called before G is checked
+        with pytest.raises(InvalidSpecError, match="both"):
+            UcpSpec(L=1, V=1, rho=3, alpha=0, beta=0, G=2.5)
+
     def test_negative_beta_validity_bound(self):
         # alpha + beta*g > 0 holds up to g = 19 for (2, -1/10) and fails at 20
         UcpSpec(L=5, V=25, rho=math.e, alpha=2, beta=-0.1, G=19)
@@ -424,6 +429,12 @@ class TestBuildSegments:
     def test_equals_the_split_loop(self, spec, G):
         spec = dataclasses.replace(spec, G=G)
         assert build_segments(spec) == split_loop_segments(spec)
+
+    def test_offset_past_a_double_raises(self):
+        # off + w_{g-1} overflowed: the last barrier's offset was inf
+        spec = UcpSpec(L=1.7976931348623157e308, V=1e150, rho=10, alpha=2, beta=-0.5, G=3)
+        with pytest.raises(ValueError, match="offsets overflow a double"):
+            build_segments(spec)
 
     def test_stage_zero(self):
         barriers = build_segments(cantor(L=4.0, G=0))

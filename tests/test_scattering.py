@@ -12,6 +12,7 @@ from ucpscatter import (
     gap_length,
     segment_length,
     super_period,
+    transmission_oracle,
     transmission_spp,
     transmission_ucp,
     transmission_ucp_arrays,
@@ -182,6 +183,33 @@ class TestTransmissionUcp:
         direct_log10_t = -math.log10(1.0 + x)
         res = transmission_ucp(spec, k)
         assert res.log10_transmission == pytest.approx(direct_log10_t, abs=1e-8)
+
+
+class TestWavenumberFarBelowTheHeight:
+    """Past |V|/(2k^2) = 2**420 or so the rescaled doubling block flushed its
+    smallest entries to 0 and gave NaN or a wrong log10 T, exit 0; k is
+    refused from 2**400 on, by both engines."""
+
+    @pytest.mark.parametrize("spec, k", [
+        (UcpSpec(25, 1e5, 3, 2, 0.5, G=10), 1e-160),  # gave -4730.29; 60 digits give -6281.19
+        (UcpSpec(25, 1e5, 3, 2, 0.5, G=14), 1e-160),  # 6280 decades off
+        (UcpSpec(5, 25, 2.5, 0.5, 1, G=10), 1e-150),  # 0.075 decades off
+        (UcpSpec(5, 25, 2.5, 0.5, 1, G=10), 1e-155),  # 7.26 decades off
+    ])
+    def test_refused_by_both_engines(self, spec, k):
+        for engine in (transmission_ucp, transmission_oracle):
+            with pytest.raises(ValueError, match=r"^wavenumber k = 1e-1[56][05] too small "
+                                                 r"for a barrier of height .*2\*\*400$"):
+                engine(spec, k)
+
+    @pytest.mark.parametrize("V", [25.0, -25.0])
+    def test_bound_is_two_to_the_400(self, V):
+        spec = UcpSpec(5, V, 2.5, 0.5, 1, G=10)
+        k = math.sqrt(abs(V) / 2.0) * 2.0**-199.5  # |V|/(2k^2) = 2**399
+        closed = transmission_ucp(spec, k).log10_transmission
+        assert closed == pytest.approx(transmission_oracle(spec, k).log10_transmission, abs=1e-9)
+        with pytest.raises(ValueError, match="too small"):
+            transmission_ucp(spec, k / 2.0)  # 2**401
 
 
 class TestReflectionNearFullTransmission:
