@@ -320,7 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "config", None):
             _apply_config(args, _load_config(args.config))
-        text = "\n".join(args.func(args)) + "\n"  # each command returns its lines
+        text = "\n".join(args.func(args)) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

@@ -72,8 +72,9 @@ _DBL_MIN = float(np.finfo(float).tiny)
 _SINH_LARGE = math.log(float(np.finfo(float).max) / 4.0)
 _SINH_CLIP = 710.0
 # |V|/(2k^2) is the ratio of a barrier's eps_- sin(kappa w) to k sin(kappa w)/kappa.
-# Past about 2**420 the rescaled doubling block flushes its smallest entries to 0
-# and log10 T goes wrong, by thousands of decades past 2**1000: such k are refused
+# Past about 2**420 (2**720 for V < 0) the rescaled doubling block flushes its
+# smallest entries to 0 and log10 T goes wrong, by thousands of decades past
+# 2**1000: such k are refused
 _MAX_V_OVER_2K2 = 2.0**400
 
 
@@ -147,8 +148,7 @@ def _sinh(y: np.ndarray) -> np.ndarray:
 def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
     """Terms of a rectangular barrier at each point, one row per term:
     cos(kappa w) - 1, k sin(kappa w)/kappa and eps_- sin(kappa w).  V and
-    width are values or arrays like k.  (eps_+ sin(kappa w) is the second
-    minus the third.)
+    width are values or arrays like k.
 
     Natural units: k = sqrt(E), kappa = sqrt(E - V), real for E >= V and
     imaginary below (cos/sin become cosh/sinh).  cos(kappa w) - 1 is
