@@ -22,7 +22,8 @@ from . import __version__
 from .analysis import fit_scaling, saturation_scan
 from .geometry import InvalidSpecError, OracleInfeasibleError, UcpSpec, build_segments
 from .oracle import transmission_oracle_arrays
-from .scattering import _require_k_window, _require_positive_k, transmission_ucp_arrays
+from .scattering import (_require_k_window, _require_positive_k, _transmission_columns,
+                         transmission_ucp_arrays)
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -33,6 +34,11 @@ _FLOAT_FMT = ".17g"
 
 def _fmt(x: float) -> str:
     return format(x, _FLOAT_FMT)
+
+
+def _row_template(fields: int) -> str:
+    """A %-template of fields numbers, comma-separated, each as _fmt writes it."""
+    return ",".join(["%" + _FLOAT_FMT] * fields)
 
 
 def _spec_arguments(parser: argparse.ArgumentParser, height: bool = True,
@@ -147,7 +153,8 @@ def cmd_transmission(args: argparse.Namespace) -> list[str]:
         columns += [t_oracle.tolist(), diffs.tolist()]
         # np.max, unlike max, keeps a NaN
         footer.append(f"# max_abs_diff={_fmt(float(np.max(diffs)))}")
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
+    template = _row_template(len(columns))
+    lines.extend(template % row for row in zip(*columns))
     return lines + footer
 
 
@@ -171,6 +178,15 @@ def _grid_axis(args: argparse.Namespace, name: str) -> np.ndarray:
     raise ValueError(f"provide --{name} or --{name}-range")
 
 
+def _is_valid(args: argparse.Namespace, rho: float, alpha: float, beta: float) -> bool:
+    """Whether UcpSpec accepts these rho, alpha and beta with the command's L, V and G."""
+    try:
+        UcpSpec(L=args.L, V=args.V, rho=rho, alpha=alpha, beta=beta, G=args.G)
+    except InvalidSpecError:
+        return False
+    return True
+
+
 def cmd_grid(args: argparse.Namespace) -> list[str]:
     _require(args, ["L", "V", "G", "k"])
     alphas = _grid_axis(args, "alpha")
@@ -189,23 +205,27 @@ def cmd_grid(args: argparse.Namespace) -> list[str]:
         f"# G={args.G}",
         "alpha,beta,rho,k,valid,T",
     ]
+    # with L, V and G valid, a spec's checks fall apart into those of rho (on
+    # a Cantor spec) and those of (alpha, beta, G) (at rho = 2): a cell is
+    # valid iff both pass, exactly where its own UcpSpec would be
+    rho_ok = [_is_valid(args, r, 1.0, 0.0) for r in rhos.tolist()]
+    pair_ok = [_is_valid(args, 2.0, a, b) for a in alphas.tolist() for b in betas.tolist()]
+    valid = (np.array(pair_ok)[:, None] & np.array(rho_ok)).ravel()  # cube order
+    a, b, r = (x.ravel()[valid] for x in np.meshgrid(alphas, betas, rhos, indexing="ij"))
+    n = a.size
+    t = _transmission_columns(np.full(n, args.L), np.full(n, args.V), r, a, b, [args.G] * n,
+                              ks)[0]
     # values are formatted once, by position: a float key misses NaN and merges -0.0 with 0.0
-    axes = [[(x, _fmt(x)) for x in axis.tolist()] for axis in (alphas, betas, rhos)]
-    cube = []  # ("alpha,beta,rho," text, spec or None when invalid)
-    for (a, a_text), (b, b_text), (r, r_text) in itertools.product(*axes):
-        try:
-            spec = UcpSpec(L=args.L, V=args.V, rho=r, alpha=a, beta=b, G=args.G)
-        except InvalidSpecError:
-            spec = None
-        cube.append((f"{a_text},{b_text},{r_text},", spec))
-    specs = [spec for _, spec in cube if spec is not None]
-    rows = iter(transmission_ucp_arrays(specs, ks)[0].tolist())
-    k_texts = [_fmt(k) for k in ks]
-    for prefix, spec in cube:
-        if spec is None:
-            lines.extend(prefix + k + ",0," for k in k_texts)
-        else:
-            lines.extend(prefix + k + ",1," + _fmt(t) for k, t in zip(k_texts, next(rows)))
+    texts = [[_fmt(x) for x in axis.tolist()] for axis in (alphas, betas, rhos)]
+    # a cell's rows are "alpha,beta,rho," joined to these, one per k: a valid
+    # cell's are written with one % of its T values
+    valid_rows = [""] + [f"{_fmt(k)},1,{_row_template(1)}" for k in ks]
+    invalid_rows = [""] + [f"{_fmt(k)},0," for k in ks]
+    rows = map(tuple, t.tolist())
+    for cell, ok in zip(itertools.product(*texts), valid.tolist()):
+        prefix = "\n%s,%s,%s," % cell
+        lines.append(prefix.join(valid_rows)[1:] % next(rows) if ok
+                     else prefix.join(invalid_rows)[1:])
     return lines
 
 

@@ -7,19 +7,24 @@ the general Smith-Volterra-Cantor set.
 
 This module provides the segment/gap/spacing lengths, the width chain of
 each spec that the closed form uses, and the explicit interval list.  The
-removal rule is applied top-down in one place, UcpSpec.width_chain, computed
-once per spec object on first use: the closed form, the length functions,
-build_segments and the oracle's region list all read it.
+removal rule is applied top-down in one place, _width_table, for many specs
+at once, given as parameter columns: the closed form calls it on the columns
+of all its specs, and UcpSpec.width_chain, the one-column call cached on the
+spec, serves the length functions, build_segments and the oracle's region
+list.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "InvalidSpecError",
@@ -36,6 +41,9 @@ __all__ = [
 
 DEFAULT_STAGE_CAP = 16  # the largest stage whose 2**G barriers build_segments lists
 _LARGEST_STAGE = int(sys.float_info.max)  # beta * g needs g as a double: past it, g fails
+# every width is 0 from this stage on: each stage at least halves a width, and
+# the widest chain, L = DBL_MAX halved exactly, reaches 0 at stage 2099
+_STAGE_CAP = 2099
 
 
 class InvalidSpecError(ValueError):
@@ -54,6 +62,46 @@ class _WidthChain(NamedTuple):
     def l_G(self) -> float:
         """Width of each of the 2**G barriers (0 where the chain stopped short)."""
         return self.widths[-1]
+
+
+class _WidthTable(NamedTuple):
+    widths: np.ndarray  # widths[g, i] = w_g of column i
+    gaps: np.ndarray  # gaps[g-1, i] = d_g of column i
+    stages: np.ndarray  # stages[i]: column i's chain is widths[:stages[i] + 1, i]
+
+
+def _width_table(L: np.ndarray, rho: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                 G: Sequence[int]) -> _WidthTable:
+    """The removal rule, top-down, for the valid specs given as columns:
+    every stage-g barrier has the width w_g = w_{g-1} (1 - rho**-(alpha +
+    beta*g)) / 2 formed from its parent's (w_0 = L), and the gap opened in it
+    is d_g = w_{g-1} rho**-(alpha + beta*g).  Every length reads this table.
+    A column's stage count is its G or the first stage whose width is 0,
+    whichever comes first: every later length is 0 too.  No stage past
+    _STAGE_CAP is built, at any G.
+
+    The fractions come from Python's ** (operator.pow), through one map:
+    numpy's power differs from it in the last bit on some arguments.  Past a
+    column's own G its exponents are 0, so no power overflows, and its widths
+    there are 0.
+    """
+    L, alpha, beta = (np.asarray(x, dtype=float) for x in (L, alpha, beta))
+    caps = [min(g, _STAGE_CAP) for g in G]
+    g = np.arange(1.0, max(caps, default=0) + 1.0)[:, None]
+    stages = np.array(caps, dtype=np.int64)
+    with np.errstate(over="ignore"):  # beta * g overflows to +-inf, as in Python
+        exponents = np.where(g > stages, 0.0, -(alpha + beta * g))
+    fractions = np.fromiter(map(operator.pow, np.asarray(rho, dtype=float).tolist() * g.size,
+                                exponents.ravel().tolist()),
+                            float, exponents.size).reshape(exponents.shape)
+    # w_g = w_{g-1} (1 - f_g) / 2 at every stage, as one running product of
+    # L, 1 - f_1, 1/2, 1 - f_2, 1/2, ..., whose steps round as the recursion's
+    factors = np.empty((2 * g.size + 1, L.size))
+    factors[0], factors[1::2], factors[2::2] = L, 1.0 - fractions, 0.5
+    widths = np.multiply.accumulate(factors, axis=0)[::2]
+    # a width that is 0 stays 0, so the first zero follows the nonzero ones
+    stages = np.minimum(stages, np.add.reduce(widths[1:] != 0.0, axis=0) + 1)
+    return _WidthTable(widths, widths[:-1] * fractions, stages)
 
 
 @dataclass(frozen=True)
@@ -100,22 +148,14 @@ class UcpSpec:
 
     @cached_property
     def width_chain(self) -> _WidthChain:
-        """The removal rule, top-down, once per spec object, on first use (not a
-        field: ==, hash and repr do not see it): every stage-g barrier has the
-        width w_g = w_{g-1} (1 - rho**-(alpha + beta*g)) / 2 formed from its
-        parent's (w_0 = L), and the gap opened in it is d_g = w_{g-1}
-        rho**-(alpha + beta*g).  Every length reads this chain.  It stops at
-        the first w_g that underflows to 0: every later length is 0 too, so
-        l_G = 0 and the lengths left out are 0, at any G."""
-        widths, gaps = [self.L], []
-        for g in range(1, self.G + 1):
-            w = widths[-1]
-            if w == 0.0:
-                break
-            removed = self.removal_fraction(g)
-            gaps.append(w * removed)
-            widths.append(w * (1.0 - removed) / 2.0)
-        return _WidthChain(tuple(widths), tuple(gaps))
+        """This spec's column of _width_table, cut at its stage count, once per
+        spec object, on first use (not a field: ==, hash and repr do not see
+        it).  It stops at the first w_g that underflows to 0: every later
+        length is 0 too, so l_G = 0 and the lengths left out are 0, at any G."""
+        table = _width_table([self.L], [self.rho], [self.alpha], [self.beta], [self.G])
+        n = int(table.stages[0])
+        return _WidthChain(tuple(table.widths[:n + 1, 0].tolist()),
+                           tuple(table.gaps[:n, 0].tolist()))
 
 
 def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> None:

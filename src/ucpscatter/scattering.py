@@ -36,12 +36,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec
+from .geometry import UcpSpec, _width_table
 
 __all__ = [
     "TransferMatrix",
@@ -271,24 +270,33 @@ def transmission_ucp_arrays(specs: Sequence[UcpSpec],
 
     Every point runs in one pass of the doubling (see _repetition), whatever
     its stage: highest stage first, each spec's points join at its own order
-    G.  A spec object computes its width chain once, on first use.
+    G.  The width chains of all the specs are built in one pass too, from
+    their parameters (see geometry._width_table).
     """
-    chains = [s.width_chain for s in specs]
+    L, V, rho, alpha, beta = (np.array([getattr(s, name) for s in specs], dtype=float)
+                              for name in ("L", "V", "rho", "alpha", "beta"))
+    return _transmission_columns(L, V, rho, alpha, beta, [s.G for s in specs], ks)
+
+
+def _transmission_columns(L: np.ndarray, V: np.ndarray, rho: np.ndarray, alpha: np.ndarray,
+                          beta: np.ndarray, G: Sequence[int],
+                          ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """transmission_ucp_arrays of the valid specs given as parameter columns:
+    row i is the spec (L[i], V[i], rho[i], alpha[i], beta[i], G[i])."""
+    table = _width_table(L, rho, alpha, beta, G)
     k = np.asarray(ks, dtype=float)
-    shape = (len(chains), k.size)
+    stages = table.stages
+    shape = (stages.size, k.size)
     points_k = np.tile(k, shape[0])  # every point's k, spec-major: the same in any spec order
-    heights = np.array([s.V for s in specs], dtype=float)
-    widths = np.array([c.l_G for c in chains], dtype=float)
+    widths = table.widths[stages, np.arange(shape[0])]  # l_G
     # spec-major, so the first bad point raised is the first (spec, k) in row-major
     # order; past it every l_G > 0, so no chain is cut short
-    barrier = _barrier_rows(points_k, heights.repeat(k.size), widths.repeat(k.size))
-    G = np.array([len(c.gaps) for c in chains], dtype=np.int64)
-    gaps = np.fromiter(chain.from_iterable(c.gaps for c in chains), float, G.sum())
+    barrier = _barrier_rows(points_k, np.repeat(V, k.size), widths.repeat(k.size))
     # highest stage first: the specs still running at order g, G_i >= g, are a prefix
-    order = np.argsort(-G, kind="stable")
-    first, G = (np.cumsum(G) - G)[order], G[order]  # a spec's d_g is gaps[first + g - 1]
-    orders = ((np.repeat(gaps[first[G >= g] + (g - 1)], k.size), 2)
-              for g in range(int(G[0]) if barrier.size else 0, 0, -1))  # d_G first
+    order = np.argsort(-stages, kind="stable")
+    stages = stages[order]
+    orders = ((np.repeat(table.gaps[g - 1, order[stages >= g]], k.size), 2)
+              for g in range(int(stages[0]) if barrier.size else 0, 0, -1))  # d_G first
     block, exp2 = _repetition(points_k, barrier.reshape(3, *shape)[:, order].reshape(3, -1),
                               orders)
     back = np.argsort(order)

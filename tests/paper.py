@@ -10,7 +10,9 @@ G = 64.  Tests import this module as plain `import paper`.
 The per-point forms of the library's array code are kept here too:
 barrier_terms, the terms of one barrier in complex cmath arithmetic, and
 assemble, T and R of one point from ln X in math; the library's
-_barrier_rows and _results must give their bits.  So are the complex
+_barrier_rows and _results must give their bits.  So is width_chain_loop,
+the removal rule one spec and one stage at a time, whose bits the width
+table (geometry._width_table) must give.  So are the complex
 plane-wave matrices the paper multiplies, barrier_matrix and
 propagation_matrix, which no engine of the library uses.
 """
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from ucpscatter import InvalidSpecError, ScatterResult, TransferMatrix
-from ucpscatter.geometry import _check_stage
+from ucpscatter.geometry import _WidthChain, _check_stage
 from ucpscatter.scattering import (_LN10, _MAX_V_OVER_2K2, _SERIES_CUTOFF, _barrier_rows,
                                    _require_positive_k)
 
@@ -111,6 +113,22 @@ def propagation_matrix(k: float, d: float) -> TransferMatrix:
     _require_positive_k(k)
     phase = cmath.exp(1j * k * d)
     return TransferMatrix(phase, 0.0, 0.0, 1.0 / phase)
+
+
+def width_chain_loop(spec):
+    """The removal rule, top-down, one stage at a time: every stage-g barrier
+    has the width w_g = w_{g-1} (1 - rho**-(alpha + beta*g)) / 2 formed from
+    its parent's (w_0 = L), and the gap opened in it is d_g = w_{g-1}
+    rho**-(alpha + beta*g).  It stops at the first w_g that underflows to 0."""
+    widths, gaps = [spec.L], []
+    for g in range(1, spec.G + 1):
+        w = widths[-1]
+        if w == 0.0:
+            break
+        removed = spec.removal_fraction(g)
+        gaps.append(w * removed)
+        widths.append(w * (1.0 - removed) / 2.0)
+    return _WidthChain(tuple(widths), tuple(gaps))
 
 
 def gamma1(spec, q):

@@ -127,38 +127,48 @@ def test_equal_spec_objects_equal_one_point_calls(spec, ks):
     assert_every_spec_at_every_k_is_its_one_point_call(pool, ks)
 
 
-def count_removal_fractions(monkeypatch):
-    """The stages at which UcpSpec.removal_fraction is called from now on."""
-    calls = []
-    fraction = UcpSpec.removal_fraction
+def count_width_tables(monkeypatch):
+    """(columns, stages) of every width table the closed form builds from now on."""
+    tables = []
+    build = scattering._width_table
 
-    def counted(spec, g):
-        calls.append(g)
-        return fraction(spec, g)
+    def counted(L, *columns):
+        table = build(L, *columns)
+        tables.append((len(L), len(table.widths) - 1))
+        return table
 
-    monkeypatch.setattr(UcpSpec, "removal_fraction", counted)
-    return calls
+    monkeypatch.setattr(scattering, "_width_table", counted)
+    return tables
 
 
 @pytest.mark.parametrize("G", [16, 64])
 def test_geometry_once_per_spec(monkeypatch, G):
-    calls = count_removal_fractions(monkeypatch)
+    tables = count_width_tables(monkeypatch)
     ks = np.linspace(0.5, 10.0, 500)
     spec = UcpSpec(L=5, V=25, rho=3, alpha=0.5, beta=1, G=G)
     first = transmission_ucp_arrays([spec], ks)
-    assert calls == list(range(1, G + 1))
+    assert tables == [(1, G)]  # one table, one column of G stages
     assert np.array_equal(bits(transmission_ucp_arrays([spec], ks)), bits(first))
-    assert len(calls) == G  # the second call on the same object computes none
-    calls.clear()
+    assert tables == [(1, G)] * 2  # each call builds its own, once
+    tables.clear()
     rebuilt = [UcpSpec(L=5, V=25, rho=3, alpha=0.5, beta=1, G=G) for _ in range(3)]
     got = transmission_ucp_arrays(rebuilt, ks)
     assert all(np.array_equal(bits(x), bits(np.repeat(y, 3, axis=0))) for x, y in zip(got, first))
-    assert calls == list(range(1, G + 1)) * 3  # each object computes its own chain, once
+    assert tables == [(3, G)]  # one column per spec object, all in one table
+
+
+def test_closed_form_builds_no_stage_above_the_cap(monkeypatch):
+    # the widest chain is 0 from stage 2099: a billion stages build 2099 of them
+    tables = count_width_tables(monkeypatch)
+    spec = UcpSpec(L=1, V=25, rho=3, alpha=1, beta=0, G=10**9)
+    with pytest.raises(ValueError, match="barrier width must be positive"):
+        transmission_ucp_arrays([spec, dataclasses.replace(spec, G=5)], [1.0])
+    assert tables == [(2, 2099)]
 
 
 def test_grid_shaped_call_hashes_no_spec(monkeypatch):
     # the grid workload's shape: a 14**3 cube of (alpha, beta, rho) at G = 8, 3 k
-    calls = count_removal_fractions(monkeypatch)
+    tables = count_width_tables(monkeypatch)
     hashes = []
     monkeypatch.setattr(UcpSpec, "__hash__", lambda spec: hashes.append(1) or 0)
     axis = np.linspace(0.1, 1.4, 14).tolist()
@@ -167,8 +177,9 @@ def test_grid_shaped_call_hashes_no_spec(monkeypatch):
     T = transmission_ucp_arrays(cube, [0.5, 2.0, 7.0])[0]
     assert T.shape == (2744, 3)
     assert hashes == []
-    assert calls == list(range(1, 9)) * 2744  # one width chain per spec object
-    assert all("width_chain" in vars(spec) for spec in cube)
+    assert tables == [(2744, 8)]  # one width chain per spec, all in one table
+    # the specs' parameters are read, and no spec caches a chain of its own
+    assert not any("width_chain" in vars(spec) for spec in cube)
 
 
 def test_points_are_checked_in_input_order():
@@ -196,6 +207,23 @@ def test_overflowing_identity_part_is_rescaled():
 def test_reflection_survives_600_orders_near_full_transmission():
     spec = UcpSpec(L=1, V=4.516015599358285e106, rho=3, alpha=1, beta=0, G=600)
     assert transmission_ucp(spec, 2e54).reflection > 0.0  # about 1e-180
+
+
+@pytest.mark.xfail(strict=True, reason="every gap underflows to 0 and the 2**1100 barriers "
+                   "are one slab, yet the doubling gives T = 0")
+def test_slab_of_1100_stages_transmits():
+    # at L = 1e200 every d_g is 0, so the system is one slab of height 25 and
+    # width L; for k**2 > V a slab transmits at least 1/(1 + V**2/(4 k**2 kappa**2))
+    # at any width.  The closed form may refuse such a spec instead
+    spec = UcpSpec(L=1e200, V=25, rho=1e300, alpha=1, beta=1, G=1100)
+    assert not any(spec.width_chain.gaps)
+    k = 12.5
+    try:
+        T = transmission_ucp(spec, k).transmission
+    except ValueError:
+        return
+    kappa2 = k * k - spec.V
+    assert T >= 1.0 / (1.0 + spec.V**2 / (4.0 * k * k * kappa2))
 
 
 @given(specs(600), st.floats(0.0, 1e110), st.lists(st.floats(1e-3, 1e60), min_size=1, max_size=8))

@@ -1,15 +1,22 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import pathlib
 import re
+import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ucpscatter.geometry as geometry
+import ucpscatter.scattering as scattering
 from ucpscatter import (InvalidSpecError, saturation_scan, transmission_oracle,
-                        transmission_ucp, UcpSpec, __version__)
+                        transmission_ucp, transmission_ucp_arrays, UcpSpec, __version__)
 from ucpscatter import cli
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
 
@@ -23,6 +30,37 @@ def run(args, tmp_path, name="out.txt"):
     out = tmp_path / name
     code = main(args + ["--out", str(out), "--workers", "1"])
     return code, out.read_text()
+
+
+def main_output(argv):
+    """(exit code, stdout, stderr) of one main() call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def grid_output_cell_by_cell(L, V, G, axes, ks):
+    """(exit code, stdout, stderr) that grid gives, built from one UcpSpec and
+    one-point transmission_ucp calls per cell and each value formatted by
+    itself; a bad point's ValueError is the first in row-major order."""
+    lines = [f"# L={L:.17g}", f"# V={V:.17g}", f"# G={G}", "alpha,beta,rho,k,valid,T"]
+    for a, b, rho in itertools.product(axes["alpha"], axes["beta"], axes["rho"]):
+        try:
+            spec = UcpSpec(L=L, V=V, rho=rho, alpha=a, beta=b, G=G)
+        except InvalidSpecError:
+            spec = None
+        for k in ks:
+            cells = [format(x, ".17g") for x in (a, b, rho, k)]
+            if spec is None:
+                cells += ["0", ""]
+            else:
+                try:
+                    cells += ["1", format(transmission_ucp(spec, k).transmission, ".17g")]
+                except ValueError as exc:
+                    return EXIT_INVALID_SPEC, "", f"invalid input: {exc}\n"
+            lines.append(",".join(cells))
+    return EXIT_OK, "\n".join(lines) + "\n", ""
 
 
 def parse_csv(text):
@@ -103,25 +141,35 @@ class TestTransmission:
         assert text.splitlines()[-1] == "# max_abs_diff=0"
 
     def test_nan_reaches_the_footer(self, tmp_path, monkeypatch):
-        # max(0.0, nan) is 0.0: the footer must not hide a NaN point
+        # max(0.0, nan) is 0.0: the footer must not hide a NaN point.  The
+        # oracle's column also carries the other special doubles, and every
+        # row's bytes are its values each formatted by itself
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, sys.float_info.max]
         real = cli.transmission_oracle_arrays
 
-        def one_nan(spec, ks):
+        def special(spec, ks):
             results = real(spec, ks)
             for column in results:
-                column[1] = math.nan
+                column[:] = specials
             return results
 
-        monkeypatch.setattr(cli, "transmission_oracle_arrays", one_nan)
+        monkeypatch.setattr(cli, "transmission_oracle_arrays", special)
         code, text = run(
-            ["transmission", *SPEC_ARGS, "--kmin", "1", "--kmax", "4", "--nk", "3",
+            ["transmission", *SPEC_ARGS, "--kmin", "1", "--kmax", "4", "--nk", "7",
              "--engine", "both"],
             tmp_path,
         )
         assert code == EXIT_OK
         _, _, rows = parse_csv(text)
-        assert rows[1][5] == "nan"
+        assert rows[0][5] == "nan"
         assert text.splitlines()[-1] == "# max_abs_diff=nan"
+        ks = np.linspace(1.0, 4.0, 7)
+        t, r, log10_t = (x[0] for x in transmission_ucp_arrays(
+            [UcpSpec(L=5, V=25, rho=2.5, alpha=0.5, beta=1, G=3)], ks))
+        values = zip(ks.tolist(), t.tolist(), r.tolist(), log10_t.tolist(), specials,
+                     np.abs(t - specials).tolist())
+        assert [",".join(row) for row in rows] == [
+            ",".join(format(x, ".17g") for x in row) for row in values]
 
     @pytest.mark.parametrize("beta, G", [("-1000", "1"), ("-900", "2")])
     def test_ratio_past_a_double_matches_the_oracle(self, tmp_path, beta, G):
@@ -215,15 +263,18 @@ class TestGrid:
         assert float(rows[0][5]) == transmission_ucp(spec, 2.0).transmission
 
     def test_geometry_once_per_valid_cell(self, tmp_path, monkeypatch):
-        calls = []
-        fraction = UcpSpec.removal_fraction
-        monkeypatch.setattr(UcpSpec, "removal_fraction",
-                            lambda spec, g: calls.append(g) or fraction(spec, g))
-        # 9 cells, the (0, 0) corner invalid, 3 k each: G calls per valid cell
+        tables, specs = [], []
+        build, check = scattering._width_table, UcpSpec.__post_init__
+        monkeypatch.setattr(scattering, "_width_table",
+                            lambda L, *c: tables.append((len(L), c[-1])) or build(L, *c))
+        monkeypatch.setattr(UcpSpec, "__post_init__", lambda spec: specs.append(1) or check(spec))
+        # 9 cells, the (0, 0) corner invalid, 3 k each: one table of the 8 valid
+        # cells at G = 4, and a UcpSpec per axis value or (alpha, beta) pair, not per cell
         code, _ = run(["grid", "--L", "5", "--V", "25", "--G", "4", "--alpha-range", "0:1:3",
                        "--beta-range", "0:1:3", "--rho", "2.5", "--k", "1,2,3"], tmp_path)
         assert code == EXIT_OK
-        assert calls == [1, 2, 3, 4] * 8
+        assert tables == [(8, [4] * 8)]
+        assert len(specs) == 1 + 1 + 3 * 3  # L, V and G; the rho axis; the pairs
 
     def test_invalid_points_flagged_not_fatal(self, tmp_path):
         # alpha axis crosses 0 with beta = 0: the (0, 0) corner is invalid
@@ -282,31 +333,42 @@ class TestGrid:
         {"alpha": [0.0, 0.5, 1.0], "beta": [0.0, 0.5, 1.0], "rho": [2.5, 4.0]},
         {"alpha": [-0.0], "beta": [0.0, 1.0], "rho": [3.0]},  # -0.0 prints as -0
         {"alpha": [0.5, 1.0], "beta": [math.nan], "rho": [2.5]},
+        # the extreme doubles, on axes and through T's template
+        {"alpha": [5e-324], "beta": [1.0], "rho": [sys.float_info.max]},
+        {"alpha": [0.0, sys.float_info.max], "beta": [1.0], "rho": [math.inf]},
+        {"alpha": [-math.inf], "beta": [math.inf], "rho": [-0.0]},
     ])
     def test_bytes_match_rows_formatted_value_by_value(self, tmp_path, axes):
         ks = [0.5, 2.5, 6.0]
         argv = ["grid", "--L", "5", "--V", "25", "--G", "3", "--k", "0.5,2.5,6"]
         for name, values in axes.items():
             if len(values) == 1:
-                argv += [f"--{name}", repr(values[0])]
+                argv.append(f"--{name}={values[0]!r}")  # = keeps -inf a value
             else:
                 argv += [f"--{name}-range", f"{values[0]!r}:{values[-1]!r}:{len(values)}"]
         code, text = run(argv, tmp_path)
-        assert code == EXIT_OK
-        lines = ["# L=5", "# V=25", "# G=3", "alpha,beta,rho,k,valid,T"]
-        for a, b, rho in itertools.product(axes["alpha"], axes["beta"], axes["rho"]):
-            try:
-                spec = UcpSpec(L=5, V=25, rho=rho, alpha=a, beta=b, G=3)
-            except InvalidSpecError:
-                spec = None
-            for k in ks:
-                cells = [format(x, ".17g") for x in (a, b, rho, k)]
-                if spec is None:
-                    cells += ["0", ""]
-                else:
-                    cells += ["1", format(transmission_ucp(spec, k).transmission, ".17g")]
-                lines.append(",".join(cells))
-        assert text == "\n".join(lines) + "\n"
+        assert (code, text, "") == grid_output_cell_by_cell(5.0, 25.0, 3, axes, ks)
+
+    # NaN, +-inf and +-0.0 on every axis; rho at 1 and 1 +- 1 ulp; negative
+    # betas whose stage bound (2, 3 or 4 at alpha = 1) falls on either side of G
+    @given(st.fixed_dictionaries({
+        "alpha": st.lists(st.sampled_from(
+            [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 0.5, 1.0]), min_size=1, max_size=3),
+        "beta": st.lists(st.sampled_from(
+            [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -0.2, -0.25, -0.3, -0.49]),
+            min_size=1, max_size=3),
+        "rho": st.lists(st.sampled_from(
+            [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, math.nextafter(1.0, 0.0),
+             math.nextafter(1.0, 2.0), 2.5]), min_size=1, max_size=3),
+    }), st.integers(0, 5), st.lists(st.sampled_from([0.5, 2.5, 6.0, 9.75]), min_size=1,
+                                    max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_match_a_spec_per_cell(self, axes, G, ks):
+        argv = ["grid", "--L", "5", "--V", "25", "--G", str(G),
+                "--k", ",".join(map(repr, ks))]
+        with mock.patch.object(cli, "_grid_axis", lambda args, name: np.array(axes[name])):
+            got = main_output(argv)
+        assert got == grid_output_cell_by_cell(5.0, 25.0, G, axes, ks)
 
 
 class TestGeometry:
@@ -327,10 +389,10 @@ class TestGeometry:
 
     def test_stage_above_cap_refused_before_building(self, monkeypatch, capsys):
         # 2**40 intervals must never be allocated: fail loudly if the build starts
-        def unreachable(spec, g):
+        def unreachable(*columns):
             raise AssertionError("build_segments started building")
 
-        monkeypatch.setattr(UcpSpec, "removal_fraction", unreachable)
+        monkeypatch.setattr(geometry, "_width_table", unreachable)
         code = main(["geometry", "--L", "1", "--V", "5", "--rho", "3", "--alpha", "1",
                      "--beta", "0", "--G", "40"])
         assert code == EXIT_ORACLE_INFEASIBLE

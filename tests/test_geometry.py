@@ -4,9 +4,9 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from paper import gamma1, gamma2
+from paper import gamma1, gamma2, width_chain_loop
 from ucpscatter import (
     InvalidSpecError,
     UcpSpec,
@@ -16,6 +16,7 @@ from ucpscatter import (
     segment_length,
     super_period,
 )
+from ucpscatter.geometry import _STAGE_CAP, _width_table
 from ucpscatter.special import q_pochhammer
 
 
@@ -377,6 +378,10 @@ class TestDeepStages:
         # the widest chain: the largest span, halved exactly at every stage
         spec = UcpSpec(L=sys.float_info.max, V=1, rho=1e300, alpha=1, beta=0, G=2099)
         assert segment_length(spec, 2099) == 0.0 < segment_length(spec, 2098)
+        # so the width table builds no stage past it, at any G
+        table = _width_table([spec.L], [spec.rho], [1.0], [0.0], [10**9])
+        assert table.widths.shape == (_STAGE_CAP + 1, 1) == (2100, 1)
+        assert table.stages.tolist() == [2099]
 
     def test_reading_the_chain_leaves_the_spec_as_it_was(self):
         read, fresh = svc(G=12), svc(G=12)
@@ -391,6 +396,75 @@ class TestDeepStages:
         table = svc(G=10**9).width_chain
         assert table.l_G == 0.0 and len(table.gaps) < 1100
         assert time.perf_counter() - start < 1.0
+
+
+stages = st.one_of(st.integers(0, 40),
+                   st.sampled_from([677, 678, 1100, 2098, 2099, 2100, 10**9]))
+
+
+@st.composite
+def any_spec(draw, stage=stages):
+    """A valid spec anywhere in the accepted range: spans up to the largest
+    double, rho from 1 + 1 ulp, and a negative beta's stage at or below its
+    bound."""
+    alpha = draw(st.one_of(st.floats(-50, 2000), st.sampled_from([0.0, 1.0])))
+    beta = draw(st.one_of(st.floats(-1000, 50), st.sampled_from([0.0, 1.0, -0.5])))
+    assume(alpha + beta > 0.0)
+    bound = max_valid_stage(alpha, beta)
+    G = draw(stage)
+    return UcpSpec(
+        L=draw(st.floats(5e-324, sys.float_info.max)),
+        V=1.0,
+        rho=draw(st.one_of(st.floats(1.0, 1e300, exclude_min=True),
+                           st.sampled_from([math.nextafter(1.0, 2.0), 3.0, 1e300]))),
+        alpha=alpha,
+        beta=beta,
+        G=G if bound is None else min(G, bound),
+    )
+
+
+class TestWidthTable:
+    """geometry._width_table, the one statement of the removal rule, against
+    the rule one spec and one stage at a time (paper.width_chain_loop)."""
+
+    @given(any_spec())
+    @settings(max_examples=150, deadline=None)
+    def test_a_spec_chain_is_the_loop_bit_for_bit(self, spec):
+        assert spec.width_chain == width_chain_loop(spec)
+
+    @given(st.lists(any_spec(), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_each_column_is_its_spec_loop_bit_for_bit(self, specs):
+        table = _width_table(*([getattr(s, name) for s in specs]
+                               for name in ("L", "rho", "alpha", "beta", "G")))
+        assert len(table.widths) - 1 <= _STAGE_CAP
+        for i, spec in enumerate(specs):
+            n = int(table.stages[i])
+            chain = width_chain_loop(spec)
+            assert table.widths[:n + 1, i].tolist() == list(chain.widths)
+            assert table.gaps[:n, i].tolist() == list(chain.gaps)
+
+    @given(any_spec(st.integers(0, 40)))
+    @settings(max_examples=60, deadline=None)
+    def test_removal_fraction_is_the_table_fraction(self, spec):
+        chain = spec.width_chain
+        for g, gap in enumerate(chain.gaps, 1):
+            f = spec.removal_fraction(g)
+            assert gap == chain.widths[g - 1] * f
+            assert chain.widths[g] == chain.widths[g - 1] * (1.0 - f) / 2.0
+
+    def test_no_columns_and_no_stages(self):
+        table = _width_table([], [], [], [], [])
+        assert table.widths.shape == (1, 0) and table.gaps.shape == (0, 0)
+        assert table.stages.tolist() == []
+        table = _width_table([5.0, 7.0], [3.0, 3.0], [1.0, 1.0], [0.0, 0.0], [0, 0])
+        assert table.widths.tolist() == [[5.0, 7.0]] and table.stages.tolist() == [0, 0]
+
+    def test_mixed_stages_cut_at_their_own(self):
+        # a column past its own G is cut there, whatever the others' stages
+        table = _width_table([1.0] * 3, [3.0] * 3, [1.0] * 3, [0.0] * 3, [0, 800, 4])
+        assert table.stages.tolist() == [0, 678, 4]
+        assert len(table.widths) == 801
 
 
 class TestRatioPastADouble:

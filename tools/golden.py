@@ -1,8 +1,9 @@
 """Byte-identity guard: run a fixed set of CLI commands and hash their output.
 
-The set is 77 commands: the benchmark workloads (perfbench/workloads.py,
-crossval seeds 1-40 and sweep, grid and deep seeds 1-10) and the seven
-examples of README.md, each run in a fresh process.  One line is printed per
+The set is 82 commands: the benchmark workloads (perfbench/workloads.py,
+crossval seeds 1-40 and sweep, grid and deep seeds 1-10), the seven examples
+of README.md, and five grids that hold each kind of invalid cell, each run in
+a fresh process.  One line is printed per
 command: its name, its exit code, and the sha256 of its stdout and of its
 stderr.  Run it on two trees and diff the output:
 
@@ -49,12 +50,27 @@ README = {
                         "--beta", "-0.1", "--G", "20"],
 }
 
+_GRID = ["grid", "--L", "5", "--V", "25", "--G", "4", "--k", "1.0,2.5,5.0"]
+INVALID_CELLS = {
+    "invalid-grid-rho-crosses-1": [*_GRID, "--alpha", "0.5", "--beta", "1",
+                                   "--rho-range", "0.5:1.5:3"],
+    "invalid-grid-zero-corner": [*_GRID, "--alpha-range", "0:1:3", "--beta-range", "0:1:3",
+                                 "--rho", "2.5"],
+    # the stage bounds are 1, 2, 3, 4 and 9: the first three fall below G = 4
+    "invalid-grid-negative-beta": [*_GRID, "--alpha", "1", "--beta-range=-0.5:-0.1:5",
+                                   "--rho-range", "2:3:2"],
+    "invalid-grid-beta-nan": [*_GRID, "--alpha-range", "0.5:1:2", "--beta", "nan",
+                              "--rho", "2.5"],
+    "invalid-grid-alpha-minus-zero": [*_GRID, "--alpha", "-0.0", "--beta-range", "0:1:2",
+                                      "--rho", "2.5"],
+}
+
 
 def commands() -> dict[str, list[str]]:
     """Name -> CLI argv of every command of the set, in a fixed order."""
     argvs = {f"{name}-{seed}": workloads.make(name, seed).argv
              for name, seeds in SEEDS.items() for seed in seeds}
-    return {**argvs, **README}
+    return {**argvs, **README, **INVALID_CELLS}
 
 
 def main() -> int:
