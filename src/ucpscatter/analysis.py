@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec
+from .geometry import UcpSpec, segment_length
 from .scattering import (_require_k_window, _require_positive_k, bloch_sequence,
                          transmission_ucp_arrays)
 
@@ -61,7 +61,7 @@ def constant_area_height(spec: UcpSpec, V0: float) -> float:
     """
     if not V0 > 0.0:
         raise ValueError(f"V0 must be positive, got {V0}")
-    l_G = spec.width_chain.l_G
+    l_G = segment_length(spec, spec.G)
     if l_G == 0.0:
         raise ValueError(f"barrier width l_G underflows a double at G={spec.G}")
     height = spec.L * V0 / math.ldexp(l_G, spec.G)
@@ -83,7 +83,7 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
         raise ValueError(
             f"asymptote guard violated: V_G/k^2 = {v_g / (k * k):.3g} >= {_ASYMPTOTE_GUARD}"
         )
-    l_g = spec.width_chain.l_G
+    l_g = segment_length(spec, spec.G)
     prod = 1.0
     for w in bloch_sequence(dataclasses.replace(spec, V=v_g), k):
         prod *= w * w
@@ -156,23 +156,12 @@ def saturation_scan(specs: Sequence[UcpSpec], k_grid: Sequence[float]) -> Satura
         raise ValueError("need at least two stages to compare")
     if not len(k_grid):
         raise ValueError("need at least one k to compare the stages at")
-    head = specs[0]
-    for s in specs[1:]:
-        if (s.L, s.V, s.rho, s.alpha, s.beta) != (
-            head.L,
-            head.V,
-            head.rho,
-            head.alpha,
-            head.beta,
-        ):
-            raise ValueError("all specs must share (L, V, rho, alpha, beta)")
+    if len({(s.L, s.V, s.rho, s.alpha, s.beta) for s in specs}) > 1:
+        raise ValueError("all specs must share (L, V, rho, alpha, beta)")
     stages = [s.G for s in specs]
     if stages != list(range(stages[0], stages[0] + len(stages))):
         raise ValueError(f"stages must be consecutive, got {stages}")
 
     profiles = transmission_ucp_arrays(specs, k_grid)[2]
-    metrics = [
-        float(np.max(np.abs(profiles[i] - profiles[i + 1])))
-        for i in range(len(profiles) - 1)
-    ]
-    return SaturationReport(stages=tuple(stages[:-1]), metrics=tuple(metrics))
+    metrics = np.abs(np.diff(profiles, axis=0)).max(axis=1)
+    return SaturationReport(stages=tuple(stages[:-1]), metrics=tuple(metrics.tolist()))

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import fit_scaling, saturation_scan
-from .geometry import InvalidSpecError, OracleInfeasibleError, UcpSpec, build_segments
+from .geometry import (InvalidSpecError, OracleInfeasibleError, UcpSpec, _width_table,
+                       build_segments)
 from .oracle import transmission_oracle_arrays
-from .scattering import (_require_k_window, _require_positive_k, _transmission_columns,
+from .scattering import (_require_k_window, _require_positive_k, _transmission_table,
                          transmission_ucp_arrays)
 
 EXIT_OK = 0
@@ -39,6 +40,29 @@ def _fmt(x: float) -> str:
 def _row_template(fields: int) -> str:
     """A %-template of fields numbers, comma-separated, each as _fmt writes it."""
     return ",".join(["%" + _FLOAT_FMT] * fields)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token starting with '-' after an option of
+    one value as that value, unless the token is a flag here.  argparse reads
+    any such token but a plain decimal as a flag (-1e-3, -inf, -0.5:-0.1:5),
+    with no public setting for it, so the pair is passed on as --name=value."""
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        # every flag, and whether it takes one value (__init__ adds -h first)
+        vars(self).setdefault("takes_value", {}).update(
+            dict.fromkeys(action.option_strings, action.nargs is None))
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        flags, tokens = self.takes_value, []
+        for token in sys.argv[1:] if args is None else args:
+            if tokens and flags.get(tokens[-1]) and token[:1] == "-" and token not in flags:
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
+        return super().parse_known_args(tokens, namespace)
 
 
 def _spec_arguments(parser: argparse.ArgumentParser, height: bool = True,
@@ -213,8 +237,8 @@ def cmd_grid(args: argparse.Namespace) -> list[str]:
     valid = (np.array(pair_ok)[:, None] & np.array(rho_ok)).ravel()  # cube order
     a, b, r = (x.ravel()[valid] for x in np.meshgrid(alphas, betas, rhos, indexing="ij"))
     n = a.size
-    t = _transmission_columns(np.full(n, args.L), np.full(n, args.V), r, a, b, [args.G] * n,
-                              ks)[0]
+    t = _transmission_table(_width_table(np.full(n, args.L), r, a, b, [args.G] * n),
+                            np.full(n, args.V), ks)[0]
     # values are formatted once, by position: a float key misses NaN and merges -0.0 with 0.0
     texts = [[_fmt(x) for x in axis.tolist()] for axis in (alphas, betas, rhos)]
     # a cell's rows are "alpha,beta,rho," joined to these, one per k: a valid
@@ -281,7 +305,7 @@ def cmd_validate(args: argparse.Namespace) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ucpscatter",
         description="Quantum transmission through unified Cantor barrier systems",
     )

@@ -5,13 +5,13 @@ g = 1..G, the middle fraction rho**-(alpha + beta*g) of each remaining
 segment.  alpha=1, beta=0 reproduces the general Cantor set; alpha=0, beta=1
 the general Smith-Volterra-Cantor set.
 
-This module provides the segment/gap/spacing lengths, the width chain of
-each spec that the closed form uses, and the explicit interval list.  The
+This module provides the segment/gap/spacing lengths, the width table of
+each spec that the closed form reads, and the explicit interval list.  The
 removal rule is applied top-down in one place, _width_table, for many specs
 at once, given as parameter columns: the closed form calls it on the columns
-of all its specs, and UcpSpec.width_chain, the one-column call cached on the
-spec, serves the length functions, build_segments and the oracle's region
-list.
+of all its specs, and UcpSpec.width_chain, the one-column table cached on
+the spec, serves the length functions, build_segments, the oracle's region
+list and the closed form's one-point call.
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ class InvalidSpecError(ValueError):
 
 class OracleInfeasibleError(RuntimeError):
     """Raised when the requested stage has too many barriers to enumerate."""
-
-
-class _WidthChain(NamedTuple):
-    widths: tuple[float, ...]  # widths[g] = w_g, g = 0..G, up to the first that is 0
-    gaps: tuple[float, ...]  # gaps[g-1] = d_g, g = 1..len(widths) - 1
-
-    @property
-    def l_G(self) -> float:
-        """Width of each of the 2**G barriers (0 where the chain stopped short)."""
-        return self.widths[-1]
 
 
 class _WidthTable(NamedTuple):
@@ -147,15 +137,12 @@ class UcpSpec:
         return self.rho ** -(self.alpha + self.beta * g)
 
     @cached_property
-    def width_chain(self) -> _WidthChain:
-        """This spec's column of _width_table, cut at its stage count, once per
-        spec object, on first use (not a field: ==, hash and repr do not see
-        it).  It stops at the first w_g that underflows to 0: every later
-        length is 0 too, so l_G = 0 and the lengths left out are 0, at any G."""
-        table = _width_table([self.L], [self.rho], [self.alpha], [self.beta], [self.G])
-        n = int(table.stages[0])
-        return _WidthChain(tuple(table.widths[:n + 1, 0].tolist()),
-                           tuple(table.gaps[:n, 0].tolist()))
+    def width_chain(self) -> _WidthTable:
+        """This spec's one-column _width_table, once per spec object, on first
+        use (not a field: ==, hash and repr do not see it).  Its stage count
+        stops at the first w_g that underflows to 0, every w_g and d_g past it
+        is +0.0, and no row past _STAGE_CAP is built, at any G."""
+        return _width_table([self.L], [self.rho], [self.alpha], [self.beta], [self.G])
 
 
 def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> None:
@@ -168,14 +155,14 @@ def segment_length(spec: UcpSpec, g: int) -> float:
     (L / 2**g) * prod_{j=1..g} (1 - rho**-(alpha + beta*j))."""
     _check_stage(spec, g)
     widths = spec.width_chain.widths
-    return widths[g] if g < len(widths) else 0.0
+    return float(widths[g, 0]) if g < len(widths) else 0.0
 
 
 def gap_length(spec: UcpSpec, g: int) -> float:
     """Gap d_g opened at stage g: l_{g-1} * rho**-(alpha + beta*g)."""
     _check_stage(spec, g, lowest=1)
     gaps = spec.width_chain.gaps
-    return gaps[g - 1] if g <= len(gaps) else 0.0
+    return float(gaps[g - 1, 0]) if g <= len(gaps) else 0.0
 
 
 def super_period(spec: UcpSpec, f: int) -> float:
@@ -197,8 +184,7 @@ def _listed_widths(spec: UcpSpec) -> tuple[float, ...]:
     if spec.G > DEFAULT_STAGE_CAP:
         raise OracleInfeasibleError(f"infeasible: stage G={spec.G} exceeds the cap "
                                     f"{DEFAULT_STAGE_CAP} for listing every barrier")
-    widths = spec.width_chain.widths
-    return widths + (0.0,) * (spec.G + 1 - len(widths))
+    return tuple(spec.width_chain.widths[:, 0].tolist())
 
 
 def build_segments(spec: UcpSpec) -> tuple[tuple[float, float], ...]:

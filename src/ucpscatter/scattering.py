@@ -11,7 +11,8 @@ any stage, for many points at once.  It serves three results:
   spec at every k in one pass, specs of any mix of stages each joining at its
   own order G, with T = 1/(1 + |m12|**2) taken in the log domain, so that
   transmissions far below double-precision underflow remain representable
-  through log10(T); transmission_ucp is its one-point call;
+  through log10(T); transmission_ucp is its one-point call, on the spec's
+  cached width table (both run _transmission_table, on one width table);
 - bloch_sequence: the paper's Bloch phases Omega_q of
 
       T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2),
@@ -40,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, _width_table
+from .geometry import UcpSpec, _WidthTable, _width_table
 
 __all__ = [
     "TransferMatrix",
@@ -231,8 +232,8 @@ def bloch_sequence(spec: UcpSpec, k: float) -> tuple[float, ...]:
     table = spec.width_chain
     k = np.array([k], dtype=float)
     half_traces = []
-    _repetition(k, _barrier_rows(k, spec.V, table.l_G), [(d, 2) for d in table.gaps[::-1]],
-                half_traces)
+    _repetition(k, _barrier_rows(k, spec.V, table.widths[-1, 0]),
+                [(d, 2) for d in table.gaps[::-1, 0].tolist()], half_traces)
     with np.errstate(over="ignore"):
         omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
                   for h, e in half_traces]
@@ -259,7 +260,8 @@ def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
 
     One point of transmission_ucp_arrays; pass every spec and k there for speed.
     """
-    return ScatterResult(*(x.item() for x in transmission_ucp_arrays([spec], [k])))
+    results = _transmission_table(spec.width_chain, [float(spec.V)], [k])
+    return ScatterResult(*(x.item() for x in results))
 
 
 def transmission_ucp_arrays(specs: Sequence[UcpSpec],
@@ -270,20 +272,18 @@ def transmission_ucp_arrays(specs: Sequence[UcpSpec],
 
     Every point runs in one pass of the doubling (see _repetition), whatever
     its stage: highest stage first, each spec's points join at its own order
-    G.  The width chains of all the specs are built in one pass too, from
-    their parameters (see geometry._width_table).
+    G.  Their widths are built in one pass too, as one fresh width table of
+    their parameters, whatever the specs have cached (see geometry._width_table).
     """
     L, V, rho, alpha, beta = (np.array([getattr(s, name) for s in specs], dtype=float)
                               for name in ("L", "V", "rho", "alpha", "beta"))
-    return _transmission_columns(L, V, rho, alpha, beta, [s.G for s in specs], ks)
+    return _transmission_table(_width_table(L, rho, alpha, beta, [s.G for s in specs]), V, ks)
 
 
-def _transmission_columns(L: np.ndarray, V: np.ndarray, rho: np.ndarray, alpha: np.ndarray,
-                          beta: np.ndarray, G: Sequence[int],
-                          ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """transmission_ucp_arrays of the valid specs given as parameter columns:
-    row i is the spec (L[i], V[i], rho[i], alpha[i], beta[i], G[i])."""
-    table = _width_table(L, rho, alpha, beta, G)
+def _transmission_table(table: _WidthTable, V: Sequence[float],
+                        ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """transmission_ucp_arrays of the specs whose widths are the columns of
+    table, column i at the height V[i]."""
     k = np.asarray(ks, dtype=float)
     stages = table.stages
     shape = (stages.size, k.size)

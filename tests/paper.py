@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from ucpscatter import InvalidSpecError, ScatterResult, TransferMatrix
-from ucpscatter.geometry import _WidthChain, _check_stage
+from ucpscatter.geometry import _STAGE_CAP, _WidthTable, _check_stage
 from ucpscatter.scattering import (_LN10, _MAX_V_OVER_2K2, _SERIES_CUTOFF, _barrier_rows,
                                    _require_positive_k)
 
@@ -119,7 +119,9 @@ def width_chain_loop(spec):
     """The removal rule, top-down, one stage at a time: every stage-g barrier
     has the width w_g = w_{g-1} (1 - rho**-(alpha + beta*g)) / 2 formed from
     its parent's (w_0 = L), and the gap opened in it is d_g = w_{g-1}
-    rho**-(alpha + beta*g).  It stops at the first w_g that underflows to 0."""
+    rho**-(alpha + beta*g).  It stops at the first w_g that underflows to 0,
+    and fills the stages after it, up to G or _STAGE_CAP, with +0.0: the
+    spec's one-column width table (UcpSpec.width_chain) as it must be."""
     widths, gaps = [spec.L], []
     for g in range(1, spec.G + 1):
         w = widths[-1]
@@ -128,21 +130,24 @@ def width_chain_loop(spec):
         removed = spec.removal_fraction(g)
         gaps.append(w * removed)
         widths.append(w * (1.0 - removed) / 2.0)
-    return _WidthChain(tuple(widths), tuple(gaps))
+    stages = len(gaps)
+    zeros = [0.0] * (min(spec.G, _STAGE_CAP) - stages)
+    return _WidthTable(np.array([widths + zeros], dtype=float).T,
+                       np.array([gaps + zeros], dtype=float).T, np.array([stages]))
 
 
 def gamma1(spec, q):
     """Phase distance gamma_1(q) = -(l_G + d_{G-q+1}); always negative."""
     _check_stage(spec, q, lowest=1)
-    chain = spec.width_chain
-    return -(chain.l_G + chain.gaps[spec.G - q])
+    table = spec.width_chain
+    return -(table.widths[-1, 0].item() + table.gaps[spec.G - q, 0].item())
 
 
 def gamma2(spec, q, r):
     """Phase distance gamma_2(q, r) = d_{G-r+1} - d_{G-q+1} for 1 <= r < q <= G."""
     if not 1 <= r < q <= spec.G:
         raise InvalidSpecError(f"gamma2 requires 1 <= r < q <= G, got q={q}, r={r}")
-    gaps = spec.width_chain.gaps
+    gaps = spec.width_chain.gaps[:, 0].tolist()
     return gaps[spec.G - r] - gaps[spec.G - q]
 
 
@@ -156,7 +161,7 @@ def paper_bloch_sequence(spec, k):
     with theta = arg(m22) of the unit-cell barrier of width l_G, in double
     precision.  O(G^2); the subtraction cancels about q bits at stage q.
     """
-    l_G = spec.width_chain.l_G
+    l_G = spec.width_chain.widths[-1, 0].item()
     cell = barrier_matrix(k, spec.V, l_G)
     amp = abs(cell.m22)
     theta = math.atan2(cell.m22.imag, cell.m22.real) if amp > 0.0 else 0.0

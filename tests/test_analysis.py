@@ -233,6 +233,12 @@ class TestSaturationScan:
         with pytest.raises(ValueError, match="share"):
             saturation_scan([a, b], [1.0])
 
+    def test_equal_values_are_shared_whatever_their_type_or_zero_sign(self):
+        # parameters are compared by ==: 1 and 1.0, and 0.0 and -0.0, are one value each
+        a = UcpSpec(L=1, V=0.0, rho=3, alpha=1, beta=0, G=1)
+        b = UcpSpec(L=1.0, V=-0.0, rho=3.0, alpha=1.0, beta=0.0, G=2)
+        assert saturation_scan([a, b], [1.0]).stages == (1,)
+
     def test_rejects_nonconsecutive_stages(self):
         specs = self._stages(1.0, (2, 4))
         with pytest.raises(ValueError, match="consecutive"):

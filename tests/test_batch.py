@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import ucpscatter.geometry as geometry
 import ucpscatter.oracle as oracle
 import ucpscatter.scattering as scattering
 from paper import assemble, barrier_terms
@@ -157,6 +158,28 @@ def test_geometry_once_per_spec(monkeypatch, G):
     assert tables == [(3, G)]  # one column per spec object, all in one table
 
 
+@pytest.mark.parametrize("G", [16, 64])
+def test_one_point_call_reads_the_cached_table(monkeypatch, G):
+    # the one-point call builds its spec's one-column table once, on the spec
+    # object, and then reads it; an arrays call builds a fresh table of its own
+    tables = []
+    build = geometry._width_table
+
+    def counted(L, *columns):
+        table = build(L, *columns)
+        tables.append(table.widths.shape)
+        return table
+
+    monkeypatch.setattr(geometry, "_width_table", counted)
+    spec = UcpSpec(L=5, V=25, rho=3, alpha=0.5, beta=1, G=G)
+    first = transmission_ucp(spec, 2.5)
+    assert tables == [(G + 1, 1)]
+    second = transmission_ucp(spec, 2.5)
+    assert tables == [(G + 1, 1)]
+    arrays = records(transmission_ucp_arrays([spec], [2.5]))[0][0]
+    assert first == second == arrays and repr(first) == repr(second) == repr(arrays)
+
+
 def test_closed_form_builds_no_stage_above_the_cap(monkeypatch):
     # the widest chain is 0 from stage 2099: a billion stages build 2099 of them
     tables = count_width_tables(monkeypatch)
@@ -216,7 +239,7 @@ def test_slab_of_1100_stages_transmits():
     # width L; for k**2 > V a slab transmits at least 1/(1 + V**2/(4 k**2 kappa**2))
     # at any width.  The closed form may refuse such a spec instead
     spec = UcpSpec(L=1e200, V=25, rho=1e300, alpha=1, beta=1, G=1100)
-    assert not any(spec.width_chain.gaps)
+    assert not spec.width_chain.gaps.any()
     k = 12.5
     try:
         T = transmission_ucp(spec, k).transmission
@@ -269,7 +292,8 @@ def test_oracle_batch_equals_one_point_calls_and_the_closed_form(spec, ks):
 @given(specs(700, max_span=1e3), st.lists(wavenumbers, min_size=1, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_numpy_sin_and_cos_round_as_math(spec, ks):
-    gaps = np.array(spec.width_chain.gaps)
+    table = spec.width_chain
+    gaps = table.gaps[:table.stages[0], 0]
     kd = np.multiply.outer(np.array(ks), gaps).ravel()
     for x in (kd, kd / 2.0):
         for fn in ("sin", "cos"):

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ucpscatter.geometry as geometry
-import ucpscatter.scattering as scattering
 from ucpscatter import (InvalidSpecError, saturation_scan, transmission_oracle,
                         transmission_ucp, transmission_ucp_arrays, UcpSpec, __version__)
 from ucpscatter import cli
@@ -264,8 +263,8 @@ class TestGrid:
 
     def test_geometry_once_per_valid_cell(self, tmp_path, monkeypatch):
         tables, specs = [], []
-        build, check = scattering._width_table, UcpSpec.__post_init__
-        monkeypatch.setattr(scattering, "_width_table",
+        build, check = cli._width_table, UcpSpec.__post_init__
+        monkeypatch.setattr(cli, "_width_table",
                             lambda L, *c: tables.append((len(L), c[-1])) or build(L, *c))
         monkeypatch.setattr(UcpSpec, "__post_init__", lambda spec: specs.append(1) or check(spec))
         # 9 cells, the (0, 0) corner invalid, 3 k each: one table of the 8 valid
@@ -752,6 +751,46 @@ def test_out_holds_the_bytes_stdout_would(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == printed.encode()
+
+
+def main_outcome(argv):
+    """(exit code, stdout, stderr) of one main() call, an argparse usage error included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("transmission", "--V", "-2.5E1"),
+    ("transmission", "--beta", "-1e-3"),
+    ("grid", "--beta-range", "-0.5:-0.1:5"),
+    ("grid", "--beta", "-1e-3"),
+    ("geometry", "--alpha", "-inf"),
+    ("scaling", "--beta", "-1e-3"),
+    ("saturation", "--V", "-2.5E1"),
+    ("validate", "--beta", "-1e-3"),
+    ("validate", "--alpha", "-inf"),
+])
+def test_a_value_starting_with_a_minus_is_the_option_value(command, flag, value):
+    # argparse alone reads any such token but a plain decimal as an unknown flag
+    base = ONE_OF_EACH_COMMAND[command]
+    if flag in base:
+        i = base.index(flag)
+        base = base[:i] + base[i + 2:]
+    spaced = main_outcome([*base, flag, value])
+    assert spaced == main_outcome([*base, f"{flag}={value}"])
+    assert "usage:" not in spaced[2]
+
+
+def test_a_missing_value_is_still_a_usage_error():
+    code, out, err = main_outcome(["validate", "--L", "5", "--V", "25", "--rho", "2.5",
+                                   "--alpha", "2", "--beta", "--G", "3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and "argument --beta: expected one argument" in err
 
 
 def test_version_matches_pyproject(capsys):

@@ -3,6 +3,7 @@ import math
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -305,10 +306,10 @@ class TestGammas:
     @settings(max_examples=60)
     def test_equal_to_the_length_formulas_bit_for_bit(self, spec):
         G = spec.G
-        # the width chain has the bits of the closed-form lengths
+        # the width table has the bits of the closed-form lengths
         table = spec.width_chain
-        assert (table.l_G, table.gaps) == (
-            segment_length(spec, G), tuple(gap_length(spec, g) for g in range(1, G + 1))
+        assert (table.widths[-1, 0], table.gaps[:, 0].tolist()) == (
+            segment_length(spec, G), [gap_length(spec, g) for g in range(1, G + 1)]
         )
         for q in range(1, G + 1):
             assert gamma1(spec, q) == -(segment_length(spec, G) + gap_length(spec, G - q + 1))
@@ -363,16 +364,20 @@ class TestDeepStages:
         assert segment_length(spec, 1100) == 0.0
         assert gap_length(spec, 1100) == 0.0
         assert super_period(spec, 1) == 0.0
-        assert spec.width_chain.l_G == 0.0
+        assert spec.width_chain.widths[-1, 0] == 0.0
 
     def test_stage_table_stops_where_l_g_underflows(self):
         spec = cantor(G=800)  # the chain rounds l_g = 3**-g to 0 from g = 678
         table = spec.width_chain
-        n = len(table.gaps)
-        assert n == 678
-        assert table.l_G == 0.0 and segment_length(spec, n) == 0.0 < segment_length(spec, n - 1)
-        assert table.gaps == tuple(gap_length(spec, g) for g in range(1, n + 1))
+        n = int(table.stages[0])
+        assert n == 678 and table.widths.shape == (801, 1) and table.gaps.shape == (800, 1)
+        assert table.widths[-1, 0] == 0.0
+        assert segment_length(spec, n) == 0.0 < segment_length(spec, n - 1)
+        assert table.gaps[:n, 0].tolist() == [gap_length(spec, g) for g in range(1, n + 1)]
         assert all(gap_length(spec, g) == 0.0 for g in range(n + 1, 801))
+        # every row past the stage count is +0.0, bit for bit
+        assert not table.widths[n:].view(np.int64).any()
+        assert not table.gaps[n:].view(np.int64).any()
 
     def test_every_span_is_zero_from_stage_2099(self):
         # the widest chain: the largest span, halved exactly at every stage
@@ -385,7 +390,7 @@ class TestDeepStages:
 
     def test_reading_the_chain_leaves_the_spec_as_it_was(self):
         read, fresh = svc(G=12), svc(G=12)
-        assert read.width_chain.l_G > 0.0
+        assert read.width_chain.widths[-1, 0] > 0.0
         assert "width_chain" in vars(read) and "width_chain" not in vars(fresh)
         assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
         assert dataclasses.replace(read) == fresh
@@ -394,8 +399,17 @@ class TestDeepStages:
     def test_stage_table_at_a_billion_stages(self):
         start = time.perf_counter()
         table = svc(G=10**9).width_chain
-        assert table.l_G == 0.0 and len(table.gaps) < 1100
+        assert table.widths[-1, 0] == 0.0 and table.stages[0] < 1100
+        assert table.widths.shape == (_STAGE_CAP + 1, 1)
         assert time.perf_counter() - start < 1.0
+
+
+def assert_same_bits(got, want):
+    """Two width tables are equal bit for bit: the shapes, the stage counts, and
+    every width and gap, -0.0 told from +0.0."""
+    assert got.stages.tolist() == want.stages.tolist()
+    for x, y in ((got.widths, want.widths), (got.gaps, want.gaps)):
+        assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 stages = st.one_of(st.integers(0, 40),
@@ -430,7 +444,7 @@ class TestWidthTable:
     @given(any_spec())
     @settings(max_examples=150, deadline=None)
     def test_a_spec_chain_is_the_loop_bit_for_bit(self, spec):
-        assert spec.width_chain == width_chain_loop(spec)
+        assert_same_bits(spec.width_chain, width_chain_loop(spec))
 
     @given(st.lists(any_spec(), max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -441,17 +455,19 @@ class TestWidthTable:
         for i, spec in enumerate(specs):
             n = int(table.stages[i])
             chain = width_chain_loop(spec)
-            assert table.widths[:n + 1, i].tolist() == list(chain.widths)
-            assert table.gaps[:n, i].tolist() == list(chain.gaps)
+            assert n == chain.stages[0]
+            assert table.widths[:n + 1, i].tolist() == chain.widths[:n + 1, 0].tolist()
+            assert table.gaps[:n, i].tolist() == chain.gaps[:n, 0].tolist()
 
     @given(any_spec(st.integers(0, 40)))
     @settings(max_examples=60, deadline=None)
     def test_removal_fraction_is_the_table_fraction(self, spec):
-        chain = spec.width_chain
-        for g, gap in enumerate(chain.gaps, 1):
+        table = spec.width_chain
+        widths, gaps = table.widths[:, 0].tolist(), table.gaps[:, 0].tolist()
+        for g, gap in enumerate(gaps, 1):
             f = spec.removal_fraction(g)
-            assert gap == chain.widths[g - 1] * f
-            assert chain.widths[g] == chain.widths[g - 1] * (1.0 - f) / 2.0
+            assert gap == widths[g - 1] * f
+            assert widths[g] == widths[g - 1] * (1.0 - f) / 2.0
 
     def test_no_columns_and_no_stages(self):
         table = _width_table([], [], [], [], [])
@@ -481,8 +497,8 @@ class TestRatioPastADouble:
         assert super_period(spec, 1) == (math.ldexp(1.0, -G) * (1.0 + spec.removal_fraction(G))
                                          * prods[G - 1])
         table = spec.width_chain
-        assert (table.l_G, table.gaps) == (
-            segment_length(spec, G), tuple(gap_length(spec, g) for g in range(1, G + 1))
+        assert (table.widths[-1, 0], table.gaps[:, 0].tolist()) == (
+            segment_length(spec, G), [gap_length(spec, g) for g in range(1, G + 1)]
         )
 
     def test_first_fractions_below_a_double(self):
