@@ -9,6 +9,7 @@ enumerating every barrier (oracle or geometry).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -189,7 +190,11 @@ def _parse_range(text: str, name: str) -> np.ndarray:
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
         raise ValueError(f"--{name}-range count must be >= 1")
-    return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
+    with np.errstate(all="ignore"):  # a non-finite axis is refused below
+        axis = np.linspace(lo, hi, n) if n > 1 else np.array([lo])
+    if n > 1 and not np.isfinite(axis).all():  # COUNT = 1 is a fixed value, judged per cell
+        raise ValueError(f"--{name}-range needs a finite MIN, MAX and MAX - MIN, got {text!r}")
+    return axis
 
 
 def _grid_axis(args: argparse.Namespace, name: str) -> np.ndarray:
@@ -269,11 +274,7 @@ def cmd_scaling(args: argparse.Namespace) -> list[str]:
     report = {
         "spec": {"L": spec.L, "V0": args.V0, "rho": spec.rho, "alpha": spec.alpha,
                  "beta": spec.beta, "G": spec.G},
-        "k_window": list(fit.k_window),
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "n_used": fit.n_used,
+        **dataclasses.asdict(fit),
     }
     return [json.dumps(report, indent=2)]
 

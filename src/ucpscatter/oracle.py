@@ -130,13 +130,12 @@ def transmission_oracle_arrays(spec: UcpSpec,
         if limit is not None and not 4.0 * bound <= floor:  # a k may need a rescale: test each
             size = np.abs(product).reshape(4, n)
             total = size[0] + size[1] + size[2] + size[3]
-            big = total > limit
-            if big.any():  # the next factors could overflow: rescale exactly
-                e = np.where(big, np.frexp(size.max(axis=0))[1] + 1, 0)
-                scale = np.ldexp(1.0, -e)
-                product *= scale
-                total *= scale
-                exp2 += e
+            big = total > limit  # the next factors could overflow: rescale exactly
+            e = np.where(big, np.frexp(size.max(axis=0))[1] + 1, 0)
+            scale = np.ldexp(1.0, -e)
+            product *= scale
+            total *= scale
+            exp2 += e
             bound = float(total.max())
     (a, b), (c, d) = product
     drift = _det_drift(a, b, c, d, exp2)

@@ -138,8 +138,6 @@ def _sinh(y: np.ndarray) -> np.ndarray:
     """sinh(y) from math.sinh, taken as cmath takes it: sinh(y - 1) * e past
     _SINH_LARGE, inf where that overflows."""
     large = np.abs(y) > _SINH_LARGE
-    if not large.any():
-        return _libm(math.sinh, y)
     # math.sinh raises past about +-710.48, where sinh(y - 1) * e overflows anyway
     out = _libm(math.sinh, np.where(large, y - 1.0, y).clip(-_SINH_CLIP, _SINH_CLIP))
     return out * np.where(large, math.e, 1.0)
@@ -180,24 +178,21 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
         imaginary = s < 0.0
         # sin(kappa w / 2) is half or i half, sin(kappa w) is sin_z or i sin_z
         half, sin_z = np.sin(z / 2.0), np.sin(z)
-        if imaginary.any():
-            z_imag = z[imaginary]
-            sinh = _sinh(np.concatenate((z_imag / 2.0, z_imag)))
-            half[imaginary], sin_z[imaginary] = sinh[:z_imag.size], sinh[z_imag.size:]
+        z_imag = z[imaginary]
+        sinh = _sinh(np.concatenate((z_imag / 2.0, z_imag)))
+        half[imaginary], sin_z[imaginary] = sinh[:z_imag.size], sinh[z_imag.size:]
         # -2 half**2 and +2 half**2, with cmath's -0.0 at half = 0
         cos_m1 = np.where(imaginary & (half > 0.0), 2.0, -2.0) * half * half
         sin_over_kappa = sin_z / size
         series = z < _SERIES_CUTOFF
-        if series.any():
-            z2 = np.where(imaginary, -z, z) * z  # (kappa w)**2
-            sin_over_kappa = np.where(series, width * (1.0 - z2 / 6.0 + z2 * z2 / 120.0),
-                                      sin_over_kappa)
+        z2 = np.where(imaginary, -z, z) * z  # (kappa w)**2
+        sin_over_kappa = np.where(series, width * (1.0 - z2 / 6.0 + z2 * z2 / 120.0),
+                                  sin_over_kappa)
         rows = np.array([cos_m1, k * sin_over_kappa, em * sin_over_kappa])
-        if not rows[1:].all():
-            # the imaginary part of sin(kappa w)/kappa is a zero, -0.0 where
-            # sin(kappa w) > 0 > cos(kappa w) for real kappa, and a zero
-            # product x * sin(kappa w)/kappa takes its sign in x - 0.0 * it
-            rows[1:] -= np.where(~imaginary & (sin_z > 0.0) & (np.cos(z) < 0.0), -0.0, 0.0)
+        # the imaginary part of sin(kappa w)/kappa is a zero, -0.0 where
+        # sin(kappa w) > 0 > cos(kappa w) for real kappa, and a zero
+        # product x * sin(kappa w)/kappa takes its sign in x - 0.0 * it
+        rows[1:] -= np.where(~imaginary & (sin_z > 0.0) & (np.cos(z) < 0.0), -0.0, 0.0)
         # k = inf or NaN makes every term NaN
         finite = np.isfinite(rows).all(axis=0)
         ok = (k > 0.0) & (width > 0.0) & finite & (np.abs(em) <= _MAX_V_OVER_2K2 * k)
@@ -407,15 +402,12 @@ def _results(q: np.ndarray, r: np.ndarray,
     T = 1/(1 + X) with X = |m12|**2 is taken from ln X, so that T far below
     double-precision underflow keeps its log10; X = 0 gives T = 1 exactly.
     Each point gets the bits of the per-point if-chain kept in tests/paper.py
-    as assemble; masks pick each branch's value.
+    as assemble, in one pass: masks pick each branch's value, X = 0's too.
     """
     m12_abs = _libm(math.hypot, q, r)
+    # X = 0: T = 1, R = 0 and log10 T = 0 exactly; ln X is taken at |m12| = 1 instead
     zero = m12_abs == 0.0
-    if zero.any():
-        # X = 0: T = 1, R = 0 and log10 T = 0 exactly; ln X is taken at |m12| = 1 instead
-        t, refl, log10_t = _results(np.where(zero, 1.0, q), r, exp2)
-        return np.where(zero, 1.0, t), np.where(zero, 0.0, refl), np.where(zero, 0.0, log10_t)
-    log_x = 2.0 * (_libm(math.log, m12_abs) + exp2 * _LN2)
+    log_x = 2.0 * (_libm(math.log, np.where(zero, 1.0, m12_abs)) + exp2 * _LN2)
     # log(1 + X) without forming X where it over/underflows: log X + log1p(1/X)
     # above 36, log1p(X) down to -36 and X below
     big = log_x > 36.0
@@ -428,7 +420,8 @@ def _results(q: np.ndarray, r: np.ndarray,
     low = log_x <= 0.0
     smaller = _libm(math.exp, np.where(low, log_x - log1p_x, minus))
     larger = 1.0 - smaller
-    return np.where(low, larger, smaller), np.where(low, smaller, larger), minus / _LN10
+    t, refl = np.where(low, larger, smaller), np.where(low, smaller, larger)
+    return np.where(zero, 1.0, t), np.where(zero, 0.0, refl), np.where(zero, 0.0, minus / _LN10)
 
 
 def transmission_spp(

@@ -225,14 +225,16 @@ def test_overflowing_identity_part_is_rescaled():
         assert math.isfinite(res.log10_transmission)
 
 
-@pytest.mark.xfail(strict=True, reason="the block's determinant drifts from 1 over 600 "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the block's determinant drifts from 1 over 600 "
                    "orders and the block decays to (1, -1, 0, 0, 0): R = 0 exactly")
 def test_reflection_survives_600_orders_near_full_transmission():
     spec = UcpSpec(L=1, V=4.516015599358285e106, rho=3, alpha=1, beta=0, G=600)
     assert transmission_ucp(spec, 2e54).reflection > 0.0  # about 1e-180
 
 
-@pytest.mark.xfail(strict=True, reason="every gap underflows to 0 and the 2**1100 barriers "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="every gap underflows to 0 and the 2**1100 barriers "
                    "are one slab, yet the doubling gives T = 0")
 def test_slab_of_1100_stages_transmits():
     # at L = 1e200 every d_g is 0, so the system is one slab of height 25 and

@@ -7,6 +7,7 @@ import pathlib
 import re
 import sys
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -521,6 +522,22 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"invalid {kind}: ")
+
+    @pytest.mark.parametrize("name, text", [
+        ("rho", "inf:3:2"),  # printed rho nan and two numpy RuntimeWarnings
+        ("alpha", "1:nan:3"),  # printed alpha nan for every cell, the 1 endpoint too
+        ("rho", "-1e308:1e308:3"),  # printed nan, inf, 1e308 for -1e308, 0, 1e308
+    ])
+    def test_grid_range_of_values_not_all_finite(self, capsys, name, text):
+        fixed = {"alpha": "1", "beta": "0", "rho": "2.5"}
+        del fixed[name]
+        argv = ["grid", "--L", "5", "--V", "25", "--G", "3", "--k", "1",
+                *(f"--{flag}={value}" for flag, value in fixed.items()), f"--{name}-range={text}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.assert_one_line_exit_2(argv, capsys)
+        assert f"--{name}-range" in err
+        assert caught == []
 
     def test_saturation_zero_kmin(self, capsys):
         self.assert_one_line_exit_2(
