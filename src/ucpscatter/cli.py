@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -305,63 +304,69 @@ def cmd_validate(args: argparse.Namespace) -> list[str]:
             f"beta={spec.beta} G={spec.G}"]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _transmission_arguments(parser: argparse.ArgumentParser) -> None:
+    _spec_arguments(parser)
+    _sweep_arguments(parser)
+    parser.add_argument("--engine", choices=["closed_form", "oracle", "both"])
+
+
+def _grid_arguments(parser: argparse.ArgumentParser) -> None:
+    _spec_arguments(parser)
+    for axis in ("alpha", "beta", "rho"):
+        parser.add_argument(f"--{axis}-range", help=f"{axis} axis as MIN:MAX:COUNT")
+    parser.add_argument("--k", help="comma-separated wavenumbers")
+
+
+def _scaling_arguments(parser: argparse.ArgumentParser) -> None:
+    _spec_arguments(parser, height=False)  # the height is the constant-area V_G from --V0
+    parser.add_argument("--V0", type=float, help="stage-0 height for constant-area scaling")
+    _k_range_arguments(parser)  # fit_scaling always spaces k logarithmically
+
+
+def _saturation_arguments(parser: argparse.ArgumentParser) -> None:
+    _spec_arguments(parser, stage=False)  # the stages are --gmin..--gmax
+    parser.add_argument("--gmin", type=int, help="first stage")
+    parser.add_argument("--gmax", type=int, help="last stage")
+    _sweep_arguments(parser)
+
+
+# name -> (help, the function that adds the command's own flags, the command)
+COMMANDS = {
+    "transmission": ("T(k) sweep for one spec", _transmission_arguments, cmd_transmission),
+    "grid": ("T over an (alpha, beta, rho) grid at fixed k values", _grid_arguments, cmd_grid),
+    "geometry": ("explicit barrier intervals as CSV", _spec_arguments, cmd_geometry),
+    "scaling": ("log-log reflection scaling fit as JSON", _scaling_arguments, cmd_scaling),
+    "saturation": ("stage-to-stage transmission distances as JSON", _saturation_arguments,
+                   cmd_saturation),
+    "validate": ("check spec well-formedness", _spec_arguments, cmd_validate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with flags on `command` only, or on all
+    of them when it is None: a command's parsing and help are the same either way."""
     parser = _Parser(
         prog="ucpscatter",
         description="Quantum transmission through unified Cantor barrier systems",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # flags are spelled in full, so a flag a command lacks (scaling's --V) is
-    # an error, not an abbreviation of another (--V0)
-    command = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p = command("transmission", help="T(k) sweep for one spec")
-    _spec_arguments(p)
-    _sweep_arguments(p)
-    p.add_argument("--engine", choices=["closed_form", "oracle", "both"])
-    _common_arguments(p)
-    p.set_defaults(func=cmd_transmission)
-
-    p = command("grid", help="T over an (alpha, beta, rho) grid at fixed k values")
-    _spec_arguments(p)
-    for axis in ("alpha", "beta", "rho"):
-        p.add_argument(f"--{axis}-range", help=f"{axis} axis as MIN:MAX:COUNT")
-    p.add_argument("--k", help="comma-separated wavenumbers")
-    _common_arguments(p)
-    p.set_defaults(func=cmd_grid)
-
-    p = command("geometry", help="explicit barrier intervals as CSV")
-    _spec_arguments(p)
-    _common_arguments(p)
-    p.set_defaults(func=cmd_geometry)
-
-    p = command("scaling", help="log-log reflection scaling fit as JSON")
-    _spec_arguments(p, height=False)  # the height is the constant-area V_G from --V0
-    p.add_argument("--V0", type=float, help="stage-0 height for constant-area scaling")
-    _k_range_arguments(p)  # fit_scaling always spaces k logarithmically
-    _common_arguments(p)
-    p.set_defaults(func=cmd_scaling)
-
-    p = command("saturation", help="stage-to-stage transmission distances as JSON")
-    _spec_arguments(p, stage=False)  # the stages are --gmin..--gmax
-    p.add_argument("--gmin", type=int, help="first stage")
-    p.add_argument("--gmax", type=int, help="last stage")
-    _sweep_arguments(p)
-    _common_arguments(p)
-    p.set_defaults(func=cmd_saturation)
-
-    p = command("validate", help="check spec well-formedness")
-    _spec_arguments(p)
-    _common_arguments(p)
-    p.set_defaults(func=cmd_validate)
-
+    for name, (text, add_arguments, func) in COMMANDS.items():
+        # flags are spelled in full, so a flag a command lacks (scaling's --V) is
+        # an error, not an abbreviation of another (--V0)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        if command in (None, name):
+            add_arguments(p)
+            _common_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first command name is the command: only top-level flags, none of
+    # which takes a value, can come before it
+    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
         if getattr(args, "config", None):
             _apply_config(args, _load_config(args.config))

@@ -67,8 +67,10 @@ def transmission_oracle_arrays(spec: UcpSpec,
 
     Independent of the closed form: the geometry comes from region_sequence
     and the product runs region by region, never using self-similarity.  The
-    product's entries are arrays over k: numpy does the + - x, the gaps'
-    cos and sin (its float64 cos and sin round as the C library's, which
+    product is held as its columns (A, C/k) and (kB, D), each one array over
+    both rows and every k, so a region costs six flat multiplies and adds of
+    the 2x2 product's own terms in its own order.  numpy does the + - x, the
+    gaps' cos and sin (its float64 cos and sin round as the C library's, which
     math.cos and math.sin call), the rescale test and the rescale.  Raises
     OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
     remains available there).
@@ -78,11 +80,39 @@ def transmission_oracle_arrays(spec: UcpSpec,
     n = k.size
     if n == 0:
         return _results(k, k, k)
-    # [[A, kB], [C/k, D]] of every k: product[i, j] is an array over k,
-    # updated in place through its two column views
-    product = np.array([[np.ones(n), np.zeros(n)], [np.zeros(n), np.ones(n)]])
-    column_0, column_1 = product[:, :1], product[:, 1:]
-    term_0, term_1 = np.empty_like(product), np.empty_like(product)
+    # each distinct region's factor, built in order of first use (so the first
+    # bad region raises first) as (f00, f01, f10, growth, limit, floor, shift):
+    # f_ij is entry (i, j) of every k, tiled twice; f11 is f00 in both kinds
+    factors = dict.fromkeys(regions)
+    for region in factors:
+        width, is_barrier = region
+        if is_barrier:
+            cos_m1, k_sin, em_sin = _barrier_rows(k, spec.V, width)  # checks k
+            cos_z = 1.0 + cos_m1
+            with np.errstate(over="ignore"):
+                c_k = 2.0 * em_sin - k_sin
+            shift = None  # where C/k overflows, the factor is held as 2**-2 of itself
+            if not np.isfinite(c_k).all():
+                shift = np.where(np.isfinite(c_k), 0, 2)
+                scale = np.ldexp(1.0, -shift)
+                cos_z, k_sin, em_sin = cos_z * scale, k_sin * scale, em_sin * scale
+                c_k = 2.0 * em_sin - k_sin
+            entries = np.array([[cos_z, k_sin], [c_k, cos_z]])
+            limit = _PRODUCT_MAX / np.abs(entries).reshape(4, n).max(axis=0)
+            size_1 = np.abs(entries).sum(axis=0).max(axis=0)  # largest column sum
+            size_inf = np.abs(entries).sum(axis=1).max(axis=0)  # largest row sum
+            growth = float((np.sqrt(size_1) * np.sqrt(size_inf)).max())  # >= spectral norm
+            factors[region] = (*np.tile([cos_z, k_sin, c_k], 2), growth * _SLACK, limit,
+                               float(limit.min()), shift)
+        else:
+            kd = _gap_phase(k, width)
+            cos_kd, sin_kd = np.cos(kd), np.sin(kd)
+            factors[region] = (*np.tile([cos_kd, sin_kd, -sin_kd], 2), _SLACK, None, None, None)
+    # the product [[A, kB], [C/k, D]] of every k as its two columns, each one
+    # contiguous vector of both rows: x = (A, C/k) and y = (kB, D)
+    x, y = np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n)
+    (a, c), (b, d) = columns = x.reshape(2, n), y.reshape(2, n)  # views of the entries
+    term_0, term_1 = np.empty(2 * n), np.empty(2 * n)
     exp2 = np.zeros(n, dtype=np.int64)  # the true product is 2**exp2 * product
     # bound >= the Frobenius norm of every k's product, so |a| + |b| + |c| + |d|
     # <= 2 bound: the rescale test is skipped while 4 bound stays within every
@@ -90,54 +120,28 @@ def transmission_oracle_arrays(spec: UcpSpec,
     # barrier multiplies it by at most its spectral norm, and _SLACK covers the
     # rounding of each product.
     bound = math.sqrt(2.0)
-    factors = {}  # the regions repeat a few widths, so each factor is built once
-    for region in regions:
-        factor = factors.get(region)
-        if factor is None:
-            width, is_barrier = region
-            if is_barrier:
-                cos_m1, k_sin, em_sin = _barrier_rows(k, spec.V, width)  # checks k
-                cos_z = 1.0 + cos_m1
-                with np.errstate(over="ignore"):
-                    c_k = 2.0 * em_sin - k_sin
-                shift = None  # where C/k overflows, the factor is held as 2**-2 of itself
-                if not np.isfinite(c_k).all():
-                    shift = np.where(np.isfinite(c_k), 0, 2)
-                    scale = np.ldexp(1.0, -shift)
-                    cos_z, k_sin, em_sin = cos_z * scale, k_sin * scale, em_sin * scale
-                    c_k = 2.0 * em_sin - k_sin
-                entries = np.array([[cos_z, k_sin], [c_k, cos_z]])
-                limit = _PRODUCT_MAX / np.abs(entries).reshape(4, n).max(axis=0)
-                size_1 = np.abs(entries).sum(axis=0).max(axis=0)  # largest column sum
-                size_inf = np.abs(entries).sum(axis=1).max(axis=0)  # largest row sum
-                growth = float((np.sqrt(size_1) * np.sqrt(size_inf)).max())  # >= spectral norm
-                factor = (entries[0], entries[1], growth * _SLACK, limit, float(limit.min()),
-                          shift)
-            else:
-                kd = _gap_phase(k, width)
-                cos_kd, sin_kd = np.cos(kd), np.sin(kd)
-                factor = (np.array([cos_kd, sin_kd]), np.array([-sin_kd, cos_kd]), _SLACK,
-                          None, None, None)
-            factors[region] = factor
-        row_0, row_1, growth, limit, floor, shift = factor
-        # product[i, j] = product[i, 0] * row_0[j] + product[i, 1] * row_1[j]
-        np.multiply(column_0, row_0, out=term_0)
-        np.multiply(column_1, row_1, out=term_1)
-        np.add(term_0, term_1, out=product)
+    for f00, f01, f10, growth, limit, floor, shift in map(factors.__getitem__, regions):
+        # (x, y) = (x f00 + y f10, x f01 + y f11), out passed by position: it is faster
+        np.multiply(x, f00, term_0)
+        np.multiply(y, f10, term_1)
+        np.multiply(x, f01, x)
+        np.multiply(y, f00, y)
+        np.add(x, y, y)
+        np.add(term_0, term_1, x)
         bound *= growth
         if shift is not None:
             exp2 += shift
         if limit is not None and not 4.0 * bound <= floor:  # a k may need a rescale: test each
-            size = np.abs(product).reshape(4, n)
+            size = np.abs([a, b, c, d])
             total = size[0] + size[1] + size[2] + size[3]
             big = total > limit  # the next factors could overflow: rescale exactly
             e = np.where(big, np.frexp(size.max(axis=0))[1] + 1, 0)
             scale = np.ldexp(1.0, -e)
-            product *= scale
+            for column in columns:
+                column *= scale
             total *= scale
             exp2 += e
             bound = float(total.max())
-    (a, b), (c, d) = product
     drift = _det_drift(a, b, c, d, exp2)
     drifting = drift > _DET_DRIFT_TOL
     for k_i, drift_i in zip(k[drifting].tolist(), drift[drifting].tolist()):

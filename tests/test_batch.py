@@ -17,6 +17,7 @@ from paper import assemble, barrier_terms
 from ucpscatter import (
     ScatterResult,
     UcpSpec,
+    region_sequence,
     transmission_oracle,
     transmission_oracle_arrays,
     transmission_ucp,
@@ -288,6 +289,73 @@ def test_oracle_batch_equals_one_point_calls_and_the_closed_form(spec, ks):
     closed = records(transmission_ucp_arrays([spec], ks))[0]
     for a, b in zip(closed, single):
         assert abs(a.log10_transmission - b.log10_transmission) <= 1e-9
+
+
+# T, R and log10 T of the oracle as float.hex, pinned from its (2, 2, n) product
+# written row by row; no golden command reaches these paths
+ORACLE_BITS = [
+    # 1269 rescale tests
+    (UcpSpec(L=300, V=5000, rho=2.2, alpha=0.4, beta=0.3, G=12),
+     np.linspace(0.05, 60, 37), [
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0000000001084p-1022 0x1.7e6fec3765bb6p-815 "
+        "0x1.30b316ad934a6p-729 0x1.1958cc75546b4p-321 0x1.3db2ce1933805p-88 "
+        "0x1.7243dbaaafc39p-390",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+        "0x1.0000000000000p+0",
+        "-0x1.100208f914d6bp+10 -0x1.0698b3a047ac3p+10 -0x1.02ee503edeafep+10 "
+        "-0x1.fad325ee7c6c9p+9 -0x1.e45f3df573c83p+9 -0x1.ef158d64a6e22p+9 "
+        "-0x1.df379268cc718p+9 -0x1.d36da46d66b4cp+9 -0x1.c53a2573fbbf4p+9 "
+        "-0x1.c6f5a7cda992ep+9 -0x1.bc329960795cdp+9 -0x1.9ab2b4fa8badbp+9 "
+        "-0x1.95685464a0f3fp+9 -0x1.a11232466dc39p+9 -0x1.9d244973f8698p+9 "
+        "-0x1.970d43c9050a5p+9 -0x1.82ca06b0d04e1p+9 -0x1.87ddc64253ec5p+9 "
+        "-0x1.7a2b25299b728p+9 -0x1.61b54257cb30ep+9 -0x1.48b61a5906a75p+9 "
+        "-0x1.37113b0359a1dp+9 -0x1.0d10e4105aeb5p+9 -0x1.005848d32d20dp+9 "
+        "-0x1.927cba4fc2db7p+8 -0x1.d86a1a1c314c4p+8 -0x1.f1ec345964f67p+8 "
+        "-0x1.d7e920be4095ap+8 -0x1.c08edebc46965p+8 -0x1.be69d79527c51p+8 "
+        "-0x1.955b3e469554fp+8 -0x1.3fae187c6e872p+8 -0x1.ea548b6f54656p+7 "
+        "-0x1.b6c01ecc4cc28p+7 -0x1.825bc70ba5b31p+6 -0x1.a6598e910f3efp+4 "
+        "-0x1.d4f738410ea9cp+6",
+    ]),
+    # C/k past a double: the factor held as 2**-2 of itself
+    (UcpSpec(L=57.271623783941266, V=12828.594060047031, rho=3.402702584634892,
+             alpha=1.0820643318776448, beta=0.86216933013465, G=3),
+     [0.13068226511790876, 0.20391286626553243], [
+        "0x0.0p+0 0x0.0p+0",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "-0x1.335550cf36236p+12 -0x1.334d45250f3dep+12",
+    ]),
+]
+
+
+@pytest.mark.parametrize("spec, ks, bits", ORACLE_BITS, ids=["rescale", "shift"])
+def test_oracle_rescale_and_shift_keep_their_bits(spec, ks, bits):
+    got = transmission_oracle_arrays(spec, ks)
+    assert [" ".join(map(float.hex, x.tolist())) for x in got] == bits
+
+
+def test_oracle_builds_each_distinct_factor_once(monkeypatch):
+    spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=6)
+    widths = []
+    for name in ("_barrier_rows", "_gap_phase"):
+        def counted(*args, built=getattr(oracle, name), is_barrier=name == "_barrier_rows"):
+            widths.append((args[-1], is_barrier))
+            return built(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    transmission_oracle_arrays(spec, [0.5, 3.0])
+    # one barrier width and G gap widths, each built once in order of first use
+    assert len(widths) == spec.G + 1
+    assert widths == list(dict.fromkeys(region_sequence(spec)))
 
 
 # stages deep enough for gaps far below any wavelength, down to where the width chain stops

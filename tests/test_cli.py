@@ -817,3 +817,26 @@ def test_version_matches_pyproject(capsys):
     with pytest.raises(SystemExit):
         main(["--version"])
     assert capsys.readouterr().out == __version__ + "\n"
+
+
+def help_of(parser, argv):
+    """What parse_args prints for a --help in argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_parser_with_one_commands_flags_helps_as_the_full_parser(command):
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert help_of(one, [command, "--help"]) == help_of(full, [command, "--help"])
+    assert help_of(one, ["--help"]) == help_of(full, ["--help"])
+    assert "--out" in help_of(one, [command, "--help"])
+
+
+def test_a_flag_before_the_command_is_the_one_unrecognized():
+    # main gives flags to the first command name in argv
+    code, out, err = main_outcome(["--bogus", "validate", *SPEC_ARGS])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --bogus")

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from paper import gamma1, gamma2, width_chain_loop
 from ucpscatter import (
@@ -421,9 +421,11 @@ def any_spec(draw, stage=stages):
     """A valid spec anywhere in the accepted range: spans up to the largest
     double, rho from 1 + 1 ulp, and a negative beta's stage at or below its
     bound."""
-    alpha = draw(st.one_of(st.floats(-50, 2000), st.sampled_from([0.0, 1.0])))
-    beta = draw(st.one_of(st.floats(-1000, 50), st.sampled_from([0.0, 1.0, -0.5])))
-    assume(alpha + beta > 0.0)
+    alpha = draw(st.one_of(st.floats(-50, 2000, exclude_min=True), st.sampled_from([0.0, 1.0])))
+    # beta above -alpha, so alpha + beta > 0: a sum of two doubles is 0 only
+    # where they cancel exactly, and a draw is never rejected
+    beta = draw(st.one_of(st.floats(max(-alpha, -1000.0), 50, exclude_min=True),
+                          st.sampled_from([b for b in (0.0, 1.0, -0.5, 50.0) if b > -alpha])))
     bound = max_valid_stage(alpha, beta)
     G = draw(stage)
     return UcpSpec(

@@ -1,11 +1,11 @@
 """Byte-identity guard: run a fixed set of CLI commands and hash their output.
 
-The set is 82 commands: the benchmark workloads (perfbench/workloads.py,
+The set is 90 commands: the benchmark workloads (perfbench/workloads.py,
 crossval seeds 1-40 and sweep, grid and deep seeds 1-10), the seven examples
-of README.md, and five grids that hold each kind of invalid cell, each run in
-a fresh process.  One line is printed per
-command: its name, its exit code, and the sha256 of its stdout and of its
-stderr.  Run it on two trees and diff the output:
+of README.md, five grids that hold each kind of invalid cell, and --version,
+--help and each command's --help, each run in a fresh process.  One line is
+printed per command: its name, its exit code, and the sha256 of its stdout
+and of its stderr.  Run it on two trees and diff the output:
 
     python tools/golden.py > new.txt
     python tools/golden.py --src ../parent/src > old.txt
@@ -66,11 +66,17 @@ INVALID_CELLS = {
 }
 
 
+# the commands are named here, not read from the package, so that any tree runs the same set
+HELP = {"version": ["--version"], "help": ["--help"],
+        **{f"help-{name}": [name, "--help"] for name in
+           ("transmission", "grid", "geometry", "scaling", "saturation", "validate")}}
+
+
 def commands() -> dict[str, list[str]]:
     """Name -> CLI argv of every command of the set, in a fixed order."""
     argvs = {f"{name}-{seed}": workloads.make(name, seed).argv
              for name, seeds in SEEDS.items() for seed in seeds}
-    return {**argvs, **README, **INVALID_CELLS}
+    return {**argvs, **README, **INVALID_CELLS, **HELP}
 
 
 def main() -> int:
@@ -78,7 +84,8 @@ def main() -> int:
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="the source tree whose ucpscatter runs (default: this one's)")
     args = parser.parse_args()
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(args.src)}
+    # help text is wrapped to COLUMNS, so it is fixed
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(args.src), "COLUMNS": "80"}
     for name, argv in commands().items():
         done = subprocess.run([sys.executable, "-m", "ucpscatter.cli", *argv], env=env,
                               capture_output=True)
