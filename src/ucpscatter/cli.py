@@ -50,13 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs) -> argparse.Action:
         action = super().add_argument(*args, **kwargs)
-        # every flag, and whether it takes one value (__init__ adds -h first)
+        # every flag, and whether it takes one value
         vars(self).setdefault("takes_value", {}).update(
             dict.fromkeys(action.option_strings, action.nargs is None))
         return action
 
     def parse_known_args(self, args=None, namespace=None):
-        flags, tokens = self.takes_value, []
+        flags, tokens = vars(self).get("takes_value", {}), []
         for token in sys.argv[1:] if args is None else args:
             if tokens and flags.get(tokens[-1]) and token[:1] == "-" and token not in flags:
                 tokens[-1] += "=" + token
@@ -227,12 +227,6 @@ def cmd_grid(args: argparse.Namespace) -> list[str]:
     for k in ks:
         _require_positive_k(k)
 
-    lines = [
-        f"# L={_fmt(args.L)}",
-        f"# V={_fmt(args.V)}",
-        f"# G={args.G}",
-        "alpha,beta,rho,k,valid,T",
-    ]
     # with L, V and G valid, a spec's checks fall apart into those of rho (on
     # a Cantor spec) and those of (alpha, beta, G) (at rho = 2): a cell is
     # valid iff both pass, exactly where its own UcpSpec would be
@@ -245,16 +239,15 @@ def cmd_grid(args: argparse.Namespace) -> list[str]:
                             np.full(n, args.V), ks)[0]
     # values are formatted once, by position: a float key misses NaN and merges -0.0 with 0.0
     texts = [[_fmt(x) for x in axis.tolist()] for axis in (alphas, betas, rhos)]
-    # a cell's rows are "alpha,beta,rho," joined to these, one per k: a valid
-    # cell's are written with one % of its T values
-    valid_rows = [""] + [f"{_fmt(k)},1,{_row_template(1)}" for k in ks]
-    invalid_rows = [""] + [f"{_fmt(k)},0," for k in ks]
-    rows = map(tuple, t.tolist())
-    for cell, ok in zip(itertools.product(*texts), valid.tolist()):
-        prefix = "\n%s,%s,%s," % cell
-        lines.append(prefix.join(valid_rows)[1:] % next(rows) if ok
-                     else prefix.join(invalid_rows)[1:])
-    return lines
+    # a cell's rows are "\nalpha,beta,rho," joined to these, one per k: an
+    # invalid cell's, or a valid cell's with a % field for its T.  The table is
+    # one template, written with one % of every T
+    rows = [[""] + [f"{_fmt(k)},{ok}," + _row_template(ok) for k in ks] for ok in (0, 1)]
+    table = "".join(["alpha,beta,rho,k,valid,T",
+                     *(f"\n{a},{b},{r},".join(rows[ok])
+                       for (a, b, r), ok in zip(itertools.product(*texts), valid.tolist()))])
+    return [f"# L={_fmt(args.L)}", f"# V={_fmt(args.V)}", f"# G={args.G}",
+            table % tuple(t.ravel().tolist())]
 
 
 def cmd_geometry(args: argparse.Namespace) -> list[str]:
@@ -343,7 +336,7 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, with flags on `command` only, or on all
+    """The parser of every command, with flags and -h on `command` only, or on all
     of them when it is None: a command's parsing and help are the same either way."""
     parser = _Parser(
         prog="ucpscatter",
@@ -353,9 +346,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_arguments, func) in COMMANDS.items():
         # flags are spelled in full, so a flag a command lacks (scaling's --V) is
-        # an error, not an abbreviation of another (--V0)
-        p = sub.add_parser(name, help=text, allow_abbrev=False)
-        if command in (None, name):
+        # an error, not an abbreviation of another (--V0).  -h goes with the
+        # flags: each costs a help formatter, and -h a gettext lookup too
+        runs = command in (None, name)
+        p = sub.add_parser(name, help=text, allow_abbrev=False, add_help=runs)
+        if runs:
             add_arguments(p)
             _common_arguments(p)
         p.set_defaults(func=func)

@@ -67,9 +67,9 @@ def transmission_oracle_arrays(spec: UcpSpec,
 
     Independent of the closed form: the geometry comes from region_sequence
     and the product runs region by region, never using self-similarity.  The
-    product is held as its columns (A, C/k) and (kB, D), each one array over
-    both rows and every k, so a region costs six flat multiplies and adds of
-    the 2x2 product's own terms in its own order.  numpy does the + - x, the
+    product is held as one array of its columns (A, C/k) and (kB, D) over
+    every k, so a region costs four flat multiplies and adds of the 2x2
+    product's own terms in its own order.  numpy does the + - x, the
     gaps' cos and sin (its float64 cos and sin round as the C library's, which
     math.cos and math.sin call), the rescale test and the rescale.  Raises
     OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
@@ -81,8 +81,9 @@ def transmission_oracle_arrays(spec: UcpSpec,
     if n == 0:
         return _results(k, k, k)
     # each distinct region's factor, built in order of first use (so the first
-    # bad region raises first) as (f00, f01, f10, growth, limit, floor, shift):
-    # f_ij is entry (i, j) of every k, tiled twice; f11 is f00 in both kinds
+    # bad region raises first) as (diag, off, growth, limit, floor, shift), f_ij
+    # its entry (i, j) of every k: diag = (f00, f00, f00, f00) and off = (f01,
+    # f01, f10, f10); f11 is f00 in both kinds
     factors = dict.fromkeys(regions)
     for region in factors:
         width, is_barrier = region
@@ -102,17 +103,20 @@ def transmission_oracle_arrays(spec: UcpSpec,
             size_1 = np.abs(entries).sum(axis=0).max(axis=0)  # largest column sum
             size_inf = np.abs(entries).sum(axis=1).max(axis=0)  # largest row sum
             growth = float((np.sqrt(size_1) * np.sqrt(size_inf)).max())  # >= spectral norm
-            factors[region] = (*np.tile([cos_z, k_sin, c_k], 2), growth * _SLACK, limit,
-                               float(limit.min()), shift)
+            f00, f01, f10 = cos_z, k_sin, c_k
+            rest = (growth * _SLACK, limit, float(limit.min()), shift)
         else:
             kd = _gap_phase(k, width)
-            cos_kd, sin_kd = np.cos(kd), np.sin(kd)
-            factors[region] = (*np.tile([cos_kd, sin_kd, -sin_kd], 2), _SLACK, None, None, None)
-    # the product [[A, kB], [C/k, D]] of every k as its two columns, each one
-    # contiguous vector of both rows: x = (A, C/k) and y = (kB, D)
-    x, y = np.repeat([1.0, 0.0], n), np.repeat([0.0, 1.0], n)
-    (a, c), (b, d) = columns = x.reshape(2, n), y.reshape(2, n)  # views of the entries
-    term_0, term_1 = np.empty(2 * n), np.empty(2 * n)
+            f00, f01 = np.cos(kd), np.sin(kd)
+            f10, rest = -f01, (_SLACK, None, None, None)
+        factors[region] = (np.tile(f00, 4), np.concatenate((f01, f01, f10, f10)), *rest)
+    # the product [[A, kB], [C/k, D]] of every k as one vector z = (x, y) of its
+    # two columns, x = (A, C/k) and y = (kB, D), and views of them made once
+    z = np.repeat([1.0, 0.0, 0.0, 1.0], n)
+    x, y = z[:2 * n], z[2 * n:]
+    a, c, b, d = product = z.reshape(4, n)
+    diag, off = np.empty(4 * n), np.empty(4 * n)
+    diag_x, diag_y, off_x, off_y = diag[:2 * n], diag[2 * n:], off[:2 * n], off[2 * n:]
     exp2 = np.zeros(n, dtype=np.int64)  # the true product is 2**exp2 * product
     # bound >= the Frobenius norm of every k's product, so |a| + |b| + |c| + |d|
     # <= 2 bound: the rescale test is skipped while 4 bound stays within every
@@ -120,14 +124,12 @@ def transmission_oracle_arrays(spec: UcpSpec,
     # barrier multiplies it by at most its spectral norm, and _SLACK covers the
     # rounding of each product.
     bound = math.sqrt(2.0)
-    for f00, f01, f10, growth, limit, floor, shift in map(factors.__getitem__, regions):
+    for f_diag, f_off, growth, limit, floor, shift in map(factors.__getitem__, regions):
         # (x, y) = (x f00 + y f10, x f01 + y f11), out passed by position: it is faster
-        np.multiply(x, f00, term_0)
-        np.multiply(y, f10, term_1)
-        np.multiply(x, f01, x)
-        np.multiply(y, f00, y)
-        np.add(x, y, y)
-        np.add(term_0, term_1, x)
+        np.multiply(z, f_diag, diag)
+        np.multiply(z, f_off, off)
+        np.add(diag_x, off_y, x)
+        np.add(off_x, diag_y, y)
         bound *= growth
         if shift is not None:
             exp2 += shift
@@ -137,8 +139,7 @@ def transmission_oracle_arrays(spec: UcpSpec,
             big = total > limit  # the next factors could overflow: rescale exactly
             e = np.where(big, np.frexp(size.max(axis=0))[1] + 1, 0)
             scale = np.ldexp(1.0, -e)
-            for column in columns:
-                column *= scale
+            product *= scale
             total *= scale
             exp2 += e
             bound = float(total.max())

@@ -250,6 +250,23 @@ def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, .
     )
 
 
+def _gap_product(x: tuple, p2: np.ndarray, b2: np.ndarray) -> tuple:
+    """x . gap, _block_product(x, (1.0, p2, 0.0, 0.0, b2)) without the gap's
+    exact 1 and 0 terms.  Every nonzero sum is added in the same order, so each
+    entry is the same value and only the sign of a zero can differ, which no
+    result reads: T comes from hypot(q, r), and a half-trace o + p has o >= +0."""
+    o1, p1, q1, r1, b1 = x
+    w1, w2 = o1 + p1, 1.0 + p2
+    rb = r1 * b2
+    return (
+        o1,
+        o1 * p2 + p1 + (p1 * p2 + rb - b1 * b2),
+        q1 * w2 - rb,
+        r1 * w2 + q1 * b2,
+        (w1 + q1) * b2 + b1 * w2,
+    )
+
+
 def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
     """Closed-form transmission through the stage-G system at wavenumber k.
 
@@ -287,11 +304,11 @@ def _transmission_table(table: _WidthTable, V: Sequence[float],
     # spec-major, so the first bad point raised is the first (spec, k) in row-major
     # order; past it every l_G > 0, so no chain is cut short
     barrier = _barrier_rows(points_k, np.repeat(V, k.size), widths.repeat(k.size))
-    # highest stage first: the specs still running at order g, G_i >= g, are a prefix
+    # highest stage first: the running[g] specs still running at order g, G_i >= g, are a prefix
     order = np.argsort(-stages, kind="stable")
-    stages = stages[order]
-    orders = ((np.repeat(table.gaps[g - 1, order[stages >= g]], k.size), 2)
-              for g in range(int(stages[0]) if barrier.size else 0, 0, -1))  # d_G first
+    running = np.cumsum(np.bincount(stages)[::-1])[::-1].tolist()
+    orders = ((np.repeat(table.gaps[g - 1, order[:running[g]]], k.size), 2)
+              for g in range(len(running) - 1 if barrier.size else 0, 0, -1))  # d_G first
     block, exp2 = _repetition(points_k, barrier.reshape(3, *shape)[:, order].reshape(3, -1),
                               orders)
     back = np.argsort(order)
@@ -311,8 +328,8 @@ def _rescaled(block: tuple, exp2: np.ndarray) -> tuple[tuple, np.ndarray]:
     """block and exp2 with every point whose block size left [_RESCALE_BELOW,
     _RESCALE_AT] scaled by a power of two, its largest entry into [1/2, 1)."""
     o, p, q, r, b = block
-    size = (abs(o), abs(o + p), abs(q), abs(r), abs(b))  # o alone can overflow o1 * o2
-    total = size[0] + size[1] + size[2] + size[3] + size[4]
+    size = np.array((o, o + p, q, r, b))  # o alone can overflow o1 * o2
+    total = np.add.reduce(np.abs(size, out=size))  # row by row, in this order
     off = (total > _RESCALE_AT) | (total < _RESCALE_BELOW)
     if off.any():
         e = np.where(off, np.frexp(np.maximum.reduce(size))[1], 0)
@@ -358,16 +375,16 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
     every point, or an array over the first n points: the points past the
     block's join it there as their barrier, so each point runs its own
     number of orders, and those past the last order's join at the end.  The
-    doubling (N_f = 2) takes two products per order and loses no digits to
-    cancellation.  A block is the real transfer matrix [[A, kB], [C/k, D]] of
-    (psi, psi'/k), held as (o, p, q, r, b) with A = o + p + q, D = o + p - q,
-    kB = b and C/k = 2r - b.  The identity part o is kept apart, so a block
-    much thinner than a wavelength keeps its deviation from I; kB is kept
-    itself, so it keeps its digits where C/k is far larger (k**2 << V);
-    m12 = q - i r in the plane-wave basis, so R keeps its digits at T ~ 1;
-    and o + p is the half-trace.  The block is rescaled by a power of two at
-    each order, and every product of the powering as it is formed, when its
-    size leaves [_RESCALE_BELOW, _RESCALE_AT].
+    doubling (N_f = 2) takes a gap product and a block product per order and
+    loses no digits to cancellation.  A block is the real transfer matrix
+    [[A, kB], [C/k, D]] of (psi, psi'/k), held as (o, p, q, r, b) with
+    A = o + p + q, D = o + p - q, kB = b and C/k = 2r - b.  The identity
+    part o is kept apart, so a block much thinner than a wavelength keeps its
+    deviation from I; kB is kept itself, so it keeps its digits where C/k is
+    far larger (k**2 << V); m12 = q - i r in the plane-wave basis, so R keeps
+    its digits at T ~ 1; and o + p is the half-trace.  The block is rescaled
+    by a power of two at each order, and every product of the powering as it
+    is formed, when its size leaves [_RESCALE_BELOW, _RESCALE_AT].
 
     Returns the final block and exp2 (the true block is 2**exp2 * block),
     and appends (half-trace of the cell, its exp2) per order to half_traces
@@ -385,7 +402,7 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
         block, exp2 = _rescaled(*_joined(block, exp2, start, points))
         kd = _gap_phase(k[:points], d)
         half = np.sin(kd / 2.0)  # the gap is a rotation by kd
-        cell = _block_product(block, (1.0, -2.0 * half * half, 0.0, 0.0, np.sin(kd)))
+        cell = _gap_product(block, -2.0 * half * half, np.sin(kd))
         if half_traces is not None:
             half_traces.append((cell[0] + cell[1], exp2))
         if n > 1:

@@ -25,8 +25,13 @@ import numpy as np
 
 from ucpscatter import InvalidSpecError, ScatterResult, TransferMatrix
 from ucpscatter.geometry import _STAGE_CAP, _WidthTable, _check_stage
-from ucpscatter.scattering import (_LN10, _MAX_V_OVER_2K2, _SERIES_CUTOFF, _barrier_rows,
-                                   _require_positive_k)
+from ucpscatter.scattering import _barrier_rows, _require_positive_k
+
+# the library's constants, stated here rather than imported, so that a change
+# to one of them in the library shows against these references
+SERIES_CUTOFF = 1e-8  # below this |kappa * width|, sin(kappa w)/kappa is its series
+MAX_V_OVER_2K2 = 2.0**400  # the largest |V|/(2k^2) accepted
+LN10 = math.log(10.0)
 
 
 def barrier_terms(k, V, width):
@@ -38,7 +43,7 @@ def barrier_terms(k, V, width):
     is -2 sin(kappa w / 2)**2, so a barrier much thinner than a wavelength keeps
     its digits; the E = V point is covered by a series expansion of
     sin(kappa w)/kappa.  Raises ValueError when a term does not fit in a
-    double, or where |V|/(2k^2) exceeds _MAX_V_OVER_2K2, as _barrier_rows.
+    double, or where |V|/(2k^2) exceeds MAX_V_OVER_2K2, as _barrier_rows.
     Each term is a factor of k (k or V/(2k)) times one that grows as
     e**|Im kappa w|: the barrier is too opaque where that growth outweighs the
     factor's, and k is out of range otherwise.  Where kappa is real and
@@ -53,7 +58,7 @@ def barrier_terms(k, V, width):
     z = kappa * width
     try:
         half = cmath.sin(z / 2.0)
-        if abs(z) < _SERIES_CUTOFF:
+        if abs(z) < SERIES_CUTOFF:
             z2 = z * z
             sin_over_kappa = width * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
         else:
@@ -64,7 +69,7 @@ def barrier_terms(k, V, width):
     # eps_- sin(z) = V/(2k) * sin(z)/kappa
     terms = (-2.0 * half * half, k * sin_over_kappa, em * sin_over_kappa)
     if all(map(cmath.isfinite, terms)):
-        if abs(em) <= _MAX_V_OVER_2K2 * k:
+        if abs(em) <= MAX_V_OVER_2K2 * k:
             return terms
         raise ValueError(f"wavenumber k = {k:.6g} too small for a barrier of height "
                          f"{V:.6g}: |V|/(2k^2) exceeds 2**400")
@@ -85,7 +90,7 @@ def assemble(log_x):
         log1p_x = math.log1p(math.exp(log_x))
     else:
         log1p_x = math.exp(log_x)
-    log10_t = -log1p_x / _LN10
+    log10_t = -log1p_x / LN10
     if log_x <= 0.0:
         reflection = math.exp(log_x - log1p_x)  # X / (1 + X), accurate when tiny
         transmission = 1.0 - reflection

@@ -101,18 +101,48 @@ def test_deep_batch_equals_the_batches_of_its_stages():
 
 
 def test_deep_batch_is_one_doubling_pass(monkeypatch):
-    # two block products per order over the highest stage's 32 orders; a pass
-    # per stage took sum(2 G) = 816
+    # a gap product and a block product per order over the highest stage's 32
+    # orders; a pass per stage took sum(2 G) = 816
     calls = []
-    product = scattering._block_product
+    for name in ("_gap_product", "_block_product"):
+        def counted(*args, product=getattr(scattering, name)):
+            calls.append(1)
+            return product(*args)
 
-    def counted(x, y):
-        calls.append(1)
-        return product(x, y)
-
-    monkeypatch.setattr(scattering, "_block_product", counted)
+        monkeypatch.setattr(scattering, name, counted)
     transmission_ucp_arrays(DEEP_STAGES, DEEP_K)
     assert len(calls) == 2 * DEEP_STAGES[-1].G
+
+
+# block entries as the doubling holds them, rescaled to below 2**500 but
+# grown by a product: signed zeros and subnormals among them
+block_entries = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**503]),
+                          st.floats(-2.0**503, 2.0**503))
+
+
+@given(st.lists(st.tuples(*[block_entries] * 5, st.floats(-2.0, 0.0), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_gap_product_is_the_block_product_with_the_gap_block(points):
+    # the gap (1, -2 h**2, 0, 0, sin kd) has p2 = -2 h**2 in [-2, 0] and b2 in
+    # [-1, 1]: every entry is the same value, with the same bits unless zero
+    *x, p2, b2 = (np.array(column) for column in zip(*points))
+    got = scattering._gap_product(tuple(x), p2, b2)
+    want = scattering._block_product(tuple(x), (1.0, p2, 0.0, 0.0, b2))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert np.array_equal(bits(g[w != 0.0]), bits(w[w != 0.0]))
+
+
+@given(st.lists(st.tuples(*[st.floats(0.0, 2.0**1000)] * 5), min_size=1, max_size=9))
+@example([(1.0, 2.0**-53, 2.0**-53, 0.0, 0.0)])  # 1 + (2**-53 + 2**-53) rounds up
+@settings(max_examples=100, deadline=None)
+def test_the_rescale_total_adds_the_five_sizes_in_order(points):
+    # _rescaled adds its five size rows with one axis-0 reduce: at one point
+    # too it must add them left to right, as the sum it replaced did
+    size = np.abs(np.array([list(row) for row in zip(*points)]))
+    want = size[0] + size[1] + size[2] + size[3] + size[4]
+    assert np.array_equal(bits(np.add.reduce(size)), bits(want))
 
 
 @given(specs(64), st.lists(wavenumbers, min_size=1, max_size=6))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import paper
+import ucpscatter.scattering as scattering
 from paper import barrier_matrix
 from ucpscatter import (
     UcpSpec,
@@ -29,6 +30,14 @@ def single_barrier_transmission(k, V, width):
     kap = math.sqrt(-d)
     em = (k * k + kap * kap) / (2 * k * kap)  # |eps_-| on imaginary kappa
     return 1.0 / (1.0 + em * em * math.sinh(kap * width) ** 2)
+
+
+def test_the_references_state_the_librarys_constants():
+    # paper.py states them itself, so a change to the library's value is seen
+    # by the references that use it
+    assert paper.SERIES_CUTOFF == scattering._SERIES_CUTOFF
+    assert paper.MAX_V_OVER_2K2 == scattering._MAX_V_OVER_2K2
+    assert paper.LN10 == scattering._LN10
 
 
 class TestBarrierMatrix:

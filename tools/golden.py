@@ -1,17 +1,19 @@
 """Byte-identity guard: run a fixed set of CLI commands and hash their output.
 
-The set is 90 commands: the benchmark workloads (perfbench/workloads.py,
+The set is 95 commands: the benchmark workloads (perfbench/workloads.py,
 crossval seeds 1-40 and sweep, grid and deep seeds 1-10), the seven examples
-of README.md, five grids that hold each kind of invalid cell, and --version,
---help and each command's --help, each run in a fresh process.  One line is
-printed per command: its name, its exit code, and the sha256 of its stdout
-and of its stderr.  Run it on two trees and diff the output:
+of README.md, five grids that hold each kind of invalid cell, --version,
+--help, --help before a command and each command's --help, and four command
+lines the parser refuses, each run in a fresh process.  One line is printed
+per command: its name, its exit code, and the sha256 of its stdout and of its
+stderr.  Run it on two trees and diff the output:
 
     python tools/golden.py > new.txt
     python tools/golden.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-Every command exits 0 except the README's validate example, which exits 2.
+Every command exits 0 with nothing on stderr, except the README's validate
+example and the four error-* commands, which exit 2.
 """
 
 from __future__ import annotations
@@ -68,15 +70,25 @@ INVALID_CELLS = {
 
 # the commands are named here, not read from the package, so that any tree runs the same set
 HELP = {"version": ["--version"], "help": ["--help"],
+        "help-before-command": ["--help", "validate"],
         **{f"help-{name}": [name, "--help"] for name in
            ("transmission", "grid", "geometry", "scaling", "saturation", "validate")}}
+
+_SPEC = ["--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5", "--beta", "1", "--G", "6"]
+# the parser's usage errors, each printed with the usage of the parser that refuses it
+ERRORS = {
+    "error-unknown-command": ["bogus"],
+    "error-no-command": [],
+    "error-flag-before-command": ["--bogus", "validate", *_SPEC],
+    "error-flag-after-command": ["validate", *_SPEC, "--bogus", "1"],
+}
 
 
 def commands() -> dict[str, list[str]]:
     """Name -> CLI argv of every command of the set, in a fixed order."""
     argvs = {f"{name}-{seed}": workloads.make(name, seed).argv
              for name, seeds in SEEDS.items() for seed in seeds}
-    return {**argvs, **README, **INVALID_CELLS, **HELP}
+    return {**argvs, **README, **INVALID_CELLS, **HELP, **ERRORS}
 
 
 def main() -> int:
