@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, segment_length
-from .scattering import (_require_k_window, _require_positive_k, bloch_sequence,
-                         transmission_ucp_arrays)
+from .geometry import UcpSpec, _WidthTable, segment_length
+from .scattering import (_log_k_grid, _require_k_window, _require_positive_k,
+                         _transmission_table, bloch_sequence, transmission_ucp_arrays)
 
 __all__ = [
     "ScalingFit",
@@ -119,7 +120,7 @@ def fit_scaling(
     if n_points < 50:
         raise ValueError(f"n_points must be >= 50, got {n_points}")
     scaled = dataclasses.replace(spec, V=constant_area_height(spec, V0))
-    ks = np.logspace(math.log10(k_min), math.log10(k_max), n_points)
+    ks = _log_k_grid(k_min, k_max, n_points)
     refl = transmission_ucp_arrays([scaled], ks)[1][0]
 
     positive = refl > 0.0
@@ -145,23 +146,23 @@ def fit_scaling(
     )
 
 
-def saturation_scan(specs: Sequence[UcpSpec], k_grid: Sequence[float]) -> SaturationReport:
-    """Sup-norm of log10 T between consecutive stages over a shared k-grid.
+def saturation_scan(spec: UcpSpec, gmin: int, k_grid: Sequence[float]) -> SaturationReport:
+    """Sup-norm of log10 T between consecutive stages gmin..spec.G of one spec
+    over a shared k-grid: how quickly the transmission profile stops changing
+    as the stage grows.
 
-    All specs must share (L, V, rho, alpha, beta) and have consecutive
-    stages; the metric quantifies how quickly the transmission profile
-    stops changing as the stage grows.
+    Stage g's widths are rows 0..g of spec.width_chain, so every stage is a
+    view of that one column.  None is built past the first whose l_g is 0: it
+    raises the first bad point's error, and no later stage can be reached.
     """
-    if len(specs) < 2:
-        raise ValueError("need at least two stages to compare")
+    if not (isinstance(gmin, numbers.Integral) and 0 <= gmin < spec.G):
+        raise ValueError(f"need an integer gmin with 0 <= gmin < G={spec.G}, got {gmin}")
     if not len(k_grid):
         raise ValueError("need at least one k to compare the stages at")
-    if len({(s.L, s.V, s.rho, s.alpha, s.beta) for s in specs}) > 1:
-        raise ValueError("all specs must share (L, V, rho, alpha, beta)")
-    stages = [s.G for s in specs]
-    if stages != list(range(stages[0], stages[0] + len(stages))):
-        raise ValueError(f"stages must be consecutive, got {stages}")
-
-    profiles = transmission_ucp_arrays(specs, k_grid)[2]
+    widths, gaps, (built,) = spec.width_chain  # built: G, or the first stage whose l_g is 0
+    g = np.arange(gmin, min(spec.G, max(gmin, built)) + 1)
+    table = _WidthTable(*(np.broadcast_to(x, (len(x), g.size)) for x in (widths, gaps)),
+                        np.minimum(g, built))
+    profiles = _transmission_table(table, np.full(g.size, spec.V, dtype=float), k_grid)[2]
     metrics = np.abs(np.diff(profiles, axis=0)).max(axis=1)
-    return SaturationReport(stages=tuple(stages[:-1]), metrics=tuple(metrics.tolist()))
+    return SaturationReport(stages=tuple(g[:-1].tolist()), metrics=tuple(metrics.tolist()))

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import math
 import sys
 from typing import Iterable, Sequence
 
@@ -23,8 +22,8 @@ from .analysis import fit_scaling, saturation_scan
 from .geometry import (InvalidSpecError, OracleInfeasibleError, UcpSpec, _width_table,
                        build_segments)
 from .oracle import transmission_oracle_arrays
-from .scattering import (_require_k_window, _require_positive_k, _transmission_table,
-                         transmission_ucp_arrays)
+from .scattering import (_log_k_grid, _require_k_window, _require_positive_k,
+                         _transmission_table, transmission_ucp_arrays)
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -148,9 +147,8 @@ def _k_grid(args: argparse.Namespace) -> np.ndarray:
     _require_k_window(args.kmin, args.kmax)
     if args.nk < 2:
         raise ValueError(f"need nk >= 2, got {args.nk}")
-    if (args.scale or "linear") == "log":
-        return np.logspace(math.log10(args.kmin), math.log10(args.kmax), args.nk)
-    return np.linspace(args.kmin, args.kmax, args.nk)
+    grid = _log_k_grid if args.scale == "log" else np.linspace
+    return grid(args.kmin, args.kmax, args.nk)
 
 
 def _spec_header(spec: UcpSpec) -> list[str]:
@@ -275,12 +273,11 @@ def cmd_saturation(args: argparse.Namespace) -> list[str]:
     _require(args, ["L", "V", "rho", "alpha", "beta", "gmin", "gmax", "kmin", "kmax", "nk"])
     if args.gmax <= args.gmin:
         raise ValueError("need gmax > gmin")
-    specs = [
-        UcpSpec(L=args.L, V=args.V, rho=args.rho, alpha=args.alpha, beta=args.beta, G=g)
-        for g in range(args.gmin, args.gmax + 1)
-    ]
-    ks = _k_grid(args)
-    report = saturation_scan(specs, [float(k) for k in ks])
+    # a stage in gmin..gmax is refused iff gmin or gmax is, the first with gmin's
+    # message or else gmax's: a stage bound's names the bound, not the stage
+    spec = dataclasses.replace(UcpSpec(L=args.L, V=args.V, rho=args.rho, alpha=args.alpha,
+                                       beta=args.beta, G=args.gmin), G=args.gmax)
+    report = saturation_scan(spec, args.gmin, _k_grid(args).tolist())
     payload = {
         "spec": {"L": args.L, "V": args.V, "rho": args.rho, "alpha": args.alpha,
                  "beta": args.beta},

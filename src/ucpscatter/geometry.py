@@ -132,10 +132,6 @@ class UcpSpec:
                 "the removal fraction reaches 1 and the geometry degenerates"
             )
 
-    def removal_fraction(self, g: int) -> float:
-        """Fraction of each segment removed at stage g: rho**-(alpha + beta*g)."""
-        return self.rho ** -(self.alpha + self.beta * g)
-
     @cached_property
     def width_chain(self) -> _WidthTable:
         """This spec's one-column _width_table, once per spec object, on first

@@ -11,8 +11,8 @@ any stage, for many points at once.  It serves three results:
   spec at every k in one pass, specs of any mix of stages each joining at its
   own order G, with T = 1/(1 + |m12|**2) taken in the log domain, so that
   transmissions far below double-precision underflow remain representable
-  through log10(T); transmission_ucp is its one-point call, on the spec's
-  cached width table (both run _transmission_table, on one width table);
+  through log10(T); transmission_ucp (one point) and saturation_scan (one
+  spec's stages) run its _transmission_table on a spec's cached width_chain;
 - bloch_sequence: the paper's Bloch phases Omega_q of
 
       T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2),
@@ -127,6 +127,10 @@ def _require_k_window(k_min: float, k_max: float) -> None:
     """The k range of a sweep or a fit: 0 < k_min < k_max, both finite."""
     if not (0.0 < k_min < k_max and math.isfinite(k_max)):
         raise ValueError(f"need 0 < kmin < kmax < inf, got kmin={k_min}, kmax={k_max}")
+
+
+def _log_k_grid(k_min: float, k_max: float, n: int) -> np.ndarray:
+    return np.logspace(math.log10(k_min), math.log10(k_max), n)
 
 
 def _libm(fn, *args: np.ndarray) -> np.ndarray:
@@ -282,10 +286,10 @@ def transmission_ucp_arrays(specs: Sequence[UcpSpec],
     arrays of shape (len(specs), len(ks)): [i, j] is specs[i] at ks[j], and
     equals the one-point transmission_ucp(specs[i], ks[j]) bit for bit.
 
-    Every point runs in one pass of the doubling (see _repetition), whatever
-    its stage: highest stage first, each spec's points join at its own order
-    G.  Their widths are built in one pass too, as one fresh width table of
-    their parameters, whatever the specs have cached (see geometry._width_table).
+    Points of any mix of specs and stages run in one pass of the doubling
+    (see _repetition), highest stage first, each spec's joining at its own
+    order G, on one fresh width table of their parameters (_width_table);
+    analysis.saturation_scan runs one spec's stages on its cached width_chain.
     """
     L, V, rho, alpha, beta = (np.array([getattr(s, name) for s in specs], dtype=float)
                               for name in ("L", "V", "rho", "alpha", "beta"))

@@ -14,24 +14,43 @@ _barrier_rows and _results must give their bits.  So is width_chain_loop,
 the removal rule one spec and one stage at a time, whose bits the width
 table (geometry._width_table) must give.  So are the complex
 plane-wave matrices the paper multiplies, barrier_matrix and
-propagation_matrix, which no engine of the library uses.
+propagation_matrix, which no engine of the library uses.  Nothing private
+of the library is imported: its constants and checks are stated here.
 """
 
 import cmath
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from ucpscatter import InvalidSpecError, ScatterResult, TransferMatrix
-from ucpscatter.geometry import _STAGE_CAP, _WidthTable, _check_stage
-from ucpscatter.scattering import _barrier_rows, _require_positive_k
 
 # the library's constants, stated here rather than imported, so that a change
 # to one of them in the library shows against these references
 SERIES_CUTOFF = 1e-8  # below this |kappa * width|, sin(kappa w)/kappa is its series
 MAX_V_OVER_2K2 = 2.0**400  # the largest |V|/(2k^2) accepted
 LN10 = math.log(10.0)
+STAGE_CAP = 2099  # every width is 0 from this stage on, and no later stage is built
+
+
+def require_positive_k(k):
+    if not (k > 0.0 and math.isfinite(k)):
+        raise ValueError(f"wavenumber k must be positive and finite, got {k}")
+
+
+def removal_fraction(spec, g):
+    """Fraction of each segment removed at stage g: rho**-(alpha + beta*g)."""
+    return spec.rho ** -(spec.alpha + spec.beta * g)
+
+
+class WidthChain(NamedTuple):
+    """A spec's one-column width table, as UcpSpec.width_chain holds it."""
+
+    widths: np.ndarray  # widths[g, 0] = w_g
+    gaps: np.ndarray  # gaps[g-1, 0] = d_g
+    stages: np.ndarray  # the stage count, G or the first stage whose width is 0
 
 
 def barrier_terms(k, V, width):
@@ -50,7 +69,7 @@ def barrier_terms(k, V, width):
     kappa*w overflows, cmath.sin raises its own ValueError, "math domain
     error".
     """
-    _require_positive_k(k)
+    require_positive_k(k)
     if not width > 0.0:
         raise ValueError(f"barrier width must be positive, got {width}")
     em = V / (2.0 * k)
@@ -103,9 +122,10 @@ def assemble(log_x):
 def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
     """Transfer matrix of a rectangular barrier of the given height and width.
 
-    One code path serves every energy regime (see _barrier_rows).
+    One code path serves every energy regime: the real parts of barrier_terms,
+    which are _barrier_rows' bits.
     """
-    cos_m1, k_sin, em_sin = _barrier_rows(np.array([k], dtype=float), V, width)[:, 0].tolist()
+    cos_m1, k_sin, em_sin = (term.real for term in barrier_terms(k, V, width))
     cos_z, ep_sin = 1.0 + cos_m1, k_sin - em_sin
     phase = cmath.exp(1j * k * width)
     m11 = (cos_z - 1j * ep_sin) * phase
@@ -115,7 +135,7 @@ def barrier_matrix(k: float, V: float, width: float) -> TransferMatrix:
 
 def propagation_matrix(k: float, d: float) -> TransferMatrix:
     """Free-space transfer matrix diag(e^{ikd}, e^{-ikd}); identity at d = 0."""
-    _require_positive_k(k)
+    require_positive_k(k)
     phase = cmath.exp(1j * k * d)
     return TransferMatrix(phase, 0.0, 0.0, 1.0 / phase)
 
@@ -125,25 +145,26 @@ def width_chain_loop(spec):
     has the width w_g = w_{g-1} (1 - rho**-(alpha + beta*g)) / 2 formed from
     its parent's (w_0 = L), and the gap opened in it is d_g = w_{g-1}
     rho**-(alpha + beta*g).  It stops at the first w_g that underflows to 0,
-    and fills the stages after it, up to G or _STAGE_CAP, with +0.0: the
+    and fills the stages after it, up to G or STAGE_CAP, with +0.0: the
     spec's one-column width table (UcpSpec.width_chain) as it must be."""
     widths, gaps = [spec.L], []
     for g in range(1, spec.G + 1):
         w = widths[-1]
         if w == 0.0:
             break
-        removed = spec.removal_fraction(g)
+        removed = removal_fraction(spec, g)
         gaps.append(w * removed)
         widths.append(w * (1.0 - removed) / 2.0)
     stages = len(gaps)
-    zeros = [0.0] * (min(spec.G, _STAGE_CAP) - stages)
-    return _WidthTable(np.array([widths + zeros], dtype=float).T,
-                       np.array([gaps + zeros], dtype=float).T, np.array([stages]))
+    zeros = [0.0] * (min(spec.G, STAGE_CAP) - stages)
+    return WidthChain(np.array([widths + zeros], dtype=float).T,
+                      np.array([gaps + zeros], dtype=float).T, np.array([stages]))
 
 
 def gamma1(spec, q):
     """Phase distance gamma_1(q) = -(l_G + d_{G-q+1}); always negative."""
-    _check_stage(spec, q, lowest=1)
+    if not 1 <= q <= spec.G:
+        raise InvalidSpecError(f"stage index {q} outside [1, {spec.G}]")
     table = spec.width_chain
     return -(table.widths[-1, 0].item() + table.gaps[spec.G - q, 0].item())
 

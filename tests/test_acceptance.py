@@ -128,11 +128,8 @@ def test_criterion_5_saturation():
     ks = np.linspace(0.5, 10.0, 150)
     reports = {}
     for beta in (1.0, 2.0):
-        specs = [
-            UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=beta, G=g)
-            for g in range(3, 10)
-        ]
-        reports[beta] = saturation_scan(specs, [float(k) for k in ks])
+        spec = UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=beta, G=9)
+        reports[beta] = saturation_scan(spec, 3, [float(k) for k in ks])
     decreasing = all(
         all(a > b for a, b in zip(rep.metrics, rep.metrics[1:]))
         for rep in reports.values()
@@ -256,9 +253,8 @@ def test_criterion_10_deep_stages():
     parts["d"] = (err_d <= 1e-9, f"thick stack log10 T = {thick.log10_transmission!r}")
     # (e) saturation keeps going at deep stages until it reaches rounding
     ks = [float(k) for k in np.linspace(0.5, 10.0, 150)]
-    metrics = saturation_scan(
-        [UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=1.0, G=g) for g in range(16, 33)], ks
-    ).metrics
+    metrics = saturation_scan(UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=1.0, G=32), 16,
+                              ks).metrics
     decreasing = all(b < a for a, b in zip(metrics, metrics[1:]) if not a <= 1e-10)
     parts["e"] = (decreasing and metrics[-1] <= 1e-10,
                   f"saturation G=16..32: {metrics[0]:.2e} -> {metrics[-1]:.2e}")

@@ -9,6 +9,7 @@ from ucpscatter import (
     UcpSpec,
     constant_area_height,
     fit_scaling,
+    max_valid_stage,
     reflection_asymptote,
     saturation_scan,
     segment_length,
@@ -196,59 +197,97 @@ class TestRollingMedian:
 
 class TestSaturationScan:
     @staticmethod
-    def _stages(beta, g_values, rho=2.5, alpha=0.5, L=5.0, V=25.0):
-        return [
-            UcpSpec(L=L, V=V, rho=rho, alpha=alpha, beta=beta, G=g)
-            for g in g_values
-        ]
+    def _spec(beta, G, rho=2.5, alpha=0.5, L=5.0, V=25.0):
+        return UcpSpec(L=L, V=V, rho=rho, alpha=alpha, beta=beta, G=G)
 
     def test_metrics_shrink_with_stage(self):
         ks = np.linspace(0.5, 10.0, 60)
-        report = saturation_scan(self._stages(1.0, range(4, 9)), ks)
+        report = saturation_scan(self._spec(1.0, 8), 4, ks)
         assert report.stages == (4, 5, 6, 7)
         assert all(a > b for a, b in zip(report.metrics, report.metrics[1:]))
 
     def test_faster_decay_for_larger_beta(self):
         ks = np.linspace(0.5, 10.0, 60)
-        slow = saturation_scan(self._stages(1.0, (6, 7)), ks)
-        fast = saturation_scan(self._stages(2.0, (6, 7)), ks)
+        slow = saturation_scan(self._spec(1.0, 7), 6, ks)
+        fast = saturation_scan(self._spec(2.0, 7), 6, ks)
         assert fast.metrics[0] < slow.metrics[0]
 
     def test_metric_matches_direct_computation(self):
         ks = [0.75, 1.5, 3.0]
-        specs = self._stages(1.0, (2, 3))
-        report = saturation_scan(specs, ks)
+        spec = self._spec(1.0, 3)
+        report = saturation_scan(spec, 2, ks)
         direct = max(
             abs(
-                transmission_ucp(specs[0], k).log10_transmission
-                - transmission_ucp(specs[1], k).log10_transmission
+                transmission_ucp(dataclasses.replace(spec, G=2), k).log10_transmission
+                - transmission_ucp(spec, k).log10_transmission
             )
             for k in ks
         )
         assert report.metrics[0] == pytest.approx(direct, rel=1e-14, abs=0)
 
-    def test_rejects_mismatched_parameters(self):
-        a = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=1)
-        b = UcpSpec(L=2, V=1, rho=3, alpha=1, beta=0, G=2)
-        with pytest.raises(ValueError, match="share"):
-            saturation_scan([a, b], [1.0])
-
-    def test_equal_values_are_shared_whatever_their_type_or_zero_sign(self):
-        # parameters are compared by ==: 1 and 1.0, and 0.0 and -0.0, are one value each
-        a = UcpSpec(L=1, V=0.0, rho=3, alpha=1, beta=0, G=1)
-        b = UcpSpec(L=1.0, V=-0.0, rho=3.0, alpha=1.0, beta=0.0, G=2)
-        assert saturation_scan([a, b], [1.0]).stages == (1,)
-
-    def test_rejects_nonconsecutive_stages(self):
-        specs = self._stages(1.0, (2, 4))
-        with pytest.raises(ValueError, match="consecutive"):
-            saturation_scan(specs, [1.0])
-
     @pytest.mark.filterwarnings("error")
     def test_rejects_empty_k_grid(self):
         with pytest.raises(ValueError, match="at least one k"):
-            saturation_scan(self._stages(1.0, (2, 3)), [])
+            saturation_scan(self._spec(1.0, 3), 2, [])
 
     def test_rejects_single_spec(self):
-        with pytest.raises(ValueError):
-            saturation_scan(self._stages(1.0, (3,)), [1.0])
+        # gmin = G leaves one stage, nothing to compare it with
+        with pytest.raises(ValueError, match="gmin"):
+            saturation_scan(self._spec(1.0, 3), 3, [1.0])
+
+    @pytest.mark.parametrize("gmin", [4, -1, 2.0])
+    def test_rejects_a_gmin_outside_the_stages(self, gmin):
+        # stages gmin..G must hold two: 0 <= gmin < G, an integer
+        with pytest.raises(ValueError, match="gmin"):
+            saturation_scan(self._spec(1.0, 3), gmin, [1.0])
+
+
+def old_saturation_metrics(spec, gmin, ks):
+    """The scan as one spec per stage gmin..spec.G through transmission_ucp_arrays:
+    the consecutive differences of log10 T, each row's largest."""
+    stages = [dataclasses.replace(spec, G=g) for g in range(gmin, spec.G + 1)]
+    profiles = transmission_ucp_arrays(stages, ks)[2]
+    return np.abs(np.diff(profiles, axis=0)).max(axis=1)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@st.composite
+def saturation_cases(draw):
+    """A spec of one of the five families, or with beta < 0 at a stage up to its
+    bound, at G <= 40, a gmin below G and a few k."""
+    alpha, beta = draw(st.one_of(
+        st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.5, 1.0), (0.5, 2.0)]),
+        st.tuples(st.floats(0.5, 2.0), st.floats(-0.2, -1e-3))))
+    bound = max_valid_stage(alpha, beta)
+    G = draw(st.integers(1, 40 if bound is None else min(40, bound)))
+    spec = UcpSpec(L=draw(st.floats(0.5, 20)), V=draw(st.floats(-50, 50)),
+                   rho=draw(st.floats(1.2, 6)), alpha=alpha, beta=beta, G=G)
+    ks = draw(st.lists(st.floats(0.05, 20), min_size=1, max_size=8))
+    return spec, draw(st.integers(0, G - 1)), ks
+
+
+@given(saturation_cases())
+@settings(max_examples=150, deadline=None)
+def test_saturation_scan_is_the_scan_of_one_spec_per_stage_bit_for_bit(case):
+    spec, gmin, ks = case
+    report = saturation_scan(spec, gmin, ks)
+    assert report.stages == tuple(range(gmin, spec.G))
+    assert np.array_equal(bits(report.metrics), bits(old_saturation_metrics(spec, gmin, ks)))
+
+
+@pytest.mark.parametrize("gmin, gmax", [(3, 1077), (3, 1200), (1076, 1078), (1100, 1200),
+                                        (3000, 3001)])
+def test_a_scan_past_the_first_zero_width_raises_the_same_first_error(gmin, gmax):
+    # l_g underflows to 0 first at g = 1077 here: gmin below, at and past it, and
+    # past the last stage any width table builds (2099)
+    spec = UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=1.0, G=gmax)
+    assert spec.width_chain.stages.tolist() == [1077]
+    ks = np.linspace(0.5, 10.0, 10)
+    with pytest.raises(ValueError) as old:
+        old_saturation_metrics(spec, gmin, ks)
+    with pytest.raises(ValueError) as new:
+        saturation_scan(spec, gmin, ks)
+    assert str(new.value) == str(old.value) == "barrier width must be positive, got 0.0"

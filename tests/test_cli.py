@@ -454,9 +454,9 @@ class TestSaturation:
             tmp_path,
         )
         assert code == EXIT_OK
-        specs = [UcpSpec(L=5, V=25, rho=2.5, alpha=0.5, beta=1, G=g) for g in (3, 4, 5)]
+        spec = UcpSpec(L=5, V=25, rho=2.5, alpha=0.5, beta=1, G=5)
         ks = np.logspace(math.log10(0.5), math.log10(10), 40)
-        expected = saturation_scan(specs, [float(k) for k in ks])
+        expected = saturation_scan(spec, 3, [float(k) for k in ks])
         assert json.loads(text)["metrics"] == list(expected.metrics)
 
     def test_no_stage_flag(self):
@@ -742,6 +742,24 @@ class TestBadInput:
             capsys,
         )
         assert time.perf_counter() - start < 1.0
+
+    def test_saturation_past_underflow_ends_at_once_on_two_specs(self, capsys, monkeypatch):
+        # one spec per stage took 11.5 s at --gmax 20000; l_g is 0 from stage 1077 on
+        argv = ["saturation", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
+                "--beta", "1", "--gmin", "3", "--kmin", "0.5", "--kmax", "10", "--nk", "10"]
+        err = self.assert_one_line_exit_2([*argv, "--gmax", "1200"], capsys)
+        assert err == "invalid input: barrier width must be positive, got 0.0\n"
+        built = []
+
+        def counted(spec, check=geometry.UcpSpec.__post_init__):
+            built.append(spec.G)
+            check(spec)
+
+        monkeypatch.setattr(geometry.UcpSpec, "__post_init__", counted)
+        start = time.perf_counter()
+        assert self.assert_one_line_exit_2([*argv, "--gmax", "10000000"], capsys) == err
+        assert time.perf_counter() - start < 1.0
+        assert built == [3, 10000000]
 
 
 ONE_OF_EACH_COMMAND = {

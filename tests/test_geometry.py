@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paper import gamma1, gamma2, width_chain_loop
+from paper import gamma1, gamma2, removal_fraction, width_chain_loop
 from ucpscatter import (
     InvalidSpecError,
     UcpSpec,
@@ -44,7 +44,7 @@ def top_down_lengths(spec):
     """The removal rule one stage at a time, top-down: [l_0..l_G], [d_1..d_G]."""
     widths, gaps = [spec.L], []
     for g in range(1, spec.G + 1):
-        frac = spec.removal_fraction(g)
+        frac = removal_fraction(spec, g)
         gaps.append(widths[-1] * frac)
         widths.append(widths[-1] * (1.0 - frac) / 2.0)
     return widths, gaps
@@ -68,7 +68,7 @@ def split_loop_segments(spec):
     build_segments, kept as the reference of the one width chain."""
     intervals = [(0.0, spec.L)]
     for g in range(1, spec.G + 1):
-        frac = spec.removal_fraction(g)
+        frac = removal_fraction(spec, g)
         nxt = []
         for off, w in intervals:
             child = w * (1.0 - frac) / 2.0
@@ -467,7 +467,7 @@ class TestWidthTable:
         table = spec.width_chain
         widths, gaps = table.widths[:, 0].tolist(), table.gaps[:, 0].tolist()
         for g, gap in enumerate(gaps, 1):
-            f = spec.removal_fraction(g)
+            f = removal_fraction(spec, g)
             assert gap == widths[g - 1] * f
             assert widths[g] == widths[g - 1] * (1.0 - f) / 2.0
 
@@ -492,11 +492,11 @@ class TestRatioPastADouble:
     @pytest.mark.parametrize("alpha, beta, G", [(2000, -1000, 1), (2000, -900, 2)])
     def test_lengths_are_products_of_the_removal_fractions(self, alpha, beta, G):
         spec = UcpSpec(L=1, V=1, rho=11, alpha=alpha, beta=beta, G=G)
-        prods = [math.prod(1.0 - spec.removal_fraction(j) for j in range(1, g + 1))
+        prods = [math.prod(1.0 - removal_fraction(spec, j) for j in range(1, g + 1))
                  for g in range(G + 1)]
         for g in range(G + 1):
             assert segment_length(spec, g) == math.ldexp(1.0, -g) * prods[g]
-        assert super_period(spec, 1) == (math.ldexp(1.0, -G) * (1.0 + spec.removal_fraction(G))
+        assert super_period(spec, 1) == (math.ldexp(1.0, -G) * (1.0 + removal_fraction(spec, G))
                                          * prods[G - 1])
         table = spec.width_chain
         assert (table.widths[-1, 0], table.gaps[:, 0].tolist()) == (

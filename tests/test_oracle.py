@@ -17,7 +17,7 @@ from ucpscatter import (
     transmission_ucp,
     transmission_ucp_arrays,
 )
-from paper import assemble, barrier_matrix, barrier_terms, propagation_matrix
+from paper import assemble, barrier_matrix, barrier_terms, propagation_matrix, removal_fraction
 
 
 small_specs = st.builds(
@@ -36,7 +36,7 @@ def split_loop_regions(spec):
     region_sequence, kept as the reference of the one width chain."""
     regions = [(spec.L, True)]
     for g in range(1, spec.G + 1):
-        frac = spec.removal_fraction(g)
+        frac = removal_fraction(spec, g)
         split = []
         for width, is_barrier in regions:
             if is_barrier:
@@ -233,7 +233,7 @@ class TestTransmissionOracle:
         first = past * 1075 * math.log(2) / math.log(rho)
         beta = (last - first) / (G - 1)
         spec = UcpSpec(L=L, V=V, rho=rho, alpha=first - beta, beta=beta, G=G)
-        assert spec.removal_fraction(1) == 0.0
+        assert removal_fraction(spec, 1) == 0.0
         want = transmission_oracle_arrays(spec, ks)[2].tolist()
         got = transmission_ucp_arrays([spec], ks)[2][0].tolist()
         assert got == pytest.approx(want, abs=1e-9)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import paper
+import ucpscatter.geometry as geometry
 import ucpscatter.scattering as scattering
 from paper import barrier_matrix
 from ucpscatter import (
@@ -38,6 +39,7 @@ def test_the_references_state_the_librarys_constants():
     assert paper.SERIES_CUTOFF == scattering._SERIES_CUTOFF
     assert paper.MAX_V_OVER_2K2 == scattering._MAX_V_OVER_2K2
     assert paper.LN10 == scattering._LN10
+    assert paper.STAGE_CAP == geometry._STAGE_CAP
 
 
 class TestBarrierMatrix:

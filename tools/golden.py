@@ -1,10 +1,11 @@
 """Byte-identity guard: run a fixed set of CLI commands and hash their output.
 
-The set is 95 commands: the benchmark workloads (perfbench/workloads.py,
+The set is 96 commands: the benchmark workloads (perfbench/workloads.py,
 crossval seeds 1-40 and sweep, grid and deep seeds 1-10), the seven examples
 of README.md, five grids that hold each kind of invalid cell, --version,
---help, --help before a command and each command's --help, and four command
-lines the parser refuses, each run in a fresh process.  One line is printed
+--help, --help before a command and each command's --help, four command
+lines the parser refuses, and a saturation scan past the stage where every
+width is 0, each run in a fresh process.  One line is printed
 per command: its name, its exit code, and the sha256 of its stdout and of its
 stderr.  Run it on two trees and diff the output:
 
@@ -13,7 +14,7 @@ stderr.  Run it on two trees and diff the output:
     diff old.txt new.txt
 
 Every command exits 0 with nothing on stderr, except the README's validate
-example and the four error-* commands, which exit 2.
+example, the four error-* commands and saturation-past-underflow, which exit 2.
 """
 
 from __future__ import annotations
@@ -83,12 +84,19 @@ ERRORS = {
     "error-flag-after-command": ["validate", *_SPEC, "--bogus", "1"],
 }
 
+# the README's saturation spec from stage 3 past 1077, where its widths underflow to 0
+REFUSED = {
+    "saturation-past-underflow": ["saturation", "--L", "5", "--V", "25", "--rho", "2.5",
+                                  "--alpha", "0.5", "--beta", "1", "--gmin", "3", "--gmax",
+                                  "1200", "--kmin", "0.5", "--kmax", "10", "--nk", "10"],
+}
+
 
 def commands() -> dict[str, list[str]]:
     """Name -> CLI argv of every command of the set, in a fixed order."""
     argvs = {f"{name}-{seed}": workloads.make(name, seed).argv
              for name, seeds in SEEDS.items() for seed in seeds}
-    return {**argvs, **README, **INVALID_CELLS, **HELP, **ERRORS}
+    return {**argvs, **README, **INVALID_CELLS, **HELP, **ERRORS, **REFUSED}
 
 
 def main() -> int:
