@@ -117,6 +117,8 @@ def fit_scaling(
     """
     k_min, k_max = k_window
     _require_k_window(k_min, k_max)
+    if not isinstance(n_points, numbers.Integral):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 50:
         raise ValueError(f"n_points must be >= 50, got {n_points}")
     scaled = dataclasses.replace(spec, V=constant_area_height(spec, V0))

@@ -1,6 +1,9 @@
 """Command-line front end: transmission sweeps, parameter grids, geometry
 dumps, and analysis reports as CSV/JSON for external plotting.
 
+Every flag's type (or choices) and help are stated once, in _FLAGS, and each
+command's flags in COMMANDS: the parser and a config file's check read both.
+
 Exit codes: 0 success, 2 invalid input (spec, options or config, or an
 option sizing an array too large to allocate), 3 stage above the cap for
 enumerating every barrier (oracle or geometry).
@@ -64,34 +67,30 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(tokens, namespace)
 
 
-def _spec_arguments(parser: argparse.ArgumentParser, height: bool = True,
-                    stage: bool = True) -> None:
-    parser.add_argument("--L", type=float, help="total span")
-    if height:
-        parser.add_argument("--V", type=float, help="barrier height")
-    parser.add_argument("--rho", type=float, help="scaling parameter (> 1)")
-    parser.add_argument("--alpha", type=float, help="removal exponent offset")
-    parser.add_argument("--beta", type=float, help="removal exponent slope")
-    if stage:
-        parser.add_argument("--G", type=int, help="stage (recursion depth)")
-
-
-def _k_range_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kmin", type=float, help="lowest wavenumber")
-    parser.add_argument("--kmax", type=float, help="highest wavenumber")
-    parser.add_argument("--nk", type=int, help="number of k points (>= 2)")
-
-
-def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    _k_range_arguments(parser)
-    parser.add_argument("--scale", choices=["linear", "log"], help="k spacing")
-
-
-def _common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, help="ignored: every command runs in one process")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--config", help="config file (JSON or key=value lines)")
-    parser.set_defaults(parser=parser)  # config values are checked against these flags
+# every flag: the keywords of its add_argument, its type (or its choices) and
+# its help; COMMANDS names each command's flags, and a config key is one of them
+_FLAGS = {
+    "L": dict(type=float, help="total span"),
+    "V": dict(type=float, help="barrier height"),
+    "rho": dict(type=float, help="scaling parameter (> 1)"),
+    "alpha": dict(type=float, help="removal exponent offset"),
+    "beta": dict(type=float, help="removal exponent slope"),
+    "G": dict(type=int, help="stage (recursion depth)"),
+    "V0": dict(type=float, help="stage-0 height for constant-area scaling"),
+    "gmin": dict(type=int, help="first stage"),
+    "gmax": dict(type=int, help="last stage"),
+    **{f"{axis}_range": dict(help=f"{axis} axis as MIN:MAX:COUNT")
+       for axis in ("alpha", "beta", "rho")},
+    "k": dict(help="comma-separated wavenumbers"),
+    "kmin": dict(type=float, help="lowest wavenumber"),
+    "kmax": dict(type=float, help="highest wavenumber"),
+    "nk": dict(type=int, help="number of k points (>= 2)"),
+    "scale": dict(choices=["linear", "log"], help="k spacing"),
+    "engine": dict(choices=["closed_form", "oracle", "both"]),
+    "workers": dict(type=int, help="ignored: every command runs in one process"),
+    "out": dict(help="output path (default: stdout)"),
+    "config": dict(help="config file (JSON or key=value lines)"),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -116,19 +115,19 @@ def _load_config(path: str) -> dict:
 
 def _apply_config(args: argparse.Namespace, config: dict) -> None:
     """Fill in options the command line left unset, each typed and checked by its flag."""
-    flags = {a.dest: a for a in args.parser._actions if hasattr(args, a.dest)}
     for key, value in config.items():
-        flag = flags.get(key.replace("-", "_"))
-        if flag is None:
+        name = key.replace("-", "_")
+        if name not in COMMANDS[args.command][1]:
             raise ValueError(f"unknown config key: {key}")
-        if getattr(args, flag.dest) is None:
+        if getattr(args, name) is None:
+            flag = _FLAGS[name]
             try:  # the conversion the same text gets on the command line
-                value = flag.type(str(value)) if flag.type else str(value)
-                if flag.choices is not None and value not in flag.choices:
+                value = flag.get("type", str)(str(value))
+                if "choices" in flag and value not in flag["choices"]:
                     raise ValueError
             except ValueError:
                 raise ValueError(f"config {key}: invalid value {value!r}") from None
-            setattr(args, flag.dest, value)
+            setattr(args, name, value)
 
 
 def _require(args: argparse.Namespace, names: Iterable[str]) -> None:
@@ -294,41 +293,23 @@ def cmd_validate(args: argparse.Namespace) -> list[str]:
             f"beta={spec.beta} G={spec.G}"]
 
 
-def _transmission_arguments(parser: argparse.ArgumentParser) -> None:
-    _spec_arguments(parser)
-    _sweep_arguments(parser)
-    parser.add_argument("--engine", choices=["closed_form", "oracle", "both"])
-
-
-def _grid_arguments(parser: argparse.ArgumentParser) -> None:
-    _spec_arguments(parser)
-    for axis in ("alpha", "beta", "rho"):
-        parser.add_argument(f"--{axis}-range", help=f"{axis} axis as MIN:MAX:COUNT")
-    parser.add_argument("--k", help="comma-separated wavenumbers")
-
-
-def _scaling_arguments(parser: argparse.ArgumentParser) -> None:
-    _spec_arguments(parser, height=False)  # the height is the constant-area V_G from --V0
-    parser.add_argument("--V0", type=float, help="stage-0 height for constant-area scaling")
-    _k_range_arguments(parser)  # fit_scaling always spaces k logarithmically
-
-
-def _saturation_arguments(parser: argparse.ArgumentParser) -> None:
-    _spec_arguments(parser, stage=False)  # the stages are --gmin..--gmax
-    parser.add_argument("--gmin", type=int, help="first stage")
-    parser.add_argument("--gmax", type=int, help="last stage")
-    _sweep_arguments(parser)
-
-
-# name -> (help, the function that adds the command's own flags, the command)
+_SPEC = ("L", "V", "rho", "alpha", "beta")
+_K_RANGE = ("kmin", "kmax", "nk")
+_COMMON = ("workers", "out", "config")
+# name -> (help, its flags in help order, the command)
 COMMANDS = {
-    "transmission": ("T(k) sweep for one spec", _transmission_arguments, cmd_transmission),
-    "grid": ("T over an (alpha, beta, rho) grid at fixed k values", _grid_arguments, cmd_grid),
-    "geometry": ("explicit barrier intervals as CSV", _spec_arguments, cmd_geometry),
-    "scaling": ("log-log reflection scaling fit as JSON", _scaling_arguments, cmd_scaling),
-    "saturation": ("stage-to-stage transmission distances as JSON", _saturation_arguments,
-                   cmd_saturation),
-    "validate": ("check spec well-formedness", _spec_arguments, cmd_validate),
+    "transmission": ("T(k) sweep for one spec",
+                     (*_SPEC, "G", *_K_RANGE, "scale", "engine", *_COMMON), cmd_transmission),
+    "grid": ("T over an (alpha, beta, rho) grid at fixed k values",
+             (*_SPEC, "G", "alpha_range", "beta_range", "rho_range", "k", *_COMMON), cmd_grid),
+    "geometry": ("explicit barrier intervals as CSV", (*_SPEC, "G", *_COMMON), cmd_geometry),
+    # the height is the constant-area V_G from --V0, and k is always log-spaced
+    "scaling": ("log-log reflection scaling fit as JSON",
+                ("L", "rho", "alpha", "beta", "G", "V0", *_K_RANGE, *_COMMON), cmd_scaling),
+    # the stages are --gmin..--gmax
+    "saturation": ("stage-to-stage transmission distances as JSON",
+                   (*_SPEC, "gmin", "gmax", *_K_RANGE, "scale", *_COMMON), cmd_saturation),
+    "validate": ("check spec well-formedness", (*_SPEC, "G", *_COMMON), cmd_validate),
 }
 
 
@@ -341,15 +322,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_arguments, func) in COMMANDS.items():
+    for name, (text, flags, func) in COMMANDS.items():
         # flags are spelled in full, so a flag a command lacks (scaling's --V) is
         # an error, not an abbreviation of another (--V0).  -h goes with the
         # flags: each costs a help formatter, and -h a gettext lookup too
         runs = command in (None, name)
         p = sub.add_parser(name, help=text, allow_abbrev=False, add_help=runs)
-        if runs:
-            add_arguments(p)
-            _common_arguments(p)
+        for flag in flags if runs else ():
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

@@ -142,6 +142,8 @@ class UcpSpec:
 
 
 def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> None:
+    if not isinstance(g, numbers.Integral):
+        raise InvalidSpecError(f"stage index must be an integer, got {g!r}")
     if not (lowest <= g <= spec.G):
         raise InvalidSpecError(f"stage index {g} outside [{lowest}, {spec.G}]")
 

@@ -158,6 +158,13 @@ class TestFitScaling:
         with pytest.raises(ValueError):
             fit_scaling(spec, 1.0, (1.0, 2.0), n_points=10)
 
+    @pytest.mark.parametrize("n_points", [100.0, 100.5, "100"])
+    def test_non_integer_point_count_rejected(self, n_points):
+        # np.logspace would raise its own TypeError
+        spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=2)
+        with pytest.raises(ValueError, match="integer"):
+            fit_scaling(spec, 1.0, (50.0, 500.0), n_points)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("window", [(1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)])
     def test_non_finite_window_rejected(self, window):

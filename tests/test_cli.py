@@ -821,11 +821,18 @@ def test_a_value_starting_with_a_minus_is_the_option_value(command, flag, value)
     assert "usage:" not in spaced[2]
 
 
-def test_a_missing_value_is_still_a_usage_error():
-    code, out, err = main_outcome(["validate", "--L", "5", "--V", "25", "--rho", "2.5",
-                                   "--alpha", "2", "--beta", "--G", "3"])
+@pytest.mark.parametrize("argv, flag", [
+    (["validate", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "2", "--beta", "--G", "3"],
+     "--beta"),
+    # -h is a flag of the parser too, so none of these takes it as its value
+    (["validate", *SPEC_ARGS, "--out", "-h"], "--out"),
+    (["validate", *SPEC_ARGS, "--config", "-h"], "--config"),
+    (["validate", *SPEC_ARGS[:8], *SPEC_ARGS[10:], "--beta", "-h"], "--beta"),
+], ids=["beta-before-a-flag", "out-h", "config-h", "beta-h"])
+def test_a_missing_value_is_still_a_usage_error(argv, flag):
+    code, out, err = main_outcome(argv)
     assert (code, out) == (2, "")
-    assert err.startswith("usage: ") and "argument --beta: expected one argument" in err
+    assert err.startswith("usage: ") and f"argument {flag}: expected one argument" in err
 
 
 def test_version_matches_pyproject(capsys):
@@ -858,3 +865,53 @@ def test_a_flag_before_the_command_is_the_one_unrecognized():
     code, out, err = main_outcome(["--bogus", "validate", *SPEC_ARGS])
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].endswith("error: unrecognized arguments: --bogus")
+
+
+def flags_of(command):
+    """The flags that a command's --help lists, -h and --help left out."""
+    text = help_of(cli.build_parser(command), [command, "--help"])
+    return [f for f in dict.fromkeys(re.findall(r"--([A-Za-z][\w-]*)", text)) if f != "help"]
+
+
+# a value for each flag that ONE_OF_EACH_COMMAND leaves out but --scale, which
+# is added to the commands that have it, and --out, whose value is a path
+ABSENT = {"workers": "1", "alpha": "0.5", "beta-range": "0:1:2", "rho-range": "2:3:2"}
+
+
+def json_value(text):
+    """The JSON value a config file would hold for text: a number, or else a string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ONE_OF_EACH_COMMAND for flag in flags_of(command)
+    if flag != "config"
+])
+def test_a_flag_in_a_config_file_acts_as_on_the_command_line(tmp_path, command, flag):
+    argv = ONE_OF_EACH_COMMAND[command]
+    argv = [*argv, "--scale", "log"] if "scale" in flags_of(command) else argv
+    option = f"--{flag}"
+    if option in argv:
+        i = argv.index(option)
+        value, argv = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
+        value = ABSENT.get(flag)
+    outcomes = []
+    for how in ("command-line", "json", "key-value"):
+        where = tmp_path / how
+        where.mkdir()
+        text = str(where / "out.csv") if flag == "out" else value
+        config = where / "run.cfg"
+        if how == "json":  # a key as the flag's dest
+            config.write_text(json.dumps({flag.replace("-", "_"): json_value(text)}))
+        elif how == "key-value":  # a key as the flag is spelled
+            config.write_text(f"{flag} = {text}\n")
+        given = [option, text] if how == "command-line" else ["--config", str(config)]
+        outcome = main_outcome([*argv, *given])
+        written = (where / "out.csv").read_bytes() if flag == "out" else None
+        outcomes.append((*outcome, written))
+    assert outcomes[0][0] == EXIT_OK
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]

@@ -263,6 +263,22 @@ class TestSuperPeriod:
             assert super_period(spec, f) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("length, g", [
+    (segment_length, 2.5), (gap_length, 1.5), (super_period, 1.5), (segment_length, 2.0),
+    (gap_length, np.float64(1.0)),
+])
+def test_a_non_integer_stage_index_is_refused(length, g):
+    # numpy would read it as an array index and raise its own IndexError
+    with pytest.raises(InvalidSpecError, match="integer"):
+        length(cantor(G=3), g)
+
+
+@pytest.mark.parametrize("length", [segment_length, gap_length, super_period])
+def test_a_numpy_integer_stage_index_is_an_index(length):
+    spec = cantor(G=3)
+    assert length(spec, np.int64(2)) == length(spec, 2)
+
+
 class TestGammas:
     # gamma1 and gamma2 are the phase distances of the paper's recursion; they
     # live with it in tests/paper.py, built on the spec's width chain

@@ -1,11 +1,13 @@
 """Byte-identity guard: run a fixed set of CLI commands and hash their output.
 
-The set is 96 commands: the benchmark workloads (perfbench/workloads.py,
+The set is 98 commands: the benchmark workloads (perfbench/workloads.py,
 crossval seeds 1-40 and sweep, grid and deep seeds 1-10), the seven examples
 of README.md, five grids that hold each kind of invalid cell, --version,
 --help, --help before a command and each command's --help, four command
-lines the parser refuses, and a saturation scan past the stage where every
-width is 0, each run in a fresh process.  One line is printed
+lines the parser refuses, a saturation scan past the stage where every
+width is 0, and two commands that read a config file (a JSON spec with one
+flag overridden on the command line, and a key = value stage of 2.5), each
+run in a fresh process.  One line is printed
 per command: its name, its exit code, and the sha256 of its stdout and of its
 stderr.  Run it on two trees and diff the output:
 
@@ -14,17 +16,20 @@ stderr.  Run it on two trees and diff the output:
     diff old.txt new.txt
 
 Every command exits 0 with nothing on stderr, except the README's validate
-example, the four error-* commands and saturation-past-underflow, which exit 2.
+example, the four error-* commands, saturation-past-underflow and
+config-bad-value, which exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -92,11 +97,28 @@ REFUSED = {
 }
 
 
-def commands() -> dict[str, list[str]]:
-    """Name -> CLI argv of every command of the set, in a fixed order."""
+# name -> (config file name, its text, the argv that reads it); the file is
+# written into a temporary directory, whose path is in no output
+CONFIGS = {
+    "config-json": ("run.json", json.dumps({"L": 5, "V": 25, "rho": 2.5, "alpha": 0.5, "beta": 1,
+                                            "G": 6, "kmin": 0.5, "kmax": 20, "nk": 50,
+                                            "scale": "log"}),
+                    ["transmission", "--G", "4"]),
+    "config-bad-value": ("run.cfg", "L = 5\nV = 25\nrho = 2.5\nalpha = 0.5\nbeta = 1\nG = 2.5\n",
+                         ["validate"]),
+}
+
+
+def commands(config_dir: pathlib.Path) -> dict[str, list[str]]:
+    """Name -> CLI argv of every command of the set, in a fixed order.  The
+    config files are written into config_dir."""
     argvs = {f"{name}-{seed}": workloads.make(name, seed).argv
              for name, seeds in SEEDS.items() for seed in seeds}
-    return {**argvs, **README, **INVALID_CELLS, **HELP, **ERRORS, **REFUSED}
+    configs = {}
+    for name, (file, text, argv) in CONFIGS.items():
+        (config_dir / file).write_text(text)
+        configs[name] = [*argv, "--config", str(config_dir / file)]
+    return {**argvs, **README, **INVALID_CELLS, **HELP, **ERRORS, **REFUSED, **configs}
 
 
 def main() -> int:
@@ -106,11 +128,12 @@ def main() -> int:
     args = parser.parse_args()
     # help text is wrapped to COLUMNS, so it is fixed
     env = {**os.environ, "PYTHONPATH": os.path.abspath(args.src), "COLUMNS": "80"}
-    for name, argv in commands().items():
-        done = subprocess.run([sys.executable, "-m", "ucpscatter.cli", *argv], env=env,
-                              capture_output=True)
-        print(name, done.returncode, hashlib.sha256(done.stdout).hexdigest(),
-              hashlib.sha256(done.stderr).hexdigest(), flush=True)
+    with tempfile.TemporaryDirectory() as config_dir:
+        for name, argv in commands(pathlib.Path(config_dir)).items():
+            done = subprocess.run([sys.executable, "-m", "ucpscatter.cli", *argv], env=env,
+                                  capture_output=True)
+            print(name, done.returncode, hashlib.sha256(done.stdout).hexdigest(),
+                  hashlib.sha256(done.stderr).hexdigest(), flush=True)
     return 0
 
 
