@@ -120,9 +120,7 @@ class UcpSpec:
             raise InvalidSpecError(f"V must be finite, got {self.V}")
         if not (self.rho > 1.0 and math.isfinite(self.rho)):
             raise InvalidSpecError(f"rho must be > 1, got {self.rho}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise InvalidSpecError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
-        bound = max_valid_stage(self.alpha, self.beta)  # rejects alpha = beta = 0
+        bound = max_valid_stage(self.alpha, self.beta)  # rejects non-finite and 0, 0
         if not isinstance(self.G, numbers.Integral) or self.G < 0:
             raise InvalidSpecError(f"G must be a non-negative integer, got {self.G}")
         if bound is not None and self.G > bound:
@@ -153,7 +151,7 @@ def segment_length(spec: UcpSpec, g: int) -> float:
     (L / 2**g) * prod_{j=1..g} (1 - rho**-(alpha + beta*j))."""
     _check_stage(spec, g)
     widths = spec.width_chain.widths
-    return float(widths[g, 0]) if g < len(widths) else 0.0
+    return float(widths[operator.index(g), 0]) if g < len(widths) else 0.0
 
 
 def gap_length(spec: UcpSpec, g: int) -> float:
@@ -212,7 +210,11 @@ def max_valid_stage(alpha: float, beta: float) -> int | None:
     Returns None when unbounded (beta >= 0 with alpha + beta > 0) and 0 when
     even stage 1 is impossible.  alpha + beta*g falls with g, in floating
     point too: galloping and bisection find the bound in O(log G) steps.
+    Raises InvalidSpecError when either is not finite (every comparison with
+    NaN is false, so a NaN would pass as unbounded) or when both are 0.
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise InvalidSpecError(f"alpha and beta must be finite, got {alpha}, {beta}")
     if alpha == 0.0 and beta == 0.0:
         raise InvalidSpecError("alpha and beta cannot both be zero")
     if alpha + beta <= 0.0:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import UcpSpec, _listed_widths
-from .scattering import ScatterResult, _barrier_rows, _gap_phase, _results
+from .scattering import ScatterResult, _barrier_rows, _gap_phase, _k_array, _results
 
 __all__ = ["region_sequence", "transmission_oracle", "transmission_oracle_arrays"]
 
@@ -76,7 +76,7 @@ def transmission_oracle_arrays(spec: UcpSpec,
     remains available there).
     """
     regions = region_sequence(spec)  # the stage cap is checked before k is
-    k = np.asarray(ks, dtype=float)
+    k = _k_array(ks)
     n = k.size
     if n == 0:
         return _results(k, k, k)

@@ -129,6 +129,14 @@ def _require_k_window(k_min: float, k_max: float) -> None:
         raise ValueError(f"need 0 < kmin < kmax < inf, got kmin={k_min}, kmax={k_max}")
 
 
+def _k_array(ks: Sequence[float]) -> np.ndarray:
+    """ks as a float array, which must be one-dimensional: one k per point."""
+    k = np.asarray(ks, dtype=float)
+    if k.ndim != 1:
+        raise ValueError(f"ks must be one-dimensional, got shape {k.shape}")
+    return k
+
+
 def _log_k_grid(k_min: float, k_max: float, n: int) -> np.ndarray:
     return np.logspace(math.log10(k_min), math.log10(k_max), n)
 
@@ -300,7 +308,7 @@ def _transmission_table(table: _WidthTable, V: Sequence[float],
                         ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """transmission_ucp_arrays of the specs whose widths are the columns of
     table, column i at the height V[i]."""
-    k = np.asarray(ks, dtype=float)
+    k = _k_array(ks)
     stages = table.stages
     shape = (stages.size, k.size)
     points_k = np.tile(k, shape[0])  # every point's k, spec-major: the same in any spec order

@@ -430,6 +430,19 @@ def test_opaque_point_raises():
         transmission_oracle_arrays(thick, [2.0, 1.0])
 
 
+@pytest.mark.parametrize("engine", ["closed_form", "oracle"])
+@pytest.mark.parametrize("ks", [2.0, [[1.0, 2.0]]], ids=["scalar", "2-d"])
+def test_ks_must_be_one_dimensional(engine, ks):
+    # a scalar gave shape (1, 1) in the closed form and numpy's TypeError in
+    # the oracle, and a 2-d ks numpy's broadcast errors in both
+    spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
+    with pytest.raises(ValueError, match="^ks must be one-dimensional"):
+        if engine == "oracle":
+            transmission_oracle_arrays(spec, ks)
+        else:
+            transmission_ucp_arrays([spec], ks)
+
+
 def test_empty_batches():
     spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
     for specs_, ks, shape in [([], [1.0, 2.0, 3.0], (0, 3)), ([spec], [], (1, 0)),

@@ -318,6 +318,16 @@ class TestGrid:
         _, _, rows = parse_csv(text)
         assert [(r[4], r[5]) for r in rows] == [("0", ""), ("0", "")]
 
+    def test_readme_example_has_a_row_per_cell_and_k(self):
+        code, out, err = main_output(
+            ["grid", "--L", "5", "--V", "25", "--G", "4", "--alpha-range", "0:1:11",
+             "--beta-range", "0:2:11", "--rho", "2.5", "--k", "1.0,2.5,5.0"])
+        assert (code, err) == (EXIT_OK, "")
+        headers, cols, rows = parse_csv(out)
+        assert headers == ["# L=5", "# V=25", "# G=4"]
+        assert cols == ["alpha", "beta", "rho", "k", "valid", "T"]
+        assert len(rows) == 11 * 11 * 1 * 3
+
     def test_full_cartesian_size(self, tmp_path):
         _, text = run(
             ["grid", "--L", "1", "--V", "5", "--G", "1", "--alpha-range", "0.5:1:2",

@@ -279,6 +279,13 @@ def test_a_numpy_integer_stage_index_is_an_index(length):
     assert length(spec, np.int64(2)) == length(spec, 2)
 
 
+@pytest.mark.parametrize("length", [segment_length, gap_length, super_period])
+def test_a_bool_stage_index_is_an_index(length):
+    # a bool is an Integral, but numpy reads an array index of True as a mask
+    spec = cantor(G=3)
+    assert length(spec, True) == length(spec, 1)
+
+
 class TestGammas:
     # gamma1 and gamma2 are the phase distances of the paper's recursion; they
     # live with it in tests/paper.py, built on the spec's width chain
@@ -642,3 +649,12 @@ class TestMaxValidStage:
     def test_rejects_double_zero(self):
         with pytest.raises(InvalidSpecError):
             max_valid_stage(0, 0)
+
+    # NaN passed as unbounded or as a bound of 1, and inf gave a 309-digit bound
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, -1.0), (math.inf, -1.0), (1.0, -math.inf),
+    ])
+    def test_rejects_non_finite_exponents(self, alpha, beta):
+        with pytest.raises(InvalidSpecError) as exc:
+            max_valid_stage(alpha, beta)
+        assert str(exc.value) == f"alpha and beta must be finite, got {alpha}, {beta}"
