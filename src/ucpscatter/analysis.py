@@ -81,15 +81,21 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
     k = _k_array([k]).item()
     _require_positive_k(k)
     v_g = constant_area_height(spec, V0)
-    if not v_g / (k * k) < _ASYMPTOTE_GUARD:
-        raise ValueError(
-            f"asymptote guard violated: V_G/k^2 = {v_g / (k * k):.3g} >= {_ASYMPTOTE_GUARD}"
-        )
+    ratio = v_g / (k * k) if k * k > 0.0 else math.inf  # k * k can underflow
+    if not ratio < _ASYMPTOTE_GUARD:
+        raise ValueError(f"asymptote guard violated: V_G/k^2 = {ratio:.3g} >= {_ASYMPTOTE_GUARD}")
     l_g = segment_length(spec, spec.G)
     prod = 1.0
     for w in bloch_sequence(dataclasses.replace(spec, V=v_g), k):
         prod *= w * w
-    return math.ldexp(v_g * l_g / 2.0, spec.G) ** 2 / (k * k) * prod  # 4**G (v_g l_g / 2)**2
+    try:
+        # 4**G (v_g l_g / 2)**2
+        asymptote = math.ldexp(v_g * l_g / 2.0, spec.G) ** 2 / (k * k) * prod
+    except OverflowError:
+        asymptote = math.inf
+    if not math.isfinite(asymptote):
+        raise ValueError(f"reflection asymptote overflows a double at G={spec.G}")
+    return asymptote
 
 
 def _rolling_median(values: np.ndarray, window: int) -> np.ndarray:

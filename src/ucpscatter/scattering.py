@@ -5,7 +5,10 @@ of a single rectangular barrier of width l_G.  One kernel, _repetition, builds
 the transfer matrix of any super-periodic arrangement of a barrier: at order f
 the block so far is repeated N_f times, block_f = (block_{f-1} . gap)^(N_f-1)
 . block_{f-1}, by binary powering of real 2x2 blocks that lose no digits at
-any stage, for many points at once.  It serves three results:
+any stage, for many points at once.  Every point's block is a column of one
+(6, n) array, rows (o, p, q, r, b, exp2): row 5 is exp2, the power of two
+that the rescaling has taken out, so a product forms its scale where it forms
+its entries.  It serves three results:
 
 - transmission_ucp_arrays: the doubling, N_f = 2 at every order, of every
   spec at every k in one pass, specs of any mix of stages (a spec of stage G
@@ -131,8 +134,12 @@ def _require_k_window(k_min: float, k_max: float) -> None:
 
 
 def _k_array(ks: Sequence[float]) -> np.ndarray:
-    """ks as a float array, which must be one-dimensional: one k per point."""
-    k = np.asarray(ks, dtype=float)
+    """ks as a float array, which must be one-dimensional: one k per point.
+    Only bools, integers and real floats are read, so a string is not parsed."""
+    k = np.asarray(ks)
+    if k.dtype.kind not in "biuf":
+        raise ValueError(f"wavenumbers must be real numbers, got dtype {k.dtype.name}")
+    k = k.astype(float, copy=False)
     if k.ndim != 1:
         raise ValueError(f"ks must be one-dimensional, got shape {k.shape}")
     return k
@@ -248,10 +255,10 @@ def bloch_sequence(spec: UcpSpec, k: float) -> tuple[float, ...]:
     return tuple(float(w[0]) for w in omegas)
 
 
-def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
+def _block_product(x: tuple, y: tuple) -> tuple:
     """Product x . y of two doubling blocks held as in _repetition."""
-    o1, p1, q1, r1, b1 = x
-    o2, p2, q2, r2, b2 = y
+    o1, p1, q1, r1, b1, e1 = x
+    o2, p2, q2, r2, b2, e2 = y
     w1, w2 = o1 + p1, o2 + p2
     rb, br = r1 * b2, b1 * r2
     return (
@@ -260,15 +267,16 @@ def _block_product(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, .
         w1 * q2 + q1 * w2 - rb + br,
         (w1 - q1) * r2 + r1 * (w2 + q2) + q1 * b2 - b1 * q2,
         (w1 + q1) * b2 + b1 * (w2 - q2),
+        e1 + e2,
     )
 
 
 def _gap_product(x: tuple, p2: np.ndarray, b2: np.ndarray) -> tuple:
-    """x . gap, _block_product(x, (1.0, p2, 0.0, 0.0, b2)) without the gap's
-    exact 1 and 0 terms.  Every nonzero sum is added in the same order, so each
-    entry is the same value and only the sign of a zero can differ, which no
-    result reads: T comes from hypot(q, r), and a half-trace o + p has o >= +0."""
-    o1, p1, q1, r1, b1 = x
+    """x . gap, _block_product(x, (1.0, p2, 0.0, 0.0, b2, 0.0)) without the
+    gap's exact 1 and 0 terms.  Every nonzero sum is added in the same order, so
+    each entry is the same value and only the sign of a zero can differ, which
+    no result reads: T comes from hypot(q, r), and a half-trace o + p has o >= +0."""
+    o1, p1, q1, r1, b1, e1 = x
     w1, w2 = o1 + p1, 1.0 + p2
     rb = r1 * b2
     return (
@@ -277,6 +285,7 @@ def _gap_product(x: tuple, p2: np.ndarray, b2: np.ndarray) -> tuple:
         q1 * w2 - rb,
         r1 * w2 + q1 * b2,
         (w1 + q1) * b2 + b1 * w2,
+        e1,
     )
 
 
@@ -322,10 +331,9 @@ def _transmission_table(table: _WidthTable, V: Sequence[float],
     running = np.cumsum(np.bincount(stages)[::-1])[::-1].tolist()
     orders = ((np.repeat(table.gaps[g - 1, order[:running[g]]], k.size), 2)
               for g in range(len(running) - 1 if barrier.size else 0, 0, -1))  # d_G first
-    block, exp2 = _repetition(points_k, barrier.reshape(3, *shape)[:, order].reshape(3, -1),
-                              orders)
+    block = _repetition(points_k, barrier.reshape(3, *shape)[:, order].reshape(3, -1), orders)
     back = np.argsort(order)
-    return tuple(x.reshape(shape)[back] for x in _results(block[2], block[3], exp2))
+    return tuple(x.reshape(shape)[back] for x in _results(block[2], block[3], block[5]))
 
 
 def _gap_phase(k: np.ndarray, d) -> np.ndarray:
@@ -337,50 +345,46 @@ def _gap_phase(k: np.ndarray, d) -> np.ndarray:
     return kd
 
 
-def _rescaled(block: tuple, exp2: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """block and exp2 with every point whose block size left [_RESCALE_BELOW,
-    _RESCALE_AT] scaled by a power of two, its largest entry into [1/2, 1)."""
-    o, p, q, r, b = block
+def _rescaled(block: tuple) -> tuple:
+    """block with every point whose size left [_RESCALE_BELOW, _RESCALE_AT]
+    scaled by a power of two, its largest entry into [1/2, 1)."""
+    o, p, q, r, b, exp2 = block
     size = np.array((o, o + p, q, r, b))  # o alone can overflow o1 * o2
     total = np.add.reduce(np.abs(size, out=size))  # row by row, in this order
     off = (total > _RESCALE_AT) | (total < _RESCALE_BELOW)
     if off.any():
         e = np.where(off, np.frexp(np.maximum.reduce(size))[1], 0)
         scale = np.ldexp(1.0, -e)
-        block = tuple(x * scale for x in block)
-        exp2 = exp2 + e
-    return block, exp2
+        block = (o * scale, p * scale, q * scale, r * scale, b * scale, exp2 + e)
+    return block
 
 
-def _power(cell: tuple, exp2: np.ndarray, m: int) -> tuple[tuple, np.ndarray]:
+def _power(cell: tuple, m: int) -> tuple:
     """cell**m for m >= 1 by binary powering; every product is rescaled."""
     result = None
     while True:
         if m & 1:
-            if result is None:
-                result, result_exp2 = cell, exp2
-            else:
-                result, result_exp2 = _rescaled(_block_product(result, cell), result_exp2 + exp2)
+            result = cell if result is None else _rescaled(_block_product(result, cell))
         m >>= 1
         if not m:
-            return result, result_exp2
-        cell, exp2 = _rescaled(_block_product(cell, cell), exp2 + exp2)
+            return result
+        cell = _rescaled(_block_product(cell, cell))
 
 
 def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
-                half_traces: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+                half_traces: list | None = None) -> np.ndarray:
     """Transfer block of a super-periodic arrangement of one barrier at each
     point k, barrier its rows from _barrier_rows.
 
     orders holds (gap, N) per order f = 1..g: the block starts as the barrier,
     and at each order cell = block . gap(d_f) and block = cell**(N_f - 1) .
-    block, N_f >= 1 (Jaggard & Sun, Opt. Lett. 1990).  A gap is one value for
-    every point, or an array over the first m points: only those run the
-    order, and the rest keep their block, so each point runs its own number of
-    orders, a point that runs none keeping its barrier.  The doubling
-    (N_f = 2) takes a gap product and a block product per order and loses no
-    digits to cancellation.  A block is the real transfer matrix
-    [[A, kB], [C/k, D]] of (psi, psi'/k), held as (o, p, q, r, b) with
+    block, N_f >= 1 (Jaggard & Sun, Opt. Lett. 1990).  A gap holds a value for
+    each of the first m points, m its size: only those run the order, and the
+    rest keep their block, so each point runs its own number of orders, a
+    point that runs none keeping its barrier.  The doubling (N_f = 2) takes a
+    gap product and a block product per order and loses no digits to
+    cancellation.  A block is the real transfer matrix [[A, kB], [C/k, D]] of
+    (psi, psi'/k), held as (o, p, q, r, b) times 2**exp2 with
     A = o + p + q, D = o + p - q, kB = b and C/k = 2r - b.  The identity
     part o is kept apart, so a block much thinner than a wavelength keeps its
     deviation from I; kB is kept itself, so it keeps its digits where C/k is
@@ -389,35 +393,34 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
     by a power of two at each order, and every product of the powering as it
     is formed, when its size leaves [_RESCALE_BELOW, _RESCALE_AT].
 
-    Returns the block of every point, one (5, n) array of its rows (o, p, q,
-    r, b), and its exp2 (the true block is 2**exp2 * block), and appends
-    (half-trace of the cell, its exp2) per order, over the points that ran
-    it, to half_traces when it is given.  Each entry is an array over the
-    points: numpy does the + - x, the sines (its float64 sin rounds as the C
-    library's, which math.sin calls), the rescale test and the rescale.
+    Returns the block of every point, one (6, n) array of its rows (o, p, q,
+    r, b, exp2): row 5 is exp2, which each product and rescale updates with
+    the other rows.  Appends (half-trace of the cell, its exp2) per order,
+    over the points that ran it, to half_traces when it is given.  Each entry
+    is an array over the points: numpy does the + - x, the sines (its float64
+    sin rounds as the C library's, which math.sin calls), the rescale test and
+    the rescale.
     """
     cos_m1, k_sin, em_sin = barrier
-    # a fresh array, so the barrier's rows are never written
-    block = np.array((np.ones(k.size), cos_m1, np.zeros(k.size), em_sin, k_sin))
-    # exp2 is held as a float, which unlike an int64 cannot wrap: the doubling
-    # doubles it at every order
-    exp2 = np.zeros(k.size)
+    zeros = np.zeros(k.size)
+    # a fresh array, so the barrier's rows are never written; exp2 is held as
+    # a float, which unlike an int64 cannot wrap: the doubling doubles it at
+    # every order
+    block = np.array((np.ones(k.size), cos_m1, zeros, em_sin, k_sin, zeros))
     for d, n in orders:
-        m = np.size(d) if np.ndim(d) else k.size
-        head, head_exp2 = _rescaled(tuple(block[:, :m]), exp2[:m])
+        m = np.size(d)
+        head = _rescaled(tuple(block[:, :m]))
         kd = _gap_phase(k[:m], d)
         half = np.sin(kd / 2.0)  # the gap is a rotation by kd
         cell = _gap_product(head, -2.0 * half * half, np.sin(kd))
         if half_traces is not None:
-            # a copy: head_exp2 can be a view of exp2, which is written below
-            half_traces.append((cell[0] + cell[1], head_exp2.copy()))
+            # a copy: cell[5] can be a view of block's row 5, which is written below
+            half_traces.append((cell[0] + cell[1], cell[5].copy()))
         if n > 1:
-            power, power_exp2 = _power(cell, head_exp2, n - 1)
-            head, head_exp2 = _block_product(power, head), power_exp2 + head_exp2
+            head = _block_product(_power(cell, n - 1), head)
         for row, x in zip(block, head):
             row[:m] = x
-        exp2[:m] = head_exp2
-    return block, exp2
+    return block
 
 
 def _results(q: np.ndarray, r: np.ndarray,
@@ -483,5 +486,5 @@ def transmission_spp(
         orders.append((s - span, n))
         span = (n - 1) * s + span
     k = _k_array([k])
-    block, exp2 = _repetition(k, _barrier_rows(k, V, width), orders)
-    return ScatterResult(*(x.item() for x in _results(block[2], block[3], exp2)))
+    block = _repetition(k, _barrier_rows(k, V, width), orders)
+    return ScatterResult(*(x.item() for x in _results(block[2], block[3], block[5])))

@@ -124,6 +124,22 @@ class TestReflectionAsymptote:
         with pytest.raises(ValueError, match="wavenumber k must be positive and finite"):
             reflection_asymptote(spec, 25.0, k)
 
+    @pytest.mark.parametrize("spec, V0, k, message", [
+        # k * k underflows to 0: the guard divided by it
+        (UcpSpec(L=10, V=25, rho=3, alpha=1, beta=0, G=4), 1.0, 1e-300,
+         r"guard violated: V_G/k\^2 = inf >= 0.1$"),
+        # (V_G l_G / 2)**2 = (5e291)**2 overflows: ** raised OverflowError
+        (UcpSpec(L=1e300, V=25, rho=3, alpha=1, beta=0, G=0), 1e-8, 1.0,
+         r"overflows a double at G=0$"),
+        # (V_G l_G / 2)**2 fits, but not once divided by k**2: inf was returned
+        (UcpSpec(L=1e160, V=25, rho=3, alpha=1, beta=0, G=0), 1e-8, 1e-3,
+         r"overflows a double at G=0$"),
+    ], ids=["k-squared-underflows", "square-overflows", "asymptote-overflows"])
+    def test_a_result_past_a_double_is_refused_with_one_line(self, spec, V0, k, message):
+        with pytest.raises(ValueError, match=message) as refused:
+            reflection_asymptote(spec, V0, k)
+        assert "\n" not in str(refused.value)
+
     @pytest.mark.parametrize("k", [np.array(300.0), np.float32(300.0), 300])
     def test_any_real_scalar_k_gives_the_float_ks_value(self, k):
         spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,13 +126,12 @@ def test_repetition_leaves_the_barrier_rows_as_they_are():
     before = barrier.copy()
     orders = [(np.full(n, d), 2) for n, d in zip((2, 3, 3), spec.width_chain.gaps[::-1, 0])]
     half_traces = []
-    block, exp2 = scattering._repetition(k, barrier, orders, half_traces)
+    block = scattering._repetition(k, barrier, orders, half_traces)
     assert np.array_equal(bits(barrier), bits(before))
-    assert block.shape == (5, 4) and [h.size for h, _ in half_traces] == [2, 3, 3]
-    # its block is its barrier's, (1, cos - 1, 0, eps_- sin, k sin/kappa)
+    assert block.shape == (6, 4) and [h.size for h, _ in half_traces] == [2, 3, 3]
+    # its block is its barrier's, (1, cos - 1, 0, eps_- sin, k sin/kappa), at exp2 = 0
     cos_m1, k_sin, em_sin = before[:, 3]
-    assert bits(block[:, 3]).tolist() == bits([1.0, cos_m1, 0.0, em_sin, k_sin]).tolist()
-    assert exp2[3] == 0.0
+    assert bits(block[:, 3]).tolist() == bits([1.0, cos_m1, 0.0, em_sin, k_sin, 0.0]).tolist()
 
 
 # block entries as the doubling holds them, rescaled to below 2**500 but
@@ -140,15 +140,16 @@ block_entries = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**503]
                           st.floats(-2.0**503, 2.0**503))
 
 
-@given(st.lists(st.tuples(*[block_entries] * 5, st.floats(-2.0, 0.0), st.floats(-1.0, 1.0)),
+@given(st.lists(st.tuples(*[block_entries] * 5, st.integers(-2**20, 2**20).map(float),
+                          st.floats(-2.0, 0.0), st.floats(-1.0, 1.0)),
                 min_size=1, max_size=8))
 @settings(max_examples=300, deadline=None)
 def test_gap_product_is_the_block_product_with_the_gap_block(points):
-    # the gap (1, -2 h**2, 0, 0, sin kd) has p2 = -2 h**2 in [-2, 0] and b2 in
-    # [-1, 1]: every entry is the same value, with the same bits unless zero
+    # the gap (1, -2 h**2, 0, 0, sin kd) at exp2 = 0 has p2 = -2 h**2 in [-2, 0]
+    # and b2 in [-1, 1]: every entry is the same value, with the same bits unless zero
     *x, p2, b2 = (np.array(column) for column in zip(*points))
     got = scattering._gap_product(tuple(x), p2, b2)
-    want = scattering._block_product(tuple(x), (1.0, p2, 0.0, 0.0, b2))
+    want = scattering._block_product(tuple(x), (1.0, p2, 0.0, 0.0, b2, 0.0))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
         assert np.array_equal(bits(g[w != 0.0]), bits(w[w != 0.0]))
@@ -481,6 +482,29 @@ def test_a_k_that_is_not_one_number_is_refused_as_the_arrays_entries_refuse_it(c
     spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
     with pytest.raises(ValueError, match=message):
         call(spec)
+
+
+# every entry that reads k, with one k or with a list of two
+K_ENTRIES = {
+    "transmission_ucp": transmission_ucp,
+    "transmission_ucp_arrays": lambda spec, k: transmission_ucp_arrays([spec], [k, k]),
+    "bloch_sequence": bloch_sequence,
+    "transmission_oracle": transmission_oracle,
+    "transmission_oracle_arrays": lambda spec, k: transmission_oracle_arrays(spec, [k, k]),
+    "transmission_spp": lambda spec, k: scattering.transmission_spp(25.0, 1.0, [2], [3.0], k),
+    "reflection_asymptote": lambda spec, k: reflection_asymptote(spec, 10.0, k),
+    "saturation_scan": lambda spec, k: saturation_scan(spec, 3, [k, k]),
+}
+
+
+@pytest.mark.parametrize("k", ["300", 300 + 0j, Fraction(300)], ids=["str", "complex", "Fraction"])
+@pytest.mark.parametrize("entry", K_ENTRIES)
+def test_a_k_that_is_not_a_real_number_is_refused(entry, k):
+    # a string or a Fraction was read as the number it spells, and a complex k
+    # raised numpy's TypeError; a bool k is read as 0 or 1, as a bool stage is
+    spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
+    with pytest.raises(ValueError, match=r"^wavenumbers must be real numbers, got dtype \w+$"):
+        K_ENTRIES[entry](spec, k)
 
 
 def test_empty_batches():

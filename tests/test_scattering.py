@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -398,3 +399,46 @@ class TestPerSpecTable:
             spp = transmission_spp(spec.V, segment_length(spec, spec.G), [2] * spec.G, ss, k)
             want = spp.log10_transmission
             assert res.log10_transmission == pytest.approx(want, rel=1e-10, abs=0)
+
+
+# (alpha, beta) families, the last one's stages bounded (alpha + beta g > 0 up to g = 19)
+SCALING_FAMILIES = [(1.0, 0.0), (0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (0.5, 0.25), (2.0, -0.1)]
+
+
+def outcome(call, *args):
+    """Every float of call(*args), a ScatterResult or a tuple, as .hex(), or the
+    type of the ValueError it raises."""
+    try:
+        result = call(*args)
+    except ValueError as exc:
+        return type(exc)
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    return tuple(float(x).hex() for x in result)
+
+
+@given(
+    L=st.floats(0.1, 100.0),
+    V=st.tuples(st.floats(math.log(1e-2), math.log(1e4)).map(math.exp),
+                st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1]),
+    rho=st.floats(1.2, 6.0),
+    family=st.sampled_from(SCALING_FAMILIES),
+    G=st.integers(0, 8),
+    k=st.floats(math.log(1e-2), math.log(1e3)).map(math.exp),
+    j=st.integers(-8, 8),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_scaling_leaves_every_result_bit_for_bit(L, V, rho, family, G, k, j):
+    # (L, V, k) -> (2**j L, 4**-j V, 2**-j k) scales every width, gap and
+    # sqrt|k**2 - V| exactly by a power of two, so every kappa w and k d, every
+    # barrier term and every block is the same: T, R and log10 T of both
+    # engines and every Bloch phase keep their bits.  The relation stops where
+    # a width or |k**2 - V| is subnormal at either scale, and scaling rounds
+    # it; this domain stays far above that: every width and gap exceeds 1e-13,
+    # and k**2 and |V| exceed 1e-9, so a nonzero |k**2 - V| exceeds 1e-25
+    spec = UcpSpec(L=L, V=V, rho=rho, alpha=family[0], beta=family[1], G=G)
+    scaled = UcpSpec(L=math.ldexp(L, j), V=math.ldexp(V, -2 * j), rho=rho,
+                     alpha=family[0], beta=family[1], G=G)
+    k_scaled = math.ldexp(k, -j)
+    for call in (transmission_ucp, transmission_oracle, bloch_sequence):
+        assert outcome(call, spec, k) == outcome(call, scaled, k_scaled)

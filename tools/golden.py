@@ -9,19 +9,28 @@ stderr.  Run it on two trees and diff the output:
     python tools/golden.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-After the last line it checks two rules: every command exits with its stated
-code, and no command whose stated code is 0 writes to stderr (so a numpy
-warning that leaks there is caught).  It writes one line to stderr per command
-that breaks a rule, and then exits 1.
+Then one more process on the same tree calls the library functions that no
+command reaches, with the seeded arguments of _library(), and prints one line
+per function: its name and the sha256 of every result float's .hex() and of
+each error's type and text.
+
+After the last line it checks two rules: every command, and the library
+process, exits with its stated code (0 for the library process), and no
+command whose stated code is 0 writes to stderr (so a numpy warning that
+leaks there is caught).  It writes one line to stderr per command that breaks
+a rule, and then exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -122,6 +131,104 @@ CONFIGS = {
 }
 
 
+# (alpha, beta) families: general Cantor, SVC, two mixed ones, and a negative
+# beta whose stages are bounded (alpha + beta g > 0 up to g = 19)
+_FAMILIES = [(1.0, 0.0), (0.0, 1.0), (0.5, 1.0), (1.0, 0.25), (2.0, -0.1)]
+
+
+def _spec(rng: random.Random, max_stage: int, opaque: bool = False):
+    """A seeded spec of stage <= max_stage, V of either sign up to 1e4 in size.
+    An opaque one is thick and high (L >= 10, V >= 100) at stage >= 4: at
+    k <= 10 its blocks often pass 2**500, so the rescale runs."""
+    from ucpscatter import UcpSpec
+
+    alpha, beta = rng.choice(_FAMILIES)
+    L = 10 ** rng.uniform(1 if opaque else -1, 2.5)
+    V = 10 ** rng.uniform(2, 4) if opaque else rng.choice([-1, 1]) * 10 ** rng.uniform(-1, 4)
+    G = rng.randint(4 if opaque else 0, max_stage if beta >= 0 else min(max_stage, 19))
+    return UcpSpec(L=L, V=V, rho=rng.uniform(1.5, 5.0), alpha=alpha, beta=beta, G=G)
+
+
+def _ks(rng: random.Random, n: int, opaque: bool = False) -> list[float]:
+    return [10 ** (rng.uniform(-1, 1) if opaque else rng.uniform(-2, 2)) for _ in range(n)]
+
+
+def _spp_call(rng: random.Random):
+    """transmission_spp's arguments: N <= 5 at up to five orders, about a
+    quarter of the gaps negative (a spacing below the block's span)."""
+    V, width = rng.choice([-1, 1]) * 10 ** rng.uniform(-1, 4), 10 ** rng.uniform(-2, 0.5)
+    Ns, ss, span = [], [], width
+    for _ in range(rng.randint(0, 5)):
+        Ns.append(rng.randint(1, 5))
+        ss.append(span * rng.uniform(0.5, 2.5))
+        span = (Ns[-1] - 1) * ss[-1] + span
+    return V, width, Ns, ss, _ks(rng, 1)[0]
+
+
+def _library() -> dict[str, list]:
+    """Entry name -> its calls, each (function, args), drawn from a fixed seed:
+    G <= 40, every other call's specs opaque.  The last call of each entry
+    raises its first bad point's error."""
+    import ucpscatter as u
+
+    rng = random.Random(20231)
+    library = {name: [] for name in ("bloch_sequence", "transmission_spp",
+                                     "transmission_ucp_arrays", "saturation_scan",
+                                     "transmission_oracle_arrays")}
+    for i in range(40):
+        opaque = i % 2 == 1
+        library["bloch_sequence"].append(
+            (u.bloch_sequence, (_spec(rng, 40, opaque), _ks(rng, 1, opaque)[0])))
+        library["transmission_spp"].append((u.transmission_spp, _spp_call(rng)))
+        spec = _spec(rng, 40, opaque)
+        if spec.G:
+            library["saturation_scan"].append(
+                (u.saturation_scan, (spec, rng.randint(0, spec.G - 1), _ks(rng, 20, opaque))))
+        if i < 10:  # mixed stages, an opaque spec next to an ordinary one
+            specs = [_spec(rng, 40, j % 2 == 1) for j in range(rng.randint(1, 6))]
+            library["transmission_ucp_arrays"].append(
+                (u.transmission_ucp_arrays, (specs, _ks(rng, rng.randint(1, 8), opaque))))
+            library["transmission_oracle_arrays"].append(
+                (u.transmission_oracle_arrays, (_spec(rng, 8), _ks(rng, 20))))
+    spec = _spec(rng, 40)
+    for name, call in [
+        ("bloch_sequence", (u.bloch_sequence, (spec, -1.0))),
+        ("transmission_spp", (u.transmission_spp, (25.0, 1.0, [2, 3], [3.0, math.inf], 2.0))),
+        ("transmission_ucp_arrays", (u.transmission_ucp_arrays, ([spec] * 2, [2.0, -1.0, 0.0]))),
+        ("saturation_scan", (u.saturation_scan, (spec, -1, [2.0]))),
+        ("transmission_oracle_arrays", (u.transmission_oracle_arrays,
+                                        (_spec(rng, 8), [2.0, 0.0, -1.0]))),
+    ]:
+        library[name].append(call)
+    return library
+
+
+def _hexes(result) -> list[str]:
+    """Every number of a result (floats, arrays, result records, and tuples of
+    them), in order, as float .hex()."""
+    import numpy as np
+
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    if isinstance(result, (tuple, list)):
+        return [h for item in result for h in _hexes(item)]
+    return [float(x).hex() for x in np.ravel(result).tolist()]
+
+
+def print_library_lines() -> None:
+    """Print one line per _library() entry: its name and the sha256 of its
+    calls' outcomes.  Runs in the process that golden.py starts on the tree."""
+    for name, calls in _library().items():
+        digest = hashlib.sha256()
+        for function, args in calls:
+            try:
+                digest.update(" ".join(_hexes(function(*args))).encode())
+            except ValueError as exc:
+                digest.update(f"{type(exc).__name__}: {exc}".encode())
+            digest.update(b"\n")
+        print(f"library-{name}", digest.hexdigest(), flush=True)
+
+
 def commands(config_dir: pathlib.Path) -> dict[str, tuple[int, list[str]]]:
     """Name -> (exit code, CLI argv) of every command of the set, in a fixed
     order.  The config files are written into config_dir."""
@@ -158,6 +265,15 @@ def main() -> int:
                 broken.append(f"golden: {name} exited {done.returncode}, expected {code}")
             elif code == 0 and done.stderr:
                 broken.append(f"golden: {name} exited 0 but wrote to stderr")
+    # the library lines, from the same tree; tools/ joins the path for "import golden"
+    env["PYTHONPATH"] += os.pathsep + str(ROOT / "tools")
+    done = subprocess.run([sys.executable, "-c", "import golden; golden.print_library_lines()"],
+                          env=env, capture_output=True, text=True)
+    print(done.stdout, end="", flush=True)
+    if done.returncode != 0:
+        broken.append(f"golden: the library calls exited {done.returncode}, expected 0")
+    elif done.stderr:
+        broken.append("golden: the library calls exited 0 but wrote to stderr")
     for line in broken:
         print(line, file=sys.stderr)
     return 1 if broken else 0
