@@ -65,7 +65,10 @@ def constant_area_height(spec: UcpSpec, V0: float) -> float:
     l_G = segment_length(spec, spec.G)
     if l_G == 0.0:
         raise ValueError(f"barrier width l_G underflows a double at G={spec.G}")
-    height = spec.L * V0 / math.ldexp(l_G, spec.G)
+    try:
+        height = spec.L * V0 / math.ldexp(l_G, spec.G)
+    except OverflowError:  # V0 an int past the largest double, and 2**G l_G <= L
+        height = math.inf
     if not math.isfinite(height):
         raise ValueError(f"constant-area height overflows a double at G={spec.G}")
     return height

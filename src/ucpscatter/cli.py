@@ -2,7 +2,8 @@
 dumps, and analysis reports as CSV/JSON for external plotting.
 
 Every flag's type (or choices) and help are stated once, in _FLAGS, and each
-command's flags in COMMANDS: the parser and a config file's check read both.
+command's flags in COMMANDS: the parser, main's reading of values that start
+with '-' and a config file's check read both.
 
 Exit codes: 0 success, 2 invalid input (spec, options or config, or an
 option sizing an array too large to allocate), 3 stage above the cap for
@@ -42,29 +43,6 @@ def _fmt(x: float) -> str:
 def _row_template(fields: int) -> str:
     """A %-template of fields numbers, comma-separated, each as _fmt writes it."""
     return ",".join(["%" + _FLOAT_FMT] * fields)
-
-
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads a token starting with '-' after an option of
-    one value as that value, unless the token is a flag here.  argparse reads
-    any such token but a plain decimal as a flag (-1e-3, -inf, -0.5:-0.1:5),
-    with no public setting for it, so the pair is passed on as --name=value."""
-
-    def add_argument(self, *args, **kwargs) -> argparse.Action:
-        action = super().add_argument(*args, **kwargs)
-        # every flag, and whether it takes one value
-        vars(self).setdefault("takes_value", {}).update(
-            dict.fromkeys(action.option_strings, action.nargs is None))
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        flags, tokens = vars(self).get("takes_value", {}), []
-        for token in sys.argv[1:] if args is None else args:
-            if tokens and flags.get(tokens[-1]) and token[:1] == "-" and token not in flags:
-                tokens[-1] += "=" + token
-            else:
-                tokens.append(token)
-        return super().parse_known_args(tokens, namespace)
 
 
 # every flag: the keywords of its add_argument, its type (or its choices) and
@@ -316,7 +294,7 @@ COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, with flags and -h on `command` only, or on all
     of them when it is None: a command's parsing and help are the same either way."""
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="ucpscatter",
         description="Quantum transmission through unified Cantor barrier systems",
     )
@@ -338,12 +316,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the first command name is the command: only top-level flags, none of
     # which takes a value, can come before it
-    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
+    command = next((a for a in argv if a in COMMANDS), None)
+    if command is not None:
+        # argparse takes a token that starts with '-' for a flag unless it is a
+        # plain decimal (-1e-3, -inf and -0.5:-0.1:5 are not), and has no
+        # setting for it: such a token after one of the command's flags (each
+        # takes one value) is passed on joined to it, as --name=value.  A flag
+        # of the command, -h, --help and -- are never a value, and --name=-- is
+        # passed on as --name --, which argparse refuses
+        flags = {"--" + name.replace("_", "-") for name in COMMANDS[command][1]}
+        never = {*flags, "-h", "--help", "--"}
+        tokens = argv[:argv.index(command) + 1]
+        for token in argv[len(tokens):]:
+            flag, _, value = token.partition("=")
+            if tokens[-1] in flags and token[:1] == "-" and token not in never:
+                tokens[-1] += "=" + token
+            else:
+                tokens += [flag, "--"] if flag in flags and value == "--" else [token]
+        argv = tokens
+    args = build_parser(command).parse_args(argv)
     try:
-        if getattr(args, "config", None):
+        if args.config is not None:
             _apply_config(args, _load_config(args.config))
         text = "\n".join(args.func(args)) + "\n"
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:

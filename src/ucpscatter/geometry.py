@@ -40,7 +40,8 @@ __all__ = [
 
 
 DEFAULT_STAGE_CAP = 16  # the largest stage whose 2**G barriers build_segments lists
-_LARGEST_STAGE = int(sys.float_info.max)  # beta * g needs g as a double: past it, g fails
+_DBL_MAX = sys.float_info.max
+_LARGEST_STAGE = int(_DBL_MAX)  # beta * g needs g as a double: past it, g fails
 # every width is 0 from this stage on: each stage at least halves a width, and
 # the widest chain, L = DBL_MAX halved exactly, reaches 0 at stage 2099
 _STAGE_CAP = 2099
@@ -114,12 +115,16 @@ class UcpSpec:
     G: int
 
     def __post_init__(self) -> None:
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise InvalidSpecError(f"L must be positive and finite, got {self.L}")
-        if not math.isfinite(self.V):
-            raise InvalidSpecError(f"V must be finite, got {self.V}")
-        if not (self.rho > 1.0 and math.isfinite(self.rho)):
-            raise InvalidSpecError(f"rho must be > 1, got {self.rho}")
+        try:
+            if not (self.L > 0.0 and math.isfinite(self.L)):
+                raise InvalidSpecError(f"L must be positive and finite, got {self.L}")
+            if not math.isfinite(self.V):
+                raise InvalidSpecError(f"V must be finite, got {self.V}")
+            if not (self.rho > 1.0 and math.isfinite(self.rho)):
+                raise InvalidSpecError(f"rho must be > 1, got {self.rho}")
+        except OverflowError:  # math.isfinite of an int past the largest double
+            name = next(n for n in ("L", "V", "rho") if not abs(getattr(self, n)) <= _DBL_MAX)
+            raise InvalidSpecError(f"{name} must fit a double") from None
         bound = max_valid_stage(self.alpha, self.beta)  # rejects non-finite and 0, 0
         if not isinstance(self.G, numbers.Integral) or self.G < 0:
             raise InvalidSpecError(f"G must be a non-negative integer, got {self.G}")
@@ -211,9 +216,14 @@ def max_valid_stage(alpha: float, beta: float) -> int | None:
     even stage 1 is impossible.  alpha + beta*g falls with g, in floating
     point too: galloping and bisection find the bound in O(log G) steps.
     Raises InvalidSpecError when either is not finite (every comparison with
-    NaN is false, so a NaN would pass as unbounded) or when both are 0.
+    NaN is false, so a NaN would pass as unbounded) or an int past a double,
+    or when both are 0.
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
+    try:
+        finite = math.isfinite(alpha) and math.isfinite(beta)
+    except OverflowError:  # an int past the largest double
+        raise InvalidSpecError("alpha and beta must fit a double") from None
+    if not finite:
         raise InvalidSpecError(f"alpha and beta must be finite, got {alpha}, {beta}")
     if alpha == 0.0 and beta == 0.0:
         raise InvalidSpecError("alpha and beta cannot both be zero")

@@ -129,7 +129,11 @@ def _require_positive_k(k: float) -> None:
 
 def _require_k_window(k_min: float, k_max: float) -> None:
     """The k range of a sweep or a fit: 0 < k_min < k_max, both finite."""
-    if not (0.0 < k_min < k_max and math.isfinite(k_max)):
+    try:
+        window = 0.0 < k_min < k_max and math.isfinite(k_max)
+    except OverflowError:  # k_max an int past the largest double
+        window = False
+    if not window:
         raise ValueError(f"need 0 < kmin < kmax < inf, got kmin={k_min}, kmax={k_max}")
 
 
@@ -469,22 +473,26 @@ def transmission_spp(
     width_f = (N_f - 1) s_f + width_{f-1}.  Runs the kernel of the closed
     form (see _repetition); with Ns all 2 and ss the super-periods it is the
     stage-g system.  V must be finite, width positive and finite, repetition
-    counts integers >= 1 and spacings finite.
+    counts integers >= 1 and spacings finite, each a number that fits a
+    double, as the spans they give must.
     """
-    if not math.isfinite(V):
-        raise ValueError(f"V must be finite, got {V}")
-    if not (width > 0.0 and math.isfinite(width)):
-        raise ValueError(f"width must be positive and finite, got {width}")
-    if len(Ns) != len(ss):
-        raise ValueError(f"len(Ns)={len(Ns)} and len(ss)={len(ss)} must match")
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in Ns):
-        raise ValueError(f"repetition counts must be integers >= 1, got {list(Ns)}")
-    orders, span = [], width
-    for f, (n, s) in enumerate(zip(Ns, ss), 1):
-        if not math.isfinite(s):
-            raise ValueError(f"spacing of order {f} must be finite, got {s}")
-        orders.append((s - span, n))
-        span = (n - 1) * s + span
+    try:
+        if not math.isfinite(V):
+            raise ValueError(f"V must be finite, got {V}")
+        if not (width > 0.0 and math.isfinite(width)):
+            raise ValueError(f"width must be positive and finite, got {width}")
+        if len(Ns) != len(ss):
+            raise ValueError(f"len(Ns)={len(Ns)} and len(ss)={len(ss)} must match")
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in Ns):
+            raise ValueError(f"repetition counts must be integers >= 1, got {list(Ns)}")
+        orders, span = [], width
+        for f, (n, s) in enumerate(zip(Ns, ss), 1):
+            if not math.isfinite(s):
+                raise ValueError(f"spacing of order {f} must be finite, got {s}")
+            orders.append((s - span, n))
+            span = (n - 1) * s + span
+    except OverflowError:  # math.isfinite or a product of an int past the largest double
+        raise ValueError("V, width, spacings and spans must fit a double") from None
     k = _k_array([k])
     block = _repetition(k, _barrier_rows(k, V, width), orders)
     return ScatterResult(*(x.item() for x in _results(block[2], block[3], block[5])))

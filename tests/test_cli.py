@@ -879,6 +879,28 @@ def test_a_missing_value_is_still_a_usage_error(argv, flag):
     assert err.startswith("usage: ") and f"argument {flag}: expected one argument" in err
 
 
+@pytest.mark.parametrize("command, flag, form", [
+    (command, "--" + name.replace("_", "-"), form)
+    for command in cli.COMMANDS for name in cli.COMMANDS[command][1] for form in ("spaced", "=")
+])
+def test_a_double_dash_is_never_a_value(command, flag, form):
+    # argparse up to 3.11 reads an explicit "--" as no value at all, []
+    given = [flag, "--"] if form == "spaced" else [f"{flag}=--"]
+    code, out, err = main_outcome([command, *given, *ONE_OF_EACH_COMMAND[command][1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and f"argument {flag}: expected one argument" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--config"])
+@pytest.mark.parametrize("form", ["spaced", "="])
+def test_an_empty_path_is_refused_as_a_missing_file(flag, form, capsys):
+    given = [flag, ""] if form == "spaced" else [f"{flag}="]
+    assert main([*ONE_OF_EACH_COMMAND["validate"], *given]) == EXIT_INVALID_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: [Errno 2] No such file or directory: ''\n"
+
+
 def test_version_matches_pyproject(capsys):
     # read with a regex: tomllib is missing on Python 3.10
     text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

@@ -1,0 +1,124 @@
+"""The contract every entry point keeps on bad input: it ends in a result or a
+one-line refusal, never in a traceback.
+
+cli.main is run on argv lists built from COMMANDS and _FLAGS, each flag given
+a valid, an edge or a garbage token; the library functions are given ints
+past the range of a double."""
+
+import contextlib
+import io
+import re
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from ucpscatter import (InvalidSpecError, UcpSpec, constant_area_height, fit_scaling,
+                        max_valid_stage, reflection_asymptote, transmission_spp)
+from ucpscatter.cli import COMMANDS, _FLAGS, main
+
+# edge and garbage tokens that any flag may get
+EDGE = ["-1e-3", "-inf", "-h", "--", "", "1e400", "nan", "-0.5:-0.1:5", "x", "--bogus"]
+VALID = {float: ["5", "2.5", "0.5", "1", "-2.5E1", "0", "1e-3"], int: ["0", "2", "3", "6", "60"],
+         str: ["1,2.5", "0:1:3", "2:3:2", "1"]}
+# --out and --config read paths: a file in the working directory, or none
+PATHS = {"out": ["out.csv", "no/such/dir.csv"], "config": ["run.cfg", "missing.cfg"]}
+JUNK = ["--bogus", "-x", "--", "bogus", "-1e-3", "-h", "--version"]
+
+
+def values(flag):
+    spec = _FLAGS[flag]
+    valid = PATHS.get(flag) or spec.get("choices") or VALID[spec.get("type", str)]
+    return st.sampled_from([*valid, *EDGE])
+
+
+SPEC = dict(L="5", V="25", rho="2.5", alpha="0.5", beta="1")
+K_RANGE = dict(kmin="0.5", kmax="10", nk="5")
+# a value of every flag each command needs, with which it exits 0
+RUNS = {"transmission": dict(SPEC, G="3", **K_RANGE),
+        "grid": dict(L="5", V="25", G="3", alpha_range="0:1:3", beta="1", rho="2.5", k="1,2"),
+        "geometry": dict(SPEC, G="3"),
+        "scaling": dict(L="1", V0="10", rho="1.75", alpha="0.5", beta="0.25", G="3", kmin="50",
+                        kmax="500", nk="60"),
+        "saturation": dict(SPEC, gmin="2", gmax="4", **K_RANGE),
+        "validate": dict(SPEC, G="3")}
+
+
+@st.composite
+def argvs(draw):
+    """A command and its flags of RUNS in any order, up to four of them (or of
+    another command's) given a drawn token, each spaced from its value, joined
+    to it by '=', or with none; now and then junk before the command."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    given = dict(RUNS[command])
+    names = st.sampled_from(COMMANDS[command][1]) | st.sampled_from(list(_FLAGS))
+    for name in draw(st.lists(names, max_size=4)):
+        given[name] = draw(values(name))
+    argv = [command]
+    for name, value in draw(st.permutations(list(given.items()))):
+        flag = "--" + name.replace("_", "-")
+        argv += draw(st.sampled_from([[flag, value]] * 16 + [[f"{flag}={value}"]] * 8 + [[flag]]))
+    junk = draw(st.sampled_from([[]] * 20 + [[token] for token in JUNK]))
+    return [*junk, *argv]
+
+
+# an argparse usage error: the usage lines, then one error line
+USAGE_ERROR = re.compile(r"usage: ucpscatter.*\n(?: .*\n)*ucpscatter[^:\n]*: error: .*\n")
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+# a -- after a flag once became its value, which argparse reads as []
+@example(argv=["transmission", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5", "--beta",
+               "1", "--G", "3", "--kmin", "1", "--kmax", "4", "--nk", "--"])
+def test_main_exits_0_2_or_3_with_one_line_or_usage(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # --out writes to the paths it is given
+    (tmp_path / "run.cfg").write_text("L = 5\nV = 25\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error, --help or --version
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert re.fullmatch(r"[^\n]+\n", err) or USAGE_ERROR.fullmatch(err), err
+
+
+B = 10**400  # an int past the largest double
+CANTOR = UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=1.0, G=4)
+PAST_A_DOUBLE = {
+    **{f"UcpSpec-{name}={sign}B": (InvalidSpecError, lambda name=name, sign=sign: UcpSpec(
+        **{"L": 5.0, "V": 25.0, "rho": 2.5, "alpha": 0.5, "beta": 1.0, "G": 4,
+           name: B if sign == "" else -B}))
+       for name, sign in [("L", ""), ("V", ""), ("V", "-"), ("rho", ""), ("alpha", ""),
+                          ("alpha", "-"), ("beta", ""), ("beta", "-")]},
+    "max_valid_stage-beta=-B": (InvalidSpecError, lambda: max_valid_stage(1, -B)),
+    "transmission_spp-V": (ValueError, lambda: transmission_spp(B, 1.0, [2], [3.0], 2.0)),
+    "transmission_spp-width": (ValueError, lambda: transmission_spp(25.0, B, [2], [3.0], 2.0)),
+    "transmission_spp-spacing": (ValueError,
+                                 lambda: transmission_spp(25.0, 1.0, [2, 2], [3.0, B], 2.0)),
+    "transmission_spp-count": (ValueError, lambda: transmission_spp(25.0, 1.0, [B], [3.0], 2.0)),
+    "constant_area_height": (ValueError, lambda: constant_area_height(CANTOR, B)),
+    "reflection_asymptote": (ValueError, lambda: reflection_asymptote(CANTOR, B, 300.0)),
+    "fit_scaling-V0": (ValueError, lambda: fit_scaling(CANTOR, B, (50.0, 500.0), 60)),
+    "fit_scaling-kmax": (ValueError, lambda: fit_scaling(CANTOR, 10.0, (50.0, B), 60)),
+}
+
+
+@pytest.mark.parametrize("kind, call", PAST_A_DOUBLE.values(), ids=PAST_A_DOUBLE.keys())
+def test_an_int_past_a_double_is_refused_in_one_line(kind, call):
+    with pytest.raises(kind) as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
+def test_the_largest_double_as_an_int_is_still_read():
+    # it converts to a double exactly: only an int past the range is refused
+    top = int(1.7976931348623157e308)
+    assert UcpSpec(L=top, V=-top, rho=top, alpha=1, beta=0, G=2).L == top
+    assert max_valid_stage(top, -1) is not None

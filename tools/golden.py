@@ -9,10 +9,11 @@ stderr.  Run it on two trees and diff the output:
     python tools/golden.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-Then one more process on the same tree calls the library functions that no
-command reaches, with the seeded arguments of _library(), and prints one line
-per function: its name and the sha256 of every result float's .hex() and of
-each error's type and text.
+Then one more process on the same tree calls the library functions, with the
+seeded arguments of _library(), and prints one line per entry: its name and
+the sha256 of every result float's .hex() and of each refusal's type and
+text.  The entries in CPU_DEPENDENT may differ between CPUs of one tree; CI
+compares every other library line under numpy's baseline dispatch too.
 
 After the last line it checks two rules: every command, and the library
 process, exits with its stated code (0 for the library process), and no
@@ -165,6 +166,11 @@ def _spp_call(rng: random.Random):
     return V, width, Ns, ss, _ks(rng, 1)[0]
 
 
+# the entries whose bits may move with the CPU: fit_scaling takes np.logspace
+# (numpy's SIMD power) and np.polyfit (LAPACK)
+CPU_DEPENDENT = {"fit_scaling"}
+
+
 def _library() -> dict[str, list]:
     """Entry name -> its calls, each (function, args), drawn from a fixed seed:
     G <= 40, every other call's specs opaque.  The last call of each entry
@@ -200,7 +206,54 @@ def _library() -> dict[str, list]:
                                         (_spec(rng, 8), [2.0, 0.0, -1.0]))),
     ]:
         library[name].append(call)
-    return library
+    return {**library, **_more_library(random.Random(20232))}
+
+
+def _more_library(rng: random.Random) -> dict[str, list]:
+    """The entries of the analysis functions, the geometry lengths and lists,
+    and closed-form T below 1e-300, drawn from their own seed so that the
+    entries above keep their calls.  The last call of each entry is refused."""
+    import ucpscatter as u
+
+    specs = [_spec(rng, 40) for _ in range(12)]
+    small = [_spec(rng, 10) for _ in range(4)]  # G <= 10: 2**G barriers listed
+    heights = [10 ** rng.uniform(-1, 2) for _ in specs]
+    lows = [10 ** rng.uniform(1.5, 2.5) for _ in range(6)]
+    windows = [(k, k * 10 ** rng.uniform(0.5, 1.5)) for k in lows]
+    ks = [10 ** rng.uniform(2, 4.5) for _ in specs]  # most pass the guard V_G/k^2 < 0.1
+    # thick, high barriers at k <= 1: log10 T runs to about -2600
+    opaque = [u.UcpSpec(L=50.0 * (j + 1), V=1e4, rho=3.0, alpha=1.0, beta=0.0, G=2 + j)
+              for j in range(3)]
+    # (alpha, beta) with beta < 0 of every size down to 1e-6, which bounds the stage
+    bounded = [(10 ** rng.uniform(-2, 1), -(10 ** rng.uniform(-6, 1))) for _ in range(8)]
+    return {
+        "fit_scaling": [*((u.fit_scaling, (spec, v0, window, rng.randint(50, 200)))
+                          for spec, v0, window in zip(specs, heights, windows)),
+                        (u.fit_scaling, (specs[0], 1.0, (50.0, 500.0), 49))],
+        "reflection_asymptote": [*((u.reflection_asymptote, call)
+                                   for call in zip(specs, heights, ks)),
+                                 (u.reflection_asymptote, (specs[0], 1.0, 1e-300))],
+        "constant_area_height": [*((u.constant_area_height, call)
+                                   for call in zip(specs, heights)),
+                                 (u.constant_area_height, (specs[0], 0.0))],
+        "segment_length": [*((u.segment_length, (spec, rng.randint(0, spec.G)))
+                             for spec in specs), (u.segment_length, (specs[0], -1))],
+        "gap_length": [*((u.gap_length, (spec, rng.randint(1, spec.G))) for spec in specs
+                         if spec.G), (u.gap_length, (specs[0], 0))],
+        "super_period": [*((u.super_period, (spec, rng.randint(1, spec.G))) for spec in specs
+                           if spec.G), (u.super_period, (specs[0], specs[0].G + 1))],
+        "max_valid_stage": [*((u.max_valid_stage, pair) for pair in bounded + _FAMILIES),
+                            (u.max_valid_stage, (0.0, 0.0))],
+        "build_segments": [*((u.build_segments, (spec,)) for spec in small),
+                           (u.build_segments, (u.UcpSpec(L=1.7976931348623157e308, V=1e150,
+                                                         rho=10.0, alpha=2.0, beta=-0.5,
+                                                         G=3),))],
+        "region_sequence": [*((u.region_sequence, (spec,)) for spec in small),
+                            (u.region_sequence, (dataclasses.replace(small[0], G=17),))],
+        "transmission_ucp_arrays-below-1e-300": [
+            (u.transmission_ucp_arrays, (opaque, [0.25, 0.5, 1.0])),
+            (u.transmission_ucp_arrays, (opaque, [1.0, 1e-200]))],
+    }
 
 
 def _hexes(result) -> list[str]:
@@ -208,6 +261,8 @@ def _hexes(result) -> list[str]:
     them), in order, as float .hex()."""
     import numpy as np
 
+    if result is None:  # max_valid_stage's unbounded stage
+        return ["None"]
     if dataclasses.is_dataclass(result):
         result = dataclasses.astuple(result)
     if isinstance(result, (tuple, list)):
@@ -218,12 +273,14 @@ def _hexes(result) -> list[str]:
 def print_library_lines() -> None:
     """Print one line per _library() entry: its name and the sha256 of its
     calls' outcomes.  Runs in the process that golden.py starts on the tree."""
+    from ucpscatter import OracleInfeasibleError
+
     for name, calls in _library().items():
         digest = hashlib.sha256()
         for function, args in calls:
             try:
                 digest.update(" ".join(_hexes(function(*args))).encode())
-            except ValueError as exc:
+            except (ValueError, OracleInfeasibleError) as exc:
                 digest.update(f"{type(exc).__name__}: {exc}".encode())
             digest.update(b"\n")
         print(f"library-{name}", digest.hexdigest(), flush=True)
