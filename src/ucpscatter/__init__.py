@@ -18,12 +18,11 @@ it; the package re-exports every module's __all__ as its own.
 
 __version__ = "0.4.0"
 
-from . import analysis, geometry, oracle, scattering, special
+from . import analysis, geometry, oracle, scattering
 from .geometry import *
-from .special import *
 from .scattering import *
 from .oracle import *
 from .analysis import *
 
-__all__ = ["__version__", *geometry.__all__, *special.__all__, *scattering.__all__,
-           *oracle.__all__, *analysis.__all__]
+__all__ = ["__version__", *geometry.__all__, *scattering.__all__, *oracle.__all__,
+           *analysis.__all__]

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, _WidthTable, segment_length
+from .geometry import UcpSpec, _real, _WidthTable, segment_length
 from .scattering import (_k_array, _log_k_grid, _require_k_window, _require_positive_k,
                          _transmission_table, bloch_sequence, transmission_ucp_arrays)
 
@@ -58,17 +58,16 @@ def constant_area_height(spec: UcpSpec, V0: float) -> float:
     """Stage-G barrier height keeping the total barrier area at L*V0.
 
     V_G = L * V0 / (2**G * l_G), so 2**G * l_G * V_G = L * V0 exactly.
-    Raises ValueError where l_G or V_G does not fit a double.
+    V0 is read as a float (see geometry._real).  Raises ValueError where
+    l_G or V_G does not fit a double.
     """
-    if not V0 > 0.0:
+    v0 = _real(V0, "V0")
+    if not v0 > 0.0:
         raise ValueError(f"V0 must be positive, got {V0}")
     l_G = segment_length(spec, spec.G)
     if l_G == 0.0:
         raise ValueError(f"barrier width l_G underflows a double at G={spec.G}")
-    try:
-        height = spec.L * V0 / math.ldexp(l_G, spec.G)
-    except OverflowError:  # V0 an int past the largest double, and 2**G l_G <= L
-        height = math.inf
+    height = spec.L * v0 / math.ldexp(l_G, int(spec.G))  # 2**G l_G <= L fits a double
     if not math.isfinite(height):
         raise ValueError(f"constant-area height overflows a double at G={spec.G}")
     return height
@@ -93,7 +92,7 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
         prod *= w * w
     try:
         # 4**G (v_g l_g / 2)**2
-        asymptote = math.ldexp(v_g * l_g / 2.0, spec.G) ** 2 / (k * k) * prod
+        asymptote = math.ldexp(v_g * l_g / 2.0, int(spec.G)) ** 2 / (k * k) * prod
     except OverflowError:
         asymptote = math.inf
     if not math.isfinite(asymptote):
@@ -168,7 +167,7 @@ def saturation_scan(spec: UcpSpec, gmin: int, k_grid: Sequence[float]) -> Satura
     raises the first bad point's error, and no later stage can be reached.
     """
     if not (isinstance(gmin, numbers.Integral) and 0 <= gmin < spec.G):
-        raise ValueError(f"need an integer gmin with 0 <= gmin < G={spec.G}, got {gmin}")
+        raise ValueError(f"need an integer gmin with 0 <= gmin < G={spec.G}, got {gmin!r}")
     ks = _k_array(k_grid)
     if not ks.size:
         raise ValueError("need at least one k to compare the stages at")

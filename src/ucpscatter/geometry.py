@@ -40,8 +40,7 @@ __all__ = [
 
 
 DEFAULT_STAGE_CAP = 16  # the largest stage whose 2**G barriers build_segments lists
-_DBL_MAX = sys.float_info.max
-_LARGEST_STAGE = int(_DBL_MAX)  # beta * g needs g as a double: past it, g fails
+_LARGEST_STAGE = int(sys.float_info.max)  # beta * g needs g as a double: past it, g fails
 # every width is 0 from this stage on: each stage at least halves a width, and
 # the widest chain, L = DBL_MAX halved exactly, reaches 0 at stage 2099
 _STAGE_CAP = 2099
@@ -53,6 +52,27 @@ class InvalidSpecError(ValueError):
 
 class OracleInfeasibleError(RuntimeError):
     """Raised when the requested stage has too many barriers to enumerate."""
+
+
+# the dtype kinds read as real numbers: bool, signed and unsigned integer, and float
+_REAL_KINDS = "biuf"
+
+
+def _real(value, name: str) -> float:
+    """The number argument name as a float: a bool, a Python int that fits a
+    double, a float, or a numpy scalar or 0-d array of a kind in _REAL_KINDS.
+    Anything else raises InvalidSpecError: a string (not parsed), None, a
+    complex, a Fraction or Decimal, a list or an array among them."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, float)) or (isinstance(value, (np.generic, np.ndarray))
+                                           and value.ndim == 0
+                                           and value.dtype.kind in _REAL_KINDS):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the largest double
+            raise InvalidSpecError(f"{name} must fit a double") from None
+    raise InvalidSpecError(f"{name} must be a real number, got {type(value).__name__}")
 
 
 class _WidthTable(NamedTuple):
@@ -115,19 +135,16 @@ class UcpSpec:
     G: int
 
     def __post_init__(self) -> None:
-        try:
-            if not (self.L > 0.0 and math.isfinite(self.L)):
-                raise InvalidSpecError(f"L must be positive and finite, got {self.L}")
-            if not math.isfinite(self.V):
-                raise InvalidSpecError(f"V must be finite, got {self.V}")
-            if not (self.rho > 1.0 and math.isfinite(self.rho)):
-                raise InvalidSpecError(f"rho must be > 1, got {self.rho}")
-        except OverflowError:  # math.isfinite of an int past the largest double
-            name = next(n for n in ("L", "V", "rho") if not abs(getattr(self, n)) <= _DBL_MAX)
-            raise InvalidSpecError(f"{name} must fit a double") from None
+        L, V, rho = _real(self.L, "L"), _real(self.V, "V"), _real(self.rho, "rho")
+        if not 0.0 < L < math.inf:
+            raise InvalidSpecError(f"L must be positive and finite, got {self.L}")
+        if not math.isfinite(V):
+            raise InvalidSpecError(f"V must be finite, got {self.V}")
+        if not 1.0 < rho < math.inf:
+            raise InvalidSpecError(f"rho must be > 1, got {self.rho}")
         bound = max_valid_stage(self.alpha, self.beta)  # rejects non-finite and 0, 0
         if not isinstance(self.G, numbers.Integral) or self.G < 0:
-            raise InvalidSpecError(f"G must be a non-negative integer, got {self.G}")
+            raise InvalidSpecError(f"G must be a non-negative integer, got {self.G!r}")
         if bound is not None and self.G > bound:
             raise InvalidSpecError(
                 f"alpha + beta*G <= 0 at stage g={bound + 1} "
@@ -215,15 +232,13 @@ def max_valid_stage(alpha: float, beta: float) -> int | None:
     Returns None when unbounded (beta >= 0 with alpha + beta > 0) and 0 when
     even stage 1 is impossible.  alpha + beta*g falls with g, in floating
     point too: galloping and bisection find the bound in O(log G) steps.
-    Raises InvalidSpecError when either is not finite (every comparison with
-    NaN is false, so a NaN would pass as unbounded) or an int past a double,
-    or when both are 0.
+    Raises InvalidSpecError when either is not a number (see _real) or not
+    finite (every comparison with NaN is false, so a NaN would pass as
+    unbounded), or when both are 0.  The search runs on alpha and beta as
+    given, in exact int arithmetic where both are ints.
     """
-    try:
-        finite = math.isfinite(alpha) and math.isfinite(beta)
-    except OverflowError:  # an int past the largest double
-        raise InvalidSpecError("alpha and beta must fit a double") from None
-    if not finite:
+    a, b = _real(alpha, "alpha"), _real(beta, "beta")
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise InvalidSpecError(f"alpha and beta must be finite, got {alpha}, {beta}")
     if alpha == 0.0 and beta == 0.0:
         raise InvalidSpecError("alpha and beta cannot both be zero")

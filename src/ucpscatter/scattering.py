@@ -45,10 +45,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, _WidthTable, _width_table
+from .geometry import _REAL_KINDS, UcpSpec, _real, _WidthTable, _width_table
 
 __all__ = [
-    "TransferMatrix",
     "ScatterResult",
     "bloch_sequence",
     "transmission_ucp",
@@ -86,10 +85,10 @@ _MAX_V_OVER_2K2 = 2.0**400
 class TransferMatrix:
     """Unimodular 2x2 complex transfer matrix of a potential region.
 
-    No code of the package uses it: the plane-wave matrices built from it are
-    test references in tests/paper.py.  It stays only because
-    perfbench/tracer.py wraps its __matmul__ (METHODS), until the benchmark
-    drops that entry.
+    It is not public, and no code of the package uses it: the plane-wave
+    matrices built from it are test references in tests/paper.py.  It stays
+    only because perfbench/tracer.py wraps its __matmul__ (METHODS), until
+    the benchmark drops that entry.
     """
 
     m11: complex
@@ -129,19 +128,16 @@ def _require_positive_k(k: float) -> None:
 
 def _require_k_window(k_min: float, k_max: float) -> None:
     """The k range of a sweep or a fit: 0 < k_min < k_max, both finite."""
-    try:
-        window = 0.0 < k_min < k_max and math.isfinite(k_max)
-    except OverflowError:  # k_max an int past the largest double
-        window = False
-    if not window:
+    lo, hi = _real(k_min, "kmin"), _real(k_max, "kmax")
+    if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"need 0 < kmin < kmax < inf, got kmin={k_min}, kmax={k_max}")
 
 
 def _k_array(ks: Sequence[float]) -> np.ndarray:
     """ks as a float array, which must be one-dimensional: one k per point.
-    Only bools, integers and real floats are read, so a string is not parsed."""
+    Only the kinds a number argument may be are read, so a string is not parsed."""
     k = np.asarray(ks)
-    if k.dtype.kind not in "biuf":
+    if k.dtype.kind not in _REAL_KINDS:
         raise ValueError(f"wavenumbers must be real numbers, got dtype {k.dtype.name}")
     k = k.astype(float, copy=False)
     if k.ndim != 1:
@@ -473,26 +469,26 @@ def transmission_spp(
     width_f = (N_f - 1) s_f + width_{f-1}.  Runs the kernel of the closed
     form (see _repetition); with Ns all 2 and ss the super-periods it is the
     stage-g system.  V must be finite, width positive and finite, repetition
-    counts integers >= 1 and spacings finite, each a number that fits a
-    double, as the spans they give must.
+    counts integers >= 1 and spacings finite.  V, the width and the spacings
+    are read as doubles (see geometry._real), and a count must fit one.
     """
-    try:
-        if not math.isfinite(V):
-            raise ValueError(f"V must be finite, got {V}")
-        if not (width > 0.0 and math.isfinite(width)):
-            raise ValueError(f"width must be positive and finite, got {width}")
-        if len(Ns) != len(ss):
-            raise ValueError(f"len(Ns)={len(Ns)} and len(ss)={len(ss)} must match")
-        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in Ns):
-            raise ValueError(f"repetition counts must be integers >= 1, got {list(Ns)}")
-        orders, span = [], width
-        for f, (n, s) in enumerate(zip(Ns, ss), 1):
-            if not math.isfinite(s):
-                raise ValueError(f"spacing of order {f} must be finite, got {s}")
-            orders.append((s - span, n))
-            span = (n - 1) * s + span
-    except OverflowError:  # math.isfinite or a product of an int past the largest double
-        raise ValueError("V, width, spacings and spans must fit a double") from None
+    height, w = _real(V, "V"), _real(width, "width")
+    if not math.isfinite(height):
+        raise ValueError(f"V must be finite, got {V}")
+    if not 0.0 < w < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width}")
+    if len(Ns) != len(ss):
+        raise ValueError(f"len(Ns)={len(Ns)} and len(ss)={len(ss)} must match")
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in Ns):
+        raise ValueError(f"repetition counts must be integers >= 1, got {list(Ns)}")
+    orders, span = [], w
+    for f, (n, s) in enumerate(zip(Ns, ss), 1):
+        _real(n, f"repetition count of order {f}")
+        s_f = _real(s, f"spacing of order {f}")
+        if not math.isfinite(s_f):
+            raise ValueError(f"spacing of order {f} must be finite, got {s}")
+        orders.append((s_f - span, n))
+        span = (n - 1) * s_f + span
     k = _k_array([k])
-    block = _repetition(k, _barrier_rows(k, V, width), orders)
+    block = _repetition(k, _barrier_rows(k, height, w), orders)
     return ScatterResult(*(x.item() for x in _results(block[2], block[3], block[5])))

@@ -12,10 +12,12 @@ barrier_terms, the terms of one barrier in complex cmath arithmetic, and
 assemble, T and R of one point from ln X in math; the library's
 _barrier_rows and _results must give their bits.  So is width_chain_loop,
 the removal rule one spec and one stage at a time, whose bits the width
-table (geometry._width_table) must give.  So are the complex
+table (geometry._width_table) must give, and q_pochhammer, the closed form
+of a segment length as a q-Pochhammer product.  So are the complex
 plane-wave matrices the paper multiplies, barrier_matrix and
-propagation_matrix, which no engine of the library uses.  Nothing private
-of the library is imported: its constants and checks are stated here.
+propagation_matrix, built from scattering.TransferMatrix, which no engine
+of the library uses and the package does not export.  Nothing private of
+the library is imported: its constants and checks are stated here.
 """
 
 import cmath
@@ -25,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ucpscatter import InvalidSpecError, ScatterResult, TransferMatrix
+from ucpscatter import InvalidSpecError, ScatterResult
+from ucpscatter.scattering import TransferMatrix
 
 # the library's constants, stated here rather than imported, so that a change
 # to one of them in the library shows against these references
@@ -33,6 +36,7 @@ SERIES_CUTOFF = 1e-8  # below this |kappa * width|, sin(kappa w)/kappa is its se
 MAX_V_OVER_2K2 = 2.0**400  # the largest |V|/(2k^2) accepted
 LN10 = math.log(10.0)
 STAGE_CAP = 2099  # every width is 0 from this stage on, and no later stage is built
+NO_MOVE = 2.0**-54  # 1 - x rounds to 1 for every |x| <= this
 
 
 def require_positive_k(k):
@@ -159,6 +163,28 @@ def width_chain_loop(spec):
     zeros = [0.0] * (min(spec.G, STAGE_CAP) - stages)
     return WidthChain(np.array([widths + zeros], dtype=float).T,
                       np.array([gaps + zeros], dtype=float).T, np.array([stages]))
+
+
+def q_pochhammer(mu: float, nu: float, p: int) -> float:
+    """Finite q-Pochhammer product (mu; nu)_p = prod_{j=0}^{p-1} (1 - mu nu^j).
+
+    The empty product (p = 0) is 1.  The loop stops once the product is 0:
+    every true factor is finite, so the product stays 0 (running on, a factor
+    mu nu^j that overflows for |nu| > 1 would turn it into 0 * inf = NaN).
+    For |nu| <= 1 no later factor is larger than the current one, so it also
+    stops once the factor can no longer move the product (|mu nu^j| <= 2**-54
+    rounds 1 - mu nu^j to 1): the result is settled in O(1) steps at any p.
+    """
+    if p < 0:
+        raise ValueError(f"q_pochhammer: p must be >= 0, got {p}")
+    result = 1.0
+    factor = mu
+    for _ in range(p):
+        if result == 0.0 or (abs(nu) <= 1.0 and abs(factor) <= NO_MOVE):
+            break
+        result *= 1.0 - factor
+        factor *= nu
+    return result
 
 
 def gamma1(spec, q):

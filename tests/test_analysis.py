@@ -145,6 +145,15 @@ class TestReflectionAsymptote:
         spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)
         assert reflection_asymptote(spec, 25.0, k) == reflection_asymptote(spec, 25.0, 300.0)
 
+    def test_a_numpy_integer_stage_gives_the_int_stages_values(self):
+        # math.ldexp takes a Python int only: G = np.int64(5) raised TypeError
+        spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)
+        typed = dataclasses.replace(spec, G=np.int64(5))
+        assert constant_area_height(typed, 25.0) == constant_area_height(spec, 25.0)
+        assert reflection_asymptote(typed, 25.0, 300.0) == reflection_asymptote(spec, 25.0, 300.0)
+        window = (50.0, 500.0)
+        assert fit_scaling(typed, 10.0, window, 60) == fit_scaling(spec, 10.0, window, 60)
+
     def test_single_barrier_closed_form(self):
         # G=0: asymptote reduces to (V0 L / (2k))^2 with a cos^2 Bloch-free
         # prefactor absent -> (V0 l0 / 2)^2 / k^2
@@ -274,11 +283,12 @@ class TestSaturationScan:
         with pytest.raises(ValueError, match="gmin"):
             saturation_scan(self._spec(1.0, 3), 3, [1.0])
 
-    @pytest.mark.parametrize("gmin", [4, -1, 2.0])
+    @pytest.mark.parametrize("gmin", [4, -1, 2.0, "1"])
     def test_rejects_a_gmin_outside_the_stages(self, gmin):
-        # stages gmin..G must hold two: 0 <= gmin < G, an integer
-        with pytest.raises(ValueError, match="gmin"):
+        # stages gmin..G must hold two: 0 <= gmin < G, an integer; a string shows as one
+        with pytest.raises(ValueError, match="gmin") as info:
             saturation_scan(self._spec(1.0, 3), gmin, [1.0])
+        assert str(info.value).endswith(f"got {gmin!r}")
 
 
 def old_saturation_metrics(spec, gmin, ks):

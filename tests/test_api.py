@@ -36,10 +36,17 @@ def test_each_name_is_declared_once():
     assert sorted(ucpscatter.__all__) == sorted(["__version__", *declared])
 
 
+# names the package root does not export, but a module may still define
+ROOT_ONLY = ["q_pochhammer", "TransferMatrix"]
+
+
 @pytest.mark.parametrize("name", ["barrier_matrix", "propagation_matrix", "BlochSequence",
-                                  "SegmentGeometry"])
+                                  "SegmentGeometry", *ROOT_ONLY])
 def test_test_references_and_wrappers_are_not_public(name):
-    # the plane-wave matrices are test references in tests/paper.py; bloch_sequence
-    # and build_segments return their tuples without a one-field wrapper
+    # the plane-wave matrices and q_pochhammer are test references in tests/paper.py;
+    # bloch_sequence and build_segments return their tuples without a one-field
+    # wrapper; scattering.TransferMatrix stays unexported while the benchmark's
+    # tracer wraps its __matmul__
     assert not hasattr(ucpscatter, name)
-    assert not any(hasattr(module, name) for module in MODULES)
+    if name not in ROOT_ONLY:
+        assert not any(hasattr(module, name) for module in MODULES)

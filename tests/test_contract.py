@@ -2,18 +2,23 @@
 one-line refusal, never in a traceback.
 
 cli.main is run on argv lists built from COMMANDS and _FLAGS, each flag given
-a valid, an edge or a garbage token; the library functions are given ints
-past the range of a double."""
+a valid, an edge or a garbage token; each number argument of the library
+functions is given an int past the range of a double and values that are not
+numbers."""
 
 import contextlib
 import io
 import re
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ucpscatter import (InvalidSpecError, UcpSpec, constant_area_height, fit_scaling,
-                        max_valid_stage, reflection_asymptote, transmission_spp)
+from ucpscatter import (InvalidSpecError, UcpSpec, bloch_sequence, constant_area_height,
+                        fit_scaling, max_valid_stage, reflection_asymptote, transmission_spp,
+                        transmission_ucp)
 from ucpscatter.cli import COMMANDS, _FLAGS, main
 
 # edge and garbage tokens that any flag may get
@@ -90,30 +95,52 @@ def test_main_exits_0_2_or_3_with_one_line_or_usage(argv, tmp_path, monkeypatch)
 
 
 B = 10**400  # an int past the largest double
-CANTOR = UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=1.0, G=4)
-PAST_A_DOUBLE = {
-    **{f"UcpSpec-{name}={sign}B": (InvalidSpecError, lambda name=name, sign=sign: UcpSpec(
-        **{"L": 5.0, "V": 25.0, "rho": 2.5, "alpha": 0.5, "beta": 1.0, "G": 4,
-           name: B if sign == "" else -B}))
-       for name, sign in [("L", ""), ("V", ""), ("V", "-"), ("rho", ""), ("alpha", ""),
-                          ("alpha", "-"), ("beta", ""), ("beta", "-")]},
-    "max_valid_stage-beta=-B": (InvalidSpecError, lambda: max_valid_stage(1, -B)),
-    "transmission_spp-V": (ValueError, lambda: transmission_spp(B, 1.0, [2], [3.0], 2.0)),
-    "transmission_spp-width": (ValueError, lambda: transmission_spp(25.0, B, [2], [3.0], 2.0)),
+FIELDS = dict(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=1.0, G=4)
+CANTOR = UcpSpec(**FIELDS)
+# each number argument covered: the refusal it must raise, and a call with its value x
+ARGUMENTS = {
+    **{f"UcpSpec-{name}": (InvalidSpecError, lambda x, name=name: UcpSpec(**{**FIELDS, name: x}))
+       for name in ("L", "V", "rho", "alpha", "beta")},
+    "max_valid_stage-beta": (InvalidSpecError, lambda x: max_valid_stage(1, x)),
+    "transmission_spp-V": (ValueError, lambda x: transmission_spp(x, 1.0, [2], [3.0], 2.0)),
+    "transmission_spp-width": (ValueError, lambda x: transmission_spp(25.0, x, [2], [3.0], 2.0)),
     "transmission_spp-spacing": (ValueError,
-                                 lambda: transmission_spp(25.0, 1.0, [2, 2], [3.0, B], 2.0)),
-    "transmission_spp-count": (ValueError, lambda: transmission_spp(25.0, 1.0, [B], [3.0], 2.0)),
-    "constant_area_height": (ValueError, lambda: constant_area_height(CANTOR, B)),
-    "reflection_asymptote": (ValueError, lambda: reflection_asymptote(CANTOR, B, 300.0)),
-    "fit_scaling-V0": (ValueError, lambda: fit_scaling(CANTOR, B, (50.0, 500.0), 60)),
-    "fit_scaling-kmax": (ValueError, lambda: fit_scaling(CANTOR, 10.0, (50.0, B), 60)),
+                                 lambda x: transmission_spp(25.0, 1.0, [2, 2], [3.0, x], 2.0)),
+    "transmission_spp-count": (ValueError, lambda x: transmission_spp(25.0, 1.0, [x], [3.0], 2.0)),
+    "constant_area_height": (ValueError, lambda x: constant_area_height(CANTOR, x)),
+    "reflection_asymptote": (ValueError, lambda x: reflection_asymptote(CANTOR, x, 300.0)),
+    "fit_scaling-V0": (ValueError, lambda x: fit_scaling(CANTOR, x, (50.0, 500.0), 60)),
+    # kmin = 0.5, so that a kmax of 5 is a valid window
+    "fit_scaling-kmax": (ValueError, lambda x: fit_scaling(CANTOR, 10.0, (0.5, x), 60)),
+}
+# what a number argument may not be, by id: none is read as a number
+NOT_NUMBERS = {"'5'": "5", "None": None, "1j": 1j, "[1.0]": [1.0], "Fraction(5)": Fraction(5),
+               "Decimal(5)": Decimal(5)}
+# id -> (argument, value)
+PAST_A_DOUBLE = {
+    **{f"{arg}={sign}B": (arg, -B if sign else B)
+       for arg, sign in [("UcpSpec-L", ""), ("UcpSpec-V", ""), ("UcpSpec-V", "-"),
+                         ("UcpSpec-rho", ""), ("UcpSpec-alpha", ""), ("UcpSpec-alpha", "-"),
+                         ("UcpSpec-beta", ""), ("UcpSpec-beta", "-"),
+                         ("max_valid_stage-beta", "-")]},
+    **{arg: (arg, B) for arg in ARGUMENTS if not arg.startswith(("UcpSpec", "max_valid"))},
+    **{f"{arg}={label}": (arg, x) for arg in ARGUMENTS for label, x in NOT_NUMBERS.items()},
 }
 
 
-@pytest.mark.parametrize("kind, call", PAST_A_DOUBLE.values(), ids=PAST_A_DOUBLE.keys())
-def test_an_int_past_a_double_is_refused_in_one_line(kind, call):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("arg, value", PAST_A_DOUBLE.values(), ids=PAST_A_DOUBLE.keys())
+def test_an_int_past_a_double_is_refused_in_one_line(arg, value):
+    kind, call = ARGUMENTS[arg]
     with pytest.raises(kind) as info:
-        call()
+        call(value)
+    assert "\n" not in str(info.value)
+
+
+def test_a_span_past_a_double_is_refused_in_one_line():
+    # each count and spacing fits a double, and the span they give does not
+    with pytest.raises(ValueError) as info:
+        transmission_spp(25.0, 1, [10**200, 2], [10**200, 3.0], 2.0)
     assert "\n" not in str(info.value)
 
 
@@ -122,3 +149,16 @@ def test_the_largest_double_as_an_int_is_still_read():
     top = int(1.7976931348623157e308)
     assert UcpSpec(L=top, V=-top, rho=top, alpha=1, beta=0, G=2).L == top
     assert max_valid_stage(top, -1) is not None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("number", [int, bool, np.int64, np.uint8, np.float32, np.float64,
+                                    np.array])
+def test_every_kind_of_real_number_is_read_as_its_float(number):
+    # fields and k of each kind give the results of their float values
+    spec = UcpSpec(L=number(2.3), V=number(1.7), rho=3 if number is bool else number(3.4),
+                   alpha=number(1.2), beta=number(0.6), G=3)
+    floats = UcpSpec(**{name: float(getattr(spec, name))
+                        for name in ("L", "V", "rho", "alpha", "beta")}, G=3)
+    for call in (transmission_ucp, bloch_sequence):
+        assert call(spec, number(2.6)) == call(floats, float(number(2.6)))

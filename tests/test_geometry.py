@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paper import gamma1, gamma2, removal_fraction, width_chain_loop
+from paper import gamma1, gamma2, q_pochhammer, removal_fraction, width_chain_loop
 from ucpscatter import (
     InvalidSpecError,
     UcpSpec,
@@ -18,7 +18,6 @@ from ucpscatter import (
     super_period,
 )
 from ucpscatter.geometry import _STAGE_CAP, _width_table
-from ucpscatter.special import q_pochhammer
 
 
 def cantor(L=1.0, rho=3.0, G=2, V=1.0):
@@ -143,10 +142,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match="finite"):
             UcpSpec(L=1, V=1, rho=3, alpha=alpha, beta=beta, G=2)
 
-    @pytest.mark.parametrize("G", [3.0, 2.5, "3"])
+    @pytest.mark.parametrize("G", [3.0, 2.5, "3", "4"])
     def test_rejects_non_integer_stage(self, G):
-        with pytest.raises(InvalidSpecError, match="integer"):
+        # the message shows a string as a string: got '4', not got 4
+        with pytest.raises(InvalidSpecError, match="integer") as info:
             UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=G)
+        assert str(info.value).endswith(f"got {G!r}")
 
 
 class TestSpecStageBound:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from ucpscatter import (
     OracleInfeasibleError,
-    TransferMatrix,
     UcpSpec,
     build_segments,
     region_sequence,
@@ -17,6 +16,7 @@ from ucpscatter import (
     transmission_ucp,
     transmission_ucp_arrays,
 )
+from ucpscatter.scattering import TransferMatrix
 from paper import assemble, barrier_matrix, barrier_terms, propagation_matrix, removal_fraction
 
 

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from ucpscatter import (
     UcpSpec,
     bloch_sequence,
     gap_length,
+    max_valid_stage,
     segment_length,
     super_period,
     transmission_oracle,
@@ -346,6 +348,15 @@ class TestTransmissionSpp:
         with pytest.raises(ValueError, match=f"spacing of order {len(ss)} must be finite"):
             transmission_spp(25.0, 2.0, [2] * len(ss), ss, 1.3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("number", [int, np.int64, np.float32, np.array])
+    def test_spans_are_doubles_of_any_number_type(self, number):
+        # spans were once formed in the type given: an np.int64 spacing wrapped
+        # (N - 1) s past 2**63, and an np.float32 width made every gap a float32
+        width, ss = number(1.5), [number(2.0**40), number(3.0e12)]
+        as_floats = transmission_spp(25.0, float(width), [2**40, 2], [float(s) for s in ss], 2.0)
+        assert transmission_spp(25.0, width, [2**40, 2], ss, 2.0) == as_floats
+
     def test_opaque_stack_keeps_its_digits(self):
         # 180 opaque barriers: the paper's Chebyshev factors overflow a double
         # and give log10 T = -inf; a 60-digit product gives -1142.32406637313722
@@ -422,23 +433,27 @@ def outcome(call, *args):
     V=st.tuples(st.floats(math.log(1e-2), math.log(1e4)).map(math.exp),
                 st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1]),
     rho=st.floats(1.2, 6.0),
-    family=st.sampled_from(SCALING_FAMILIES),
-    G=st.integers(0, 8),
+    # a family and a closed-form stage up to 39, within the family's stage bound
+    family_G=st.sampled_from(SCALING_FAMILIES).flatmap(
+        lambda f: st.tuples(st.just(f), st.integers(0, min(39, max_valid_stage(*f) or 39)))),
+    oracle_G=st.integers(0, 8),
     k=st.floats(math.log(1e-2), math.log(1e3)).map(math.exp),
     j=st.integers(-8, 8),
 )
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_scaling_leaves_every_result_bit_for_bit(L, V, rho, family, G, k, j):
+def test_scaling_leaves_every_result_bit_for_bit(L, V, rho, family_G, oracle_G, k, j):
     # (L, V, k) -> (2**j L, 4**-j V, 2**-j k) scales every width, gap and
     # sqrt|k**2 - V| exactly by a power of two, so every kappa w and k d, every
     # barrier term and every block is the same: T, R and log10 T of both
     # engines and every Bloch phase keep their bits.  The relation stops where
     # a width or |k**2 - V| is subnormal at either scale, and scaling rounds
-    # it; this domain stays far above that: every width and gap exceeds 1e-13,
-    # and k**2 and |V| exceed 1e-9, so a nonzero |k**2 - V| exceeds 1e-25
-    spec = UcpSpec(L=L, V=V, rho=rho, alpha=family[0], beta=family[1], G=G)
-    scaled = UcpSpec(L=math.ldexp(L, j), V=math.ldexp(V, -2 * j), rho=rho,
-                     alpha=family[0], beta=family[1], G=G)
-    k_scaled = math.ldexp(k, -j)
-    for call in (transmission_ucp, transmission_oracle, bloch_sequence):
-        assert outcome(call, spec, k) == outcome(call, scaled, k_scaled)
+    # it; this domain stays far above that: at G <= 39 every width and gap
+    # exceeds 1e-60, and k**2 and |V| exceed 1e-9, so a nonzero |k**2 - V|
+    # exceeds 1e-25.  The oracle lists 2**G barriers, so it runs at G <= 8
+    (alpha, beta), G = family_G
+    for call, stage in ((transmission_ucp, G), (bloch_sequence, G),
+                        (transmission_oracle, oracle_G)):
+        spec = UcpSpec(L=L, V=V, rho=rho, alpha=alpha, beta=beta, G=stage)
+        scaled = UcpSpec(L=math.ldexp(L, j), V=math.ldexp(V, -2 * j), rho=rho, alpha=alpha,
+                         beta=beta, G=stage)
+        assert outcome(call, spec, k) == outcome(call, scaled, math.ldexp(k, -j))

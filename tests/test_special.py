@@ -5,8 +5,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from paper import chebyshev_u
-from ucpscatter import q_pochhammer
+from paper import chebyshev_u, q_pochhammer
 
 
 class TestChebyshevU:

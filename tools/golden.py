@@ -206,7 +206,8 @@ def _library() -> dict[str, list]:
                                         (_spec(rng, 8), [2.0, 0.0, -1.0]))),
     ]:
         library[name].append(call)
-    return {**library, **_more_library(random.Random(20232))}
+    return {**library, **_more_library(random.Random(20232)),
+            "number-types": _number_types(random.Random(20233))}
 
 
 def _more_library(rng: random.Random) -> dict[str, list]:
@@ -254,6 +255,47 @@ def _more_library(rng: random.Random) -> dict[str, list]:
             (u.transmission_ucp_arrays, (opaque, [0.25, 0.5, 1.0])),
             (u.transmission_ucp_arrays, (opaque, [1.0, 1e-200]))],
     }
+
+
+def _number_types(rng: random.Random) -> list:
+    """Calls whose number arguments come as every type a number may be, from
+    their own seed: spec fields as ints, bools, np.int64, np.float32, np.float64
+    and 0-d arrays (G as an int or an np.int64), k as an int, an np.float32 and
+    a 0-d array.  The last call is refused."""
+    import numpy as np
+    import ucpscatter as u
+
+    integers = [round, lambda x: np.int64(round(x))]
+    types = [*integers, bool, np.float32, np.float64, np.array]
+    k_types = [round, np.float32, np.array, float]
+
+    def typed(x, lowest=None):
+        """x as a drawn type; a field with a lowest value is never a bool, and
+        an integer drawn for it is at least that."""
+        number = rng.choice(types if lowest is None else [t for t in types if t is not bool])
+        return max(number(x), lowest) if lowest and number in integers else number(x)
+
+    calls = []
+    for _ in range(24):
+        base = _spec(rng, 40)
+        alpha, beta = typed(base.alpha), typed(base.beta)
+        bound = u.max_valid_stage(alpha, beta)
+        G = rng.randint(0, 40 if bound is None else min(40, bound))
+        spec = u.UcpSpec(L=typed(base.L, lowest=1), V=typed(base.V), rho=typed(base.rho, lowest=2),
+                         alpha=alpha, beta=beta, G=G)
+        staged = dataclasses.replace(spec, G=rng.choice([int, np.int64])(spec.G))
+        k = rng.choice(k_types)(_ks(rng, 1)[0] * 10)
+        V, width, Ns, ss, k_spp = _spp_call(rng)
+        # never an np.float32 width: spans formed in float32 differ from spans formed
+        # as doubles, and this line compares trees that form them either way
+        width = rng.choice([np.float64, np.array, lambda w: max(1, round(w))])(width)
+        calls += [(u.max_valid_stage, (alpha, beta)),
+                  (u.transmission_ucp, (staged, k)),
+                  (u.bloch_sequence, (staged, k)),
+                  (u.transmission_ucp_arrays, ([staged, base], [k, rng.choice(k_types)(2.5)])),
+                  (u.constant_area_height, (spec, rng.choice([10 ** rng.uniform(-1, 2), 3]))),
+                  (u.transmission_spp, (typed(V), width, Ns, ss, k_spp))]
+    return [*calls, (u.max_valid_stage, (np.int64(0), False))]
 
 
 def _hexes(result) -> list[str]:
