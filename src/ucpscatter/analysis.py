@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, _real, _WidthTable, segment_length
-from .scattering import (_k_array, _log_k_grid, _require_k_window, _require_positive_k,
+from .geometry import UcpSpec, _integer, _real, _WidthTable, segment_length
+from .scattering import (_k_array, _listed, _log_k_grid, _require_k_window, _require_positive_k,
                          _transmission_table, bloch_sequence, transmission_ucp_arrays)
 
 __all__ = [
@@ -67,7 +66,7 @@ def constant_area_height(spec: UcpSpec, V0: float) -> float:
     l_G = segment_length(spec, spec.G)
     if l_G == 0.0:
         raise ValueError(f"barrier width l_G underflows a double at G={spec.G}")
-    height = spec.L * v0 / math.ldexp(l_G, int(spec.G))  # 2**G l_G <= L fits a double
+    height = spec.L * v0 / math.ldexp(l_G, spec.G)  # 2**G l_G <= L fits a double
     if not math.isfinite(height):
         raise ValueError(f"constant-area height overflows a double at G={spec.G}")
     return height
@@ -92,7 +91,7 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
         prod *= w * w
     try:
         # 4**G (v_g l_g / 2)**2
-        asymptote = math.ldexp(v_g * l_g / 2.0, int(spec.G)) ** 2 / (k * k) * prod
+        asymptote = math.ldexp(v_g * l_g / 2.0, spec.G) ** 2 / (k * k) * prod
     except OverflowError:
         asymptote = math.inf
     if not math.isfinite(asymptote):
@@ -124,10 +123,9 @@ def fit_scaling(
     (R below 1e-3 times the rolling median) are excluded; the expected slope
     in the Born regime is -2.
     """
-    k_min, k_max = k_window
+    k_min, k_max = _listed(k_window, "k_window")
     _require_k_window(k_min, k_max)
-    if not isinstance(n_points, numbers.Integral):
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
+    n_points = _integer(n_points, "n_points")
     if n_points < 50:
         raise ValueError(f"n_points must be >= 50, got {n_points}")
     scaled = dataclasses.replace(spec, V=constant_area_height(spec, V0))
@@ -139,22 +137,14 @@ def fit_scaling(
     keep = refl >= _RESONANCE_FACTOR * _rolling_median(refl, _MEDIAN_WINDOW)
     ks, refl = ks[keep], refl[keep]
     if len(ks) < 10:
-        raise ValueError(
-            f"only {len(ks)} points survive resonance filtering; cannot fit"
-        )
-    x = np.log10(ks)
-    y = np.log10(refl)
+        raise ValueError(f"only {len(ks)} points survive resonance filtering; cannot fit")
+    x, y = np.log10(ks), np.log10(refl)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
-    return ScalingFit(
-        k_window=(k_min, k_max),
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
-        n_used=len(ks),
-    )
+    return ScalingFit(k_window=(k_min, k_max), slope=float(slope), intercept=float(intercept),
+                      r_squared=r_squared, n_used=len(ks))
 
 
 def saturation_scan(spec: UcpSpec, gmin: int, k_grid: Sequence[float]) -> SaturationReport:
@@ -166,15 +156,16 @@ def saturation_scan(spec: UcpSpec, gmin: int, k_grid: Sequence[float]) -> Satura
     view of that one column.  None is built past the first whose l_g is 0: it
     raises the first bad point's error, and no later stage can be reached.
     """
-    if not (isinstance(gmin, numbers.Integral) and 0 <= gmin < spec.G):
+    gmin = _integer(gmin, "gmin")
+    if not 0 <= gmin < spec.G:
         raise ValueError(f"need an integer gmin with 0 <= gmin < G={spec.G}, got {gmin!r}")
     ks = _k_array(k_grid)
     if not ks.size:
         raise ValueError("need at least one k to compare the stages at")
     widths, gaps, (built,) = spec.width_chain  # built: G, or the first stage whose l_g is 0
-    g = np.arange(gmin, min(spec.G, max(gmin, built)) + 1)
-    table = _WidthTable(*(np.broadcast_to(x, (len(x), g.size)) for x in (widths, gaps)),
-                        np.minimum(g, built))
-    profiles = _transmission_table(table, np.full(g.size, spec.V, dtype=float), ks)[2]
+    # every width from stage built on is 0: a gmin at or past it scans built alone, and raises
+    g = np.arange(min(gmin, built), built + 1)
+    table = _WidthTable(*(np.broadcast_to(x, (len(x), g.size)) for x in (widths, gaps)), g)
+    profiles = _transmission_table(table, np.full(g.size, spec.V), ks)[2]
     metrics = np.abs(np.diff(profiles, axis=0)).max(axis=1)
     return SaturationReport(stages=tuple(g[:-1].tolist()), metrics=tuple(metrics.tolist()))

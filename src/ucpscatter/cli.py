@@ -76,18 +76,12 @@ def _load_config(path: str) -> dict:
         text = fh.read()
     try:
         data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("config JSON must be an object")
-        return data
-    except json.JSONDecodeError:
-        pass
-    data = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        data[key.strip()] = value.strip()
+    except json.JSONDecodeError:  # key=value lines; blank and '#' lines are skipped
+        lines = [line.strip() for line in text.splitlines()]
+        pairs = (line.partition("=") for line in lines if line and not line.startswith("#"))
+        return {key.strip(): value.strip() for key, _, value in pairs}
+    if not isinstance(data, dict):
+        raise ValueError("config JSON must be an object")
     return data
 
 
@@ -129,8 +123,7 @@ def _k_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _spec_header(spec: UcpSpec) -> list[str]:
-    names = ("L", "V", "rho", "alpha", "beta")
-    return [f"# {name}={_fmt(getattr(spec, name))}" for name in names] + [f"# G={spec.G}"]
+    return [f"# {name}={_fmt(getattr(spec, name))}" for name in _SPEC] + [f"# G={spec.G}"]
 
 
 def cmd_transmission(args: argparse.Namespace) -> list[str]:
@@ -172,13 +165,12 @@ def _parse_range(text: str, name: str) -> np.ndarray:
 
 
 def _grid_axis(args: argparse.Namespace, name: str) -> np.ndarray:
-    rng = getattr(args, f"{name}_range")
-    fixed = getattr(args, name)
+    rng, fixed = getattr(args, f"{name}_range"), getattr(args, name)
     if rng is not None:
         return _parse_range(rng, name)
-    if fixed is not None:
-        return np.array([fixed])
-    raise ValueError(f"provide --{name} or --{name}-range")
+    if fixed is None:
+        raise ValueError(f"provide --{name} or --{name}-range")
+    return np.array([fixed])
 
 
 def _is_valid(args: argparse.Namespace, rho: float, alpha: float, beta: float) -> bool:
@@ -192,9 +184,7 @@ def _is_valid(args: argparse.Namespace, rho: float, alpha: float, beta: float) -
 
 def cmd_grid(args: argparse.Namespace) -> list[str]:
     _require(args, ["L", "V", "G", "k"])
-    alphas = _grid_axis(args, "alpha")
-    betas = _grid_axis(args, "beta")
-    rhos = _grid_axis(args, "rho")
+    alphas, betas, rhos = (_grid_axis(args, name) for name in ("alpha", "beta", "rho"))
     ks = [float(t) for t in str(args.k).split(",")]
     # L, V, G and k are the same at every point of the cube: a bad one is bad
     # input, checked once (L, V and G on a Cantor spec, valid at any stage)
@@ -227,11 +217,8 @@ def cmd_grid(args: argparse.Namespace) -> list[str]:
 
 def cmd_geometry(args: argparse.Namespace) -> list[str]:
     spec = _build_spec(args)
-    lines = _spec_header(spec)
-    lines.append("index,offset,width")
-    for i, (off, w) in enumerate(build_segments(spec)):
-        lines.append(f"{i},{_fmt(off)},{_fmt(w)}")
-    return lines
+    return [*_spec_header(spec), "index,offset,width",
+            *(f"{i},{_fmt(off)},{_fmt(w)}" for i, (off, w) in enumerate(build_segments(spec)))]
 
 
 def cmd_scaling(args: argparse.Namespace) -> list[str]:

@@ -17,7 +17,6 @@ list and the closed form's one-point call.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -54,8 +53,9 @@ class OracleInfeasibleError(RuntimeError):
     """Raised when the requested stage has too many barriers to enumerate."""
 
 
-# the dtype kinds read as real numbers: bool, signed and unsigned integer, and float
-_REAL_KINDS = "biuf"
+# the dtype kinds read as integers (bool, signed and unsigned integer) and as reals
+_INTEGER_KINDS = "biu"
+_REAL_KINDS = _INTEGER_KINDS + "f"
 
 
 def _real(value, name: str) -> float:
@@ -73,6 +73,16 @@ def _real(value, name: str) -> float:
         except OverflowError:  # an int past the largest double
             raise InvalidSpecError(f"{name} must fit a double") from None
     raise InvalidSpecError(f"{name} must be a real number, got {type(value).__name__}")
+
+
+def _integer(value, name: str) -> int:
+    """The integer argument name as an int: a bool, an int, or a numpy scalar
+    or 0-d array of a kind in _INTEGER_KINDS.  Anything else (2.0 too) raises
+    InvalidSpecError: one line that names it and shows the value's repr."""
+    if isinstance(value, int) or (isinstance(value, (np.generic, np.ndarray))
+                                  and value.ndim == 0 and value.dtype.kind in _INTEGER_KINDS):
+        return int(value)
+    raise InvalidSpecError(f"{name} must be an integer, got {' '.join(repr(value).split())}")
 
 
 class _WidthTable(NamedTuple):
@@ -96,14 +106,13 @@ def _width_table(L: np.ndarray, rho: np.ndarray, alpha: np.ndarray, beta: np.nda
     column's own G its exponents are 0, so no power overflows, and its widths
     there are 0.
     """
-    L, alpha, beta = (np.asarray(x, dtype=float) for x in (L, alpha, beta))
+    L, rho, alpha, beta = map(np.asarray, (L, rho, alpha, beta))
     caps = [min(g, _STAGE_CAP) for g in G]
     g = np.arange(1.0, max(caps, default=0) + 1.0)[:, None]
     stages = np.array(caps, dtype=np.int64)
     with np.errstate(over="ignore"):  # beta * g overflows to +-inf, as in Python
         exponents = np.where(g > stages, 0.0, -(alpha + beta * g))
-    fractions = np.fromiter(map(operator.pow, np.asarray(rho, dtype=float).tolist() * g.size,
-                                exponents.ravel().tolist()),
+    fractions = np.fromiter(map(operator.pow, rho.tolist() * g.size, exponents.ravel().tolist()),
                             float, exponents.size).reshape(exponents.shape)
     # w_g = w_{g-1} (1 - f_g) / 2 at every stage, as one running product of
     # L, 1 - f_1, 1/2, 1 - f_2, 1/2, ..., whose steps round as the recursion's
@@ -125,6 +134,9 @@ class UcpSpec:
     alpha -- removal exponent offset
     beta  -- removal exponent slope
     G     -- stage (recursion depth), >= 0
+
+    It holds what it read: L, V, rho, alpha and beta as floats (see _real)
+    and G as an int (see _integer), so UcpSpec(L=5, ...).L is 5.0.
     """
 
     L: float
@@ -142,15 +154,16 @@ class UcpSpec:
             raise InvalidSpecError(f"V must be finite, got {self.V}")
         if not 1.0 < rho < math.inf:
             raise InvalidSpecError(f"rho must be > 1, got {self.rho}")
-        bound = max_valid_stage(self.alpha, self.beta)  # rejects non-finite and 0, 0
-        if not isinstance(self.G, numbers.Integral) or self.G < 0:
+        alpha, beta = _real(self.alpha, "alpha"), _real(self.beta, "beta")
+        bound = max_valid_stage(alpha, beta)  # rejects non-finite and 0, 0 before G is read
+        G = _integer(self.G, "G")
+        if G < 0:
             raise InvalidSpecError(f"G must be a non-negative integer, got {self.G!r}")
-        if bound is not None and self.G > bound:
-            raise InvalidSpecError(
-                f"alpha + beta*G <= 0 at stage g={bound + 1} "
-                f"(alpha={self.alpha}, beta={self.beta}): "
-                "the removal fraction reaches 1 and the geometry degenerates"
-            )
+        if bound is not None and G > bound:
+            raise InvalidSpecError(f"alpha + beta*G <= 0 at stage g={bound + 1} "
+                                   f"(alpha={self.alpha}, beta={self.beta}): "
+                                   "the removal fraction reaches 1 and the geometry degenerates")
+        vars(self).update(L=L, V=V, rho=rho, alpha=alpha, beta=beta, G=G)  # frozen: no setattr
 
     @cached_property
     def width_chain(self) -> _WidthTable:
@@ -161,24 +174,25 @@ class UcpSpec:
         return _width_table([self.L], [self.rho], [self.alpha], [self.beta], [self.G])
 
 
-def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> None:
-    if not isinstance(g, numbers.Integral):
-        raise InvalidSpecError(f"stage index must be an integer, got {g!r}")
+def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> int:
+    """The stage index g as an int in [lowest, spec.G]."""
+    g = _integer(g, "stage index")
     if not (lowest <= g <= spec.G):
         raise InvalidSpecError(f"stage index {g} outside [{lowest}, {spec.G}]")
+    return g
 
 
 def segment_length(spec: UcpSpec, g: int) -> float:
     """Length l_g = w_g of each of the 2**g barrier segments at stage g,
     (L / 2**g) * prod_{j=1..g} (1 - rho**-(alpha + beta*j))."""
-    _check_stage(spec, g)
+    g = _check_stage(spec, g)
     widths = spec.width_chain.widths
-    return float(widths[operator.index(g), 0]) if g < len(widths) else 0.0
+    return float(widths[g, 0]) if g < len(widths) else 0.0
 
 
 def gap_length(spec: UcpSpec, g: int) -> float:
     """Gap d_g opened at stage g: l_{g-1} * rho**-(alpha + beta*g)."""
-    _check_stage(spec, g, lowest=1)
+    g = _check_stage(spec, g, lowest=1)
     gaps = spec.width_chain.gaps
     return float(gaps[g - 1, 0]) if g <= len(gaps) else 0.0
 
@@ -190,8 +204,7 @@ def super_period(spec: UcpSpec, f: int) -> float:
           * prod_{j=1..G-f} (1 - rho**-(alpha + beta*j)),
     taken as l_m + d_m with m = G+1-f.
     """
-    _check_stage(spec, f, lowest=1)
-    m = spec.G + 1 - f
+    m = spec.G + 1 - _check_stage(spec, f, lowest=1)
     return segment_length(spec, m) + gap_length(spec, m)
 
 
@@ -234,11 +247,11 @@ def max_valid_stage(alpha: float, beta: float) -> int | None:
     point too: galloping and bisection find the bound in O(log G) steps.
     Raises InvalidSpecError when either is not a number (see _real) or not
     finite (every comparison with NaN is false, so a NaN would pass as
-    unbounded), or when both are 0.  The search runs on alpha and beta as
-    given, in exact int arithmetic where both are ints.
+    unbounded), or when both are 0.  It searches on their doubles, whatever
+    their type, as the width table forms its exponents.
     """
-    a, b = _real(alpha, "alpha"), _real(beta, "beta")
-    if not (math.isfinite(a) and math.isfinite(b)):
+    alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise InvalidSpecError(f"alpha and beta must be finite, got {alpha}, {beta}")
     if alpha == 0.0 and beta == 0.0:
         raise InvalidSpecError("alpha and beta cannot both be zero")

@@ -39,13 +39,12 @@ for numpy's changes bits, and the bit-identity tests fail.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import _REAL_KINDS, UcpSpec, _real, _WidthTable, _width_table
+from .geometry import _REAL_KINDS, UcpSpec, _integer, _real, _WidthTable, _width_table
 
 __all__ = [
     "ScatterResult",
@@ -131,6 +130,14 @@ def _require_k_window(k_min: float, k_max: float) -> None:
     lo, hi = _real(k_min, "kmin"), _real(k_max, "kmax")
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"need 0 < kmin < kmax < inf, got kmin={k_min}, kmax={k_max}")
+
+
+def _listed(values, name: str) -> list:
+    """The container argument name as a list, or one ValueError line if it is no container."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}") from None
 
 
 def _k_array(ks: Sequence[float]) -> np.ndarray:
@@ -294,7 +301,7 @@ def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
 
     One point of transmission_ucp_arrays; pass every spec and k there for speed.
     """
-    results = _transmission_table(spec.width_chain, [float(spec.V)], [k])
+    results = _transmission_table(spec.width_chain, [spec.V], [k])
     return ScatterResult(*(x.item() for x in results))
 
 
@@ -470,19 +477,21 @@ def transmission_spp(
     form (see _repetition); with Ns all 2 and ss the super-periods it is the
     stage-g system.  V must be finite, width positive and finite, repetition
     counts integers >= 1 and spacings finite.  V, the width and the spacings
-    are read as doubles (see geometry._real), and a count must fit one.
+    are read as doubles and each count as an int that fits one (see geometry).
     """
     height, w = _real(V, "V"), _real(width, "width")
     if not math.isfinite(height):
         raise ValueError(f"V must be finite, got {V}")
     if not 0.0 < w < math.inf:
         raise ValueError(f"width must be positive and finite, got {width}")
+    Ns, ss = _listed(Ns, "Ns"), _listed(ss, "ss")
     if len(Ns) != len(ss):
         raise ValueError(f"len(Ns)={len(Ns)} and len(ss)={len(ss)} must match")
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in Ns):
-        raise ValueError(f"repetition counts must be integers >= 1, got {list(Ns)}")
+    counts = [_integer(n, f"repetition count of order {f}") for f, n in enumerate(Ns, 1)]
+    if not all(n >= 1 for n in counts):
+        raise ValueError(f"repetition counts must be integers >= 1, got {Ns}")
     orders, span = [], w
-    for f, (n, s) in enumerate(zip(Ns, ss), 1):
+    for f, (n, s) in enumerate(zip(counts, ss), 1):
         _real(n, f"repetition count of order {f}")
         s_f = _real(s, f"spacing of order {f}")
         if not math.isfinite(s_f):

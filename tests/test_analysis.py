@@ -328,10 +328,11 @@ def test_saturation_scan_is_the_scan_of_one_spec_per_stage_bit_for_bit(case):
 
 
 @pytest.mark.parametrize("gmin, gmax", [(3, 1077), (3, 1200), (1076, 1078), (1100, 1200),
-                                        (3000, 3001)])
+                                        (3000, 3001), (2**63 - 1, 2**63), (10**23, 10**23 + 1)])
 def test_a_scan_past_the_first_zero_width_raises_the_same_first_error(gmin, gmax):
-    # l_g underflows to 0 first at g = 1077 here: gmin below, at and past it, and
-    # past the last stage any width table builds (2099)
+    # l_g underflows to 0 first at g = 1077 here: gmin below, at and past it, past
+    # the last stage any width table builds (2099), and past an int64 (which
+    # ended in an IndexError)
     spec = UcpSpec(L=5.0, V=25.0, rho=2.5, alpha=0.5, beta=1.0, G=gmax)
     assert spec.width_chain.stages.tolist() == [1077]
     ks = np.linspace(0.5, 10.0, 10)

@@ -4,7 +4,8 @@ one-line refusal, never in a traceback.
 cli.main is run on argv lists built from COMMANDS and _FLAGS, each flag given
 a valid, an edge or a garbage token; each number argument of the library
 functions is given an int past the range of a double and values that are not
-numbers."""
+numbers, each integer argument every kind of integer and values that are not
+integers, and each container argument values that hold no numbers."""
 
 import contextlib
 import io
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ucpscatter import (InvalidSpecError, UcpSpec, bloch_sequence, constant_area_height,
-                        fit_scaling, max_valid_stage, reflection_asymptote, transmission_spp,
+                        fit_scaling, gap_length, max_valid_stage, reflection_asymptote,
+                        saturation_scan, segment_length, super_period, transmission_spp,
                         transmission_ucp)
 from ucpscatter.cli import COMMANDS, _FLAGS, main
 
@@ -137,6 +139,71 @@ def test_an_int_past_a_double_is_refused_in_one_line(arg, value):
     assert "\n" not in str(info.value)
 
 
+# each integer argument covered: a call with its value x, the name its refusal
+# gives, and an int it accepts
+INTEGERS = {
+    "UcpSpec-G": (lambda x: UcpSpec(**{**FIELDS, "G": x}), "G", 2),
+    "segment_length": (lambda x: segment_length(CANTOR, x), "stage index", 2),
+    "gap_length": (lambda x: gap_length(CANTOR, x), "stage index", 2),
+    "super_period": (lambda x: super_period(CANTOR, x), "stage index", 2),
+    "saturation_scan-gmin": (lambda x: saturation_scan(CANTOR, x, [1.0, 2.0]), "gmin", 2),
+    "transmission_spp-count": (lambda x: transmission_spp(25.0, 1.0, [x], [3.0], 2.0),
+                               "repetition count of order 1", 2),
+    "fit_scaling-n_points": (lambda x: fit_scaling(CANTOR, 10.0, (50.0, 500.0), x),
+                             "n_points", 60),
+}
+# what an integer argument may not be, by id: none is read as an integer
+NOT_INTEGERS = {"2.0": 2.0, "'2'": "2", "None": None, "Fraction(2)": Fraction(2),
+                "np.array([2])": np.array([2])}
+
+
+def outcome(call, x):
+    """call(x), or the type and text of the ValueError it raises."""
+    try:
+        return call(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [lambda n: np.True_, np.uint8, np.array],
+                         ids=["np.True_", "np.uint8", "np.array"])
+@pytest.mark.parametrize("arg", INTEGERS)
+def test_every_kind_of_integer_is_read_as_its_int(arg, kind):
+    # np.True_ is 1, which n_points refuses as it refuses 1
+    call, _, n = INTEGERS[arg]
+    value = kind(n)
+    assert outcome(call, value) == outcome(call, int(value))
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+@pytest.mark.parametrize("arg", INTEGERS)
+def test_a_non_integer_is_refused_by_name_in_one_line(arg, value):
+    call, name, _ = INTEGERS[arg]
+    with pytest.raises(InvalidSpecError) as info:
+        call(value)
+    assert str(info.value).startswith(f"{name} must be an integer, got ")
+    assert "\n" not in str(info.value)
+
+
+# each container argument covered: a call with its value x
+CONTAINERS = {
+    "Ns": lambda x: transmission_spp(25.0, 1.0, x, [3.0], 2.0),
+    "ss": lambda x: transmission_spp(25.0, 1.0, [2], x, 2.0),
+    "k_window": lambda x: fit_scaling(CANTOR, 10.0, x, 60),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [None, 5.0, np.array(2.0)], ids=["None", "5.0", "np.array(2.0)"])
+@pytest.mark.parametrize("arg", CONTAINERS)
+def test_a_container_of_no_numbers_is_refused_by_name_in_one_line(arg, value):
+    with pytest.raises(ValueError) as info:
+        CONTAINERS[arg](value)
+    assert str(info.value).startswith(f"{arg} must be a sequence of numbers, got ")
+    assert "\n" not in str(info.value)
+
+
 def test_a_span_past_a_double_is_refused_in_one_line():
     # each count and spacing fits a double, and the span they give does not
     with pytest.raises(ValueError) as info:
@@ -162,3 +229,26 @@ def test_every_kind_of_real_number_is_read_as_its_float(number):
                         for name in ("L", "V", "rho", "alpha", "beta")}, G=3)
     for call in (transmission_ucp, bloch_sequence):
         assert call(spec, number(2.6)) == call(floats, float(number(2.6)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("integer", [int, bool, np.int64, np.uint8, np.array])
+@pytest.mark.parametrize("number", [int, bool, np.int64, np.uint8, np.float32, np.float64,
+                                    np.array])
+def test_a_spec_holds_floats_and_an_int(number, integer):
+    spec = UcpSpec(L=number(2.3), V=number(1.7), rho=3 if number is bool else number(3.4),
+                   alpha=number(1.2), beta=number(0.6), G=integer(1))
+    assert all(type(getattr(spec, name)) is float for name in ("L", "V", "rho", "alpha", "beta"))
+    assert type(spec.G) is int and spec.G == 1
+
+
+def test_the_stage_bound_and_the_constant_area_height_are_computed_in_doubles():
+    # float32 arithmetic gave 12889036 and float32 23.625; exact int arithmetic
+    # gave 10**17 - 1, where 10**17 - g > 0 in doubles up to g = 10**17 - 9
+    alpha, beta = np.float32(5.1317215), np.float32(-3.9814623e-07)
+    assert max_valid_stage(alpha, beta) == max_valid_stage(float(alpha), float(beta)) == 12889037
+    assert max_valid_stage(10**17, -1) == 99999999999999991
+    L = np.float32(3.3)
+    heights = [constant_area_height(UcpSpec(L=x, V=25, rho=3, alpha=1, beta=0, G=3), 7.0)
+               for x in (L, float(L))]
+    assert heights == [23.624999999999993] * 2 and type(heights[0]) is float

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -339,7 +340,10 @@ class TestTransmissionSpp:
 
     @pytest.mark.parametrize("Ns", [[2.0], [2.5], ["2"], [None], [-1], [3, 0]])
     def test_counts_must_be_integers_of_at_least_one(self, Ns):
-        with pytest.raises(ValueError, match="integers >= 1"):
+        # a count that is no integer is refused by its order, one below 1 with the list
+        integers = all(type(n) is int for n in Ns)
+        message = "integers >= 1" if integers else "repetition count of order 1 must be an integer"
+        with pytest.raises(ValueError, match=message):
             transmission_spp(5.0, 1.0, Ns, [1.0] * len(Ns), 1.0)
 
     @pytest.mark.parametrize("ss", [[math.nan], [1.0, math.inf], [2.0, -math.inf]])
@@ -428,7 +432,8 @@ def outcome(call, *args):
     return tuple(float(x).hex() for x in result)
 
 
-@given(
+# the domain of the reference-free relations below
+RELATION_DOMAIN = dict(
     L=st.floats(0.1, 100.0),
     V=st.tuples(st.floats(math.log(1e-2), math.log(1e4)).map(math.exp),
                 st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1]),
@@ -436,10 +441,11 @@ def outcome(call, *args):
     # a family and a closed-form stage up to 39, within the family's stage bound
     family_G=st.sampled_from(SCALING_FAMILIES).flatmap(
         lambda f: st.tuples(st.just(f), st.integers(0, min(39, max_valid_stage(*f) or 39)))),
-    oracle_G=st.integers(0, 8),
     k=st.floats(math.log(1e-2), math.log(1e3)).map(math.exp),
-    j=st.integers(-8, 8),
 )
+
+
+@given(**RELATION_DOMAIN, oracle_G=st.integers(0, 8), j=st.integers(-8, 8))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_scaling_leaves_every_result_bit_for_bit(L, V, rho, family_G, oracle_G, k, j):
     # (L, V, k) -> (2**j L, 4**-j V, 2**-j k) scales every width, gap and
@@ -457,3 +463,25 @@ def test_scaling_leaves_every_result_bit_for_bit(L, V, rho, family_G, oracle_G, 
         scaled = UcpSpec(L=math.ldexp(L, j), V=math.ldexp(V, -2 * j), rho=rho, alpha=alpha,
                          beta=beta, G=stage)
         assert outcome(call, spec, k) == outcome(call, scaled, math.ldexp(k, -j))
+
+
+@given(**RELATION_DOMAIN)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_N_2_at_the_super_periods_is_the_closed_form(L, V, rho, family_G, k):
+    # transmission_spp runs the closed form's kernel, but forms each gap as
+    # s_f - width_{f-1} from super_period's spacings rather than reading d_g
+    # from the width table, so the two agree to rounding, not bit for bit.
+    # Near a reflection zero log10 T ~ -R/ln 10 is tiny while the rounding's
+    # shift of m12 is not, so the relative difference peaks there: 40000
+    # uniform draws of this domain gave at most 5.9e-8, and the bound is 1e-6
+    (alpha, beta), G = family_G
+    spec = UcpSpec(L=L, V=V, rho=rho, alpha=alpha, beta=beta, G=G)
+    ss = [super_period(spec, f) for f in range(1, G + 1)]
+    generic = functools.partial(transmission_spp, V, segment_length(spec, G), [2] * G, ss, k)
+    try:
+        want = transmission_ucp(spec, k).log10_transmission
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            generic()
+        return
+    assert generic().log10_transmission == pytest.approx(want, rel=1e-6, abs=0)

@@ -257,11 +257,19 @@ def _more_library(rng: random.Random) -> dict[str, list]:
     }
 
 
+def _staged(function, spec, G, *args):
+    """function(spec at stage G, *args), the spec built in the call, so that a
+    source tree that refuses G's type refuses this call and no other."""
+    return function(dataclasses.replace(spec, G=G), *args)
+
+
 def _number_types(rng: random.Random) -> list:
     """Calls whose number arguments come as every type a number may be, from
     their own seed: spec fields as ints, bools, np.int64, np.float32, np.float64
-    and 0-d arrays (G as an int or an np.int64), k as an int, an np.float32 and
-    a 0-d array.  The last call is refused."""
+    and 0-d arrays (G as an int, an np.int64, an np.uint8 or a 0-d int array),
+    k as an int, an np.float32 and a 0-d array, and the width of
+    transmission_spp as an int, an np.float32, an np.float64 or a 0-d array.
+    The last call is refused."""
     import numpy as np
     import ucpscatter as u
 
@@ -283,16 +291,14 @@ def _number_types(rng: random.Random) -> list:
         G = rng.randint(0, 40 if bound is None else min(40, bound))
         spec = u.UcpSpec(L=typed(base.L, lowest=1), V=typed(base.V), rho=typed(base.rho, lowest=2),
                          alpha=alpha, beta=beta, G=G)
-        staged = dataclasses.replace(spec, G=rng.choice([int, np.int64])(spec.G))
+        stage = rng.choice([int, np.int64, np.uint8, np.array])(spec.G)
         k = rng.choice(k_types)(_ks(rng, 1)[0] * 10)
         V, width, Ns, ss, k_spp = _spp_call(rng)
-        # never an np.float32 width: spans formed in float32 differ from spans formed
-        # as doubles, and this line compares trees that form them either way
-        width = rng.choice([np.float64, np.array, lambda w: max(1, round(w))])(width)
+        width = rng.choice([np.float32, np.float64, np.array, lambda w: max(1, round(w))])(width)
         calls += [(u.max_valid_stage, (alpha, beta)),
-                  (u.transmission_ucp, (staged, k)),
-                  (u.bloch_sequence, (staged, k)),
-                  (u.transmission_ucp_arrays, ([staged, base], [k, rng.choice(k_types)(2.5)])),
+                  (_staged, (u.transmission_ucp, spec, stage, k)),
+                  (_staged, (u.bloch_sequence, spec, stage, k)),
+                  (u.transmission_ucp_arrays, ([spec, base], [k, rng.choice(k_types)(2.5)])),
                   (u.constant_area_height, (spec, rng.choice([10 ** rng.uniform(-1, 2), 3]))),
                   (u.transmission_spp, (typed(V), width, Ns, ss, k_spp))]
     return [*calls, (u.max_valid_stage, (np.int64(0), False))]
