@@ -10,9 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, _integer, _real, _WidthTable, segment_length
-from .scattering import (_k_array, _listed, _log_k_grid, _require_k_window, _require_positive_k,
-                         _transmission_table, bloch_sequence, transmission_ucp_arrays)
+from .geometry import UcpSpec, _integer, _real, _spec, _WidthTable, segment_length
+from .scattering import (_k_array, _listed, _log_k_grid, _require_grid_size, _require_k_window,
+                         _require_positive_k, _transmission_table, bloch_sequence,
+                         transmission_ucp_arrays)
 
 __all__ = [
     "ScalingFit",
@@ -60,7 +61,7 @@ def constant_area_height(spec: UcpSpec, V0: float) -> float:
     V0 is read as a float (see geometry._real).  Raises ValueError where
     l_G or V_G does not fit a double.
     """
-    v0 = _real(V0, "V0")
+    spec, v0 = _spec(spec), _real(V0, "V0")
     if not v0 > 0.0:
         raise ValueError(f"V0 must be positive, got {V0}")
     l_G = segment_length(spec, spec.G)
@@ -79,7 +80,7 @@ def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
     phases evaluated at the constant-area height V_G.  Valid only for
     V_G / k**2 < 0.1; used for comparison against the exact reflection.
     """
-    k = _k_array([k]).item()
+    spec, k = _spec(spec), _k_array([k]).item()
     _require_positive_k(k)
     v_g = constant_area_height(spec, V0)
     ratio = v_g / (k * k) if k * k > 0.0 else math.inf  # k * k can underflow
@@ -123,11 +124,13 @@ def fit_scaling(
     (R below 1e-3 times the rolling median) are excluded; the expected slope
     in the Born regime is -2.
     """
+    spec = _spec(spec)
     k_min, k_max = _listed(k_window, "k_window")
     _require_k_window(k_min, k_max)
     n_points = _integer(n_points, "n_points")
     if n_points < 50:
         raise ValueError(f"n_points must be >= 50, got {n_points}")
+    _require_grid_size(n_points, "n_points")
     scaled = dataclasses.replace(spec, V=constant_area_height(spec, V0))
     ks = _log_k_grid(k_min, k_max, n_points)
     refl = transmission_ucp_arrays([scaled], ks)[1][0]
@@ -156,7 +159,7 @@ def saturation_scan(spec: UcpSpec, gmin: int, k_grid: Sequence[float]) -> Satura
     view of that one column.  None is built past the first whose l_g is 0: it
     raises the first bad point's error, and no later stage can be reached.
     """
-    gmin = _integer(gmin, "gmin")
+    spec, gmin = _spec(spec), _integer(gmin, "gmin")
     if not 0 <= gmin < spec.G:
         raise ValueError(f"need an integer gmin with 0 <= gmin < G={spec.G}, got {gmin!r}")
     ks = _k_array(k_grid)

@@ -2,8 +2,11 @@
 dumps, and analysis reports as CSV/JSON for external plotting.
 
 Every flag's type (or choices) and help are stated once, in _FLAGS, and each
-command's flags in COMMANDS: the parser, main's reading of values that start
-with '-' and a config file's check read both.
+command's flags in COMMANDS: the parser, main's own reading of a command line
+and a config file's check read both.  main reads a well-formed command line
+itself (the command name, then only its flags, each spelled in full with one
+value), without building a parser; argparse reads every other one and writes
+every help, version and usage-error byte.
 
 Exit codes: 0 success, 2 invalid input (spec, options or config, or an
 option sizing an array too large to allocate), 3 stage above the cap for
@@ -26,8 +29,8 @@ from .analysis import fit_scaling, saturation_scan
 from .geometry import (InvalidSpecError, OracleInfeasibleError, UcpSpec, _width_table,
                        build_segments)
 from .oracle import transmission_oracle_arrays
-from .scattering import (_log_k_grid, _require_k_window, _require_positive_k,
-                         _transmission_table, transmission_ucp_arrays)
+from .scattering import (_log_k_grid, _require_grid_size, _require_k_window,
+                         _require_positive_k, _transmission_table, transmission_ucp_arrays)
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -85,6 +88,16 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _typed(name: str, text: str):
+    """text as the value of flag name, converted by its type and checked
+    against its choices as argparse does; ValueError if it is not one."""
+    flag = _FLAGS[name]
+    value = flag.get("type", str)(text)
+    if "choices" in flag and value not in flag["choices"]:
+        raise ValueError(f"{value!r} is not one of the choices")
+    return value
+
+
 def _apply_config(args: argparse.Namespace, config: dict) -> None:
     """Fill in options the command line left unset, each typed and checked by its flag."""
     for key, value in config.items():
@@ -92,14 +105,10 @@ def _apply_config(args: argparse.Namespace, config: dict) -> None:
         if name not in COMMANDS[args.command][1]:
             raise ValueError(f"unknown config key: {key}")
         if getattr(args, name) is None:
-            flag = _FLAGS[name]
             try:  # the conversion the same text gets on the command line
-                value = flag.get("type", str)(str(value))
-                if "choices" in flag and value not in flag["choices"]:
-                    raise ValueError
+                setattr(args, name, _typed(name, str(value)))
             except ValueError:
                 raise ValueError(f"config {key}: invalid value {value!r}") from None
-            setattr(args, name, value)
 
 
 def _require(args: argparse.Namespace, names: Iterable[str]) -> None:
@@ -118,6 +127,7 @@ def _k_grid(args: argparse.Namespace) -> np.ndarray:
     _require_k_window(args.kmin, args.kmax)
     if args.nk < 2:
         raise ValueError(f"need nk >= 2, got {args.nk}")
+    _require_grid_size(args.nk, "nk")
     grid = _log_k_grid if args.scale == "log" else np.linspace
     return grid(args.kmin, args.kmax, args.nk)
 
@@ -278,50 +288,89 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, with flags and -h on `command` only, or on all
-    of them when it is None: a command's parsing and help are the same either way."""
+# each command's flags as spelled on the command line, --name, to their names
+_SPELLED = {command: {"--" + name.replace("_", "-"): name for name in flags}
+            for command, (_, flags, _) in COMMANDS.items()}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  main builds it only for a command line
+    that _read declines, such as a help, a version or a usage error."""
     parser = argparse.ArgumentParser(
         prog="ucpscatter",
         description="Quantum transmission through unified Cantor barrier systems",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, flags, func) in COMMANDS.items():
+    for name, (text, _, func) in COMMANDS.items():
         # flags are spelled in full, so a flag a command lacks (scaling's --V) is
-        # an error, not an abbreviation of another (--V0).  -h goes with the
-        # flags: each costs a help formatter, and -h a gettext lookup too
-        runs = command in (None, name)
-        p = sub.add_parser(name, help=text, allow_abbrev=False, add_help=runs)
-        for flag in flags if runs else ():
-            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
+        # an error, not an abbreviation of another (--V0)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        for spelling, flag in _SPELLED[name].items():
+            p.add_argument(spelling, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the first command name is the command: only top-level flags, none of
-    # which takes a value, can come before it
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each value that starts with '-' joined to its flag.
+
+    argparse takes a token that starts with '-' for a flag unless it is a
+    plain decimal (-1e-3, -inf and -0.5:-0.1:5 are not), and has no setting
+    for it: such a token after one of the command's flags (each takes one
+    value) is joined to it, as --name=value, in the tokens after the first
+    command name (only top-level flags, none of which takes a value, can come
+    before it).  A flag of the command, -h, --help and -- are never a value,
+    and --name=-- becomes --name --, which argparse refuses.
+    """
     command = next((a for a in argv if a in COMMANDS), None)
-    if command is not None:
-        # argparse takes a token that starts with '-' for a flag unless it is a
-        # plain decimal (-1e-3, -inf and -0.5:-0.1:5 are not), and has no
-        # setting for it: such a token after one of the command's flags (each
-        # takes one value) is passed on joined to it, as --name=value.  A flag
-        # of the command, -h, --help and -- are never a value, and --name=-- is
-        # passed on as --name --, which argparse refuses
-        flags = {"--" + name.replace("_", "-") for name in COMMANDS[command][1]}
-        never = {*flags, "-h", "--help", "--"}
-        tokens = argv[:argv.index(command) + 1]
-        for token in argv[len(tokens):]:
-            flag, _, value = token.partition("=")
-            if tokens[-1] in flags and token[:1] == "-" and token not in never:
-                tokens[-1] += "=" + token
-            else:
-                tokens += [flag, "--"] if flag in flags and value == "--" else [token]
-        argv = tokens
-    args = build_parser(command).parse_args(argv)
+    if command is None:
+        return argv
+    flags = _SPELLED[command]
+    never = {*flags, "-h", "--help", "--"}
+    tokens = argv[:argv.index(command) + 1]
+    for token in argv[len(tokens):]:
+        flag, _, value = token.partition("=")
+        if tokens[-1] in flags and token[:1] == "-" and token not in never:
+            tokens[-1] += "=" + token
+        else:
+            tokens += [flag, "--"] if flag in flags and value == "--" else [token]
+    return tokens
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace that build_parser().parse_args(argv) returns, without a
+    parser, for a well-formed argv: the command name first, then only its
+    flags, each spelled in full with one value, --name=value or --name value
+    with a value that does not start with '-', converted and checked as
+    _FLAGS states.  A flag given twice keeps its last value, and an absent
+    one is None.  Any other argv gives None: a token before the command, -h,
+    --help, --version, --, an unknown or abbreviated flag, a missing value, a
+    bad value or a positional, on each of which argparse has its own say."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = _SPELLED[argv[0]]
+    values = dict.fromkeys(flags.values())
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, value = token.partition("=")
+        if not joined:
+            value = next(tokens, "-")  # a missing value is declined as a flag in its place is
+        name = flags.get(flag)
+        if name is None or (not joined and value[:1] == "-"):
+            return None
+        try:
+            values[name] = _typed(name, value)
+        except ValueError:
+            return None
+    return argparse.Namespace(command=argv[0], func=COMMANDS[argv[0]][2], **values)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = _joined(sys.argv[1:] if argv is None else list(argv))
+    args = _read(argv)
+    if args is None:  # argparse reads it, and writes any help, version or usage error
+        args = build_parser().parse_args(argv)
     try:
         if args.config is not None:
             _apply_config(args, _load_config(args.config))

@@ -85,6 +85,14 @@ def _integer(value, name: str) -> int:
     raise InvalidSpecError(f"{name} must be an integer, got {' '.join(repr(value).split())}")
 
 
+def _spec(value, name: str = "spec") -> UcpSpec:
+    """The spec argument name, which must be a UcpSpec: anything else raises
+    InvalidSpecError, one line that names it and the value's type."""
+    if isinstance(value, UcpSpec):
+        return value
+    raise InvalidSpecError(f"{name} must be a UcpSpec, got {type(value).__name__}")
+
+
 class _WidthTable(NamedTuple):
     widths: np.ndarray  # widths[g, i] = w_g of column i
     gaps: np.ndarray  # gaps[g-1, i] = d_g of column i
@@ -185,14 +193,14 @@ def _check_stage(spec: UcpSpec, g: int, lowest: int = 0) -> int:
 def segment_length(spec: UcpSpec, g: int) -> float:
     """Length l_g = w_g of each of the 2**g barrier segments at stage g,
     (L / 2**g) * prod_{j=1..g} (1 - rho**-(alpha + beta*j))."""
-    g = _check_stage(spec, g)
+    spec, g = _spec(spec), _check_stage(spec, g)
     widths = spec.width_chain.widths
     return float(widths[g, 0]) if g < len(widths) else 0.0
 
 
 def gap_length(spec: UcpSpec, g: int) -> float:
     """Gap d_g opened at stage g: l_{g-1} * rho**-(alpha + beta*g)."""
-    g = _check_stage(spec, g, lowest=1)
+    spec, g = _spec(spec), _check_stage(spec, g, lowest=1)
     gaps = spec.width_chain.gaps
     return float(gaps[g - 1, 0]) if g <= len(gaps) else 0.0
 
@@ -204,6 +212,7 @@ def super_period(spec: UcpSpec, f: int) -> float:
           * prod_{j=1..G-f} (1 - rho**-(alpha + beta*j)),
     taken as l_m + d_m with m = G+1-f.
     """
+    spec = _spec(spec)
     m = spec.G + 1 - _check_stage(spec, f, lowest=1)
     return segment_length(spec, m) + gap_length(spec, m)
 
@@ -230,7 +239,7 @@ def build_segments(spec: UcpSpec) -> tuple[tuple[float, float], ...]:
     where an offset overflows a double (off + w_{g-1} can, for L near the
     largest double).
     """
-    widths = _listed_widths(spec)
+    widths = _listed_widths(_spec(spec))
     offsets = [0.0]
     for w, child in zip(widths, widths[1:]):
         offsets = [x for off in offsets for x in (off, off + w - child)]

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import UcpSpec, _listed_widths
+from .geometry import UcpSpec, _listed_widths, _spec
 from .scattering import ScatterResult, _barrier_rows, _gap_phase, _k_array, _results
 
 __all__ = ["region_sequence", "transmission_oracle", "transmission_oracle_arrays"]
@@ -45,7 +45,7 @@ def region_sequence(spec: UcpSpec) -> tuple[tuple[float, bool], ...]:
     are those of build_segments, bit for bit.  Raises OracleInfeasibleError,
     before anything is allocated, for G above DEFAULT_STAGE_CAP.
     """
-    widths = _listed_widths(spec)
+    widths = _listed_widths(_spec(spec))
     regions = ((widths[-1], True),)
     for g in range(spec.G, 0, -1):  # stage g-1's barrier: two stage-g halves and a gap
         regions = regions + ((widths[g - 1] - 2.0 * widths[g], False),) + regions
@@ -57,7 +57,7 @@ def transmission_oracle(spec: UcpSpec, k: float) -> ScatterResult:
 
     One point of transmission_oracle_arrays; pass every k there for speed.
     """
-    return ScatterResult(*(x.item() for x in transmission_oracle_arrays(spec, [k])))
+    return ScatterResult(*(x.item() for x in transmission_oracle_arrays(_spec(spec), [k])))
 
 
 def transmission_oracle_arrays(spec: UcpSpec,
@@ -75,6 +75,7 @@ def transmission_oracle_arrays(spec: UcpSpec,
     OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
     remains available there).
     """
+    spec = _spec(spec)
     regions = region_sequence(spec)  # the stage cap is checked before k is
     k = _k_array(ks)
     n = k.size

@@ -39,12 +39,14 @@ for numpy's changes bits, and the bit-identity tests fail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import _REAL_KINDS, UcpSpec, _integer, _real, _WidthTable, _width_table
+from .geometry import (_REAL_KINDS, UcpSpec, _integer, _real, _spec, _WidthTable,
+                       _width_table)
 
 __all__ = [
     "ScatterResult",
@@ -78,6 +80,8 @@ _SINH_CLIP = 710.0
 # smallest entries to 0 and log10 T goes wrong, by thousands of decades past
 # 2**1000: such k are refused
 _MAX_V_OVER_2K2 = 2.0**400
+# the most doubles one numpy array can hold: its size in bytes must fit an intp
+_MOST_POINTS = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,21 @@ def _require_k_window(k_min: float, k_max: float) -> None:
         raise ValueError(f"need 0 < kmin < kmax < inf, got kmin={k_min}, kmax={k_max}")
 
 
-def _listed(values, name: str) -> list:
+def _require_grid_size(n: int, name: str) -> None:
+    """n, the point count name of a k grid, at most _MOST_POINTS: numpy cannot
+    allocate more, and from about 2**63 points np.linspace and np.logspace end
+    in an IndexError instead of saying so."""
+    if n > _MOST_POINTS:
+        raise ValueError(f"need {name} <= {_MOST_POINTS}, the most doubles one array "
+                         f"can hold, got {n}")
+
+
+def _listed(values, name: str, of: str = "numbers") -> list:
     """The container argument name as a list, or one ValueError line if it is no container."""
     try:
         return list(values)
     except TypeError:
-        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}") from None
+        raise ValueError(f"{name} must be a sequence of {of}, got {values!r}") from None
 
 
 def _k_array(ks: Sequence[float]) -> np.ndarray:
@@ -251,7 +264,7 @@ def bloch_sequence(spec: UcpSpec, k: float) -> tuple[float, ...]:
     for a double comes back as +-inf; exact zeros (transmission resonances)
     come back as 0.
     """
-    table = spec.width_chain
+    table = _spec(spec).width_chain
     k = _k_array([k])
     half_traces = []
     _repetition(k, _barrier_rows(k, spec.V, table.widths[-1, 0]),
@@ -301,6 +314,7 @@ def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
 
     One point of transmission_ucp_arrays; pass every spec and k there for speed.
     """
+    spec = _spec(spec)
     results = _transmission_table(spec.width_chain, [spec.V], [k])
     return ScatterResult(*(x.item() for x in results))
 
@@ -316,6 +330,7 @@ def transmission_ucp_arrays(specs: Sequence[UcpSpec],
     last G orders, on one fresh width table of their parameters (_width_table);
     analysis.saturation_scan runs one spec's stages on its cached width_chain.
     """
+    specs = [_spec(s, f"specs[{i}]") for i, s in enumerate(_listed(specs, "specs", "UcpSpec"))]
     L, V, rho, alpha, beta = (np.array([getattr(s, name) for s in specs], dtype=float)
                               for name in ("L", "V", "rho", "alpha", "beta"))
     return _transmission_table(_width_table(L, rho, alpha, beta, [s.G for s in specs]), V, ks)

@@ -2,14 +2,17 @@
 one-line refusal, never in a traceback.
 
 cli.main is run on argv lists built from COMMANDS and _FLAGS, each flag given
-a valid, an edge or a garbage token; each number argument of the library
+a valid, an edge or a garbage token, and main's own reading of a command line
+is held to argparse's wherever it answers; each number argument of the library
 functions is given an int past the range of a double and values that are not
 numbers, each integer argument every kind of integer and values that are not
-integers, and each container argument values that hold no numbers."""
+integers, each container argument values that hold no numbers, and each spec
+argument values that are no spec."""
 
 import contextlib
 import io
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,11 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ucpscatter import (InvalidSpecError, UcpSpec, bloch_sequence, constant_area_height,
-                        fit_scaling, gap_length, max_valid_stage, reflection_asymptote,
-                        saturation_scan, segment_length, super_period, transmission_spp,
-                        transmission_ucp)
-from ucpscatter.cli import COMMANDS, _FLAGS, main
+from ucpscatter import (InvalidSpecError, UcpSpec, bloch_sequence, build_segments,
+                        constant_area_height, fit_scaling, gap_length, max_valid_stage,
+                        reflection_asymptote, region_sequence, saturation_scan, segment_length,
+                        super_period, transmission_oracle, transmission_oracle_arrays,
+                        transmission_spp, transmission_ucp, transmission_ucp_arrays)
+from ucpscatter.cli import COMMANDS, _FLAGS, _joined, _read, build_parser, main
 
 # edge and garbage tokens that any flag may get
 EDGE = ["-1e-3", "-inf", "-h", "--", "", "1e400", "nan", "-0.5:-0.1:5", "x", "--bogus"]
@@ -32,10 +36,13 @@ PATHS = {"out": ["out.csv", "no/such/dir.csv"], "config": ["run.cfg", "missing.c
 JUNK = ["--bogus", "-x", "--", "bogus", "-1e-3", "-h", "--version"]
 
 
-def values(flag):
+def valid(flag):
     spec = _FLAGS[flag]
-    valid = PATHS.get(flag) or spec.get("choices") or VALID[spec.get("type", str)]
-    return st.sampled_from([*valid, *EDGE])
+    return PATHS.get(flag) or spec.get("choices") or VALID[spec.get("type", str)]
+
+
+def values(flag):
+    return st.sampled_from([*valid(flag), *EDGE])
 
 
 SPEC = dict(L="5", V="25", rho="2.5", alpha="0.5", beta="1")
@@ -94,6 +101,81 @@ def test_main_exits_0_2_or_3_with_one_line_or_usage(argv, tmp_path, monkeypatch)
         assert err == ""
     else:
         assert re.fullmatch(r"[^\n]+\n", err) or USAGE_ERROR.fullmatch(err), err
+
+
+# odd values a flag may get next to its valid ones: signs, underscores, spaces,
+# empty text, non-decimal or fractional ints, a command name, an '=' and
+# flag-like text
+ODD = ["-25", "-1e-3", "5_0", "-5_0", " 5 ", "", "0x10", "2.5", "log", "both", "bogus",
+       "validate", "a=b", "-", "-h", "--help", "--version", "--", "---", "--bogus"]
+# tokens that can stand anywhere: unknown, abbreviated, positional, help and version
+STRAY = ["--bogus", "--V", "--eng", "--nk5", "-x", "x", "--", "-h", "--help", "--version",
+         "-1", "5"]
+
+
+@st.composite
+def lines(draw):
+    """A command line main reads: a command and flags drawn from its own (now
+    and then from any command's), a flag possibly given twice, each with a
+    valid value or an odd token, spaced, joined by '=' or with none; now and
+    then a stray token anywhere."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    names = st.sampled_from([*COMMANDS[command][1] * 6, *_FLAGS])
+    argv = [command]
+    for name in draw(st.lists(names, max_size=10)):
+        flag = "--" + name.replace("_", "-")
+        # a valid value twice as often as an odd token
+        value = draw(st.sampled_from(valid(name)) | st.sampled_from(valid(name))
+                     | st.sampled_from(ODD))
+        argv += draw(st.sampled_from([[flag, value]] * 8 + [[f"{flag}={value}"]] * 8 + [[flag]]))
+    for _ in range(draw(st.sampled_from([0] * 6 + [1]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY)))
+    return argv
+
+
+def parsed(argv):
+    """vars() of the Namespace that argparse gives for the tokens main passes it."""
+    return vars(build_parser().parse_args(_joined(argv)))
+
+
+# command lines the reader must answer and decline, by id
+ANSWERED = {
+    "spaced": ["transmission", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
+               "--beta", "1", "--G", "3", "--kmin", "1", "--kmax", "4", "--nk", "5"],
+    "joined": ["grid", "--L=5", "--V=-25", "--G=3", "--k=1,2", "--alpha-range=0:1:3",
+               "--beta=1", "--rho=2.5", "--out="],
+    "repeated-negative-underscore": ["saturation", "--V", "-2.5E1", "--gmin", "5_0",
+                                     "--gmin", "2", "--scale=log", "--nk=-1"],
+    "bare-command": ["validate"],
+}
+DECLINED = {
+    "no-command": [], "token-before": ["--bogus", "validate"], "help": ["validate", "-h"],
+    "version": ["validate", "--version"], "double-dash": ["validate", "--L", "--"],
+    "unknown": ["validate", "--bogus", "1"], "abbreviated": ["scaling", "--V", "25"],
+    "other-command": ["validate", "--nk", "5"], "missing": ["validate", "--L"],
+    "flag-as-value": ["validate", "--L", "--V", "5"], "bad-int": ["validate", "--G", "2.5"],
+    "bad-choice": ["transmission", "--scale", "bogus"], "positional": ["validate", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", ANSWERED.values(), ids=ANSWERED.keys())
+def test_the_reader_answers_a_well_formed_line_as_argparse(argv):
+    assert vars(_read(_joined(argv))) == parsed(argv)
+
+
+@pytest.mark.parametrize("argv", DECLINED.values(), ids=DECLINED.keys())
+def test_the_reader_declines_every_other_line(argv):
+    assert _read(_joined(argv)) is None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=lines())
+@example(argv=ANSWERED["repeated-negative-underscore"])
+@example(argv=DECLINED["flag-as-value"])
+def test_wherever_the_reader_answers_argparse_gives_the_same_namespace(argv):
+    read = _read(_joined(argv))
+    if read is not None:
+        assert vars(read) == parsed(argv)
 
 
 B = 10**400  # an int past the largest double
@@ -186,11 +268,12 @@ def test_a_non_integer_is_refused_by_name_in_one_line(arg, value):
     assert "\n" not in str(info.value)
 
 
-# each container argument covered: a call with its value x
+# each container argument covered: a call with its value x, and what it holds
 CONTAINERS = {
-    "Ns": lambda x: transmission_spp(25.0, 1.0, x, [3.0], 2.0),
-    "ss": lambda x: transmission_spp(25.0, 1.0, [2], x, 2.0),
-    "k_window": lambda x: fit_scaling(CANTOR, 10.0, x, 60),
+    "Ns": (lambda x: transmission_spp(25.0, 1.0, x, [3.0], 2.0), "numbers"),
+    "ss": (lambda x: transmission_spp(25.0, 1.0, [2], x, 2.0), "numbers"),
+    "k_window": (lambda x: fit_scaling(CANTOR, 10.0, x, 60), "numbers"),
+    "specs": (lambda x: transmission_ucp_arrays(x, [1.0]), "UcpSpec"),
 }
 
 
@@ -198,10 +281,70 @@ CONTAINERS = {
 @pytest.mark.parametrize("value", [None, 5.0, np.array(2.0)], ids=["None", "5.0", "np.array(2.0)"])
 @pytest.mark.parametrize("arg", CONTAINERS)
 def test_a_container_of_no_numbers_is_refused_by_name_in_one_line(arg, value):
+    call, held = CONTAINERS[arg]
     with pytest.raises(ValueError) as info:
-        CONTAINERS[arg](value)
-    assert str(info.value).startswith(f"{arg} must be a sequence of numbers, got ")
+        call(value)
+    assert str(info.value).startswith(f"{arg} must be a sequence of {held}, got ")
     assert "\n" not in str(info.value)
+
+
+# each spec argument covered: a call with its value x, and the name its refusal gives
+SPECS = {
+    "transmission_ucp": (lambda x: transmission_ucp(x, 1.0), "spec"),
+    "transmission_ucp_arrays": (lambda x: transmission_ucp_arrays([CANTOR, x], [1.0]),
+                                "specs[1]"),
+    "bloch_sequence": (lambda x: bloch_sequence(x, 1.0), "spec"),
+    "transmission_oracle": (lambda x: transmission_oracle(x, 1.0), "spec"),
+    "transmission_oracle_arrays": (lambda x: transmission_oracle_arrays(x, [1.0]), "spec"),
+    "region_sequence": (region_sequence, "spec"),
+    "build_segments": (build_segments, "spec"),
+    "segment_length": (lambda x: segment_length(x, 1), "spec"),
+    "gap_length": (lambda x: gap_length(x, 1), "spec"),
+    "super_period": (lambda x: super_period(x, 1), "spec"),
+    "constant_area_height": (lambda x: constant_area_height(x, 10.0), "spec"),
+    "reflection_asymptote": (lambda x: reflection_asymptote(x, 10.0, 300.0), "spec"),
+    "fit_scaling": (lambda x: fit_scaling(x, 10.0, (50.0, 500.0), 60), "spec"),
+    "saturation_scan": (lambda x: saturation_scan(x, 1, [1.0, 2.0]), "spec"),
+}
+# what a spec argument may not be, by id
+NOT_SPECS = {"'x'": "x", "None": None, "5.0": 5.0, "[spec]": [CANTOR]}
+
+
+@pytest.mark.parametrize("value", NOT_SPECS.values(), ids=NOT_SPECS.keys())
+@pytest.mark.parametrize("arg", SPECS)
+def test_a_value_that_is_no_spec_is_refused_by_name_in_one_line(arg, value):
+    call, name = SPECS[arg]
+    with pytest.raises(InvalidSpecError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a UcpSpec, got {type(value).__name__}"
+
+
+# point counts past the doubles one numpy array can hold, 2**60 - 1: numpy
+# ended 2**63 in an IndexError traceback
+COUNTS = [2**62, 2**63, 2**64 - 1, 2**64]
+TOO_MANY = f"need {{}} <= {sys.maxsize // 8}, the most doubles one array can hold, got {{}}"
+
+
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("command, scale", [("transmission", "linear"), ("transmission", "log"),
+                                            ("saturation", "linear"), ("saturation", "log"),
+                                            ("scaling", None)])
+def test_a_count_past_one_array_exits_2_in_one_line(command, scale, n):
+    given = {**RUNS[command], "nk": str(n), **({"scale": scale} if scale else {})}
+    argv = [command, *(a for name, value in given.items() for a in (f"--{name}", value))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    name = "n_points" if command == "scaling" else "nk"
+    assert err.getvalue() == "invalid input: " + TOO_MANY.format(name, n) + "\n"
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_fit_scaling_refuses_a_count_past_one_array_in_one_line(n):
+    with pytest.raises(ValueError) as info:
+        fit_scaling(CANTOR, 10.0, (50.0, 500.0), n)
+    assert str(info.value) == TOO_MANY.format("n_points", n)
 
 
 def test_a_span_past_a_double_is_refused_in_one_line():

@@ -116,6 +116,25 @@ PATHS = {
 }
 
 
+# commands at the edge of what main reads itself, without argparse: a flag
+# given twice (the last value wins), the = form of each kind of value, a spaced
+# negative height (a well), a count written with an underscore, and a negative
+# count joined by =, which the command refuses with exit 2, not the parser
+READER = {
+    "reader-repeated-flag": (0, ["transmission", "--G", "3", *_SPEC, *_SWEEP_50]),
+    "reader-equals-forms": (0, ["transmission", *(f"{flag}={value}" for flag, value in
+                                                  zip(_SPEC[::2], _SPEC[1::2])),
+                                "--kmin=0.5", "--kmax=20", "--nk=50", "--scale=log",
+                                "--engine=both"]),
+    "reader-equals-forms-grid": (0, [*_GRID[:-2], "--k=1.0,2.5,5.0", "--alpha-range=0:1:3",
+                                     "--beta=1", "--rho=2.5"]),
+    "reader-spaced-negative-height": (0, ["transmission", "--L", "5", "--V", "-25",
+                                          *_SPEC[4:], *_SWEEP_50]),
+    "reader-underscore-count": (0, ["transmission", *_SPEC, *_SWEEP_50[:-1], "5_0"]),
+    "reader-negative-count": (2, ["transmission", *_SPEC, *_SWEEP_50[:-2], "--nk=-1"]),
+}
+
+
 # name -> (exit code, config file name, its text, the argv that reads it); the
 # file is written into a temporary directory, whose path is in no output
 CONFIGS = {
@@ -349,7 +368,7 @@ def commands(config_dir: pathlib.Path) -> dict[str, tuple[int, list[str]]]:
         (config_dir / file).write_text(text)
         configs[name] = (code, [*argv, "--config", str(config_dir / file)])
     return {**argvs, **README, **INVALID_CELLS, **HELP, **ERRORS, **REFUSED, **PATHS,
-            **configs}
+            **READER, **configs}
 
 
 def main() -> int:
