@@ -6,11 +6,13 @@ general Smith-Volterra-Cantor (alpha=0, beta=1) barrier geometries, with a
 closed-form transmission coefficient built on super-periodic transfer-matrix
 recursions and an independent brute-force oracle for cross-validation.
 
-Each engine has one array entry point and one one-point call:
+Each method has one arrays entry, one pass over a k array, and a one-point
+view of it, the same name without _arrays, which runs the entry at [k]:
 transmission_ucp_arrays(specs, ks) gives T, R and log10 T of every spec at
-every k as arrays of shape (len(specs), len(ks)), and
-transmission_oracle_arrays(spec, ks) of one spec at every k;
-transmission_ucp(spec, k) and transmission_oracle(spec, k) give one point.
+every k as arrays of shape (len(specs), len(ks)), transmission_oracle_arrays
+(spec, ks) and transmission_spp_arrays(V, width, Ns, ss, ks) arrays over ks,
+bloch_sequence_arrays(spec, ks) the Bloch phases as a (G, len(ks)) array, and
+reflection_asymptote_arrays(spec, V0, ks) the large-k asymptote over ks.
 
 Each public name is declared once, in the __all__ of the module that defines
 it; the package re-exports every module's __all__ as its own.

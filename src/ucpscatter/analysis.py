@@ -12,17 +12,11 @@ import numpy as np
 
 from .geometry import UcpSpec, _integer, _real, _spec, _WidthTable, segment_length
 from .scattering import (_k_array, _listed, _log_k_grid, _require_grid_size, _require_k_window,
-                         _require_positive_k, _transmission_table, bloch_sequence,
+                         _require_positive_k, _transmission_table, bloch_sequence_arrays,
                          transmission_ucp_arrays)
 
-__all__ = [
-    "ScalingFit",
-    "SaturationReport",
-    "constant_area_height",
-    "reflection_asymptote",
-    "fit_scaling",
-    "saturation_scan",
-]
+__all__ = ["ScalingFit", "SaturationReport", "constant_area_height", "reflection_asymptote",
+           "reflection_asymptote_arrays", "fit_scaling", "saturation_scan"]
 
 # first-order Taylor validity guard for the Born-type asymptote
 _ASYMPTOTE_GUARD = 0.1
@@ -74,28 +68,40 @@ def constant_area_height(spec: UcpSpec, V0: float) -> float:
 
 
 def reflection_asymptote(spec: UcpSpec, V0: float, k: float) -> float:
-    """First-order large-k approximation of the reflection coefficient.
+    """The asymptote at one k: point 0 of reflection_asymptote_arrays(spec, V0, [k])."""
+    return reflection_asymptote_arrays(spec, V0, [k]).item()
+
+
+def reflection_asymptote_arrays(spec: UcpSpec, V0: float, ks: Sequence[float]) -> np.ndarray:
+    """First-order large-k approximation of the reflection coefficient at
+    every k, a float array of shape (len(ks),).
 
     R ~ 4**G * (V_G l_G / 2)**2 / k**2 * prod Omega_i**2 with the Bloch
     phases evaluated at the constant-area height V_G.  Valid only for
     V_G / k**2 < 0.1; used for comparison against the exact reflection.
+    Raises ValueError, in this order: for V0, at the first k not positive or
+    past the guard, as bloch_sequence_arrays, and at the first k whose
+    asymptote overflows a double.
     """
-    spec, k = _spec(spec), _k_array([k]).item()
-    _require_positive_k(k)
+    spec, k = _spec(spec), _k_array(ks)
     v_g = constant_area_height(spec, V0)
-    ratio = v_g / (k * k) if k * k > 0.0 else math.inf  # k * k can underflow
-    if not ratio < _ASYMPTOTE_GUARD:
-        raise ValueError(f"asymptote guard violated: V_G/k^2 = {ratio:.3g} >= {_ASYMPTOTE_GUARD}")
-    l_g = segment_length(spec, spec.G)
-    prod = 1.0
-    for w in bloch_sequence(dataclasses.replace(spec, V=v_g), k):
-        prod *= w * w
-    try:
-        # 4**G (v_g l_g / 2)**2
-        asymptote = math.ldexp(v_g * l_g / 2.0, spec.G) ** 2 / (k * k) * prod
-    except OverflowError:
-        asymptote = math.inf
-    if not math.isfinite(asymptote):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kk = k * k  # can underflow to 0, and overflow
+        ratio = np.where(kk > 0.0, v_g / kk, math.inf)
+        bad = ~((k > 0.0) & (k < math.inf) & (ratio < _ASYMPTOTE_GUARD))
+        if bad.any():
+            i = int(np.argmax(bad))
+            _require_positive_k(k[i].item())
+            raise ValueError(f"asymptote guard violated: V_G/k^2 = {ratio[i].item():.3g} "
+                             f">= {_ASYMPTOTE_GUARD}")
+        phases = bloch_sequence_arrays(dataclasses.replace(spec, V=v_g), k)
+        prod = (phases * phases).prod(axis=0)  # over q in order, as a loop takes it
+        try:  # 4**G (v_g l_g / 2)**2
+            square = math.ldexp(v_g * segment_length(spec, spec.G) / 2.0, spec.G) ** 2
+        except OverflowError:
+            square = math.inf
+        asymptote = square / kk * prod
+    if not np.isfinite(asymptote).all():
         raise ValueError(f"reflection asymptote overflows a double at G={spec.G}")
     return asymptote
 

@@ -293,9 +293,10 @@ _SPELLED = {command: {"--" + name.replace("_", "-"): name for name in flags}
             for command, (_, flags, _) in COMMANDS.items()}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command.  main builds it only for a command line
-    that _read declines, such as a help, a version or a usage error."""
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every command, flags and -h on command alone (none for None).
+    main builds it only for a command line that _read declines, such as a help,
+    a version or a usage error, with the command _joined finds."""
     parser = argparse.ArgumentParser(
         prog="ucpscatter",
         description="Quantum transmission through unified Cantor barrier systems",
@@ -305,27 +306,29 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (text, _, func) in COMMANDS.items():
         # flags are spelled in full, so a flag a command lacks (scaling's --V) is
         # an error, not an abbreviation of another (--V0)
-        p = sub.add_parser(name, help=text, allow_abbrev=False)
-        for spelling, flag in _SPELLED[name].items():
+        p = sub.add_parser(name, help=text, allow_abbrev=False, add_help=name == command)
+        for spelling, flag in _SPELLED[name].items() if name == command else ():
             p.add_argument(spelling, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 
 
-def _joined(argv: list[str]) -> list[str]:
-    """argv with each value that starts with '-' joined to its flag.
+def _joined(argv: list[str]) -> tuple[str | None, list[str]]:
+    """The command, the first command name in argv (None if there is none),
+    and argv with each value that starts with '-' joined to its flag.
 
     argparse takes a token that starts with '-' for a flag unless it is a
     plain decimal (-1e-3, -inf and -0.5:-0.1:5 are not), and has no setting
     for it: such a token after one of the command's flags (each takes one
-    value) is joined to it, as --name=value, in the tokens after the first
-    command name (only top-level flags, none of which takes a value, can come
-    before it).  A flag of the command, -h, --help and -- are never a value,
-    and --name=-- becomes --name --, which argparse refuses.
+    value) is joined to it, as --name=value, in the tokens after the command
+    (only top-level flags, none of which takes a value, can come before it,
+    so it is the command argparse runs if it runs one).  A flag of the
+    command, -h, --help and -- are never a value, and --name=-- becomes
+    --name --, which argparse refuses.
     """
     command = next((a for a in argv if a in COMMANDS), None)
     if command is None:
-        return argv
+        return None, argv
     flags = _SPELLED[command]
     never = {*flags, "-h", "--help", "--"}
     tokens = argv[:argv.index(command) + 1]
@@ -335,7 +338,7 @@ def _joined(argv: list[str]) -> list[str]:
             tokens[-1] += "=" + token
         else:
             tokens += [flag, "--"] if flag in flags and value == "--" else [token]
-    return tokens
+    return command, tokens
 
 
 def _read(argv: list[str]) -> argparse.Namespace | None:
@@ -367,10 +370,10 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = _joined(sys.argv[1:] if argv is None else list(argv))
+    command, argv = _joined(sys.argv[1:] if argv is None else list(argv))
     args = _read(argv)
     if args is None:  # argparse reads it, and writes any help, version or usage error
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     try:
         if args.config is not None:
             _apply_config(args, _load_config(args.config))

@@ -17,14 +17,14 @@ its entries.  It serves three results:
   representable through log10(T); transmission_ucp (one point) and
   saturation_scan (one spec's stages) run its _transmission_table on a spec's
   cached width_chain;
-- bloch_sequence: the paper's Bloch phases Omega_q of
+- bloch_sequence_arrays: the paper's Bloch phases Omega_q of
 
       T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2),
 
   each the half-trace of the order-q unit cell (block . gap), which the
   kernel gets for free;
-- transmission_spp: arbitrary repetition counts N_f at spacings s_f, the
-  paper's generic (Chebyshev) form, without its Chebyshev factors.
+- transmission_spp_arrays: arbitrary repetition counts N_f at spacings s_f,
+  the paper's generic (Chebyshev) form, without its Chebyshev factors.
 
 Every step runs over all points at once, and each point's numbers are those
 of the per-point formulas in math and cmath, bit for bit.  numpy does the
@@ -48,13 +48,8 @@ import numpy as np
 from .geometry import (_REAL_KINDS, UcpSpec, _integer, _real, _spec, _WidthTable,
                        _width_table)
 
-__all__ = [
-    "ScatterResult",
-    "bloch_sequence",
-    "transmission_ucp",
-    "transmission_ucp_arrays",
-    "transmission_spp",
-]
+__all__ = ["ScatterResult", "bloch_sequence", "bloch_sequence_arrays", "transmission_ucp",
+           "transmission_ucp_arrays", "transmission_spp", "transmission_spp_arrays"]
 
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
@@ -255,24 +250,30 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
 
 
 def bloch_sequence(spec: UcpSpec, k: float) -> tuple[float, ...]:
-    """Bloch phases Omega_1..Omega_G of the stage-G system at wavenumber k, a
-    tuple of G floats.
+    """The Bloch phases at one k: column 0 of bloch_sequence_arrays(spec, [k])."""
+    return tuple(bloch_sequence_arrays(spec, [k])[:, 0].tolist())
+
+
+def bloch_sequence_arrays(spec: UcpSpec, ks: Sequence[float]) -> np.ndarray:
+    """Bloch phases Omega_1..Omega_G of the stage-G system at every k, a float
+    array of shape (G, len(ks)) whose [q - 1, j] is Omega_q at ks[j].
 
     Omega_q is the half-trace of the order-q unit cell, block_{G-q+1} .
     gap(d_{G-q+1}) (Yeh, Yariv & Hong, JOSA 67, 423, 1977), taken from the
     doubling itself, so it keeps its digits at every stage.  A phase too large
     for a double comes back as +-inf; exact zeros (transmission resonances)
-    come back as 0.
+    come back as 0.  Raises the ValueError of the first k whose barrier is bad
+    (see _barrier_rows), or else that of a gap whose k*d overflows.
     """
-    table = _spec(spec).width_chain
-    k = _k_array([k])
+    table, k = _spec(spec).width_chain, _k_array(ks)
     half_traces = []
+    # a gap per point: _repetition runs an order on as many points as its gap has
     _repetition(k, _barrier_rows(k, spec.V, table.widths[-1, 0]),
-                [(d, 2) for d in table.gaps[::-1, 0].tolist()], half_traces)
+                [(np.full(k.size, d), 2) for d in table.gaps[::-1, 0].tolist()], half_traces)
     with np.errstate(over="ignore"):
         omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
                   for h, e in half_traces]
-    return tuple(float(w[0]) for w in omegas)
+    return np.array(omegas).reshape(len(omegas), k.size)
 
 
 def _block_product(x: tuple, y: tuple) -> tuple:
@@ -310,10 +311,7 @@ def _gap_product(x: tuple, p2: np.ndarray, b2: np.ndarray) -> tuple:
 
 
 def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
-    """Closed-form transmission through the stage-G system at wavenumber k.
-
-    One point of transmission_ucp_arrays; pass every spec and k there for speed.
-    """
+    """The closed form at one k: point (0, 0) of transmission_ucp_arrays([spec], [k])."""
     spec = _spec(spec)
     results = _transmission_table(spec.width_chain, [spec.V], [k])
     return ScatterResult(*(x.item() for x in results))
@@ -475,14 +473,16 @@ def _results(q: np.ndarray, r: np.ndarray,
     return np.where(zero, 1.0, t), np.where(zero, 0.0, refl), np.where(zero, 0.0, minus / _LN10)
 
 
-def transmission_spp(
-    V: float,
-    width: float,
-    Ns: Sequence[int],
-    ss: Sequence[float],
-    k: float,
-) -> ScatterResult:
-    """Transmission of a generic super-periodic arrangement of one barrier.
+def transmission_spp(V: float, width: float, Ns: Sequence[int], ss: Sequence[float],
+                     k: float) -> ScatterResult:
+    """The generic arrangement at one k: point 0 of transmission_spp_arrays(..., [k])."""
+    return ScatterResult(*(x.item() for x in transmission_spp_arrays(V, width, Ns, ss, [k])))
+
+
+def transmission_spp_arrays(V: float, width: float, Ns: Sequence[int], ss: Sequence[float],
+                            ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T, R and log10 T of a generic super-periodic arrangement of one barrier
+    at every k, three float arrays of shape (len(ks),).
 
     The unit is a rectangular barrier of height V and width width.  The
     order-f block is Ns[f-1] copies of the order-(f-1) block, repeated at
@@ -493,6 +493,7 @@ def transmission_spp(
     stage-g system.  V must be finite, width positive and finite, repetition
     counts integers >= 1 and spacings finite.  V, the width and the spacings
     are read as doubles and each count as an int that fits one (see geometry).
+    A bad k raises as in bloch_sequence_arrays.
     """
     height, w = _real(V, "V"), _real(width, "width")
     if not math.isfinite(height):
@@ -513,6 +514,7 @@ def transmission_spp(
             raise ValueError(f"spacing of order {f} must be finite, got {s}")
         orders.append((s_f - span, n))
         span = (n - 1) * s_f + span
-    k = _k_array([k])
-    block = _repetition(k, _barrier_rows(k, height, w), orders)
-    return ScatterResult(*(x.item() for x in _results(block[2], block[3], block[5])))
+    k = _k_array(ks)
+    block = _repetition(k, _barrier_rows(k, height, w),
+                        [(np.full(k.size, d), n) for d, n in orders])
+    return _results(block[2], block[3], block[5])

@@ -14,17 +14,17 @@ from paper import barrier_matrix, propagation_matrix
 from ucpscatter import (
     InvalidSpecError,
     UcpSpec,
-    bloch_sequence,
+    bloch_sequence_arrays,
     constant_area_height,
     fit_scaling,
     gap_length,
-    reflection_asymptote,
+    reflection_asymptote_arrays,
     region_sequence,
     saturation_scan,
     segment_length,
     super_period,
     transmission_oracle_arrays,
-    transmission_spp,
+    transmission_spp_arrays,
     transmission_ucp,
     transmission_ucp_arrays,
 )
@@ -172,18 +172,17 @@ def test_criterion_7_spp_engine_consistency():
     for spec in _grid_specs(6):
         ss = [super_period(spec, f) for f in range(1, spec.G + 1)]
         l_G = segment_length(spec, spec.G)
-        for k, b in zip(ks, transmission_ucp_arrays([spec], ks)[0][0].tolist()):
-            a = transmission_spp(spec.V, l_G, [2] * spec.G, ss, k)
+        spp = transmission_spp_arrays(spec.V, l_G, [2] * spec.G, ss, ks)[0].tolist()
+        for k, a, b in zip(ks, spp, transmission_ucp_arrays([spec], ks)[0][0].tolist()):
             # the paper's Chebyshev form, in double precision, holds at g <= 6
             c = paper.paper_transmission_spp(barrier_matrix(k, spec.V, l_G), [2] * spec.G, ss, k)
-            worst = max(worst, abs(a.transmission - b) / b,
-                        abs(a.transmission - c.transmission) / c.transmission)
+            worst = max(worst, abs(a - b) / b, abs(a - c.transmission) / c.transmission)
     # single repetition must be the bare unit cell
     worst_n1 = 0.0
-    for k in (0.5, 2.0, 9.0):
+    ks = [0.5, 2.0, 9.0]
+    for k, got in zip(ks, transmission_spp_arrays(25.0, 1.3, [1], [2.0], ks)[0].tolist()):
         unit = barrier_matrix(k, 25.0, 1.3)
         base = 1.0 / (1.0 + abs(unit.m12) ** 2)
-        got = transmission_spp(25.0, 1.3, [1], [2.0], k).transmission
         worst_n1 = max(worst_n1, abs(got - base) / base)
     ok = worst <= 1e-10 and worst_n1 <= 1e-12
     _report(
@@ -285,8 +284,8 @@ def test_criterion_11_bloch_phases_at_deep_stages():
         v_g = constant_area_height(spec, 10.0)
         ks = (np.linspace(3.0, 30.0, 101) * math.sqrt(10.0 * v_g)).tolist()
         exact = transmission_ucp_arrays([dataclasses.replace(spec, V=v_g)], ks)[1][0].tolist()
-        ratios[alpha, beta] = float(np.median(
-            [reflection_asymptote(spec, 10.0, k) / r for k, r in zip(ks, exact)]))
+        ratios[alpha, beta] = float(np.median(reflection_asymptote_arrays(spec, 10.0, ks)
+                                              / np.array(exact)))
     ok_b = all(abs(r - 1.0) <= 0.01 for r in ratios.values())
     _report(11, "Bloch phases at deep stages (b)", ok_b,
             "median asymptote / exact R at G=32: "
@@ -299,9 +298,9 @@ def test_criterion_11_bloch_phases_at_deep_stages():
     for G in (32, 64):
         for alpha, beta in FAMILIES:
             spec = UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=G)
-            for k in (0.1, 2.0, 8.22, 1e5):
+            ks = [0.1, 2.0, 8.22, 1e5]
+            for k, got in zip(ks, bloch_sequence_arrays(spec, ks).T.tolist()):
                 want = [float(w) for w in paper.paper_recursion(mpmath, spec, k)[1]]
-                got = bloch_sequence(spec, k)
                 assert len(got) == len(want) == G
                 worst = max(worst, max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(got, want)))
     ok_a = worst <= 1e-9

@@ -11,6 +11,7 @@ from ucpscatter import (
     fit_scaling,
     max_valid_stage,
     reflection_asymptote,
+    reflection_asymptote_arrays,
     saturation_scan,
     segment_length,
     transmission_ucp,
@@ -93,11 +94,8 @@ class TestReflectionAsymptote:
 
         def median_ratio(k_lo, k_hi):
             ks = np.logspace(math.log10(k_lo), math.log10(k_hi), 101)
-            vals = []
-            for k in ks:
-                exact = transmission_ucp(scaled, float(k)).reflection
-                vals.append(reflection_asymptote(spec, v0, float(k)) / exact)
-            return float(np.median(vals))
+            exact = transmission_ucp_arrays([scaled], ks)[1][0]
+            return float(np.median(reflection_asymptote_arrays(spec, v0, ks) / exact))
 
         low, high = median_ratio(90.0, 130.0), median_ratio(350.0, 500.0)
         assert low == pytest.approx(1.0, abs=0.01)
@@ -109,8 +107,9 @@ class TestReflectionAsymptote:
         v_g = constant_area_height(spec, 10.0)
         scaled = dataclasses.replace(spec, V=v_g)
         ks = np.logspace(math.log10(3.0), math.log10(30.0), 5) * math.sqrt(10.0 * v_g)
-        for k, exact in zip(ks.tolist(), transmission_ucp_arrays([scaled], ks)[1][0].tolist()):
-            assert reflection_asymptote(spec, 10.0, k) == pytest.approx(exact, rel=1e-4, abs=0)
+        exact = transmission_ucp_arrays([scaled], ks)[1][0].tolist()
+        assert reflection_asymptote_arrays(spec, 10.0, ks).tolist() == pytest.approx(
+            exact, rel=1e-4, abs=0)
 
     def test_guard_violation(self):
         spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)
@@ -123,6 +122,12 @@ class TestReflectionAsymptote:
         spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)
         with pytest.raises(ValueError, match="wavenumber k must be positive and finite"):
             reflection_asymptote(spec, 25.0, k)
+
+    def test_v0_is_checked_before_k(self):
+        # as every arrays entry, it reads the arguments other than k first
+        spec = UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=5)
+        with pytest.raises(ValueError, match=r"^V0 must be positive, got -1.0$"):
+            reflection_asymptote(spec, -1.0, -5.0)
 
     @pytest.mark.parametrize("spec, V0, k, message", [
         # k * k underflows to 0: the guard divided by it

@@ -36,6 +36,15 @@ def test_each_name_is_declared_once():
     assert sorted(ucpscatter.__all__) == sorted(["__version__", *declared])
 
 
+def test_each_arrays_entry_has_its_one_point_view():
+    # a method's one-point call is named as its arrays entry, without _arrays
+    entries = sorted(name for name in ucpscatter.__all__ if name.endswith("_arrays"))
+    assert entries == ["bloch_sequence_arrays", "reflection_asymptote_arrays",
+                       "transmission_oracle_arrays", "transmission_spp_arrays",
+                       "transmission_ucp_arrays"]
+    assert all(name.removesuffix("_arrays") in ucpscatter.__all__ for name in entries)
+
+
 # names the package root does not export, but a module may still define
 ROOT_ONLY = ["q_pochhammer", "TransferMatrix"]
 

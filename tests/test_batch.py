@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import ucpscatter.analysis as analysis
 import ucpscatter.geometry as geometry
 import ucpscatter.oracle as oracle
 import ucpscatter.scattering as scattering
@@ -19,11 +20,16 @@ from ucpscatter import (
     ScatterResult,
     UcpSpec,
     bloch_sequence,
+    bloch_sequence_arrays,
+    constant_area_height,
     reflection_asymptote,
+    reflection_asymptote_arrays,
     region_sequence,
     saturation_scan,
     transmission_oracle,
     transmission_oracle_arrays,
+    transmission_spp,
+    transmission_spp_arrays,
     transmission_ucp,
     transmission_ucp_arrays,
 )
@@ -474,8 +480,12 @@ _ONE_D = r"^ks must be one-dimensional, got shape "
     (lambda spec: scattering.transmission_spp(25.0, 1.0, [2], [3.0], [1.0]),
      _ONE_D + r"\(1, 1\)$"),
     (lambda spec: reflection_asymptote(spec, 10.0, [300.0]), _ONE_D + r"\(1, 1\)$"),
+    (lambda spec: bloch_sequence_arrays(spec, 2.0), _ONE_D + r"\(\)$"),
+    (lambda spec: transmission_spp_arrays(25.0, 1.0, [2], [3.0], [[1.0]]), _ONE_D + r"\(1, 1\)$"),
+    (lambda spec: reflection_asymptote_arrays(spec, 10.0, 300.0), _ONE_D + r"\(\)$"),
 ], ids=["transmission_ucp", "saturation_scan", "bloch_sequence", "transmission_spp",
-        "reflection_asymptote"])
+        "reflection_asymptote", "bloch_sequence_arrays", "transmission_spp_arrays",
+        "reflection_asymptote_arrays"])
 def test_a_k_that_is_not_one_number_is_refused_as_the_arrays_entries_refuse_it(call, message):
     # each entry but the first raised a TypeError, or numpy's ValueError about an
     # inhomogeneous shape
@@ -494,6 +504,10 @@ K_ENTRIES = {
     "transmission_spp": lambda spec, k: scattering.transmission_spp(25.0, 1.0, [2], [3.0], k),
     "reflection_asymptote": lambda spec, k: reflection_asymptote(spec, 10.0, k),
     "saturation_scan": lambda spec, k: saturation_scan(spec, 3, [k, k]),
+    "bloch_sequence_arrays": lambda spec, k: bloch_sequence_arrays(spec, [k, k]),
+    "transmission_spp_arrays": lambda spec, k: transmission_spp_arrays(25.0, 1.0, [2], [3.0],
+                                                                       [k, k]),
+    "reflection_asymptote_arrays": lambda spec, k: reflection_asymptote_arrays(spec, 10.0, [k, k]),
 }
 
 
@@ -513,6 +527,107 @@ def test_empty_batches():
                               ([spec, spec], [], (2, 0)), ([], [], (0, 0))]:
         assert [x.shape for x in transmission_ucp_arrays(specs_, ks)] == [shape] * 3
     assert [x.shape for x in transmission_oracle_arrays(spec, [])] == [(0,)] * 3
+    assert [x.shape for x in transmission_spp_arrays(25.0, 1.0, [2], [3.0], [])] == [(0,)] * 3
+    assert bloch_sequence_arrays(spec, []).shape == (4, 0)
+    assert bloch_sequence_arrays(dataclasses.replace(spec, G=0), [1.0, 2.0]).shape == (0, 2)
+    assert reflection_asymptote_arrays(spec, 10.0, []).shape == (0,)
+
+
+# the one-point calls that are views of an arrays entry of their own module
+VIEWS = {"bloch_sequence": (scattering, (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 2.0)),
+         "transmission_spp": (scattering, (25.0, 1.0, [2], [3.0], 2.0)),
+         "reflection_asymptote": (analysis,
+                                  (UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4), 10.0, 300.0))}
+
+
+@pytest.mark.parametrize("name", VIEWS)
+def test_a_one_point_call_runs_its_arrays_entry_at_one_k(monkeypatch, name):
+    # once, on [k]; the property tests below hold every value to the entry's
+    module, args = VIEWS[name]
+    entry, calls = getattr(module, name + "_arrays"), []
+    monkeypatch.setattr(module, name + "_arrays", lambda *a: calls.append(a) or entry(*a))
+    getattr(module, name)(*args)
+    assert calls == [(*args[:-1], [args[-1]])]
+
+
+# k that every one-point call refuses: not positive, not finite, or |V|/(2k^2) past 2**400
+REFUSED_KS = [0.0, -0.0, -2.0, math.nan, math.inf, 1e-300]
+
+
+@st.composite
+def k_lists(draw, k=wavenumbers):
+    """0 to 6 k drawn from k, and now and then one or two refused k inserted anywhere."""
+    n = draw(st.sampled_from(range(7)))
+    ks = draw(st.lists(k, min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        ks.insert(draw(st.integers(0, len(ks))), draw(st.sampled_from(REFUSED_KS)))
+    return ks
+
+
+def assert_arrays_entry_is_its_one_point_calls(entry, point, per_k, ks):
+    """entry(ks) is point(k) at each k, repr and so every bit, per_k(entry(ks))
+    listing its values by k; or, if point refuses a k, entry(ks) raises the
+    refusal of the first such k, one line."""
+    points = []
+    for k in ks:
+        try:
+            points.append(point(k))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                entry(ks)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            assert "\n" not in str(exc)
+            return
+    assert repr(per_k(entry(ks))) == repr(points)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(specs(64), k_lists())
+@example(UcpSpec(L=5, V=-25, rho=3, alpha=1, beta=0, G=64), [0.5, 2.0, 7.0])
+@example(UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=0), [2.0, 3.0])
+@example(UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=64), [])
+@settings(max_examples=100, deadline=None)
+def test_bloch_sequence_arrays_is_its_one_point_calls(spec, ks):
+    assert_arrays_entry_is_its_one_point_calls(
+        lambda ks: bloch_sequence_arrays(spec, ks), lambda k: bloch_sequence(spec, k),
+        lambda phases: [tuple(column) for column in phases.T.tolist()], ks)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.floats(-1e3, 3e4), st.floats(0.01, 3.0),
+       # up to 64 orders of 1 to 5 copies, a gap of -0.5 (a spacing below the span) to 3
+       st.lists(st.tuples(st.integers(1, 5), st.floats(-0.5, 3.0)), max_size=64), k_lists())
+@example(-25.0, 1.0, [(2, 1.0)] * 64, [0.5, 2.0])
+@example(25.0, 1.0, [], [])
+@settings(max_examples=100, deadline=None)
+def test_transmission_spp_arrays_is_its_one_point_calls(V, width, orders, ks):
+    Ns, ss, span = [], [], width
+    for n, gap in orders:
+        Ns.append(n)
+        ss.append(span + gap)
+        span = (n - 1) * ss[-1] + span
+    assert_arrays_entry_is_its_one_point_calls(
+        lambda ks: transmission_spp_arrays(V, width, Ns, ss, ks),
+        lambda k: transmission_spp(V, width, Ns, ss, k), records, ks)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(specs(64), st.floats(0.1, 100.0), k_lists(st.floats(0.3, 300.0)))
+@example(UcpSpec(L=1, V=-1, rho=2.5, alpha=0.5, beta=1, G=64), 10.0, [3.0, 30.0])
+@example(UcpSpec(L=1, V=1, rho=3, alpha=1, beta=0, G=0), 10.0, [])
+# k = 0.0316 fits a double, k = 9.5e-4 is the first whose asymptote does not
+@example(UcpSpec(L=1e160, V=25, rho=3, alpha=1, beta=0, G=0), 1e-8, [100.0, 3.0, 1.0])
+@settings(max_examples=100, deadline=None)
+def test_reflection_asymptote_arrays_is_its_one_point_calls(spec, V0, factors):
+    # k from 0.3 to 300 times sqrt(10 V_G): most pass the guard V_G/k^2 < 0.1
+    try:
+        unit = math.sqrt(10.0 * constant_area_height(spec, V0))
+    except ValueError:
+        unit = 1.0
+    ks = [c * unit for c in factors]
+    assert_arrays_entry_is_its_one_point_calls(
+        lambda ks: reflection_asymptote_arrays(spec, V0, ks),
+        lambda k: reflection_asymptote(spec, V0, k), lambda asymptote: asymptote.tolist(), ks)
 
 
 def test_rescaled_block_keeps_its_digits():

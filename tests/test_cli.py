@@ -956,7 +956,7 @@ def test_a_flag_before_the_command_is_the_one_unrecognized():
 
 def flags_of(command):
     """The flags that a command's --help lists, -h and --help left out."""
-    text = help_of(cli.build_parser(), [command, "--help"])
+    text = help_of(cli.build_parser(command), [command, "--help"])
     return [f for f in dict.fromkeys(re.findall(r"--([A-Za-z][\w-]*)", text)) if f != "help"]
 
 

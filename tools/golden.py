@@ -226,7 +226,8 @@ def _library() -> dict[str, list]:
     ]:
         library[name].append(call)
     return {**library, **_more_library(random.Random(20232)),
-            "number-types": _number_types(random.Random(20233))}
+            "number-types": _number_types(random.Random(20233)),
+            **_arrays_library(random.Random(20234))}
 
 
 def _more_library(rng: random.Random) -> dict[str, list]:
@@ -274,6 +275,41 @@ def _more_library(rng: random.Random) -> dict[str, list]:
             (u.transmission_ucp_arrays, (opaque, [0.25, 0.5, 1.0])),
             (u.transmission_ucp_arrays, (opaque, [1.0, 1e-200]))],
     }
+
+
+def _arrays_library(rng: random.Random) -> dict[str, list]:
+    """The arrays entries of bloch_sequence, transmission_spp and
+    reflection_asymptote, from their own seed: G <= 64, every other Bloch
+    call's spec opaque, and up to 8 k a call, none in some, each k drawn as the
+    one-point calls above draw theirs.  The last call of
+    each entry raises its first bad k's error."""
+    import ucpscatter as u
+
+    library = {name: [] for name in ("bloch_sequence_arrays", "transmission_spp_arrays",
+                                     "reflection_asymptote_arrays")}
+    for i in range(20):
+        opaque = i % 2 == 1
+        spec = _spec(rng, 64, opaque)
+        library["bloch_sequence_arrays"].append(
+            (u.bloch_sequence_arrays, (spec, _ks(rng, rng.randint(0, 8), opaque))))
+        V, width, Ns, ss, _ = _spp_call(rng)
+        library["transmission_spp_arrays"].append(
+            (u.transmission_spp_arrays, (V, width, Ns, ss, _ks(rng, rng.randint(0, 8)))))
+        # most pass the guard V_G/k^2 < 0.1, as in _more_library
+        library["reflection_asymptote_arrays"].append(
+            (u.reflection_asymptote_arrays, (_spec(rng, 40), 10 ** rng.uniform(-1, 2),
+                                             [10 ** rng.uniform(2, 4.5)
+                                              for _ in range(rng.randint(0, 4))])))
+    spec = _spec(rng, 40)
+    for name, call in [
+        ("bloch_sequence_arrays", (u.bloch_sequence_arrays, (spec, [2.0, -1.0, 0.0]))),
+        ("transmission_spp_arrays", (u.transmission_spp_arrays,
+                                     (25.0, 1.0, [2, 3], [3.0, 9.0], [2.0, math.nan, -1.0]))),
+        ("reflection_asymptote_arrays", (u.reflection_asymptote_arrays,
+                                         (spec, 1.0, [1e4, 1e-300, -1.0]))),
+    ]:
+        library[name].append(call)
+    return library
 
 
 def _staged(function, spec, G, *args):
