@@ -79,9 +79,7 @@ def reflection_asymptote_arrays(spec: UcpSpec, V0: float, ks: Sequence[float]) -
     R ~ 4**G * (V_G l_G / 2)**2 / k**2 * prod Omega_i**2 with the Bloch
     phases evaluated at the constant-area height V_G.  Valid only for
     V_G / k**2 < 0.1; used for comparison against the exact reflection.
-    Raises ValueError, in this order: for V0, at the first k not positive or
-    past the guard, as bloch_sequence_arrays, and at the first k whose
-    asymptote overflows a double.
+    Raises ValueError for V0, or else the one-point call's at the first bad k.
     """
     spec, k = _spec(spec), _k_array(ks)
     v_g = constant_area_height(spec, V0)
@@ -89,20 +87,25 @@ def reflection_asymptote_arrays(spec: UcpSpec, V0: float, ks: Sequence[float]) -
         kk = k * k  # can underflow to 0, and overflow
         ratio = np.where(kk > 0.0, v_g / kk, math.inf)
         bad = ~((k > 0.0) & (k < math.inf) & (ratio < _ASYMPTOTE_GUARD))
-        if bad.any():
-            i = int(np.argmax(bad))
-            _require_positive_k(k[i].item())
-            raise ValueError(f"asymptote guard violated: V_G/k^2 = {ratio[i].item():.3g} "
-                             f">= {_ASYMPTOTE_GUARD}")
-        phases = bloch_sequence_arrays(dataclasses.replace(spec, V=v_g), k)
+        i = int(np.argmax(bad)) if bad.any() else k.size  # the k before i pass the guard
+        try:
+            phases = bloch_sequence_arrays(dataclasses.replace(spec, V=v_g), k[:i])
+        except ValueError:  # an earlier k's own call may refuse it first: its asymptote overflows
+            for x in k[:i - 1].tolist():
+                reflection_asymptote(spec, V0, x)
+            raise
         prod = (phases * phases).prod(axis=0)  # over q in order, as a loop takes it
         try:  # 4**G (v_g l_g / 2)**2
             square = math.ldexp(v_g * segment_length(spec, spec.G) / 2.0, spec.G) ** 2
         except OverflowError:
             square = math.inf
-        asymptote = square / kk * prod
+        asymptote = square / kk[:i] * prod
     if not np.isfinite(asymptote).all():
         raise ValueError(f"reflection asymptote overflows a double at G={spec.G}")
+    if i < k.size:
+        _require_positive_k(k[i].item())
+        raise ValueError(f"asymptote guard violated: V_G/k^2 = {ratio[i].item():.3g} "
+                         f">= {_ASYMPTOTE_GUARD}")
     return asymptote
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import UcpSpec, _listed_widths, _spec
-from .scattering import ScatterResult, _barrier_rows, _gap_phase, _k_array, _results
+from .scattering import ScatterResult, _barrier_rows, _k_array, _results
 
 __all__ = ["region_sequence", "transmission_oracle", "transmission_oracle_arrays"]
 
@@ -81,15 +81,14 @@ def transmission_oracle_arrays(spec: UcpSpec,
     n = k.size
     if n == 0:
         return _results(k, k, k)
-    # each distinct region's factor, built in order of first use (so the first
-    # bad region raises first) as (diag, off, growth, limit, floor, shift), f_ij
-    # its entry (i, j) of every k: diag = (f00, f00, f00, f00) and off = (f01,
-    # f01, f10, f10); f11 is f00 in both kinds
+    # each distinct region's factor, built once in order of first use as (diag, off,
+    # growth, limit, floor, shift), f_ij its entry (i, j) of every k: diag = (f00,
+    # f00, f00, f00) and off = (f01, f01, f10, f10); f11 is f00 in both kinds
     factors = dict.fromkeys(regions)
-    for region in factors:
-        width, is_barrier = region
+    gap = max((width for width, is_barrier in factors if not is_barrier), default=0.0)
+    for width, is_barrier in factors:
         if is_barrier:
-            cos_m1, k_sin, em_sin = _barrier_rows(k, spec.V, width)  # checks k
+            cos_m1, k_sin, em_sin = _barrier_rows(k, spec.V, width, gap)  # refuses each bad k
             cos_z = 1.0 + cos_m1
             with np.errstate(over="ignore"):
                 c_k = 2.0 * em_sin - k_sin
@@ -107,10 +106,10 @@ def transmission_oracle_arrays(spec: UcpSpec,
             f00, f01, f10 = cos_z, k_sin, c_k
             rest = (growth * _SLACK, limit, float(limit.min()), shift)
         else:
-            kd = _gap_phase(k, width)
+            kd = k * width
             f00, f01 = np.cos(kd), np.sin(kd)
             f10, rest = -f01, (_SLACK, None, None, None)
-        factors[region] = (np.tile(f00, 4), np.concatenate((f01, f01, f10, f10)), *rest)
+        factors[width, is_barrier] = np.tile(f00, 4), np.concatenate((f01, f01, f10, f10)), *rest
     # the product [[A, kB], [C/k, D]] of every k as one vector z = (x, y) of its
     # two columns, x = (A, C/k) and y = (kB, D), and views of them made once
     z = np.repeat([1.0, 0.0, 0.0, 1.0], n)

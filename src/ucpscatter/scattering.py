@@ -178,10 +178,10 @@ def _sinh(y: np.ndarray) -> np.ndarray:
     return out * np.where(large, math.e, 1.0)
 
 
-def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
+def _barrier_rows(k: np.ndarray, V, width, gap) -> np.ndarray:
     """Terms of a rectangular barrier at each point, one row per term:
-    cos(kappa w) - 1, k sin(kappa w)/kappa and eps_- sin(kappa w).  V and
-    width are values or arrays like k.
+    cos(kappa w) - 1, k sin(kappa w)/kappa and eps_- sin(kappa w).  V, width
+    and gap, the widest |d| of the point's gaps, are values or arrays like k.
 
     Natural units: k = sqrt(E), kappa = sqrt(E - V), real for E >= V and
     imaginary below (cos/sin become cosh/sinh).  cos(kappa w) - 1 is
@@ -194,12 +194,13 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
     cmath.sin and complex * and /, taken in real arithmetic, with the signed
     zero of the imaginary part where a product can be zero.
 
-    Raises ValueError for the first bad point in input order: k not positive
-    and finite, width not positive, a term that does not fit a double, or
-    |V|/(2k^2) above _MAX_V_OVER_2K2.  Each term is a factor of k (k or
-    V/(2k)) times one that grows as e**|Im kappa w|: the barrier is too
-    opaque where that growth outweighs the factor's, and k is out of range
-    otherwise.
+    Refuses each k here and nowhere else: raises ValueError for the first bad
+    point in input order, naming the first of these that holds there: k not
+    positive and finite, width not positive, a term that does not fit a
+    double, |V|/(2k^2) above _MAX_V_OVER_2K2, or k*gap past a double (a
+    gap's sine would be NaN).  Each term is a factor of k (k or V/(2k)) times
+    one that grows as e**|Im kappa w|: the barrier is too opaque where that
+    growth outweighs the factor's, and k is out of range otherwise.
     """
     with np.errstate(all="ignore"):  # a bad point is found below, in input order
         em = V / (2.0 * k)
@@ -230,7 +231,8 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
         rows[1:] -= np.where(~imaginary & (sin_z > 0.0) & (np.cos(z) < 0.0), -0.0, 0.0)
         # k = inf or NaN makes every term NaN
         finite = np.isfinite(rows).all(axis=0)
-        ok = (k > 0.0) & (width > 0.0) & finite & (np.abs(em) <= _MAX_V_OVER_2K2 * k)
+        fits = finite & (np.abs(em) <= _MAX_V_OVER_2K2 * k)
+        ok = (k > 0.0) & (width > 0.0) & fits & (k * gap < math.inf)
     if not ok.all():
         i = int(np.argmin(ok))
         k_i, V_i, w_i, z_i, em_i, s_i = (
@@ -238,6 +240,8 @@ def _barrier_rows(k: np.ndarray, V, width) -> np.ndarray:
         _require_positive_k(k_i)
         if not w_i > 0.0:
             raise ValueError(f"barrier width must be positive, got {w_i}")
+        if fits[i]:  # its terms fit and are in range: only a gap's k*d is left
+            raise ValueError("gap too wide: k*d overflows a double")
         if finite[i]:
             raise ValueError(f"wavenumber k = {k_i:.6g} too small for a barrier of height "
                              f"{V_i:.6g}: |V|/(2k^2) exceeds 2**400")
@@ -262,13 +266,13 @@ def bloch_sequence_arrays(spec: UcpSpec, ks: Sequence[float]) -> np.ndarray:
     gap(d_{G-q+1}) (Yeh, Yariv & Hong, JOSA 67, 423, 1977), taken from the
     doubling itself, so it keeps its digits at every stage.  A phase too large
     for a double comes back as +-inf; exact zeros (transmission resonances)
-    come back as 0.  Raises the ValueError of the first k whose barrier is bad
-    (see _barrier_rows), or else that of a gap whose k*d overflows.
+    come back as 0.  Raises the ValueError of the first refused k, the one
+    that bloch_sequence gives there (see _barrier_rows).
     """
     table, k = _spec(spec).width_chain, _k_array(ks)
     half_traces = []
     # a gap per point: _repetition runs an order on as many points as its gap has
-    _repetition(k, _barrier_rows(k, spec.V, table.widths[-1, 0]),
+    _repetition(k, _barrier_rows(k, spec.V, table.widths[-1, 0], table.gaps.max(initial=0.0)),
                 [(np.full(k.size, d), 2) for d in table.gaps[::-1, 0].tolist()], half_traces)
     with np.errstate(over="ignore"):
         omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
@@ -343,9 +347,11 @@ def _transmission_table(table: _WidthTable, V: Sequence[float],
     shape = (stages.size, k.size)
     points_k = np.tile(k, shape[0])  # every point's k, spec-major: the same in any spec order
     widths = table.widths[stages, np.arange(shape[0])]  # l_G
+    # each spec's widest gap, of the rows it runs: row stages[i] holds l_G
+    gap = np.where(np.arange(len(table.gaps))[:, None] < stages, table.gaps, 0).max(0, initial=0)
     # spec-major, so the first bad point raised is the first (spec, k) in row-major
     # order; past it every l_G > 0, so no chain is cut short
-    barrier = _barrier_rows(points_k, np.repeat(V, k.size), widths.repeat(k.size))
+    barrier = _barrier_rows(points_k, *(np.repeat(x, k.size) for x in (V, widths, gap)))
     # highest stage first: the running[g] specs still running at order g, G_i >= g, are a prefix
     order = np.argsort(-stages, kind="stable")
     running = np.cumsum(np.bincount(stages)[::-1])[::-1].tolist()
@@ -354,15 +360,6 @@ def _transmission_table(table: _WidthTable, V: Sequence[float],
     block = _repetition(points_k, barrier.reshape(3, *shape)[:, order].reshape(3, -1), orders)
     back = np.argsort(order)
     return tuple(x.reshape(shape)[back] for x in _results(block[2], block[3], block[5]))
-
-
-def _gap_phase(k: np.ndarray, d) -> np.ndarray:
-    """k*d, the angle of a gap's rotation; ValueError where it overflows, as its sine is NaN."""
-    with np.errstate(over="ignore"):
-        kd = k * d
-    if np.isinf(kd).any():
-        raise ValueError("gap too wide: k*d overflows a double")
-    return kd
 
 
 def _rescaled(block: tuple) -> tuple:
@@ -419,7 +416,7 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
     over the points that ran it, to half_traces when it is given.  Each entry
     is an array over the points: numpy does the + - x, the sines (its float64
     sin rounds as the C library's, which math.sin calls), the rescale test and
-    the rescale.
+    the rescale.  It never raises: _barrier_rows has refused every bad k.
     """
     cos_m1, k_sin, em_sin = barrier
     zeros = np.zeros(k.size)
@@ -430,7 +427,7 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
     for d, n in orders:
         m = np.size(d)
         head = _rescaled(tuple(block[:, :m]))
-        kd = _gap_phase(k[:m], d)
+        kd = k[:m] * d
         half = np.sin(kd / 2.0)  # the gap is a rotation by kd
         cell = _gap_product(head, -2.0 * half * half, np.sin(kd))
         if half_traces is not None:
@@ -493,7 +490,7 @@ def transmission_spp_arrays(V: float, width: float, Ns: Sequence[int], ss: Seque
     stage-g system.  V must be finite, width positive and finite, repetition
     counts integers >= 1 and spacings finite.  V, the width and the spacings
     are read as doubles and each count as an int that fits one (see geometry).
-    A bad k raises as in bloch_sequence_arrays.
+    Raises the ValueError of the first refused k, transmission_spp's there.
     """
     height, w = _real(V, "V"), _real(width, "width")
     if not math.isfinite(height):
@@ -515,6 +512,7 @@ def transmission_spp_arrays(V: float, width: float, Ns: Sequence[int], ss: Seque
         orders.append((s_f - span, n))
         span = (n - 1) * s_f + span
     k = _k_array(ks)
-    block = _repetition(k, _barrier_rows(k, height, w),
+    gap = np.abs([d for d, _ in orders]).max(initial=0.0)
+    block = _repetition(k, _barrier_rows(k, height, w, gap),
                         [(np.full(k.size, d), n) for d, n in orders])
     return _results(block[2], block[3], block[5])

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -128,7 +129,7 @@ def test_repetition_leaves_the_barrier_rows_as_they_are():
     # the orders run the first 2, 3 and 3 points: the last point runs none
     spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=3)
     k = np.array([0.5, 2.0, 7.0, 11.0])
-    barrier = scattering._barrier_rows(k, spec.V, spec.width_chain.widths[-1, 0])
+    barrier = scattering._barrier_rows(k, spec.V, spec.width_chain.widths[-1, 0], gap=0.0)
     before = barrier.copy()
     orders = [(np.full(n, d), 2) for n, d in zip((2, 3, 3), spec.width_chain.gaps[::-1, 0])]
     half_traces = []
@@ -403,16 +404,29 @@ def test_oracle_rescale_and_shift_keep_their_bits(spec, ks, bits):
 
 def test_oracle_builds_each_distinct_factor_once(monkeypatch):
     spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=6)
-    widths = []
-    for name in ("_barrier_rows", "_gap_phase"):
-        def counted(*args, built=getattr(oracle, name), is_barrier=name == "_barrier_rows"):
-            widths.append((args[-1], is_barrier))
-            return built(*args)
-        monkeypatch.setattr(oracle, name, counted)
-    transmission_oracle_arrays(spec, [0.5, 3.0])
+    k = np.array([0.5, 3.0])
+    built = []  # a barrier factor's width, and a gap factor's angles k*d
+
+    def barrier_rows(k, V, width, gap):
+        built.append(width)
+        return scattering._barrier_rows(k, V, width, gap)
+
+    class Numpy:
+        """The oracle's numpy, whose cos records the angles of each gap factor it builds."""
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cos(self, kd):
+            built.append(kd.tolist())
+            return np.cos(kd)
+
+    monkeypatch.setattr(oracle, "_barrier_rows", barrier_rows)
+    monkeypatch.setattr(oracle, "np", Numpy())
+    transmission_oracle_arrays(spec, k)
     # one barrier width and G gap widths, each built once in order of first use
-    assert len(widths) == spec.G + 1
-    assert widths == list(dict.fromkeys(region_sequence(spec)))
+    assert len(built) == spec.G + 1
+    assert built == [width if is_barrier else (k * width).tolist()
+                     for width, is_barrier in dict.fromkeys(region_sequence(spec))]
 
 
 # stages deep enough for gaps far below any wavelength, down to where the width chain stops
@@ -555,12 +569,12 @@ REFUSED_KS = [0.0, -0.0, -2.0, math.nan, math.inf, 1e-300]
 
 
 @st.composite
-def k_lists(draw, k=wavenumbers):
+def k_lists(draw, k=wavenumbers, refused=REFUSED_KS, inserts=(0, 0, 0, 1, 2)):
     """0 to 6 k drawn from k, and now and then one or two refused k inserted anywhere."""
     n = draw(st.sampled_from(range(7)))
     ks = draw(st.lists(k, min_size=n, max_size=n))
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
-        ks.insert(draw(st.integers(0, len(ks))), draw(st.sampled_from(REFUSED_KS)))
+    for _ in range(draw(st.sampled_from(inserts))):
+        ks.insert(draw(st.integers(0, len(ks))), draw(st.sampled_from(refused)))
     return ks
 
 
@@ -628,6 +642,95 @@ def test_reflection_asymptote_arrays_is_its_one_point_calls(spec, V0, factors):
     assert_arrays_entry_is_its_one_point_calls(
         lambda ks: reflection_asymptote_arrays(spec, V0, ks),
         lambda k: reflection_asymptote(spec, V0, k), lambda asymptote: asymptote.tolist(), ks)
+
+
+# d_1 = 1e308 against l_1 = 5e297: from k = 1.8 on a gap's k*d overflows, though
+# kappa l_1 fits a double; below k = 1 the barrier is too opaque at V = 1
+WIDE = UcpSpec(L=1e308, V=1, rho=2, alpha=1.4426950409e-10, beta=0, G=1)
+ONE_RULE_SPECS = [
+    WIDE,
+    dataclasses.replace(WIDE, V=-1.0),  # never opaque: a small k passes 2**400 instead
+    UcpSpec(L=400, V=400, rho=3, alpha=3, beta=0, G=2),  # too opaque at k = 1
+    UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=3),
+    UcpSpec(L=1e200, V=1, rho=2, alpha=1, beta=0, G=1),  # every asymptote overflows
+]
+# one refused k of each kind at some spec above: negative, NaN, |V|/(2k^2) past
+# 2**400, too opaque, k*d past a double at 10 and 1e6, and k**2 past it at 1e200
+MIXED_REFUSALS = [-1.0, math.nan, 1e-150, 0.5, 1.0, 10.0, 1e6, 1e200]
+
+
+def spp_stage(spec):
+    """transmission_spp's arguments but k for spec's stage-G system: N_f = 2 at the super-periods."""
+    return (spec.V, geometry.segment_length(spec, spec.G), [2] * spec.G,
+            [geometry.super_period(spec, f) for f in range(1, spec.G + 1)])
+
+
+# entry name -> (the arrays call, and its one-point calls in the order of its
+# points) at the specs, the first of which the entries of one spec take, and ks
+ONE_RULE_ENTRIES = {
+    "transmission_ucp_arrays": (
+        transmission_ucp_arrays,
+        lambda specs, ks: [(transmission_ucp, s, k) for s in specs for k in ks]),
+    "transmission_oracle_arrays": (
+        lambda specs, ks: transmission_oracle_arrays(specs[0], ks),
+        lambda specs, ks: [(transmission_oracle, specs[0], k) for k in ks]),
+    "bloch_sequence_arrays": (
+        lambda specs, ks: bloch_sequence_arrays(specs[0], ks),
+        lambda specs, ks: [(bloch_sequence, specs[0], k) for k in ks]),
+    "transmission_spp_arrays": (
+        lambda specs, ks: transmission_spp_arrays(*spp_stage(specs[0]), ks),
+        lambda specs, ks: [(transmission_spp, *spp_stage(specs[0]), k) for k in ks]),
+    "reflection_asymptote_arrays": (
+        lambda specs, ks: reflection_asymptote_arrays(specs[0], 1.0, ks),
+        lambda specs, ks: [(reflection_asymptote, specs[0], 1.0, k) for k in ks]),
+    # its points in row-major (stage, k) order
+    "saturation_scan": (
+        lambda specs, ks: saturation_scan(specs[0], 0, ks),
+        lambda specs, ks: [(transmission_ucp, dataclasses.replace(specs[0], G=g), k)
+                           for g in range(specs[0].G + 1) for k in ks]),
+}
+
+
+def test_the_mixed_refusals_are_of_every_kind():
+    wide, wide_below_0, thick = ONE_RULE_SPECS[:3]
+    for spec, k, message in [(wide, -1.0, "must be positive and finite, got -1.0"),
+                             (wide, math.nan, "must be positive and finite, got nan"),
+                             (wide_below_0, 1e-150, "exceeds 2**400"),
+                             (wide, 0.5, "too opaque"), (thick, 1.0, "too opaque"),
+                             (wide, 10.0, "gap too wide"),
+                             (ONE_RULE_SPECS[-1], 1e200, "out of range")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            transmission_ucp(spec, k)
+    with pytest.raises(ValueError, match="asymptote overflows"):
+        reflection_asymptote(ONE_RULE_SPECS[-1], 1.0, 10.0)
+
+
+@pytest.mark.parametrize("entry", ONE_RULE_ENTRIES)
+@given(st.lists(st.sampled_from(ONE_RULE_SPECS), min_size=1, max_size=2),
+       k_lists(st.floats(1.1, 1.7), MIXED_REFUSALS, inserts=(0, 1, 2, 3)))
+# a k*d overflow before a negative k: the negative k was named
+@example([WIDE], [10.0, -1.0])
+@example([WIDE], [1e6, -1.0])
+# an asymptote that overflows before a k that the Bloch pass refuses
+@example([ONE_RULE_SPECS[-1]], [10.0, 1e200])
+# k l_0 overflows, kappa l_0 does not: in a table that runs G = 1, the row past
+# the G = 0 spec's stage count holds l_0, which is no gap of its own
+@example([UcpSpec(L=1.5e154, V=1e308, rho=2, alpha=1, beta=0, G=G) for G in (1, 0)], [1.3e154])
+@settings(max_examples=60, deadline=None)
+def test_every_arrays_entry_raises_its_first_refused_points_error(entry, specs, ks):
+    """The one rule: an arrays entry raises the error that the one-point call
+    raises at its first refused point, whatever kind each refusal is of."""
+    assume(ks or entry != "saturation_scan")  # which needs a k to compare the stages at
+    arrays, points = ONE_RULE_ENTRIES[entry]
+    for function, *args in points(specs, ks):
+        try:
+            function(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                arrays(specs, ks)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            return
+    arrays(specs, ks)
 
 
 def test_rescaled_block_keeps_its_digits():
@@ -705,10 +808,10 @@ def assert_rows_as_reference(points):
     k, V, width = (np.array(column, dtype=float) for column in zip(*points))
     if isinstance(want, str):
         with pytest.raises(ValueError) as raised:
-            scattering._barrier_rows(k, V, width)
+            scattering._barrier_rows(k, V, width, gap=0.0)
         assert str(raised.value) == want
     else:
-        got = scattering._barrier_rows(k, V, width)
+        got = scattering._barrier_rows(k, V, width, gap=0.0)
         assert np.array_equal(bits(got), bits(want)), (got, want)
 
 
@@ -739,7 +842,7 @@ def test_overflowing_real_kappa_w_names_k():
     # cmath.sin raised "math domain error" here; the message now names k, as
     # for every other term that does not fit a double
     with pytest.raises(ValueError, match=r"^wavenumber k = 1e\+10 out of range"):
-        scattering._barrier_rows(np.array([1.0, 1e10]), 1.0, 1e300)
+        scattering._barrier_rows(np.array([1.0, 1e10]), 1.0, 1e300, gap=0.0)
     with pytest.raises(ValueError, match="math domain error"):
         barrier_terms(1e10, 1.0, 1e300)
 

@@ -227,7 +227,7 @@ def _library() -> dict[str, list]:
         library[name].append(call)
     return {**library, **_more_library(random.Random(20232)),
             "number-types": _number_types(random.Random(20233)),
-            **_arrays_library(random.Random(20234))}
+            **_arrays_library(random.Random(20234)), **_first_refusal_library()}
 
 
 def _more_library(rng: random.Random) -> dict[str, list]:
@@ -310,6 +310,28 @@ def _arrays_library(rng: random.Random) -> dict[str, list]:
     ]:
         library[name].append(call)
     return library
+
+
+def _first_refusal_library() -> dict[str, list]:
+    """One call per arrays entry whose first k is refused as its gap's k*d
+    overflows a double, and a later k as negative: each raises the gap's
+    error, the one-point call's at its first refused k.  The k are written
+    out, so no line depends on the CPU."""
+    import ucpscatter as u
+
+    # d_1 = 1e308 against l_1 = 5e297: kappa l_1 fits a double at each k below
+    wide = u.UcpSpec(L=1e308, V=1.0, rho=2.0, alpha=1.4426950409e-10, beta=0.0, G=1)
+    calls = {
+        "transmission_ucp_arrays": (u.transmission_ucp_arrays, ([wide], [10.0, -1.0])),
+        "transmission_oracle_arrays": (u.transmission_oracle_arrays, (wide, [10.0, -1.0])),
+        "bloch_sequence_arrays": (u.bloch_sequence_arrays, (wide, [10.0, -1.0])),
+        "transmission_spp_arrays": (u.transmission_spp_arrays,
+                                    (1.0, 1.0, [2], [1e308], [2.0, -1.0])),
+        # V_G = 1e10: k = 1e6 passes the guard V_G/k^2 < 0.1
+        "reflection_asymptote_arrays": (u.reflection_asymptote_arrays,
+                                        (wide, 1.0, [1e6, -1.0])),
+    }
+    return {f"{name}-gap-first": [call] for name, call in calls.items()}
 
 
 def _staged(function, spec, G, *args):
