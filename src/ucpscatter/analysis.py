@@ -11,9 +11,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import UcpSpec, _integer, _real, _spec, _WidthTable, segment_length
-from .scattering import (_k_array, _listed, _log_k_grid, _require_grid_size, _require_k_window,
-                         _require_positive_k, _transmission_table, bloch_sequence_arrays,
-                         transmission_ucp_arrays)
+from .scattering import (_k_array, _k_grid, _listed, _require_positive_k, _transmission_table,
+                         bloch_sequence_arrays)
 
 __all__ = ["ScalingFit", "SaturationReport", "constant_area_height", "reflection_asymptote",
            "reflection_asymptote_arrays", "fit_scaling", "saturation_scan"]
@@ -129,20 +128,15 @@ def fit_scaling(
 ) -> ScalingFit:
     """Fitted log-log slope of the exact reflection envelope over k_window.
 
-    The barrier height is the constant-area V_G.  Points in resonance dips
-    (R below 1e-3 times the rolling median) are excluded; the expected slope
-    in the Born regime is -2.
+    The reflection is the closed form's at n_points log-spaced k, run on the
+    spec's own width_chain at the constant-area height V_G.  Points in
+    resonance dips (R below 1e-3 times the rolling median) are excluded; the
+    expected slope in the Born regime is -2.
     """
     spec = _spec(spec)
     k_min, k_max = _listed(k_window, "k_window")
-    _require_k_window(k_min, k_max)
-    n_points = _integer(n_points, "n_points")
-    if n_points < 50:
-        raise ValueError(f"n_points must be >= 50, got {n_points}")
-    _require_grid_size(n_points, "n_points")
-    scaled = dataclasses.replace(spec, V=constant_area_height(spec, V0))
-    ks = _log_k_grid(k_min, k_max, n_points)
-    refl = transmission_ucp_arrays([scaled], ks)[1][0]
+    ks = _k_grid(k_min, k_max, n_points, "n_points", 50, log=True)
+    refl = _transmission_table(spec.width_chain, [constant_area_height(spec, V0)], ks)[1][0]
 
     positive = refl > 0.0
     ks, refl = ks[positive], refl[positive]

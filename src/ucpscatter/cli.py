@@ -29,8 +29,7 @@ from .analysis import fit_scaling, saturation_scan
 from .geometry import (InvalidSpecError, OracleInfeasibleError, UcpSpec, _width_table,
                        build_segments)
 from .oracle import transmission_oracle_arrays
-from .scattering import (_log_k_grid, _require_grid_size, _require_k_window,
-                         _require_positive_k, _transmission_table, transmission_ucp_arrays)
+from .scattering import _k_grid, _require_positive_k, _transmission_table
 
 EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
@@ -122,14 +121,10 @@ def _build_spec(args: argparse.Namespace) -> UcpSpec:
     return UcpSpec(L=args.L, V=args.V, rho=args.rho, alpha=args.alpha, beta=args.beta, G=args.G)
 
 
-def _k_grid(args: argparse.Namespace) -> np.ndarray:
+def _sweep(args: argparse.Namespace) -> list[float]:
+    """The command's k: --nk >= 2 of them from --kmin to --kmax, spaced as --scale."""
     _require(args, ["kmin", "kmax", "nk"])
-    _require_k_window(args.kmin, args.kmax)
-    if args.nk < 2:
-        raise ValueError(f"need nk >= 2, got {args.nk}")
-    _require_grid_size(args.nk, "nk")
-    grid = _log_k_grid if args.scale == "log" else np.linspace
-    return grid(args.kmin, args.kmax, args.nk)
+    return _k_grid(args.kmin, args.kmax, args.nk, "nk", 2, args.scale == "log").tolist()
 
 
 def _spec_header(spec: UcpSpec) -> list[str]:
@@ -138,14 +133,14 @@ def _spec_header(spec: UcpSpec) -> list[str]:
 
 def cmd_transmission(args: argparse.Namespace) -> list[str]:
     spec = _build_spec(args)
-    ks = _k_grid(args).tolist()
+    ks = _sweep(args)
     engine = args.engine or "closed_form"
 
     lines = [*_spec_header(spec), f"# engine={engine}", "k,T,R,log10_T"]
     if engine == "oracle":
         t, r, log10_t = transmission_oracle_arrays(spec, ks)
     else:
-        t, r, log10_t = (x[0] for x in transmission_ucp_arrays([spec], ks))
+        t, r, log10_t = (x[0] for x in _transmission_table(spec.width_chain, [spec.V], ks))
     columns = [ks, t.tolist(), r.tolist(), log10_t.tolist()]
     footer = []
     if engine == "both":
@@ -251,7 +246,7 @@ def cmd_saturation(args: argparse.Namespace) -> list[str]:
     # message or else gmax's: a stage bound's names the bound, not the stage
     spec = dataclasses.replace(UcpSpec(L=args.L, V=args.V, rho=args.rho, alpha=args.alpha,
                                        beta=args.beta, G=args.gmin), G=args.gmax)
-    report = saturation_scan(spec, args.gmin, _k_grid(args).tolist())
+    report = saturation_scan(spec, args.gmin, _sweep(args))
     payload = {
         "spec": {"L": args.L, "V": args.V, "rho": args.rho, "alpha": args.alpha,
                  "beta": args.beta},
@@ -315,16 +310,17 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 
 def _joined(argv: list[str]) -> tuple[str | None, list[str]]:
     """The command, the first command name in argv (None if there is none),
-    and argv with each value that starts with '-' joined to its flag.
+    and argv with every value joined to its flag, as --name=value.
 
-    argparse takes a token that starts with '-' for a flag unless it is a
-    plain decimal (-1e-3, -inf and -0.5:-0.1:5 are not), and has no setting
-    for it: such a token after one of the command's flags (each takes one
-    value) is joined to it, as --name=value, in the tokens after the command
-    (only top-level flags, none of which takes a value, can come before it,
-    so it is the command argparse runs if it runs one).  A flag of the
-    command, -h, --help and -- are never a value, and --name=-- becomes
-    --name --, which argparse refuses.
+    The one rule: in the tokens after the command, a token that follows one
+    of the command's flags (each takes one value) is that flag's value, and
+    is joined to it, unless it is a flag of the command, -h, --help or --.
+    argparse reads --name=value as --name value, and it also takes a value
+    that starts with '-' (-1e-3, -inf, -0.5:-0.1:5) as the value, where it
+    would take the spaced one for a flag.  Only top-level flags, none of
+    which takes a value, can come before the command, so it is the command
+    argparse runs if it runs one.  --name=-- becomes --name --, which
+    argparse refuses.
     """
     command = next((a for a in argv if a in COMMANDS), None)
     if command is None:
@@ -334,7 +330,7 @@ def _joined(argv: list[str]) -> tuple[str | None, list[str]]:
     tokens = argv[:argv.index(command) + 1]
     for token in argv[len(tokens):]:
         flag, _, value = token.partition("=")
-        if tokens[-1] in flags and token[:1] == "-" and token not in never:
+        if tokens[-1] in flags and token not in never:
             tokens[-1] += "=" + token
         else:
             tokens += [flag, "--"] if flag in flags and value == "--" else [token]
@@ -343,24 +339,22 @@ def _joined(argv: list[str]) -> tuple[str | None, list[str]]:
 
 def _read(argv: list[str]) -> argparse.Namespace | None:
     """The Namespace that build_parser().parse_args(argv) returns, without a
-    parser, for a well-formed argv: the command name first, then only its
-    flags, each spelled in full with one value, --name=value or --name value
-    with a value that does not start with '-', converted and checked as
-    _FLAGS states.  A flag given twice keeps its last value, and an absent
-    one is None.  Any other argv gives None: a token before the command, -h,
-    --help, --version, --, an unknown or abbreviated flag, a missing value, a
-    bad value or a positional, on each of which argparse has its own say."""
+    parser, for a well-formed argv as _joined gives it, every value joined to
+    its flag: the command name first, then only its flags, each spelled in
+    full as --name=value, the value converted and checked as _FLAGS states.
+    A flag given twice keeps its last value, and an absent one is None.  Any
+    other argv gives None: a token before the command, -h, --help,
+    --version, --, an unknown or abbreviated flag, a flag with no value
+    joined to it, a bad value or a positional, on each of which argparse has
+    its own say."""
     if not argv or argv[0] not in COMMANDS:
         return None
     flags = _SPELLED[argv[0]]
     values = dict.fromkeys(flags.values())
-    tokens = iter(argv[1:])
-    for token in tokens:
+    for token in argv[1:]:
         flag, joined, value = token.partition("=")
-        if not joined:
-            value = next(tokens, "-")  # a missing value is declined as a flag in its place is
         name = flags.get(flag)
-        if name is None or (not joined and value[:1] == "-"):
+        if name is None or not joined:
             return None
         try:
             values[name] = _typed(name, value)

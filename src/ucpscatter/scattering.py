@@ -14,9 +14,9 @@ its entries.  It serves three results:
   spec at every k in one pass, specs of any mix of stages (a spec of stage G
   runs the last G orders), with T = 1/(1 + |m12|**2) taken in the log
   domain, so that transmissions far below double-precision underflow remain
-  representable through log10(T); transmission_ucp (one point) and
-  saturation_scan (one spec's stages) run its _transmission_table on a spec's
-  cached width_chain;
+  representable through log10(T); transmission_ucp (one point),
+  saturation_scan (one spec's stages), fit_scaling and the CLI's sweep run
+  its _transmission_table on a spec's cached width_chain;
 - bloch_sequence_arrays: the paper's Bloch phases Omega_q of
 
       T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2),
@@ -124,20 +124,25 @@ def _require_positive_k(k: float) -> None:
         raise ValueError(f"wavenumber k must be positive and finite, got {k}")
 
 
-def _require_k_window(k_min: float, k_max: float) -> None:
-    """The k range of a sweep or a fit: 0 < k_min < k_max, both finite."""
+def _k_grid(k_min: float, k_max: float, n: int, name: str, least: int,
+            log: bool) -> np.ndarray:
+    """n wavenumbers from k_min to k_max, log-spaced if log, else evenly.
+    Checks, in this order: 0 < k_min < k_max, both finite; n an integer (see
+    geometry._integer) named name; n >= least; and n <= _MOST_POINTS, as
+    numpy cannot allocate more, and from about 2**63 points np.linspace and
+    np.logspace end in an IndexError instead of saying so."""
     lo, hi = _real(k_min, "kmin"), _real(k_max, "kmax")
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"need 0 < kmin < kmax < inf, got kmin={k_min}, kmax={k_max}")
-
-
-def _require_grid_size(n: int, name: str) -> None:
-    """n, the point count name of a k grid, at most _MOST_POINTS: numpy cannot
-    allocate more, and from about 2**63 points np.linspace and np.logspace end
-    in an IndexError instead of saying so."""
+    n = _integer(n, name)
+    if n < least:
+        raise ValueError(f"need {name} >= {least}, got {n}")
     if n > _MOST_POINTS:
         raise ValueError(f"need {name} <= {_MOST_POINTS}, the most doubles one array "
                          f"can hold, got {n}")
+    if log:
+        return np.logspace(math.log10(lo), math.log10(hi), n)
+    return np.linspace(lo, hi, n)
 
 
 def _listed(values, name: str, of: str = "numbers") -> list:
@@ -158,10 +163,6 @@ def _k_array(ks: Sequence[float]) -> np.ndarray:
     if k.ndim != 1:
         raise ValueError(f"ks must be one-dimensional, got shape {k.shape}")
     return k
-
-
-def _log_k_grid(k_min: float, k_max: float, n: int) -> np.ndarray:
-    return np.logspace(math.log10(k_min), math.log10(k_max), n)
 
 
 def _libm(fn, *args: np.ndarray) -> np.ndarray:
@@ -329,8 +330,7 @@ def transmission_ucp_arrays(specs: Sequence[UcpSpec],
 
     Points of any mix of specs and stages run in one pass of the doubling
     (see _repetition), highest stage first, a spec of stage G running the
-    last G orders, on one fresh width table of their parameters (_width_table);
-    analysis.saturation_scan runs one spec's stages on its cached width_chain.
+    last G orders, on one fresh width table of their parameters (_width_table).
     """
     specs = [_spec(s, f"specs[{i}]") for i, s in enumerate(_listed(specs, "specs", "UcpSpec"))]
     L, V, rho, alpha, beta = (np.array([getattr(s, name) for s in specs], dtype=float)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import ucpscatter.analysis as analysis
+import ucpscatter.cli as cli
 import ucpscatter.geometry as geometry
 import ucpscatter.oracle as oracle
 import ucpscatter.scattering as scattering
@@ -23,6 +24,7 @@ from ucpscatter import (
     bloch_sequence,
     bloch_sequence_arrays,
     constant_area_height,
+    fit_scaling,
     reflection_asymptote,
     reflection_asymptote_arrays,
     region_sequence,
@@ -188,16 +190,18 @@ def test_equal_spec_objects_equal_one_point_calls(spec, ks):
 
 
 def count_width_tables(monkeypatch):
-    """(columns, stages) of every width table the closed form builds from now on."""
+    """(columns, stages) of every width table the closed form builds from now
+    on, a spec's width_chain among them."""
     tables = []
-    build = scattering._width_table
+    build = geometry._width_table
 
     def counted(L, *columns):
         table = build(L, *columns)
         tables.append((len(L), len(table.widths) - 1))
         return table
 
-    monkeypatch.setattr(scattering, "_width_table", counted)
+    for module in (geometry, scattering):
+        monkeypatch.setattr(module, "_width_table", counted)
     return tables
 
 
@@ -215,6 +219,21 @@ def test_geometry_once_per_spec(monkeypatch, G):
     got = transmission_ucp_arrays(rebuilt, ks)
     assert all(np.array_equal(bits(x), bits(np.repeat(y, 3, axis=0))) for x, y in zip(got, first))
     assert tables == [(3, G)]  # one column per spec object, all in one table
+
+
+def test_geometry_once_per_command(monkeypatch, capsys):
+    # both engines of transmission --engine both read the spec's one width_chain,
+    # and fit_scaling runs its spec's own chain at V_G
+    tables = count_width_tables(monkeypatch)
+    assert cli.main(["transmission", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
+                     "--beta", "1", "--G", "6", "--kmin", "0.5", "--kmax", "20", "--nk", "50",
+                     "--engine", "both"]) == 0
+    assert capsys.readouterr().err == ""
+    assert tables == [(1, 6)]
+    tables.clear()
+    spec = UcpSpec(L=1, V=1, rho=1.75, alpha=0.5, beta=0.25, G=5)
+    fit_scaling(spec, 25.0, (50.0, 500.0), 200)
+    assert tables == [(1, 5)]
 
 
 @pytest.mark.parametrize("G", [16, 64])

@@ -350,6 +350,43 @@ def test_fit_scaling_refuses_a_count_past_one_array_in_one_line(n):
     assert str(info.value) == TOO_MANY.format("n_points", n)
 
 
+MOST = sys.maxsize // 8
+# fit_scaling's arguments bad in two ways, and the fault it names: the window
+# first, then the count's type, then a count too small or too large, then V0
+TWO_FAULTS = {
+    "window-type": ((5.0, 2.0), 2.5, 10.0, "need 0 < kmin < kmax < inf, got kmin=5.0, kmax=2.0"),
+    "window-few": ((5.0, 2.0), 49, 10.0, "need 0 < kmin < kmax < inf, got kmin=5.0, kmax=2.0"),
+    "window-many": ((0.0, 1.0), MOST + 1, 10.0, "need 0 < kmin < kmax < inf, got kmin=0.0, "
+                                                 "kmax=1.0"),
+    "type-few": ((50.0, 500.0), 49.0, 10.0, "n_points must be an integer, got 49.0"),
+    "type-many": ((50.0, 500.0), 2.0**64, 10.0, "n_points must be an integer, got "
+                                                "1.8446744073709552e+19"),
+    "few-V0": ((50.0, 500.0), 49, 0.0, "need n_points >= 50, got 49"),
+    "many-V0": ((50.0, 500.0), MOST + 1, 0.0, TOO_MANY.format("n_points", MOST + 1)),
+}
+
+
+@pytest.mark.parametrize("window, n, V0, message", TWO_FAULTS.values(), ids=TWO_FAULTS.keys())
+def test_fit_scaling_names_the_first_fault_of_its_k_grid(window, n, V0, message):
+    with pytest.raises(ValueError) as info:
+        fit_scaling(CANTOR, V0, window, n)
+    assert str(info.value) == message
+
+
+# the CLI reads --nk as an int, so only the window, a count too small and one
+# too large reach the k grid: the window is named first
+@pytest.mark.parametrize("nk", ["1", "10", str(MOST + 1)])
+@pytest.mark.parametrize("command", ["transmission", "saturation", "scaling"])
+def test_a_bad_window_is_named_before_a_bad_count_on_the_command_line(command, nk):
+    given = {**RUNS[command], "kmin": "2", "kmax": "1", "nk": nk}
+    argv = [command, *(a for name, value in given.items() for a in (f"--{name}", value))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        2, "", "invalid input: need 0 < kmin < kmax < inf, got kmin=2.0, kmax=1.0\n")
+
+
 def test_a_span_past_a_double_is_refused_in_one_line():
     # each count and spacing fits a double, and the span they give does not
     with pytest.raises(ValueError) as info:

@@ -102,6 +102,15 @@ REFUSED = {
                                       "1200", "--kmin", "0.5", "--kmax", "10", "--nk", "10"]),
 }
 
+# a refused k grid under each command that makes one: a count below scaling's
+# 50, a window with kmin > kmax, and a count below saturation's 2
+K_GRID_REFUSED = {
+    "k-grid-scaling-count": (2, [*README["readme-scaling"][1][:-1], "10"]),
+    "k-grid-transmission-window": (2, ["transmission", *_SPEC, "--kmin", "2", "--kmax", "1",
+                                       "--nk", "50"]),
+    "k-grid-saturation-count": (2, [*README["readme-saturation"][1][:-1], "1"]),
+}
+
 
 # the CLI paths that no command above takes: the oracle alone, an explicit
 # linear k grid, saturation on a log k grid, and a validate that passes (G = 19
@@ -425,8 +434,8 @@ def commands(config_dir: pathlib.Path) -> dict[str, tuple[int, list[str]]]:
     for name, (code, file, text, argv) in CONFIGS.items():
         (config_dir / file).write_text(text)
         configs[name] = (code, [*argv, "--config", str(config_dir / file)])
-    return {**argvs, **README, **INVALID_CELLS, **HELP, **ERRORS, **REFUSED, **PATHS,
-            **READER, **configs}
+    return {**argvs, **README, **INVALID_CELLS, **HELP, **ERRORS, **REFUSED, **K_GRID_REFUSED,
+            **PATHS, **READER, **configs}
 
 
 def main() -> int:
