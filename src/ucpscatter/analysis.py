@@ -3,7 +3,6 @@ scaling, and saturation of the transmission profile with stage."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -11,8 +10,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import UcpSpec, _integer, _real, _spec, _WidthTable, segment_length
-from .scattering import (_k_array, _k_grid, _listed, _require_positive_k, _transmission_table,
-                         bloch_sequence_arrays)
+from .scattering import (_bloch_phases, _k_array, _k_grid, _listed, _require_positive_k,
+                         _transmission_table)
 
 __all__ = ["ScalingFit", "SaturationReport", "constant_area_height", "reflection_asymptote",
            "reflection_asymptote_arrays", "fit_scaling", "saturation_scan"]
@@ -76,8 +75,9 @@ def reflection_asymptote_arrays(spec: UcpSpec, V0: float, ks: Sequence[float]) -
     every k, a float array of shape (len(ks),).
 
     R ~ 4**G * (V_G l_G / 2)**2 / k**2 * prod Omega_i**2 with the Bloch
-    phases evaluated at the constant-area height V_G.  Valid only for
-    V_G / k**2 < 0.1; used for comparison against the exact reflection.
+    phases of the spec's own width chain evaluated at the constant-area
+    height V_G.  Valid only for V_G / k**2 < 0.1; used for comparison against
+    the exact reflection.
     Raises ValueError for V0, or else the one-point call's at the first bad k.
     """
     spec, k = _spec(spec), _k_array(ks)
@@ -88,7 +88,7 @@ def reflection_asymptote_arrays(spec: UcpSpec, V0: float, ks: Sequence[float]) -
         bad = ~((k > 0.0) & (k < math.inf) & (ratio < _ASYMPTOTE_GUARD))
         i = int(np.argmax(bad)) if bad.any() else k.size  # the k before i pass the guard
         try:
-            phases = bloch_sequence_arrays(dataclasses.replace(spec, V=v_g), k[:i])
+            phases = _bloch_phases(spec.width_chain, v_g, k[:i])
         except ValueError:  # an earlier k's own call may refuse it first: its asymptote overflows
             for x in k[:i - 1].tolist():
                 reflection_asymptote(spec, V0, x)

@@ -12,6 +12,11 @@ accumulated region by region in spatial order: a barrier of width w contributes
 and a gap of width d the rotation by kd.  Being unimodular, it gives
 T = 1/(1 + |m12|^2) with |m12| = hypot((A - D)/2, (kB + C/k)/2), assembled in
 the log domain by the closed form's own code.
+
+Every barrier has the width w_G and every gap is a rotation, so the product
+reads one barrier factor, built once, and one rotation per distinct gap width.
+Where the barrier's C/k overflows, the factor is held as 2**-2 of itself, and
+that shift is counted once for all 2**G barriers.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ def transmission_oracle(spec: UcpSpec, k: float) -> ScatterResult:
 
     One point of transmission_oracle_arrays; pass every k there for speed.
     """
-    return ScatterResult(*(x.item() for x in transmission_oracle_arrays(_spec(spec), [k])))
+    return ScatterResult(*(x.item() for x in transmission_oracle_arrays(spec, [k])))
 
 
 def transmission_oracle_arrays(spec: UcpSpec,
@@ -69,11 +74,14 @@ def transmission_oracle_arrays(spec: UcpSpec,
     and the product runs region by region, never using self-similarity.  The
     product is held as one array of its columns (A, C/k) and (kB, D) over
     every k, so a region costs four flat multiplies and adds of the 2x2
-    product's own terms in its own order.  numpy does the + - x, the
-    gaps' cos and sin (its float64 cos and sin round as the C library's, which
-    math.cos and math.sin call), the rescale test and the rescale.  Raises
-    OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
-    remains available there).
+    product's own terms in its own order.  The factors are one barrier
+    factor, held as 2**-shift of itself with its shift counted once for all
+    2**G barriers, and one rotation per distinct gap width; only a barrier
+    step grows the bound past the rounding slack and runs the rescale test.
+    numpy does the + - x, the gaps' cos and sin (its float64 cos and sin round
+    as the C library's, which math.cos and math.sin call), the rescale test
+    and the rescale.  Raises OracleInfeasibleError for G above
+    DEFAULT_STAGE_CAP (the closed form remains available there).
     """
     spec = _spec(spec)
     regions = region_sequence(spec)  # the stage cap is checked before k is
@@ -81,35 +89,30 @@ def transmission_oracle_arrays(spec: UcpSpec,
     n = k.size
     if n == 0:
         return _results(k, k, k)
-    # each distinct region's factor, built once in order of first use as (diag, off,
-    # growth, limit, floor, shift), f_ij its entry (i, j) of every k: diag = (f00,
-    # f00, f00, f00) and off = (f01, f01, f10, f10); f11 is f00 in both kinds
-    factors = dict.fromkeys(regions)
-    gap = max((width for width, is_barrier in factors if not is_barrier), default=0.0)
-    for width, is_barrier in factors:
-        if is_barrier:
-            cos_m1, k_sin, em_sin = _barrier_rows(k, spec.V, width, gap)  # refuses each bad k
-            cos_z = 1.0 + cos_m1
-            with np.errstate(over="ignore"):
-                c_k = 2.0 * em_sin - k_sin
-            shift = None  # where C/k overflows, the factor is held as 2**-2 of itself
-            if not np.isfinite(c_k).all():
-                shift = np.where(np.isfinite(c_k), 0, 2)
-                scale = np.ldexp(1.0, -shift)
-                cos_z, k_sin, em_sin = cos_z * scale, k_sin * scale, em_sin * scale
-                c_k = 2.0 * em_sin - k_sin
-            entries = np.array([[cos_z, k_sin], [c_k, cos_z]])
-            limit = _PRODUCT_MAX / np.abs(entries).reshape(4, n).max(axis=0)
-            size_1 = np.abs(entries).sum(axis=0).max(axis=0)  # largest column sum
-            size_inf = np.abs(entries).sum(axis=1).max(axis=0)  # largest row sum
-            growth = float((np.sqrt(size_1) * np.sqrt(size_inf)).max())  # >= spectral norm
-            f00, f01, f10 = cos_z, k_sin, c_k
-            rest = (growth * _SLACK, limit, float(limit.min()), shift)
-        else:
-            kd = k * width
-            f00, f01 = np.cos(kd), np.sin(kd)
-            f10, rest = -f01, (_SLACK, None, None, None)
-        factors[width, is_barrier] = np.tile(f00, 4), np.concatenate((f01, f01, f10, f10)), *rest
+    # the barrier's factor, then a rotation per distinct gap width in order of first
+    # use, each as (diag, off), f_ij its entry (i, j) of every k: diag = (f00, f00,
+    # f00, f00) and off = (f01, f01, f10, f10); f11 is f00 in both kinds
+    gaps = dict.fromkeys(width for width, is_barrier in regions if not is_barrier)
+    # refuses each bad k
+    cos_m1, k_sin, em_sin = _barrier_rows(k, spec.V, regions[0][0], max(gaps, default=0.0))
+    with np.errstate(over="ignore"):  # where C/k overflows, the barrier is held as 2**-2 of itself
+        shift = np.where(np.isfinite(2.0 * em_sin - k_sin), 0, 2)
+    scale = np.ldexp(1.0, -shift)
+    cos_z, k_sin, em_sin = (1.0 + cos_m1) * scale, k_sin * scale, em_sin * scale
+    c_k = 2.0 * em_sin - k_sin
+    barrier = np.tile(cos_z, 4), np.concatenate((k_sin, k_sin, c_k, c_k))
+    size = np.abs([cos_z, k_sin, c_k])
+    limit = _PRODUCT_MAX / size.max(axis=0)
+    floor = float(limit.min())
+    # its diagonal entries are equal, so its largest column sum (1-norm) is its
+    # largest row sum (inf-norm), and sqrt(norm_1 * norm_inf) >= its spectral norm;
+    # taken as sqrt * sqrt, whose rounding the rescale schedule reads
+    norm_1 = np.maximum(size[0] + size[2], size[1] + size[0])
+    growth = float((np.sqrt(norm_1) * np.sqrt(norm_1)).max()) * _SLACK
+    for width in gaps:
+        kd = k * width
+        f00, f01 = np.cos(kd), np.sin(kd)
+        gaps[width] = np.tile(f00, 4), np.concatenate((f01, f01, -f01, -f01))
     # the product [[A, kB], [C/k, D]] of every k as one vector z = (x, y) of its
     # two columns, x = (A, C/k) and y = (kB, D), and views of them made once
     z = np.repeat([1.0, 0.0, 0.0, 1.0], n)
@@ -117,23 +120,23 @@ def transmission_oracle_arrays(spec: UcpSpec,
     a, c, b, d = product = z.reshape(4, n)
     diag, off = np.empty(4 * n), np.empty(4 * n)
     diag_x, diag_y, off_x, off_y = diag[:2 * n], diag[2 * n:], off[:2 * n], off[2 * n:]
-    exp2 = np.zeros(n, dtype=np.int64)  # the true product is 2**exp2 * product
+    # the true product is 2**exp2 * product: each of the 2**G barriers adds its shift
+    exp2 = shift << spec.G
     # bound >= the Frobenius norm of every k's product, so |a| + |b| + |c| + |d|
     # <= 2 bound: the rescale test is skipped while 4 bound stays within every
     # limit (a NaN bound never skips it).  A gap (a rotation) keeps the norm, a
     # barrier multiplies it by at most its spectral norm, and _SLACK covers the
     # rounding of each product.
     bound = math.sqrt(2.0)
-    for f_diag, f_off, growth, limit, floor, shift in map(factors.__getitem__, regions):
+    for width, is_barrier in regions:
+        f_diag, f_off = barrier if is_barrier else gaps[width]
         # (x, y) = (x f00 + y f10, x f01 + y f11), out passed by position: it is faster
         np.multiply(z, f_diag, diag)
         np.multiply(z, f_off, off)
         np.add(diag_x, off_y, x)
         np.add(off_x, diag_y, y)
-        bound *= growth
-        if shift is not None:
-            exp2 += shift
-        if limit is not None and not 4.0 * bound <= floor:  # a k may need a rescale: test each
+        bound *= growth if is_barrier else _SLACK
+        if is_barrier and not 4.0 * bound <= floor:  # a k may need a rescale: test each
             size = np.abs([a, b, c, d])
             total = size[0] + size[1] + size[2] + size[3]
             big = total > limit  # the next factors could overflow: rescale exactly

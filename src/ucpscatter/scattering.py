@@ -270,10 +270,14 @@ def bloch_sequence_arrays(spec: UcpSpec, ks: Sequence[float]) -> np.ndarray:
     come back as 0.  Raises the ValueError of the first refused k, the one
     that bloch_sequence gives there (see _barrier_rows).
     """
-    table, k = _spec(spec).width_chain, _k_array(ks)
+    return _bloch_phases(_spec(spec).width_chain, spec.V, _k_array(ks))
+
+
+def _bloch_phases(table: _WidthTable, V: float, k: np.ndarray) -> np.ndarray:
+    """bloch_sequence_arrays of the one-column width table at the height V."""
     half_traces = []
     # a gap per point: _repetition runs an order on as many points as its gap has
-    _repetition(k, _barrier_rows(k, spec.V, table.widths[-1, 0], table.gaps.max(initial=0.0)),
+    _repetition(k, _barrier_rows(k, V, table.widths[-1, 0], table.gaps.max(initial=0.0)),
                 [(np.full(k.size, d), 2) for d in table.gaps[::-1, 0].tolist()], half_traces)
     with np.errstate(over="ignore"):
         omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
@@ -356,7 +360,7 @@ def _transmission_table(table: _WidthTable, V: Sequence[float],
     order = np.argsort(-stages, kind="stable")
     running = np.cumsum(np.bincount(stages)[::-1])[::-1].tolist()
     orders = ((np.repeat(table.gaps[g - 1, order[:running[g]]], k.size), 2)
-              for g in range(len(running) - 1 if barrier.size else 0, 0, -1))  # d_G first
+              for g in range(len(running) - 1, 0, -1))  # d_G first
     block = _repetition(points_k, barrier.reshape(3, *shape)[:, order].reshape(3, -1), orders)
     back = np.argsort(order)
     return tuple(x.reshape(shape)[back] for x in _results(block[2], block[3], block[5]))

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import pathlib
 import re
 from fractions import Fraction
 
@@ -234,6 +235,62 @@ def test_geometry_once_per_command(monkeypatch, capsys):
     spec = UcpSpec(L=1, V=1, rho=1.75, alpha=0.5, beta=0.25, G=5)
     fit_scaling(spec, 25.0, (50.0, 500.0), 200)
     assert tables == [(1, 5)]
+
+
+def test_reflection_asymptote_reads_the_specs_own_chain(monkeypatch):
+    # the Bloch phases at V_G come from the spec's width_chain, not from a second spec's
+    spec = UcpSpec(L=1, V=1, rho=1.75, alpha=0.5, beta=0.25, G=5)
+    ks = np.geomspace(50.0, 500.0, 40)
+    expected = bits(reflection_asymptote_arrays(dataclasses.replace(spec), 1.0, ks))
+    tables = count_width_tables(monkeypatch)
+    assert np.array_equal(bits(reflection_asymptote_arrays(spec, 1.0, ks)), expected)
+    assert tables == [(1, 5)]
+
+
+# the work of each benchmark workload at seed 1, which no machine's speed moves:
+# UcpSpec objects validated, width tables built, _barrier_rows calls and their
+# points, and orders of the doubling (_gap_product, _block_product and _rescaled
+# each run once per order)
+WORKLOAD_WORK = {
+    "sweep": (1, 1, 1, 2000, 16),
+    "crossval": (1, 1, 2, 400, 10),
+    "grid": (211, 1, 1, 8190, 8),
+    "deep": (2, 1, 1, 1088, 32),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_WORK))
+def test_benchmark_workloads_do_no_more_work(name, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    tables, specs, barrier_points, orders = count_width_tables(monkeypatch), [], [], {}
+    post_init, rows = UcpSpec.__post_init__, scattering._barrier_rows
+
+    def validated(self):
+        specs.append(self)
+        post_init(self)
+
+    def barrier_rows(k, *args):
+        barrier_points.append(k.size)
+        return rows(k, *args)
+
+    monkeypatch.setattr(UcpSpec, "__post_init__", validated)
+    for module in (scattering, oracle):  # the oracle imports _barrier_rows by name
+        monkeypatch.setattr(module, "_barrier_rows", barrier_rows)
+    for fn in ("_gap_product", "_block_product", "_rescaled"):
+        def counted(*args, fn=fn, run=getattr(scattering, fn)):
+            orders[fn] = orders.get(fn, 0) + 1
+            return run(*args)
+        monkeypatch.setattr(scattering, fn, counted)
+    assert cli.main(workloads.make(name, 1).argv) == 0
+    assert capsys.readouterr().err == ""
+    most_specs, most_tables, most_calls, most_points, most_orders = WORKLOAD_WORK[name]
+    assert len(specs) <= most_specs
+    assert len(tables) <= most_tables
+    assert len(barrier_points) <= most_calls
+    assert sum(barrier_points) <= most_points
+    assert max(orders.values(), default=0) <= most_orders
 
 
 @pytest.mark.parametrize("G", [16, 64])
