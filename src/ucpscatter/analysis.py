@@ -79,28 +79,30 @@ def reflection_asymptote_arrays(spec: UcpSpec, V0: float, ks: Sequence[float]) -
     height V_G.  Valid only for V_G / k**2 < 0.1; used for comparison against
     the exact reflection.
     Raises ValueError for V0, or else the one-point call's at the first bad k.
+    A refusal costs at most one more Bloch pass, on the k before the refused
+    one, and keeps the one-point order: an earlier k whose asymptote
+    overflows raises first.
     """
     spec, k = _spec(spec), _k_array(ks)
     v_g = constant_area_height(spec, V0)
+    refusal = None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kk = k * k  # can underflow to 0, and overflow
-        ratio = np.where(kk > 0.0, v_g / kk, math.inf)
+        ratio = v_g / kk
         bad = ~((k > 0.0) & (k < math.inf) & (ratio < _ASYMPTOTE_GUARD))
         i = int(np.argmax(bad)) if bad.any() else k.size  # the k before i pass the guard
         try:
             phases = _bloch_phases(spec.width_chain, v_g, k[:i])
-        except ValueError:  # an earlier k's own call may refuse it first: its asymptote overflows
-            for x in k[:i - 1].tolist():
-                reflection_asymptote(spec, V0, x)
-            raise
+        except ValueError as error:  # raised below, unless an earlier k's asymptote overflows
+            refusal, i = error, error.index
+            phases = _bloch_phases(spec.width_chain, v_g, k[:i])
         prod = (phases * phases).prod(axis=0)  # over q in order, as a loop takes it
-        try:  # 4**G (v_g l_g / 2)**2
-            square = math.ldexp(v_g * segment_length(spec, spec.G) / 2.0, spec.G) ** 2
-        except OverflowError:
-            square = math.inf
-        asymptote = square / kk[:i] * prod
+        # 4**G (v_g l_g / 2)**2 / k**2 * prod
+        asymptote = np.ldexp(v_g * segment_length(spec, spec.G) / 2.0, spec.G) ** 2 / kk[:i] * prod
     if not np.isfinite(asymptote).all():
         raise ValueError(f"reflection asymptote overflows a double at G={spec.G}")
+    if refusal is not None:
+        raise refusal
     if i < k.size:
         _require_positive_k(k[i].item())
         raise ValueError(f"asymptote guard violated: V_G/k^2 = {ratio[i].item():.3g} "
@@ -126,7 +128,8 @@ def fit_scaling(
     k_window: tuple[float, float],
     n_points: int = 200,
 ) -> ScalingFit:
-    """Fitted log-log slope of the exact reflection envelope over k_window.
+    """Fitted log-log slope of the exact reflection envelope over k_window,
+    the pair (kmin, kmax).
 
     The reflection is the closed form's at n_points log-spaced k, run on the
     spec's own width_chain at the constant-area height V_G.  Points in
@@ -134,7 +137,10 @@ def fit_scaling(
     expected slope in the Born regime is -2.
     """
     spec = _spec(spec)
-    k_min, k_max = _listed(k_window, "k_window")
+    window = _listed(k_window, "k_window")
+    if len(window) != 2:
+        raise ValueError(f"k_window must be a pair (kmin, kmax), got {k_window!r}")
+    k_min, k_max = window
     ks = _k_grid(k_min, k_max, n_points, "n_points", 50, log=True)
     refl = _transmission_table(spec.width_chain, [constant_area_height(spec, V0)], ks)[1][0]
 

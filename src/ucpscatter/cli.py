@@ -157,9 +157,10 @@ def cmd_transmission(args: argparse.Namespace) -> list[str]:
 
 def _parse_range(text: str, name: str) -> np.ndarray:
     parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--{name}-range must be MIN:MAX:COUNT, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:  # a wrong part count and a part that does not convert fail alike
+        lo, hi, n = (kind(p) for kind, p in zip((float, float, int), parts, strict=True))
+    except ValueError:
+        raise ValueError(f"--{name}-range must be MIN:MAX:COUNT, got {text!r}") from None
     if n < 1:
         raise ValueError(f"--{name}-range count must be >= 1")
     with np.errstate(all="ignore"):  # a non-finite axis is refused below
@@ -190,7 +191,10 @@ def _is_valid(args: argparse.Namespace, rho: float, alpha: float, beta: float) -
 def cmd_grid(args: argparse.Namespace) -> list[str]:
     _require(args, ["L", "V", "G", "k"])
     alphas, betas, rhos = (_grid_axis(args, name) for name in ("alpha", "beta", "rho"))
-    ks = [float(t) for t in str(args.k).split(",")]
+    try:
+        ks = [float(t) for t in str(args.k).split(",")]
+    except ValueError:
+        raise ValueError(f"--k must be comma-separated numbers, got {args.k!r}") from None
     # L, V, G and k are the same at every point of the cube: a bad one is bad
     # input, checked once (L, V and G on a Cantor spec, valid at any stage)
     UcpSpec(L=args.L, V=args.V, rho=2.0, alpha=1.0, beta=0.0, G=args.G)

@@ -201,7 +201,8 @@ def _barrier_rows(k: np.ndarray, V, width, gap) -> np.ndarray:
     double, |V|/(2k^2) above _MAX_V_OVER_2K2, or k*gap past a double (a
     gap's sine would be NaN).  Each term is a factor of k (k or V/(2k)) times
     one that grows as e**|Im kappa w|: the barrier is too opaque where that
-    growth outweighs the factor's, and k is out of range otherwise.
+    growth outweighs the factor's, and k is out of range otherwise.  The
+    error's index attribute is that point's index.
     """
     with np.errstate(all="ignore"):  # a bad point is found below, in input order
         em = V / (2.0 * k)
@@ -238,19 +239,23 @@ def _barrier_rows(k: np.ndarray, V, width, gap) -> np.ndarray:
         i = int(np.argmin(ok))
         k_i, V_i, w_i, z_i, em_i, s_i = (
             float(x[i]) for x in np.broadcast_arrays(k, V, width, z, em, s))
-        _require_positive_k(k_i)
-        if not w_i > 0.0:
-            raise ValueError(f"barrier width must be positive, got {w_i}")
-        if fits[i]:  # its terms fit and are in range: only a gap's k*d is left
-            raise ValueError("gap too wide: k*d overflows a double")
-        if finite[i]:
-            raise ValueError(f"wavenumber k = {k_i:.6g} too small for a barrier of height "
-                             f"{V_i:.6g}: |V|/(2k^2) exceeds 2**400")
-        kappa_w = complex(0.0, z_i) if s_i < 0.0 else complex(z_i, 0.0)
-        if math.isfinite(z_i) and abs(kappa_w.imag) > math.log(max(k_i, abs(em_i))):
-            raise ValueError(f"barrier too opaque: kappa*w = {kappa_w:.6g} overflows a double")
-        raise ValueError(f"wavenumber k = {k_i:.6g} out of range: the terms of a barrier "
-                         f"of height {V_i:.6g} and width {w_i:.6g} overflow a double")
+        try:
+            _require_positive_k(k_i)
+            if not w_i > 0.0:
+                raise ValueError(f"barrier width must be positive, got {w_i}")
+            if fits[i]:  # its terms fit and are in range: only a gap's k*d is left
+                raise ValueError("gap too wide: k*d overflows a double")
+            if finite[i]:
+                raise ValueError(f"wavenumber k = {k_i:.6g} too small for a barrier of height "
+                                 f"{V_i:.6g}: |V|/(2k^2) exceeds 2**400")
+            kappa_w = complex(0.0, z_i) if s_i < 0.0 else complex(z_i, 0.0)
+            if math.isfinite(z_i) and abs(kappa_w.imag) > math.log(max(k_i, abs(em_i))):
+                raise ValueError(f"barrier too opaque: kappa*w = {kappa_w:.6g} overflows a double")
+            raise ValueError(f"wavenumber k = {k_i:.6g} out of range: the terms of a barrier "
+                             f"of height {V_i:.6g} and width {w_i:.6g} overflow a double")
+        except ValueError as refusal:  # the index of the point it refuses
+            refusal.index = i
+            raise
     return rows
 
 

@@ -781,32 +781,79 @@ def test_the_mixed_refusals_are_of_every_kind():
         reflection_asymptote(ONE_RULE_SPECS[-1], 1.0, 10.0)
 
 
+# (specs, ks) that the one rule is always checked at
+ONE_RULE_CASES = [
+    # a k*d overflow before a negative k: the negative k was named
+    ([WIDE], [10.0, -1.0]),
+    ([WIDE], [1e6, -1.0]),
+    # an asymptote that overflows before a k that the Bloch pass refuses
+    ([ONE_RULE_SPECS[-1]], [10.0, 1e200]),
+    # k l_0 overflows, kappa l_0 does not: in a table that runs G = 1, the row past
+    # the G = 0 spec's stage count holds l_0, which is no gap of its own
+    ([UcpSpec(L=1.5e154, V=1e308, rho=2, alpha=1, beta=0, G=G) for G in (1, 0)], [1.3e154]),
+]
+
+
+def one_rule_examples(test):
+    """test with an example of each of ONE_RULE_CASES."""
+    for specs, ks in ONE_RULE_CASES:
+        test = example(specs, ks)(test)
+    return test
+
+
+def first_refusal(calls):
+    """The type and text of the first ValueError that calls, each (function,
+    *args), raise in order; None if none raises."""
+    for function, *args in calls:
+        try:
+            function(*args)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return None
+
+
 @pytest.mark.parametrize("entry", ONE_RULE_ENTRIES)
 @given(st.lists(st.sampled_from(ONE_RULE_SPECS), min_size=1, max_size=2),
        k_lists(st.floats(1.1, 1.7), MIXED_REFUSALS, inserts=(0, 1, 2, 3)))
-# a k*d overflow before a negative k: the negative k was named
-@example([WIDE], [10.0, -1.0])
-@example([WIDE], [1e6, -1.0])
-# an asymptote that overflows before a k that the Bloch pass refuses
-@example([ONE_RULE_SPECS[-1]], [10.0, 1e200])
-# k l_0 overflows, kappa l_0 does not: in a table that runs G = 1, the row past
-# the G = 0 spec's stage count holds l_0, which is no gap of its own
-@example([UcpSpec(L=1.5e154, V=1e308, rho=2, alpha=1, beta=0, G=G) for G in (1, 0)], [1.3e154])
+@one_rule_examples
 @settings(max_examples=60, deadline=None)
 def test_every_arrays_entry_raises_its_first_refused_points_error(entry, specs, ks):
     """The one rule: an arrays entry raises the error that the one-point call
     raises at its first refused point, whatever kind each refusal is of."""
     assume(ks or entry != "saturation_scan")  # which needs a k to compare the stages at
     arrays, points = ONE_RULE_ENTRIES[entry]
-    for function, *args in points(specs, ks):
-        try:
-            function(*args)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                arrays(specs, ks)
-            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
-            return
-    arrays(specs, ks)
+    assert first_refusal([(arrays, specs, ks)]) == first_refusal(points(specs, ks))
+
+
+@pytest.mark.parametrize("entry", ONE_RULE_ENTRIES)
+@pytest.mark.parametrize("specs, ks", ONE_RULE_CASES)
+def test_no_arrays_entry_calls_a_one_point_view(monkeypatch, entry, specs, ks):
+    # the asymptote's entry reran each k before a refused one as a one-point call
+    arrays, points = ONE_RULE_ENTRIES[entry]
+    want = first_refusal(points(specs, ks))
+
+    def view(*args):
+        raise AssertionError("an arrays entry called a one-point view")
+
+    for module, name in [(scattering, "transmission_ucp"), (oracle, "transmission_oracle"),
+                         (scattering, "transmission_spp"), (scattering, "bloch_sequence"),
+                         (analysis, "reflection_asymptote")]:
+        monkeypatch.setattr(module, name, view)
+    assert first_refusal([(arrays, specs, ks)]) == want
+
+
+def test_a_refused_k_costs_the_asymptote_at_most_one_more_pass(monkeypatch):
+    # one refused k after 1000 guard-passing k made one pass per earlier k
+    spec = UcpSpec(L=1e11, V=1, rho=3, alpha=1, beta=0, G=6)
+    ks = [10 ** (2 + 2 * j / 999) for j in range(1000)]
+    passes, repetition = [], scattering._repetition
+    monkeypatch.setattr(scattering, "_repetition",
+                        lambda *args: passes.append(args) or repetition(*args))
+    with pytest.raises(ValueError) as info:
+        reflection_asymptote_arrays(spec, 1.0, [*ks, 1e300])
+    assert str(info.value) == ("wavenumber k = 1e+300 out of range: the terms of a barrier "
+                               "of height 11.3906 and width 1.37174e+08 overflow a double")
+    assert len(passes) <= 2
 
 
 def test_rescaled_block_keeps_its_digits():

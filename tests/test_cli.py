@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ucpscatter.geometry as geometry
-from ucpscatter import (InvalidSpecError, saturation_scan, transmission_oracle,
+from ucpscatter import (InvalidSpecError, saturation_scan, transmission_oracle_arrays,
                         transmission_ucp, transmission_ucp_arrays, UcpSpec, __version__)
 from ucpscatter import cli
 from ucpscatter.cli import EXIT_INVALID_SPEC, EXIT_OK, EXIT_ORACLE_INFEASIBLE, main
@@ -187,9 +187,9 @@ class TestTransmission:
         assert code == EXIT_OK
         spec = UcpSpec(L=1, V=1, rho=11, alpha=2000, beta=float(beta), G=int(G))
         _, _, rows = parse_csv(text)
-        for row in rows:
-            oracle = transmission_oracle(spec, float(row[0]))
-            assert abs(float(row[3]) - oracle.log10_transmission) <= 1e-9
+        log10_t = transmission_oracle_arrays(spec, [float(row[0]) for row in rows])[2]
+        assert [float(row[3]) for row in rows] == pytest.approx(log10_t.tolist(), rel=0,
+                                                                abs=1e-9)
 
     def test_zero_height_transmits_everywhere(self, tmp_path):
         _, text = run(
@@ -569,12 +569,20 @@ class TestBadInput:
          "need nk >= 2"),
         ([*GRID_ARGS, "--alpha-range", "0:1"], "--alpha-range must be MIN:MAX:COUNT"),
         ([*GRID_ARGS, "--alpha-range", "0:1:0"], "--alpha-range count must be >= 1"),
+        # these printed Python's conversion text, which named no flag
+        ([*GRID_ARGS, "--alpha-range", "a:1:3"],
+         "--alpha-range must be MIN:MAX:COUNT, got 'a:1:3'"),
+        ([*GRID_ARGS, "--alpha-range", "0:1:1.5"],
+         "--alpha-range must be MIN:MAX:COUNT, got '0:1:1.5'"),
+        ([*GRID_ARGS, "--alpha", "1", "--k", "abc"],
+         "--k must be comma-separated numbers, got 'abc'"),
         (GRID_ARGS, "provide --alpha or --alpha-range"),
         (["saturation", "--L", "5", "--V", "25", "--rho", "2.5", "--alpha", "0.5",
           "--beta", "1", "--gmin", "3", "--gmax", "3", "--kmin", "1", "--kmax", "2",
           "--nk", "3"], "need gmax > gmin"),
     ], ids=["missing-options", "one-k", "range-of-two-fields", "range-count-0",
-            "no-alpha", "one-stage"])
+            "range-of-a-word", "range-count-not-an-int", "k-not-a-number", "no-alpha",
+            "one-stage"])
     def test_option_refused_with_its_message(self, capsys, argv, message):
         assert message in self.assert_one_line_exit_2(argv, capsys)
 

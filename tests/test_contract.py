@@ -291,6 +291,14 @@ def test_a_container_of_no_numbers_is_refused_by_name_in_one_line(arg, value):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("window", [(1, 2, 3), (1,)], ids=["three", "one"])
+def test_a_k_window_that_is_not_a_pair_is_refused_by_name_in_one_line(window):
+    # unpacking it raised Python's "too many values to unpack (expected 2)"
+    with pytest.raises(ValueError) as info:
+        fit_scaling(CANTOR, 10.0, window, 60)
+    assert str(info.value) == f"k_window must be a pair (kmin, kmax), got {window!r}"
+
+
 # each spec argument covered: a call with its value x, and the name its refusal gives
 SPECS = {
     "transmission_ucp": (lambda x: transmission_ucp(x, 1.0), "spec"),

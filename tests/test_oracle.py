@@ -152,10 +152,10 @@ class TestRegionSequence:
 class TestTransmissionOracle:
     def test_stage_zero_matches_closed_form(self):
         spec = UcpSpec(L=1.5, V=12, rho=3, alpha=1, beta=0, G=0)
-        for k in (0.7, 2.0, 3.4641, 8.0):
-            assert transmission_oracle(spec, k).transmission == pytest.approx(
-                transmission_ucp(spec, k).transmission, rel=1e-12, abs=0
-            )
+        ks = [0.7, 2.0, 3.4641, 8.0]
+        assert transmission_oracle_arrays(spec, ks)[0].tolist() == pytest.approx(
+            transmission_ucp_arrays([spec], ks)[0][0].tolist(), rel=1e-12, abs=0
+        )
 
     @given(small_specs, st.floats(0.2, 15))
     @settings(max_examples=80, deadline=None)

@@ -178,11 +178,11 @@ class TestTransmissionUcp:
 
     def test_unitarity(self):
         spec = UcpSpec(L=10, V=25, rho=2.5, alpha=0.5, beta=1, G=4)
-        for k in (0.5, 1.0, 3.3, 4.9999, 5.0001, 12.0):
-            res = transmission_ucp(spec, k)
-            assert res.transmission + res.reflection == pytest.approx(1.0, abs=1e-12)
-            assert 0.0 < res.transmission <= 1.0
-            assert 0.0 <= res.reflection <= 1.0
+        ks = [0.5, 1.0, 3.3, 4.9999, 5.0001, 12.0]
+        t, r, _ = (x[0] for x in transmission_ucp_arrays([spec], ks))
+        assert (t + r).tolist() == pytest.approx([1.0] * len(ks), abs=1e-12)
+        assert ((0.0 < t) & (t <= 1.0)).all()
+        assert ((0.0 <= r) & (r <= 1.0)).all()
 
     def test_continuity_at_barrier_top(self):
         spec = UcpSpec(L=5, V=25, rho=2.5, alpha=0.5, beta=1, G=4)

@@ -236,7 +236,8 @@ def _library() -> dict[str, list]:
         library[name].append(call)
     return {**library, **_more_library(random.Random(20232)),
             "number-types": _number_types(random.Random(20233)),
-            **_arrays_library(random.Random(20234)), **_first_refusal_library()}
+            **_arrays_library(random.Random(20234)), **_first_refusal_library(),
+            **_asymptote_refusal_library()}
 
 
 def _more_library(rng: random.Random) -> dict[str, list]:
@@ -341,6 +342,24 @@ def _first_refusal_library() -> dict[str, list]:
                                         (wide, 1.0, [1e6, -1.0])),
     }
     return {f"{name}-gap-first": [call] for name, call in calls.items()}
+
+
+def _asymptote_refusal_library() -> dict[str, list]:
+    """The asymptote's entry where its Bloch pass refuses a k: after 2000
+    k that pass the guard, and after a k whose asymptote overflows first.
+    The k are written out, so no line depends on the CPU."""
+    import ucpscatter as u
+
+    spec = u.UcpSpec(L=1e11, V=1.0, rho=3.0, alpha=1.0, beta=0.0, G=6)
+    ks = [10 ** (2 + 2 * j / 1999) for j in range(2000)]
+    # l_G = 1e200 or near it: every asymptote overflows, and k = 1e200 is refused
+    huge = [u.UcpSpec(L=1e200, V=1.0, rho=2.0, alpha=1.0, beta=0.0, G=G) for G in (1, 0)]
+    return {
+        "reflection_asymptote_arrays-refused-last":
+            [(u.reflection_asymptote_arrays, (spec, 1.0, [*ks, 1e300]))],
+        "reflection_asymptote_arrays-overflow-first":
+            [(u.reflection_asymptote_arrays, (s, 1.0, [10.0, 1e200])) for s in huge],
+    }
 
 
 def _staged(function, spec, G, *args):
