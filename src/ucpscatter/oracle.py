@@ -6,23 +6,26 @@ stage g each barrier of width w becomes a barrier, a gap and a barrier of
 widths c, w - 2c and c, with c = w (1 - rho**-(alpha + beta*g)) / 2, so no
 width is a difference of absolute offsets.
 
-The product is the real transfer matrix [[A, kB], [C/k, D]] of (psi, psi'/k),
-accumulated region by region in spatial order: a barrier of width w contributes
+The product is the real transfer matrix [[A, kB], [C/k, D]] of (psi, psi'/k)
+in spatial order: a barrier of width w is
 [[cos(kappa w), (k/kappa) sin(kappa w)], [-(kappa/k) sin(kappa w), cos(kappa w)]]
 and a gap of width d the rotation by kd.  Being unimodular, it gives
 T = 1/(1 + |m12|^2) with |m12| = hypot((A - D)/2, (kB + C/k)/2), assembled in
 the log domain by the closed form's own code.
 
 Every barrier has the width w_G and every gap is a rotation, so the product
-reads one barrier factor, built once, and one rotation per distinct gap width.
-Where the barrier's C/k overflows, the factor is held as 2**-2 of itself, and
-that shift is counted once for all 2**G barriers.
+is taken one cell at a time: a cell is a barrier times the rotation of the gap
+after it, built once per distinct gap width, and the last barrier follows the
+2**G - 1 cells, 2**G product steps for the 2**(G + 1) - 1 regions.  No window
+wider than one cell is shared (that would rebuild the closed form's doubling),
+so the cost stays O(2**G).  Where the barrier's C/k overflows, the barrier is
+held as 2**-2 of itself, and that shift is counted once for all 2**G barriers.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -32,12 +35,10 @@ from .scattering import ScatterResult, _barrier_rows, _k_array, _results
 
 __all__ = ["region_sequence", "transmission_oracle", "transmission_oracle_arrays"]
 
-logger = logging.getLogger(__name__)
-
 _DET_DRIFT_TOL = 1e-9
-# after each barrier the product's entries are kept below _PRODUCT_MAX divided
-# by the barrier's largest entry; a gap is a rotation, so the next barrier
-# takes them no further than 2**1021
+# after each step the sum of the product's entries is kept below _PRODUCT_MAX
+# divided by the largest entry of any factor, so each entry of the next step,
+# x f00 + y f10 or x f01 + y f11, stays within 2**1021
 _PRODUCT_MAX = 2.0**1020
 _SLACK = 1.0 + 2.0**-40  # far above the rounding of one 2x2 product
 
@@ -71,17 +72,18 @@ def transmission_oracle_arrays(spec: UcpSpec,
     by multiplying out all 2**G barrier matrices explicitly.
 
     Independent of the closed form: the geometry comes from region_sequence
-    and the product runs region by region, never using self-similarity.  The
-    product is held as one array of its columns (A, C/k) and (kB, D) over
-    every k, so a region costs four flat multiplies and adds of the 2x2
-    product's own terms in its own order.  The factors are one barrier
-    factor, held as 2**-shift of itself with its shift counted once for all
-    2**G barriers, and one rotation per distinct gap width; only a barrier
-    step grows the bound past the rounding slack and runs the rescale test.
-    numpy does the + - x, the gaps' cos and sin (its float64 cos and sin round
-    as the C library's, which math.cos and math.sin call), the rescale test
-    and the rescale.  Raises OracleInfeasibleError for G above
-    DEFAULT_STAGE_CAP (the closed form remains available there).
+    and the product runs over every cell in spatial order, never using
+    self-similarity.  The product is held as one array of its columns (A, C/k)
+    and (kB, D) over every k, so a step costs four flat multiplies and adds of
+    the 2x2 product's own terms in its own order.  The factors are one cell per
+    distinct gap width, the barrier (held as 2**-shift of itself, its shift
+    counted once for all 2**G barriers) times the gap's rotation, and the
+    barrier itself for the last step; every step grows the norm bound by its
+    factor's and may run the rescale test.  numpy does the + - x, the gaps' cos
+    and sin (its float64 cos and sin round as the C library's, which math.cos
+    and math.sin call), the rescale test and the rescale.  Raises
+    OracleInfeasibleError for G above DEFAULT_STAGE_CAP (the closed form
+    remains available there).
     """
     spec = _spec(spec)
     regions = region_sequence(spec)  # the stage cap is checked before k is
@@ -89,9 +91,6 @@ def transmission_oracle_arrays(spec: UcpSpec,
     n = k.size
     if n == 0:
         return _results(k, k, k)
-    # the barrier's factor, then a rotation per distinct gap width in order of first
-    # use, each as (diag, off), f_ij its entry (i, j) of every k: diag = (f00, f00,
-    # f00, f00) and off = (f01, f01, f10, f10); f11 is f00 in both kinds
     gaps = dict.fromkeys(width for width, is_barrier in regions if not is_barrier)
     # refuses each bad k
     cos_m1, k_sin, em_sin = _barrier_rows(k, spec.V, regions[0][0], max(gaps, default=0.0))
@@ -100,19 +99,32 @@ def transmission_oracle_arrays(spec: UcpSpec,
     scale = np.ldexp(1.0, -shift)
     cos_z, k_sin, em_sin = (1.0 + cos_m1) * scale, k_sin * scale, em_sin * scale
     c_k = 2.0 * em_sin - k_sin
-    barrier = np.tile(cos_z, 4), np.concatenate((k_sin, k_sin, c_k, c_k))
-    size = np.abs([cos_z, k_sin, c_k])
-    limit = _PRODUCT_MAX / size.max(axis=0)
-    floor = float(limit.min())
-    # its diagonal entries are equal, so its largest column sum (1-norm) is its
-    # largest row sum (inf-norm), and sqrt(norm_1 * norm_inf) >= its spectral norm;
-    # taken as sqrt * sqrt, whose rounding the rescale schedule reads
-    norm_1 = np.maximum(size[0] + size[2], size[1] + size[0])
-    growth = float((np.sqrt(norm_1) * np.sqrt(norm_1)).max()) * _SLACK
+    # the barrier's entries (f00, f01, f10, f11) of every k, then one cell per
+    # distinct gap width in order of first use: the barrier times the gap's
+    # rotation, each entry formed as a product step forms it.  A cell's entry is
+    # at most the hypot of a barrier row, which is below |2 eps_- sin| once a
+    # tunnelling barrier's sinh passes 1, so the cells fit a double wherever C/k does
+    entries = [(cos_z, k_sin, c_k, cos_z)]
     for width in gaps:
         kd = k * width
-        f00, f01 = np.cos(kd), np.sin(kd)
-        gaps[width] = np.tile(f00, 4), np.concatenate((f01, f01, -f01, -f01))
+        cos_kd, sin_kd = np.cos(kd), np.sin(kd)
+        entries.append((cos_z * cos_kd + k_sin * -sin_kd, cos_z * sin_kd + k_sin * cos_kd,
+                        c_k * cos_kd + cos_z * -sin_kd, c_k * sin_kd + cos_z * cos_kd))
+    size = np.abs(entries)  # (factor, entry, k)
+    limit = _PRODUCT_MAX / size.max(axis=(0, 1))
+    floor = float(limit.min())
+    # each factor's growth: sqrt(norm_1 * norm_inf) of its largest column and row
+    # sums, the largest over every k, times _SLACK
+    s00, s01, s10, s11 = size.transpose(1, 0, 2)
+    norm_1, norm_inf = np.maximum(s00 + s10, s01 + s11), np.maximum(s00 + s01, s10 + s11)
+    growths = (np.sqrt(norm_1) * np.sqrt(norm_inf)).max(axis=1) * _SLACK
+    # each factor keyed by its gap width (None for the last barrier) as (diag, off,
+    # growth): diag = (f00, f00, f11, f11) and off = (f01, f01, f10, f10) over the
+    # product's (x, y) below
+    factors = {}
+    for key, (f00, f01, f10, f11), growth in zip([None, *gaps], entries, growths.tolist()):
+        factors[key] = (np.concatenate((f00, f00, f11, f11)),
+                        np.concatenate((f01, f01, f10, f10)), growth)
     # the product [[A, kB], [C/k, D]] of every k as one vector z = (x, y) of its
     # two columns, x = (A, C/k) and y = (kB, D), and views of them made once
     z = np.repeat([1.0, 0.0, 0.0, 1.0], n)
@@ -124,19 +136,21 @@ def transmission_oracle_arrays(spec: UcpSpec,
     exp2 = shift << spec.G
     # bound >= the Frobenius norm of every k's product, so |a| + |b| + |c| + |d|
     # <= 2 bound: the rescale test is skipped while 4 bound stays within every
-    # limit (a NaN bound never skips it).  A gap (a rotation) keeps the norm, a
-    # barrier multiplies it by at most its spectral norm, and _SLACK covers the
-    # rounding of each product.
+    # limit (a NaN bound never skips it).  A step P -> P F has |P F|_F <= |P|_F |F|_2,
+    # and |F|_2**2 <= |F|_1 |F|_inf, so a factor's growth bounds its step; it reads
+    # the entries that the step multiplies by, so _SLACK covers only the rounding
+    # of the norms and of the step's products
     bound = math.sqrt(2.0)
-    for width, is_barrier in regions:
-        f_diag, f_off = barrier if is_barrier else gaps[width]
+    # each gap's cell in spatial order (regions alternate barrier, gap), then the last barrier
+    for width in [*(width for width, _ in regions[1::2]), None]:
+        f_diag, f_off, growth = factors[width]
         # (x, y) = (x f00 + y f10, x f01 + y f11), out passed by position: it is faster
         np.multiply(z, f_diag, diag)
         np.multiply(z, f_off, off)
         np.add(diag_x, off_y, x)
         np.add(off_x, diag_y, y)
-        bound *= growth if is_barrier else _SLACK
-        if is_barrier and not 4.0 * bound <= floor:  # a k may need a rescale: test each
+        bound *= growth
+        if not 4.0 * bound <= floor:  # a k may need a rescale: test each
             size = np.abs([a, b, c, d])
             total = size[0] + size[1] + size[2] + size[3]
             big = total > limit  # the next factors could overflow: rescale exactly
@@ -149,7 +163,8 @@ def transmission_oracle_arrays(spec: UcpSpec,
     drift = _det_drift(a, b, c, d, exp2)
     drifting = drift > _DET_DRIFT_TOL
     for k_i, drift_i in zip(k[drifting].tolist(), drift[drifting].tolist()):
-        logger.warning("oracle determinant drift %.3e at G=%d, k=%g", drift_i, spec.G, k_i)
+        warnings.warn(f"oracle determinant drift {drift_i:.3e} at G={spec.G}, k={k_i:g}",
+                      stacklevel=2)
     return _results((a - d) / 2.0, (b + c) / 2.0, exp2)
 
 

@@ -231,7 +231,7 @@ def test_criterion_9_log_domain_correctness():
 
 def test_criterion_10_deep_stages():
     parts = {}
-    # (b) the oracle, region by region, at the deepest stages it runs in seconds
+    # (b) the oracle, cell by cell, at the deepest stages it runs in seconds
     diffs = []
     ks = [0.5, 2.0, 4.0]
     for G in (12, 14):

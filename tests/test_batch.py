@@ -3,10 +3,10 @@ the results stay physical over the whole range the closed form accepts."""
 
 import dataclasses
 import itertools
-import logging
 import math
 import pathlib
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -425,18 +425,18 @@ def test_oracle_batch_equals_one_point_calls_and_the_closed_form(spec, ks):
         assert abs(a.log10_transmission - b.log10_transmission) <= 1e-9
 
 
-# T, R and log10 T of the oracle as float.hex, pinned from its (2, 2, n) product
-# written row by row; no golden command reaches these paths
+# T, R and log10 T of the oracle as float.hex; tools/golden.py hashes the first
+# case's as library-transmission_oracle_arrays-rescale
 ORACLE_BITS = [
-    # 1269 rescale tests
+    # 1265 rescale tests
     (UcpSpec(L=300, V=5000, rho=2.2, alpha=0.4, beta=0.3, G=12),
      np.linspace(0.05, 60, 37), [
         "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
         "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
         "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0000000001084p-1022 0x1.7e6fec3765bb6p-815 "
-        "0x1.30b316ad934a6p-729 0x1.1958cc75546b4p-321 0x1.3db2ce1933805p-88 "
-        "0x1.7243dbaaafc39p-390",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0000000001084p-1022 0x1.7e6fec37658b9p-815 "
+        "0x1.30b316ad93707p-729 0x1.1958cc75541c2p-321 0x1.3db2ce1933513p-88 "
+        "0x1.7243dbaab0f06p-390",
         "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
         "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
         "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
@@ -447,19 +447,19 @@ ORACLE_BITS = [
         "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
         "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
         "0x1.0000000000000p+0",
-        "-0x1.100208f914d6bp+10 -0x1.0698b3a047ac3p+10 -0x1.02ee503edeafep+10 "
+        "-0x1.100208f914d6ap+10 -0x1.0698b3a047ac3p+10 -0x1.02ee503edeafep+10 "
         "-0x1.fad325ee7c6c9p+9 -0x1.e45f3df573c83p+9 -0x1.ef158d64a6e22p+9 "
-        "-0x1.df379268cc718p+9 -0x1.d36da46d66b4cp+9 -0x1.c53a2573fbbf4p+9 "
-        "-0x1.c6f5a7cda992ep+9 -0x1.bc329960795cdp+9 -0x1.9ab2b4fa8badbp+9 "
-        "-0x1.95685464a0f3fp+9 -0x1.a11232466dc39p+9 -0x1.9d244973f8698p+9 "
-        "-0x1.970d43c9050a5p+9 -0x1.82ca06b0d04e1p+9 -0x1.87ddc64253ec5p+9 "
-        "-0x1.7a2b25299b728p+9 -0x1.61b54257cb30ep+9 -0x1.48b61a5906a75p+9 "
-        "-0x1.37113b0359a1dp+9 -0x1.0d10e4105aeb5p+9 -0x1.005848d32d20dp+9 "
-        "-0x1.927cba4fc2db7p+8 -0x1.d86a1a1c314c4p+8 -0x1.f1ec345964f67p+8 "
-        "-0x1.d7e920be4095ap+8 -0x1.c08edebc46965p+8 -0x1.be69d79527c51p+8 "
-        "-0x1.955b3e469554fp+8 -0x1.3fae187c6e872p+8 -0x1.ea548b6f54656p+7 "
-        "-0x1.b6c01ecc4cc28p+7 -0x1.825bc70ba5b31p+6 -0x1.a6598e910f3efp+4 "
-        "-0x1.d4f738410ea9cp+6",
+        "-0x1.df379268cc718p+9 -0x1.d36da46d66b4cp+9 -0x1.c53a2573fbbf6p+9 "
+        "-0x1.c6f5a7cda992cp+9 -0x1.bc329960795cdp+9 -0x1.9ab2b4fa8bad7p+9 "
+        "-0x1.95685464a0f41p+9 -0x1.a11232466dc39p+9 -0x1.9d244973f8698p+9 "
+        "-0x1.970d43c9050a6p+9 -0x1.82ca06b0d04dfp+9 -0x1.87ddc64253ec4p+9 "
+        "-0x1.7a2b25299b726p+9 -0x1.61b54257cb30fp+9 -0x1.48b61a5906a77p+9 "
+        "-0x1.37113b0359a1dp+9 -0x1.0d10e4105aeb4p+9 -0x1.005848d32d20cp+9 "
+        "-0x1.927cba4fc2db5p+8 -0x1.d86a1a1c314c5p+8 -0x1.f1ec345964f63p+8 "
+        "-0x1.d7e920be40956p+8 -0x1.c08edebc46967p+8 -0x1.be69d79527c4ep+8 "
+        "-0x1.955b3e469554cp+8 -0x1.3fae187c6e876p+8 -0x1.ea548b6f54658p+7 "
+        "-0x1.b6c01ecc4cc26p+7 -0x1.825bc70ba5b38p+6 -0x1.a6598e910f400p+4 "
+        "-0x1.d4f738410ea85p+6",
     ]),
     # C/k past a double: the factor held as 2**-2 of itself
     (UcpSpec(L=57.271623783941266, V=12828.594060047031, rho=3.402702584634892,
@@ -481,20 +481,26 @@ def test_oracle_rescale_and_shift_keep_their_bits(spec, ks, bits):
 def test_oracle_builds_each_distinct_factor_once(monkeypatch):
     spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=6)
     k = np.array([0.5, 3.0])
-    built = []  # a barrier factor's width, and a gap factor's angles k*d
+    built = []  # a barrier factor's width, and a cell's gap angles k*d
+    added = []  # one entry per np.add call: a product step makes two
 
     def barrier_rows(k, V, width, gap):
         built.append(width)
         return scattering._barrier_rows(k, V, width, gap)
 
     class Numpy:
-        """The oracle's numpy, whose cos records the angles of each gap factor it builds."""
+        """The oracle's numpy, whose cos records the angles of each cell it builds,
+        and whose add counts its calls."""
         def __getattr__(self, name):
             return getattr(np, name)
 
         def cos(self, kd):
             built.append(kd.tolist())
             return np.cos(kd)
+
+        def add(self, *args):
+            added.append(None)
+            return np.add(*args)
 
     monkeypatch.setattr(oracle, "_barrier_rows", barrier_rows)
     monkeypatch.setattr(oracle, "np", Numpy())
@@ -503,6 +509,9 @@ def test_oracle_builds_each_distinct_factor_once(monkeypatch):
     assert len(built) == spec.G + 1
     assert built == [width if is_barrier else (k * width).tolist()
                      for width, is_barrier in dict.fromkeys(region_sequence(spec))]
+    # one step per barrier-gap cell, then one for the last barrier: 2**G steps
+    # over the 2**(G + 1) - 1 regions
+    assert len(added) == 2 * 2**spec.G
 
 
 # stages deep enough for gaps far below any wavelength, down to where the width chain stops
@@ -1033,14 +1042,16 @@ def test_det_drift_is_the_per_k_loop_bit_for_bit(rows):
     assert np.array_equal(bits(got), bits(det_drift_loop(a, b, c, d, exp2)))
 
 
-def test_drift_warns_once_per_k_in_input_order(monkeypatch, caplog):
+def test_drift_warns_once_per_k_in_input_order(monkeypatch):
     spec = UcpSpec(L=5, V=25, rho=3, alpha=1, beta=0, G=4)
     ks = [3.0, 0.5, 2.0]
-    with caplog.at_level(logging.WARNING, logger="ucpscatter.oracle"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         transmission_oracle_arrays(spec, ks)
-        assert caplog.records == []
+        assert caught == []
         monkeypatch.setattr(oracle, "_DET_DRIFT_TOL", -1.0)  # every drift exceeds it
         transmission_oracle_arrays(spec, ks)
-    messages = [record.getMessage() for record in caplog.records]
+    assert all(w.category is UserWarning for w in caught)
+    messages = [str(w.message) for w in caught]
     assert [m.rsplit(", ", 1)[1] for m in messages] == [f"k={k:g}" for k in ks]
     assert all(m.startswith("oracle determinant drift ") and " at G=4, " in m for m in messages)

@@ -242,8 +242,10 @@ def _library() -> dict[str, list]:
 
 def _more_library(rng: random.Random) -> dict[str, list]:
     """The entries of the analysis functions, the geometry lengths and lists,
-    and closed-form T below 1e-300, drawn from their own seed so that the
-    entries above keep their calls.  The last call of each entry is refused."""
+    closed-form T below 1e-300 and the oracle's rescale schedule, drawn from
+    their own seed so that the entries above keep their calls.  The last call
+    of each entry but the oracle's is refused."""
+    import numpy as np
     import ucpscatter as u
 
     specs = [_spec(rng, 40) for _ in range(12)]
@@ -284,6 +286,10 @@ def _more_library(rng: random.Random) -> dict[str, list]:
         "transmission_ucp_arrays-below-1e-300": [
             (u.transmission_ucp_arrays, (opaque, [0.25, 0.5, 1.0])),
             (u.transmission_ucp_arrays, (opaque, [1.0, 1e-200]))],
+        # the rescale case of tests/test_batch.py's ORACLE_BITS
+        "transmission_oracle_arrays-rescale": [
+            (u.transmission_oracle_arrays, (u.UcpSpec(L=300.0, V=5000.0, rho=2.2, alpha=0.4,
+                                                      beta=0.3, G=12), np.linspace(0.05, 60, 37)))],
     }
 
 
