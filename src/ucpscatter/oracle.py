@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import UcpSpec, _listed_widths, _spec
-from .scattering import ScatterResult, _barrier_rows, _k_array, _results
+from .scattering import ScatterResult, _barrier_rows, _k_array, _libm, _results
 
 __all__ = ["region_sequence", "transmission_oracle", "transmission_oracle_arrays"]
 
@@ -90,7 +90,7 @@ def transmission_oracle_arrays(spec: UcpSpec,
     k = _k_array(ks)
     n = k.size
     if n == 0:
-        return _results(k, k, k)
+        return _results(k, k)
     gaps = dict.fromkeys(width for width, is_barrier in regions if not is_barrier)
     # refuses each bad k
     cos_m1, k_sin, em_sin = _barrier_rows(k, spec.V, regions[0][0], max(gaps, default=0.0))
@@ -114,9 +114,11 @@ def transmission_oracle_arrays(spec: UcpSpec,
     limit = _PRODUCT_MAX / size.max(axis=(0, 1))
     floor = float(limit.min())
     # each factor's growth: sqrt(norm_1 * norm_inf) of its largest column and row
-    # sums, the largest over every k, times _SLACK
+    # sums, the largest over every k, times _SLACK; a sum past a double is an
+    # inf growth, which runs the rescale test at every step
     s00, s01, s10, s11 = size.transpose(1, 0, 2)
-    norm_1, norm_inf = np.maximum(s00 + s10, s01 + s11), np.maximum(s00 + s01, s10 + s11)
+    with np.errstate(over="ignore"):
+        norm_1, norm_inf = np.maximum(s00 + s10, s01 + s11), np.maximum(s00 + s01, s10 + s11)
     growths = (np.sqrt(norm_1) * np.sqrt(norm_inf)).max(axis=1) * _SLACK
     # each factor keyed by its gap width (None for the last barrier) as (diag, off,
     # growth): diag = (f00, f00, f11, f11) and off = (f01, f01, f10, f10) over the
@@ -152,7 +154,8 @@ def transmission_oracle_arrays(spec: UcpSpec,
         bound *= growth
         if not 4.0 * bound <= floor:  # a k may need a rescale: test each
             size = np.abs([a, b, c, d])
-            total = size[0] + size[1] + size[2] + size[3]
+            with np.errstate(over="ignore"):  # entries that fit a double, a sum that does not
+                total = size[0] + size[1] + size[2] + size[3]
             big = total > limit  # the next factors could overflow: rescale exactly
             e = np.where(big, np.frexp(size.max(axis=0))[1] + 1, 0)
             scale = np.ldexp(1.0, -e)
@@ -165,7 +168,7 @@ def transmission_oracle_arrays(spec: UcpSpec,
     for k_i, drift_i in zip(k[drifting].tolist(), drift[drifting].tolist()):
         warnings.warn(f"oracle determinant drift {drift_i:.3e} at G={spec.G}, k={k_i:g}",
                       stacklevel=2)
-    return _results((a - d) / 2.0, (b + c) / 2.0, exp2)
+    return _results(_libm(math.hypot, (a - d) / 2.0, (b + c) / 2.0), exp2)
 
 
 def _det_drift(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,

@@ -3,37 +3,42 @@
 The stage-G system is a super-periodic arrangement (doubling at every order)
 of a single rectangular barrier of width l_G.  One kernel, _repetition, builds
 the transfer matrix of any super-periodic arrangement of a barrier: at order f
-the block so far is repeated N_f times, block_f = (block_{f-1} . gap)^(N_f-1)
-. block_{f-1}, by binary powering of real 2x2 blocks that lose no digits at
-any stage, for many points at once.  Every point's block is a column of one
-(6, n) array, rows (o, p, q, r, b, exp2): row 5 is exp2, the power of two
-that the rescaling has taken out, so a product forms its scale where it forms
-its entries.  It serves three results:
+the block so far is repeated N_f times with the gap d_f between copies, for
+many points at once.  Every such arrangement is a palindrome of one symmetric
+barrier, so every block is mirror-symmetric, A = D, and is held in four rows
+(o, p, r, b) with A = D = o + p, kB = b and C/k = 2r - b, and a fifth, exp2,
+the power of two that the rescaling has taken out: one (5, n) array, a
+column per point.  The doubling (N_f = 2) takes one step S -> S . gap . S
+per order; other N_f join palindromes by binary powering.  A step multiplies
+r by 2 Omega, Omega the half-trace of S . gap, so |m12| = |r| is the
+product of the paper's factorization
 
-- transmission_ucp_arrays: the doubling, N_f = 2 at every order, of every
-  spec at every k in one pass, specs of any mix of stages (a spec of stage G
-  runs the last G orders), with T = 1/(1 + |m12|**2) taken in the log
-  domain, so that transmissions far below double-precision underflow remain
+    T_G = 1 / (1 + 4**G * |m12_0|**2 * prod_q Omega_q**2),
+
+m12_0 the barrier's, and R keeps its digits at T ~ 1.  It serves three
+results:
+
+- transmission_ucp_arrays: the doubling of every spec at every k in one
+  pass, specs of any mix of stages (a spec of stage G runs the last G
+  orders, and where its deepest m gaps are 0, a point of real kappa starts
+  from one barrier 2**m times as wide), with T = 1/(1 + |m12|**2) taken in the log domain, so
+  that transmissions far below double-precision underflow remain
   representable through log10(T); transmission_ucp (one point),
   saturation_scan (one spec's stages), fit_scaling and the CLI's sweep run
   its _transmission_table on a spec's cached width_chain;
-- bloch_sequence_arrays: the paper's Bloch phases Omega_q of
-
-      T_G = 1 / (1 + 4**G * |m12|**2 * prod_q Omega_q**2),
-
-  each the half-trace of the order-q unit cell (block . gap), which the
-  kernel gets for free;
+- bloch_sequence_arrays: the Bloch phases Omega_q, the multipliers of the
+  doubling's steps;
 - transmission_spp_arrays: arbitrary repetition counts N_f at spacings s_f,
   the paper's generic (Chebyshev) form, without its Chebyshev factors.
 
-Every step runs over all points at once, and each point's numbers are those
-of the per-point formulas in math and cmath, bit for bit.  numpy does the
-+ - x /, sqrt (correctly rounded in both) and sin and cos (numpy's float64 sin
-and cos round as the C library's, which math calls).  sinh, exp, log, log1p
-and hypot come from math, through one map over the points that need them:
-numpy's own versions of these differ from math's in the last bit on some
-arguments, and math.hypot is not the C library's hypot.  Swapping one of them
-for numpy's changes bits, and the bit-identity tests fail.
+Every step runs over all points at once, and the barrier's terms and the
+log-domain results of each point are those of the per-point formulas in
+math and cmath, bit for bit.  numpy does the + - x /, sqrt (correctly rounded
+in both) and sin and cos (numpy's float64 sin and cos round as the C
+library's, which math calls).  sinh, exp, log and log1p come from math,
+through one map over the points that need them: numpy's own versions of
+these differ from math's in the last bit on some arguments.  Swapping one of
+them for numpy's changes bits, and the bit-identity tests fail.
 """
 
 from __future__ import annotations
@@ -269,8 +274,9 @@ def bloch_sequence_arrays(spec: UcpSpec, ks: Sequence[float]) -> np.ndarray:
     array of shape (G, len(ks)) whose [q - 1, j] is Omega_q at ks[j].
 
     Omega_q is the half-trace of the order-q unit cell, block_{G-q+1} .
-    gap(d_{G-q+1}) (Yeh, Yariv & Hong, JOSA 67, 423, 1977), taken from the
-    doubling itself, so it keeps its digits at every stage.  A phase too large
+    gap(d_{G-q+1}) (Yeh, Yariv & Hong, JOSA 67, 423, 1977), the factor 2
+    Omega_q by which the doubling's step multiplies r, so it keeps its digits
+    at every stage.  A phase too large
     for a double comes back as +-inf; exact zeros (transmission resonances)
     come back as 0.  Raises the ValueError of the first refused k, the one
     that bloch_sequence gives there (see _barrier_rows).
@@ -279,7 +285,9 @@ def bloch_sequence_arrays(spec: UcpSpec, ks: Sequence[float]) -> np.ndarray:
 
 
 def _bloch_phases(table: _WidthTable, V: float, k: np.ndarray) -> np.ndarray:
-    """bloch_sequence_arrays of the one-column width table at the height V."""
+    """bloch_sequence_arrays of the one-column width table at the height V.
+    Every order runs, a gap of 0 too, so that there is a phase per order:
+    unlike _transmission_table, it folds no zero gaps into a wider barrier."""
     half_traces = []
     # a gap per point: _repetition runs an order on as many points as its gap has
     _repetition(k, _barrier_rows(k, V, table.widths[-1, 0], table.gaps.max(initial=0.0)),
@@ -288,40 +296,6 @@ def _bloch_phases(table: _WidthTable, V: float, k: np.ndarray) -> np.ndarray:
         omegas = [np.ldexp(h, np.clip(e, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
                   for h, e in half_traces]
     return np.array(omegas).reshape(len(omegas), k.size)
-
-
-def _block_product(x: tuple, y: tuple) -> tuple:
-    """Product x . y of two doubling blocks held as in _repetition."""
-    o1, p1, q1, r1, b1, e1 = x
-    o2, p2, q2, r2, b2, e2 = y
-    w1, w2 = o1 + p1, o2 + p2
-    rb, br = r1 * b2, b1 * r2
-    return (
-        o1 * o2,
-        o1 * p2 + p1 * o2 + (p1 * p2 + q1 * q2 + rb + br - b1 * b2),
-        w1 * q2 + q1 * w2 - rb + br,
-        (w1 - q1) * r2 + r1 * (w2 + q2) + q1 * b2 - b1 * q2,
-        (w1 + q1) * b2 + b1 * (w2 - q2),
-        e1 + e2,
-    )
-
-
-def _gap_product(x: tuple, p2: np.ndarray, b2: np.ndarray) -> tuple:
-    """x . gap, _block_product(x, (1.0, p2, 0.0, 0.0, b2, 0.0)) without the
-    gap's exact 1 and 0 terms.  Every nonzero sum is added in the same order, so
-    each entry is the same value and only the sign of a zero can differ, which
-    no result reads: T comes from hypot(q, r), and a half-trace o + p has o >= +0."""
-    o1, p1, q1, r1, b1, e1 = x
-    w1, w2 = o1 + p1, 1.0 + p2
-    rb = r1 * b2
-    return (
-        o1,
-        o1 * p2 + p1 + (p1 * p2 + rb - b1 * b2),
-        q1 * w2 - rb,
-        r1 * w2 + q1 * b2,
-        (w1 + q1) * b2 + b1 * w2,
-        e1,
-    )
 
 
 def transmission_ucp(spec: UcpSpec, k: float) -> ScatterResult:
@@ -338,8 +312,10 @@ def transmission_ucp_arrays(specs: Sequence[UcpSpec],
     equals the one-point transmission_ucp(specs[i], ks[j]) bit for bit.
 
     Points of any mix of specs and stages run in one pass of the doubling
-    (see _repetition), highest stage first, a spec of stage G running the
-    last G orders, on one fresh width table of their parameters (_width_table).
+    (see _repetition), the points with most orders first, a spec of stage G
+    running the last G orders, less those whose gaps are 0 at its deepest
+    stages at a point of real kappa (see _transmission_table), on one fresh
+    width table of their parameters (_width_table).
     """
     specs = [_spec(s, f"specs[{i}]") for i, s in enumerate(_listed(specs, "specs", "UcpSpec"))]
     L, V, rho, alpha, beta = (np.array([getattr(s, name) for s in specs], dtype=float)
@@ -350,51 +326,93 @@ def transmission_ucp_arrays(specs: Sequence[UcpSpec],
 def _transmission_table(table: _WidthTable, V: Sequence[float],
                         ks: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """transmission_ucp_arrays of the specs whose widths are the columns of
-    table, column i at the height V[i]."""
+    table, column i at the height V[i].
+
+    Where a spec's deepest m gaps, d_G down to d_{G-m+1}, are all 0 (they
+    underflow), its 2**m barriers of width l_G stand side by side: a point
+    of real kappa (k**2 >= V) starts from the one barrier of width 2**m l_G
+    and runs the G - m orders left, as doubling a near-rotation over those
+    orders loses every digit.  A point of imaginary kappa runs them all: its
+    blocks grow, which the doubling keeps rescaled, where the wide barrier's
+    sinh could overflow a double."""
     k = _k_array(ks)
     stages = table.stages
     shape = (stages.size, k.size)
-    points_k = np.tile(k, shape[0])  # every point's k, spec-major: the same in any spec order
-    widths = table.widths[stages, np.arange(shape[0])]  # l_G
-    # each spec's widest gap, of the rows it runs: row stages[i] holds l_G
-    gap = np.where(np.arange(len(table.gaps))[:, None] < stages, table.gaps, 0).max(0, initial=0)
+    rows = np.arange(len(table.gaps))[:, None]
+    gaps = np.where(rows < stages, table.gaps, 0.0)  # the gaps of each spec's own orders
+    last = ((gaps != 0.0) * (rows + 1)).max(0, initial=0)  # each spec's orders up to its last gap
+    spec = np.repeat(np.arange(shape[0]), k.size)  # every point's spec, spec-major
+    points_k, points_V, points_G = np.tile(k, shape[0]), np.repeat(V, k.size), stages[spec]
+    with np.errstate(over="ignore"):  # an overflowing k is refused below
+        runs = np.where(points_k * points_k >= points_V, last[spec], points_G)
+    # l_G, or 2**m l_G where m zero-gap orders are folded
+    widths = np.ldexp(table.widths[points_G, spec], points_G - runs)
     # spec-major, so the first bad point raised is the first (spec, k) in row-major
     # order; past it every l_G > 0, so no chain is cut short
-    barrier = _barrier_rows(points_k, *(np.repeat(x, k.size) for x in (V, widths, gap)))
-    # highest stage first: the running[g] specs still running at order g, G_i >= g, are a prefix
-    order = np.argsort(-stages, kind="stable")
-    running = np.cumsum(np.bincount(stages)[::-1])[::-1].tolist()
-    orders = ((np.repeat(table.gaps[g - 1, order[:running[g]]], k.size), 2)
-              for g in range(len(running) - 1, 0, -1))  # d_G first
-    block = _repetition(points_k, barrier.reshape(3, *shape)[:, order].reshape(3, -1), orders)
+    barrier = _barrier_rows(points_k, points_V, widths, gaps.max(0, initial=0.0)[spec])
+    # most orders first: the running[g] points still running at order g are a prefix
+    order = np.argsort(-runs, kind="stable")
+    running = np.cumsum(np.bincount(runs)[::-1])[::-1].tolist()
+    orders = ((table.gaps[g - 1, spec[order[:running[g]]]], 2)
+              for g in range(len(running) - 1, 0, -1))  # the deepest order first
+    block = _repetition(points_k[order], barrier[:, order], orders)
     back = np.argsort(order)
-    return tuple(x.reshape(shape)[back] for x in _results(block[2], block[3], block[5]))
+    return tuple(x[back].reshape(shape) for x in _results(np.abs(block[2]), block[4]))
 
 
 def _rescaled(block: tuple) -> tuple:
-    """block with every point whose size left [_RESCALE_BELOW, _RESCALE_AT]
-    scaled by a power of two, its largest entry into [1/2, 1)."""
-    o, p, q, r, b, exp2 = block
-    size = np.array((o, o + p, q, r, b))  # o alone can overflow o1 * o2
-    total = np.add.reduce(np.abs(size, out=size))  # row by row, in this order
-    off = (total > _RESCALE_AT) | (total < _RESCALE_BELOW)
+    """block with every point whose largest entry of (o, o + p, r, b) left
+    [_RESCALE_BELOW, _RESCALE_AT] scaled by a power of two, that entry into
+    [1/2, 1)."""
+    o, p, r, b, exp2 = block
+    size = np.maximum.reduce(np.abs((o, o + p, r, b)))  # o alone can overflow o * o
+    off = (size > _RESCALE_AT) | (size < _RESCALE_BELOW)
     if off.any():
-        e = np.where(off, np.frexp(np.maximum.reduce(size))[1], 0)
+        e = np.where(off, np.frexp(size)[1], 0)
         scale = np.ldexp(1.0, -e)
-        block = (o * scale, p * scale, q * scale, r * scale, b * scale, exp2 + e)
+        block = (o * scale, p * scale, r * scale, b * scale, exp2 + e)
     return block
 
 
-def _power(cell: tuple, m: int) -> tuple:
-    """cell**m for m >= 1 by binary powering; every product is rescaled."""
+def _step(x: tuple, cos_m1: np.ndarray, sin: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The doubling step x . gap . x of a block x held as in _repetition, the
+    gap the rotation by kd held as cos(kd) - 1 and sin(kd), and the half-trace
+    Omega = (o + p) cos kd + (r - b) sin kd of x . gap: r is 2 Omega r."""
+    o, p, r, b, exp2 = x
+    a, t, c = o + p, r - b, 1.0 + cos_m1
+    omega = a * c + t * sin
+    oo = o * o
+    return (oo, cos_m1 * oo + c * (p * (o + a) + b * (r + t)) + 2.0 * sin * a * t,
+            2.0 * omega * r, 2.0 * a * b * c + sin * (a - b) * (a + b), exp2 + exp2), omega
+
+
+def _join(x: tuple, cos_m1: np.ndarray, sin: np.ndarray, y: tuple) -> tuple:
+    """The palindrome x . gap . y of two palindromes of one block and gap, as
+    _step takes them: x . gap . x is _step's block, and r is the sum over x
+    and y of each one's r times the other's Omega."""
+    o1, p1, r1, b1, e1 = x
+    o2, p2, r2, b2, e2 = y
+    a1, t1, a2, t2, c = o1 + p1, r1 - b1, o2 + p2, r2 - b2, 1.0 + cos_m1
+    oo = o1 * o2
+    return (oo,
+            cos_m1 * oo + c * (o1 * p2 + p1 * a2 + b1 * r2 + r1 * b2 - b1 * b2)
+            + sin * (a1 * t2 + a2 * t1),
+            r1 * (a2 * c + t2 * sin) + r2 * (a1 * c + t1 * sin),
+            c * (a1 * b2 + b1 * a2) + sin * (a1 * a2 - b1 * b2), e1 + e2)
+
+
+def _power(block: tuple, cos_m1: np.ndarray, sin: np.ndarray, n: int) -> tuple:
+    """The palindrome of n >= 1 copies of block with the gap between each, by
+    binary powering: P_2j is _step of P_j and P_(i+j) the _join of P_i and
+    P_j.  Every product is rescaled."""
     result = None
     while True:
-        if m & 1:
-            result = cell if result is None else _rescaled(_block_product(result, cell))
-        m >>= 1
-        if not m:
+        if n & 1:
+            result = block if result is None else _rescaled(_join(result, cos_m1, sin, block))
+        n >>= 1
+        if not n:
             return result
-        cell = _rescaled(_block_product(cell, cell))
+        block = _rescaled(_step(block, cos_m1, sin)[0])
 
 
 def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
@@ -403,63 +421,67 @@ def _repetition(k: np.ndarray, barrier: np.ndarray, orders: Iterable[tuple],
     point k, barrier its rows from _barrier_rows.
 
     orders holds (gap, N) per order f = 1..g: the block starts as the barrier,
-    and at each order cell = block . gap(d_f) and block = cell**(N_f - 1) .
-    block, N_f >= 1 (Jaggard & Sun, Opt. Lett. 1990).  A gap holds a value for
-    each of the first m points, m its size: only those run the order, and the
-    rest keep their block, so each point runs its own number of orders, a
-    point that runs none keeping its barrier.  The doubling (N_f = 2) takes a
-    gap product and a block product per order and loses no digits to
-    cancellation.  A block is the real transfer matrix [[A, kB], [C/k, D]] of
-    (psi, psi'/k), held as (o, p, q, r, b) times 2**exp2 with
-    A = o + p + q, D = o + p - q, kB = b and C/k = 2r - b.  The identity
-    part o is kept apart, so a block much thinner than a wavelength keeps its
-    deviation from I; kB is kept itself, so it keeps its digits where C/k is
-    far larger (k**2 << V); m12 = q - i r in the plane-wave basis, so R keeps
-    its digits at T ~ 1; and o + p is the half-trace.  The block is rescaled
-    by a power of two at each order, and every product of the powering as it
-    is formed, when its size leaves [_RESCALE_BELOW, _RESCALE_AT].
+    and at each order it becomes N_f copies of itself with the gap d_f between
+    each (Jaggard & Sun, Opt. Lett. 1990).  A gap holds a value for each of
+    the first m points, m its size: only those run the order, and the rest
+    keep their block, so each point runs its own number of orders, a point
+    that runs none keeping its barrier.  The doubling (N_f = 2) takes one
+    _step per order, and other N_f take _power.
 
-    Returns the block of every point, one (6, n) array of its rows (o, p, q,
-    r, b, exp2): row 5 is exp2, which each product and rescale updates with
-    the other rows.  Appends (half-trace of the cell, its exp2) per order,
-    over the points that ran it, to half_traces when it is given.  Each entry
-    is an array over the points: numpy does the + - x, the sines (its float64
-    sin rounds as the C library's, which math.sin calls), the rescale test and
-    the rescale.  It never raises: _barrier_rows has refused every bad k.
+    Each block is a palindrome of one symmetric barrier, so it is
+    mirror-symmetric: its real transfer matrix [[A, kB], [C/k, D]] of
+    (psi, psi'/k) has A = D.  It is held as (o, p, r, b) times 2**exp2 with
+    A = D = o + p, kB = b and C/k = 2r - b.  The identity part o is kept
+    apart, so a block much thinner than a wavelength keeps its deviation
+    from I; kB is kept itself, so it keeps its digits where C/k is far larger
+    (k**2 << V); and m12 = -i r in the plane-wave basis.  A step multiplies r
+    by 2 Omega, Omega the half-trace of block . gap, the order's Bloch phase,
+    so r, and R with it, is the product of the factorization
+    |m12|_G = 2**G |m12|_0 prod_q Omega_q behind T_G = 1/(1 + 4**G |m12_0|**2
+    prod_q Omega_q**2), and keeps its digits at T ~ 1.  The block is rescaled
+    by a power of two at each order, and every product of the powering as it
+    is formed, when its largest entry leaves [_RESCALE_BELOW, _RESCALE_AT].
+
+    Returns the block of every point, one (5, n) array of its rows (o, p, r,
+    b, exp2): row 4 is exp2, which each product and rescale updates with the
+    other rows.  Appends (Omega, its exp2) per doubling order, over the points
+    that ran it, to half_traces when it is given.  Each entry is an array over
+    the points: numpy does the + - x, the sines (its float64 sin rounds as the
+    C library's, which math.sin calls), the rescale test and the rescale.  It
+    never raises: _barrier_rows has refused every bad k.
     """
     cos_m1, k_sin, em_sin = barrier
-    zeros = np.zeros(k.size)
     # a fresh array, so the barrier's rows are never written; exp2 is held as
     # a float, which unlike an int64 cannot wrap: the doubling doubles it at
     # every order
-    block = np.array((np.ones(k.size), cos_m1, zeros, em_sin, k_sin, zeros))
+    block = np.array((np.ones(k.size), cos_m1, em_sin, k_sin, np.zeros(k.size)))
     for d, n in orders:
         m = np.size(d)
         head = _rescaled(tuple(block[:, :m]))
         kd = k[:m] * d
         half = np.sin(kd / 2.0)  # the gap is a rotation by kd
-        cell = _gap_product(head, -2.0 * half * half, np.sin(kd))
-        if half_traces is not None:
-            # a copy: cell[5] can be a view of block's row 5, which is written below
-            half_traces.append((cell[0] + cell[1], cell[5].copy()))
-        if n > 1:
-            head = _block_product(_power(cell, n - 1), head)
+        gap = (-2.0 * half * half, np.sin(kd))
+        if n == 2:
+            head, omega = _step(head, *gap)
+            if half_traces is not None:
+                half_traces.append((omega, head[4] / 2.0))  # the step doubled exp2
+        else:
+            head = _power(head, *gap, n)
         for row, x in zip(block, head):
             row[:m] = x
     return block
 
 
-def _results(q: np.ndarray, r: np.ndarray,
+def _results(m12_abs: np.ndarray,
              exp2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """T, R and log10 T of each point from |m12| = hypot(q, r) of its product,
-    whose q = (A - D)/2 and r = (kB + C/k)/2 are 2**-exp2 of the true ones.
+    """T, R and log10 T of each point from |m12| of its product, 2**-exp2 of
+    the true one.
 
     T = 1/(1 + X) with X = |m12|**2 is taken from ln X, so that T far below
     double-precision underflow keeps its log10; X = 0 gives T = 1 exactly.
     Each point gets the bits of the per-point if-chain kept in tests/paper.py
     as assemble, in one pass: masks pick each branch's value, X = 0's too.
     """
-    m12_abs = _libm(math.hypot, q, r)
     # X = 0: T = 1, R = 0 and log10 T = 0 exactly; ln X is taken at |m12| = 1 instead
     zero = m12_abs == 0.0
     log_x = 2.0 * (_libm(math.log, np.where(zero, 1.0, m12_abs)) + exp2 * _LN2)
@@ -495,8 +517,8 @@ def transmission_spp_arrays(V: float, width: float, Ns: Sequence[int], ss: Seque
     spacing ss[f-1], f = 1..g, so the copies are separated by gaps
     s_f - width_{f-1}, with width_0 = width and
     width_f = (N_f - 1) s_f + width_{f-1}.  Runs the kernel of the closed
-    form (see _repetition); with Ns all 2 and ss the super-periods it is the
-    stage-g system.  V must be finite, width positive and finite, repetition
+    form (see _repetition), every order, a gap of 0 too; with Ns all 2 and
+    ss the super-periods it is the stage-g system.  V must be finite, width positive and finite, repetition
     counts integers >= 1 and spacings finite.  V, the width and the spacings
     are read as doubles and each count as an int that fits one (see geometry).
     Raises the ValueError of the first refused k, transmission_spp's there.
@@ -524,4 +546,4 @@ def transmission_spp_arrays(V: float, width: float, Ns: Sequence[int], ss: Seque
     gap = np.abs([d for d, _ in orders]).max(initial=0.0)
     block = _repetition(k, _barrier_rows(k, height, w, gap),
                         [(np.full(k.size, d), n) for d, n in orders])
-    return _results(block[2], block[3], block[5])
+    return _results(np.abs(block[2]), block[4])

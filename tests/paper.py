@@ -5,7 +5,10 @@ with one real-block kernel.  The paper writes them as recursions in the Bloch
 phases Omega_q and, for arbitrary repetition counts, Chebyshev factors
 U_{N-1}(Omega).  Those recursions cancel about q bits at stage q, so in double
 precision they hold to about G = 16; evaluated with 80 digits they hold to
-G = 64.  Tests import this module as plain `import paper`.
+G = 64.  doubling_reference is the plain doubling of real 2x2 matrices in
+mpmath, over the same double widths as the library's, so that only the
+kernel's rounding shows against it.  Tests import this module as plain
+`import paper`.
 
 The per-point forms of the library's array code are kept here too:
 barrier_terms, the terms of one barrier in complex cmath arithmetic, and
@@ -340,3 +343,27 @@ def paper_recursion(mpmath, spec, k, dps=80):
             c_acc, s_acc = 2 * omega * c_acc + cq, 2 * omega * s_acc + sq
         x = 4**G * abs(m12) ** 2 * prefix**2
         return float(-mpmath.log10(1 + x)), tuple(omegas)
+
+
+@functools.lru_cache(maxsize=None)
+def doubling_reference(mpmath, spec, k):
+    """log10 T of spec at k by the plain doubling M -> M . R(k d_g) . M of
+    the real matrices [[A, kB], [C/k, D]] of (psi, psi'/k), over the doubles
+    of spec.width_chain: the closed form's own geometry, so that only its
+    rounding shows.  R(kd) is the gap's rotation by kd.  Every step is taken
+    with 30 + G digits, past the about G * log10(2) that the G doublings can
+    lose; cached, since a point may be checked more than once."""
+    table = spec.width_chain
+    with mpmath.workdps(30 + spec.G):
+        k, V, w = (mpmath.mpf(x) for x in (k, spec.V, table.widths[-1, 0].item()))
+        kappa2 = k * k - V
+        z = mpmath.sqrt(mpmath.mpc(kappa2)) * w
+        # cos(kappa w) and sin(kappa w)/(kappa w) are real for real and imaginary kappa
+        cos_z, sinc_z = mpmath.cos(z).real, mpmath.sinc(z).real
+        a, b, c, d = cos_z, k * w * sinc_z, -kappa2 * w * sinc_z / k, cos_z
+        for gap in table.gaps[::-1, 0].tolist():  # d_G first
+            cos_kd, sin_kd = mpmath.cos(k * gap), mpmath.sin(k * gap)
+            x, y = a * cos_kd - b * sin_kd, a * sin_kd + b * cos_kd  # M . R, then (M . R) . M
+            u, v = c * cos_kd - d * sin_kd, c * sin_kd + d * cos_kd
+            a, b, c, d = x * a + y * c, x * b + y * d, u * a + v * c, u * b + v * d
+        return float(-mpmath.log10(1 + ((a - d) / 2) ** 2 + ((b + c) / 2) ** 2))

@@ -93,6 +93,17 @@ class TestTransmission:
             assert float(row[2]) == res.reflection
             assert float(row[3]) == res.log10_transmission
 
+    @pytest.mark.parametrize("L", range(2125, 2132))
+    def test_entries_near_a_doubles_limit_warn_nothing(self, L):
+        # cosh(kappa w_1) nears 1e308 at k = 1: every entry fits a double, but
+        # a sum of their sizes in either engine's rescale test may not
+        code, out, err = main_output(
+            ["transmission", "--L", str(L), "--V", "2", "--rho", "3", "--alpha", "1",
+             "--beta", "0", "--G", "1", "--kmin", "0.999999", "--kmax", "1.000001", "--nk", "2",
+             "--engine", "both"])
+        assert (code, err) == (EXIT_OK, "")
+        assert len(parse_csv(out)[2]) == 2
+
     def test_roundtrip_precision(self, tmp_path):
         # 17 significant digits reproduce the doubles exactly
         _, text = run(

@@ -14,6 +14,7 @@ from paper import barrier_matrix
 from ucpscatter import (
     UcpSpec,
     bloch_sequence,
+    bloch_sequence_arrays,
     gap_length,
     max_valid_stage,
     segment_length,
@@ -241,8 +242,8 @@ class TestWavenumberFarBelowTheHeight:
 class TestReflectionNearFullTransmission:
     """R where T ~ 1, against the paper's recursion with 80 digits.  The bound
     is C (s + eps), s the reference's own relative change in R under one ulp
-    of k: the worst of these 64 points is 82 (s + eps), at (0.5, 2), G=16,
-    k=3e3, and the worst relative error 2.1e-9."""
+    of k: the worst of these 64 points is 44 (s + eps), at (0.5, 2), G=16,
+    k=3e3, and the worst relative error 9.2e-10."""
 
     C = 1000.0
 
@@ -263,6 +264,24 @@ class TestReflectionNearFullTransmission:
                 s = abs(reference(spec, math.nextafter(k, math.inf)) / want - 1.0)
                 assert 0.0 < want < 1e-2
                 assert abs(reflection / want - 1.0) <= self.C * (s + 2.0**-52), (spec, k)
+
+
+class TestAgainstTheDoublingReference:
+    """log10 T against paper.doubling_reference, a plain doubling of real 2x2
+    matrices in mpmath over the same double widths, so that only the
+    kernel's rounding shows.  Over these 200 points the kernel is at most
+    2.5e-14 off (the kernel it replaced: 2.8e-14); the bound is 10 times that."""
+
+    BOUND = 2.5e-13
+
+    @pytest.mark.parametrize("G", [8, 16, 31, 40, 64])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (0.5, 1.0), (0.5, 2.0)])
+    def test_log10_transmission(self, alpha, beta, G):
+        mpmath = pytest.importorskip("mpmath")
+        spec = UcpSpec(L=10.0, V=25.0, rho=3.0, alpha=alpha, beta=beta, G=G)
+        ks = np.geomspace(0.2, 50.0, 10).tolist()
+        for k, got in zip(ks, transmission_ucp_arrays([spec], ks)[2][0].tolist()):
+            assert abs(got - paper.doubling_reference(mpmath, spec, k)) <= self.BOUND, k
 
 
 class TestTransmissionSpp:
@@ -484,3 +503,27 @@ def test_every_N_2_at_the_super_periods_is_the_closed_form(L, V, rho, family_G, 
             generic()
         return
     assert generic().log10_transmission == pytest.approx(want, rel=1e-6, abs=0)
+
+
+@given(**RELATION_DOMAIN)
+@settings(max_examples=100, deadline=None)
+def test_log10_T_is_the_papers_product_of_the_bloch_phases(L, V, rho, family_G, k):
+    # T_G = 1/(1 + X) with ln X = 2 (ln|m12_0| + G ln 2 + sum_q ln|Omega_q|),
+    # m12_0 the barrier's: the doubling multiplies its r by 2 Omega_q at each
+    # order.  23000 random points of this domain at G <= 32 agreed within
+    # 2.2e-15 max(1, |log10 T|); the bound is 1e-12 of that
+    (alpha, beta), G = family_G
+    assume(G <= 32)
+    spec = UcpSpec(L=L, V=V, rho=rho, alpha=alpha, beta=beta, G=G)
+    try:
+        want = transmission_ucp_arrays([spec], [k])[2].item()
+        omegas = bloch_sequence_arrays(spec, [k])[:, 0].tolist()
+    except ValueError:
+        return
+    m12_0 = abs(paper.barrier_terms(k, V, segment_length(spec, G))[2].real)
+    assume(m12_0 > 0.0 and all(0.0 < abs(w) < math.inf for w in omegas))
+    log_x = 2.0 * (math.log(m12_0) + G * math.log(2.0)
+                   + math.fsum(math.log(abs(w)) for w in omegas))
+    # ln(1 + X) without forming X
+    log1p_x = log_x + math.log1p(math.exp(-log_x)) if log_x > 0.0 else math.log1p(math.exp(log_x))
+    assert abs(-log1p_x / math.log(10.0) - want) <= 1e-12 * max(1.0, abs(want))

@@ -113,15 +113,22 @@ K_GRID_REFUSED = {
 
 
 # the CLI paths that no command above takes: the oracle alone, an explicit
-# linear k grid, saturation on a log k grid, and a validate that passes (G = 19
-# is the bound of readme-validate's (alpha, beta) = (2, -0.1))
+# linear k grid, saturation on a log k grid, a validate that passes (G = 19
+# is the bound of readme-validate's (alpha, beta) = (2, -0.1)), and barriers
+# whose entries near a double's limit (cosh(kappa w_1) ~ 1e308): the sizes
+# the rescale tests add up, the oracle's at L = 2128 and the closed form's at
+# L = 2130, pass a double, and no warning may reach stderr
 _SWEEP_50 = ["--kmin", "0.5", "--kmax", "20", "--nk", "50"]
+_NEAR_LIMIT = ["--V", "2", "--rho", "3", "--alpha", "1", "--beta", "0", "--G", "1",
+               "--kmin", "0.999999", "--kmax", "1.000001", "--nk", "2", "--engine", "both"]
 PATHS = {
     "transmission-oracle": (0, ["transmission", *_SPEC, *_SWEEP_50, "--engine", "oracle"]),
     "transmission-linear": (0, ["transmission", *_SPEC, *_SWEEP_50, "--scale", "linear"]),
     "saturation-log": (0, [*README["readme-saturation"][1], "--scale", "log"]),
     "validate-last-stage": (0, ["validate", "--L", "5", "--V", "25", "--rho", "2.718",
                                 "--alpha", "2", "--beta", "-0.1", "--G", "19"]),
+    "transmission-near-limit-oracle": (0, ["transmission", "--L", "2128", *_NEAR_LIMIT]),
+    "transmission-near-limit-closed-form": (0, ["transmission", "--L", "2130", *_NEAR_LIMIT]),
 }
 
 
